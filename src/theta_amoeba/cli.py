@@ -153,7 +153,7 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cap_threads() -> int | None:

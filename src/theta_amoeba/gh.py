@@ -161,9 +161,8 @@ def convergence_suite(
     }
     for k in k_list:
         basis = theta_basis(om, k)
-        rows["c0_deviation"].append(c0_metric_deviation(basis, metric_grid))
-
         dk_field = omega_k_metric_field(basis, metric_grid)
+        rows["c0_deviation"].append(c0_metric_deviation(om, dk_field))
         dk = geodesic_distances(dk_field, nodes)[:, nodes]
         rows["gh_ub_metric"].append(0.5 * float(np.max(np.abs(d0 - dk))))
 

@@ -16,8 +16,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .abelian import RiemannMatrix, real_metric_tensor
-from .errors import ConfigError, NonPositive
-from .theta import ThetaBasis, distortion_fk, section_gauge_values
+from .errors import ConfigError, DegenerateSample, NonPositive
+from .theta import ZERO_FLOOR_LOG, GaugeValue, ThetaBasis, section_gauge_values
 
 
 @dataclass(frozen=True)
@@ -80,99 +80,55 @@ def gram_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def _hessian_log_fk(basis: ThetaBasis, x, y, h: float, weights=None):
-    """Complex Hessian of log f_k in z, by Richardson-extrapolated central
-    differences over the real and imaginary z directions."""
-    om, n = basis.om, basis.om.n
-    mode = "closed" if weights is None else "direct"
+def _metric_field(basis: ThetaBasis, gv: GaugeValue, weights=None) -> np.ndarray:
+    """Pulled-back Fubini-Study metric from section values and d log Theta_k.
 
-    def log_fk(xs, ys):
-        return np.log(distortion_fk(basis, xs, ys, mode=mode, weights=weights))
-
-    # complex displacement vectors for the 2n real directions
-    dirs = [np.eye(n)[j] + 0.0j for j in range(n)] + [1j * np.eye(n)[j] for j in range(n)]
-
-    def second_derivs(hh):
-        disp = [np.zeros(n, dtype=complex)]
-        index = {}
-        for r in range(2 * n):
-            for sgn in (2.0, -2.0):
-                index[(r, r, sgn)] = len(disp)
-                disp.append(sgn * hh * dirs[r])
-        for r in range(2 * n):
-            for s in range(r + 1, 2 * n):
-                for sr, ss in itertools.product((1.0, -1.0), repeat=2):
-                    index[(r, s, sr, ss)] = len(disp)
-                    disp.append(hh * (sr * dirs[r] + ss * dirs[s]))
-        dz = np.array(disp)
-        # z-shift in unreduced coordinates: dx = T^{-1} Im dz, dy = Re dz - S dx
-        dx = np.linalg.solve(om.im, dz.imag.T).T
-        dy = dz.real - dx @ om.re.T
-        m_pts = x.shape[0]
-        xs = (x[:, None, :] + dx[None, :, :]).reshape(-1, n)
-        ys = (y[:, None, :] + dy[None, :, :]).reshape(-1, n)
-        f = log_fk(xs, ys).reshape(m_pts, len(disp))
-        d = np.empty((m_pts, 2 * n, 2 * n))
-        for r in range(2 * n):
-            d[:, r, r] = (
-                f[:, index[(r, r, 2.0)]] - 2.0 * f[:, 0] + f[:, index[(r, r, -2.0)]]
-            ) / (4.0 * hh * hh)
-        for r in range(2 * n):
-            for s in range(r + 1, 2 * n):
-                val = (
-                    f[:, index[(r, s, 1.0, 1.0)]]
-                    - f[:, index[(r, s, 1.0, -1.0)]]
-                    - f[:, index[(r, s, -1.0, 1.0)]]
-                    + f[:, index[(r, s, -1.0, -1.0)]]
-                ) / (4.0 * hh * hh)
-                d[:, r, s] = val
-                d[:, s, r] = val
-        return d
-
-    d = (4.0 * second_derivs(0.5 * h) - second_derivs(h)) / 3.0
-    daa = d[:, :n, :n]
-    dbb = d[:, n:, n:]
-    dab = d[:, :n, n:]
-    dba = d[:, n:, :n]
-    return 0.25 * ((daa + dbb) + 1j * (dab - dba))
-
-
-def _field_from_hessian(basis: ThetaBasis, hess: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n tensors from the hermitian coefficient matrix
-    H_k = (Im om)^{-1} + (1 / pi k) Hess_{z zbar} log f_k."""
-    om = basis.om
-    n = om.n
-    hk = om.im_inv[None, :, :] + hess / (np.pi * basis.k)
-    a = np.hstack([om.omega, np.eye(n)])
-    g = np.einsum("ni,mip,pq->mnq", a.T, hk, np.conj(a)).real
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-
-def omega_k_field(basis: ThetaBasis, x, y, h_step: float = 1e-3, weights=None):
-    """Pulled-back metric tensors at many points, shape (m, 2n, 2n)."""
-    if not 1e-5 <= h_step <= 1e-2:
-        raise ConfigError(f"h_step {h_step} outside [1e-5, 1e-2]")
-    n = basis.om.n
-    x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
-    y = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
-    g = _field_from_hessian(basis, _hessian_log_fk(basis, x, y, h_step, weights))
+    With p_i = w_i |s_i|_h^2 / f_k, the complex Hessian of log f_k is
+    Cov_p(d log Theta_k(z; b_i)) - pi k (Im om)^{-1}, so the hermitian
+    coefficient matrix of g_k is Cov_p / (pi k): positive semidefinite by
+    construction. It maps to real 2n x 2n tensors in (x, y) through
+    dz = [Omega, I] d(x, y).
+    """
+    om, k = basis.om, basis.k
+    lw = 2.0 * gv.log_mag
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (basis.n_sections,):
+            raise ValueError("weights must have one entry per section")
+        with np.errstate(divide="ignore"):
+            lw = lw + np.log(w)[:, None]
+    shift = lw.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(lw - shift)
+        log_fk = shift + np.log(e.sum(axis=0))
+    if not np.all(log_fk >= 2.0 * ZERO_FLOOR_LOG):
+        raise DegenerateSample("f_k vanishes at a sample point: common zero of the sections")
+    p = e / e.sum(axis=0)
+    # an exact zero of one section carries no weight; its d log is nan
+    d = np.where(p[:, :, None] > 0.0, gv.dlog, 0.0)
+    d = d - np.einsum("sm,sma->ma", p, d)[None]
+    cov = np.einsum("sm,sma,smb->mab", p, d, d.conj())
+    a = np.hstack([om.omega, np.eye(om.n)])
+    g = np.einsum("ni,mip,pq->mnq", a.T, cov, np.conj(a)).real / (np.pi * k)
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
     lams = np.linalg.eigvalsh(g)
-    if lams[:, 0].min() <= 0.0:
-        raise NonPositive(
-            "pulled-back metric lost positive-definiteness; "
-            "refine h_step or increase the level"
-        )
+    # nan-safe; exact zeros are allowed (g_2 vanishes at 2-torsion points)
+    if not lams[:, 0].min() >= -1e-12 * lams[:, -1].max():
+        raise NonPositive("pulled-back metric is not positive semidefinite")
     return g
 
 
-def omega_k_tensor(basis: ThetaBasis, x, y, h_step: float = 1e-3) -> MetricSample:
-    g = omega_k_field(basis, x, y, h_step=h_step)[0]
+def omega_k_field(basis: ThetaBasis, x, y):
+    """Pulled-back metric tensors at many points, shape (m, 2n, 2n)."""
+    return _metric_field(basis, section_gauge_values(basis, x, y, dlog=True))
+
+
+def omega_k_tensor(basis: ThetaBasis, x, y) -> MetricSample:
+    g = omega_k_field(basis, x, y)[0]
     return MetricSample(x=np.atleast_1d(x), y=np.atleast_1d(y), g=g)
 
 
-def balanced_matrix(
-    basis: ThetaBasis, grid: QuadratureGrid, h_step: float = 1e-3, scales=None
-) -> np.ndarray:
+def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid, scales=None) -> np.ndarray:
     """Embedding mass matrix M_ij = int (s_i, s_j)_h / f against the
     pulled-back volume form.
 
@@ -181,28 +137,27 @@ def balanced_matrix(
     basis.
     """
     check_grid_resolution(basis, grid)
-    v = section_gauge_values(basis, grid.x, grid.y).complex_values()
+    gv = section_gauge_values(basis, grid.x, grid.y, dlog=True)
+    v = gv.complex_values()
     weights = None
     if scales is not None:
         scales = np.asarray(scales, dtype=float)
         v = scales[:, None] * v
         weights = scales**2
     f = np.einsum("im,im->m", v, v.conj()).real
-    gk = omega_k_field(basis, grid.x, grid.y, h_step=h_step, weights=weights)
-    vol = np.sqrt(np.linalg.det(gk))
+    gk = _metric_field(basis, gv, weights)
+    # g_k may vanish at isolated nodes, where det is 0 up to roundoff
+    vol = np.sqrt(np.maximum(np.linalg.det(gk), 0.0))
     m = np.einsum("im,jm,m->ij", v, v.conj(), vol / f) / grid.size
     return 0.5 * (m + m.conj().T)
 
 
-def c0_metric_deviation(
-    basis: ThetaBasis, grid: QuadratureGrid, h_step: float = 1e-3
-) -> float:
-    """sup over the grid of || g0^{-1/2} (g0 - g_k) g0^{-1/2} ||_2."""
-    g0 = real_metric_tensor(basis.om)
-    gk = omega_k_field(basis, grid.x, grid.y, h_step=h_step)
+def c0_metric_deviation(om: RiemannMatrix, field: MetricField) -> float:
+    """sup over the field's nodes of || g0^{-1/2} (g0 - g) g0^{-1/2} ||_2."""
+    g0 = real_metric_tensor(om)
     chol = np.linalg.cholesky(g0)
     inv = np.linalg.inv(chol)
-    rel = inv[None, :, :] @ (g0[None, :, :] - gk) @ inv.T[None, :, :]
+    rel = inv[None, :, :] @ (g0[None, :, :] - field.g) @ inv.T[None, :, :]
     rel = 0.5 * (rel + np.swapaxes(rel, 1, 2))
     return float(np.max(np.abs(np.linalg.eigvalsh(rel))))
 
@@ -212,12 +167,8 @@ def flat_metric_field(om: RiemannMatrix, grid: QuadratureGrid) -> MetricField:
     return MetricField(grid=grid, g=np.broadcast_to(g0, (grid.size, 2 * grid.n, 2 * grid.n)))
 
 
-def omega_k_metric_field(
-    basis: ThetaBasis, grid: QuadratureGrid, h_step: float = 1e-3
-) -> MetricField:
-    return MetricField(
-        grid=grid, g=omega_k_field(basis, grid.x, grid.y, h_step=h_step)
-    )
+def omega_k_metric_field(basis: ThetaBasis, grid: QuadratureGrid) -> MetricField:
+    return MetricField(grid=grid, g=omega_k_field(basis, grid.x, grid.y))
 
 
 def _graph_edges(field: MetricField):

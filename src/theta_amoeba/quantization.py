@@ -18,7 +18,7 @@ import numpy as np
 from .abelian import RiemannMatrix, base_distance, fiber_volume
 from .errors import DegenerateSample, NonPositive
 from .metrics import gram_matrix, quadrature_grid
-from .theta import GaugeValue, ThetaBasis, section_gauge_values, theta_basis
+from .theta import ZERO_FLOOR_LOG, GaugeValue, ThetaBasis, section_gauge_values, theta_basis
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,7 @@ def berg_reconstruct(
     x = np.atleast_2d(np.asarray(sample_x, dtype=float)).reshape(-1, n)
     y = np.atleast_2d(np.asarray(sample_y, dtype=float)).reshape(-1, n)
     vals = section_gauge_values(basis, x, y)
-    # double precision leaves ~1e-17 residue at true section zeros, so the
-    # degeneracy cutoff must sit well above that cancellation floor
-    if np.any(vals.log_mag[i] < np.log(1e-12)):
+    if np.any(vals.log_mag[i] < ZERO_FLOOR_LOG):
         raise DegenerateSample("sample point too close to a section zero")
     v = vals.complex_values()
     ratios = (c @ v) / v[i]

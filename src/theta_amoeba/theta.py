@@ -19,6 +19,9 @@ from .errors import NonPositive, NotPositive, TruncationOverflow
 # tail budget: drop terms below ~1e-16 relative, plus margin
 TAIL_LOG = 16.0 * np.log(10.0) + 5.0
 MAX_RADIUS = 200
+# double precision leaves ~1e-17 residue at true section zeros, so a
+# degeneracy cutoff on |s|_h must sit well above that cancellation floor
+ZERO_FLOOR_LOG = np.log(1e-12)
 _CHUNK_TERMS = 4_000_000
 
 
@@ -39,12 +42,14 @@ def _truncation_radius(t_eff: np.ndarray, scale: float = 1.0) -> int:
     return r
 
 
-def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
+def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None, dlog: bool = False):
     """Log-form theta sum with characteristics.
 
     theta[a; b](om_eff, z) = sum_l e(1/2 t(l+a) om (l+a) + t(l+a)(z+b)),
     with e(t) = exp(2 pi i t). Returns (log_mag, phase) arrays over the
-    leading axis of z (shape (m, n)).
+    leading axis of z (shape (m, n)). With dlog, also returns the gradient
+    d_z log theta = sum_l 2 pi i (l+a) term / sum_l term, shape (m, n),
+    from the same terms; it is inf or nan at an exact zero of theta.
     """
     om_eff = np.atleast_2d(np.asarray(om_eff, dtype=complex))
     n = om_eff.shape[0]
@@ -62,6 +67,7 @@ def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
     chunk = max(1, _CHUNK_TERMS // off.shape[0])
     log_mag = np.empty(m)
     phase = np.empty(m)
+    grad = np.empty((m, n), dtype=complex) if dlog else None
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
         la = l_star[s:e, None, :] + off[None, :, :] + a
@@ -69,11 +75,19 @@ def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
         lin = np.einsum("mjn,mn->mj", la.astype(complex), zb[s:e])
         w = 2j * np.pi * (0.5 * quad + lin)
         shift = w.real.max(axis=1)
-        vals = np.exp(w - shift[:, None]).sum(axis=1)
+        # exponentiate in place: a second name for the terms would keep
+        # them alive while the next chunk is built
+        w -= shift[:, None]
+        np.exp(w, out=w)
+        vals = w.sum(axis=1)
         # theta has honest zeros: log_mag = -inf there, phase arbitrary 0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_mag[s:e] = shift + np.log(np.abs(vals))
+            if dlog:
+                grad[s:e] = 2j * np.pi * np.einsum("mj,mjn->mn", w, la) / vals[:, None]
         phase[s:e] = np.angle(vals)
+    if dlog:
+        return log_mag, phase, grad
     return log_mag, phase
 
 
@@ -89,11 +103,14 @@ class GaugeValue:
 
     Arrays have shape (n_sections, n_points). In this gauge the pointwise
     h-norm of a section is exp(log_mag), so norms stay representable at
-    any level.
+    any level. dlog, when requested, holds d_z log Theta_k(z; b_i) with
+    shape (n_sections, n_points, n); the gauge factor is common to all
+    sections and is left out.
     """
 
     log_mag: np.ndarray
     phase: np.ndarray
+    dlog: np.ndarray | None = None
 
     def complex_values(self) -> np.ndarray:
         return np.exp(self.log_mag + 1j * self.phase)
@@ -142,7 +159,7 @@ def _as_points(x, y, n):
     return x, y
 
 
-def section_gauge_values(basis: ThetaBasis, x, y) -> GaugeValue:
+def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeValue:
     """Evaluate every basis section at unreduced coordinates z = Omega x + y.
 
     The unitary gauge multiplies the holomorphic section by
@@ -158,7 +175,7 @@ def section_gauge_values(basis: ThetaBasis, x, y) -> GaugeValue:
 
     # one stacked lattice-sum call: section b enters only as a z-shift
     zs = (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, n)
-    lm, ph = theta_char_log(om.omega / k, zs)
+    lm, ph, *grad = theta_char_log(om.omega / k, zs, dlog=dlog)
     lm = lm.reshape(basis.n_sections, m)
     ph = ph.reshape(basis.n_sections, m)
 
@@ -167,7 +184,11 @@ def section_gauge_values(basis: ThetaBasis, x, y) -> GaugeValue:
     xy = np.einsum("mi,mi->m", x, y)
     base_lm = basis.log_c_omega - 0.25 * n * np.log(k) - np.pi * k * xtx
     base_ph = np.pi * k * (xsx + xy)
-    return GaugeValue(log_mag=base_lm[None, :] + lm, phase=base_ph[None, :] + ph)
+    return GaugeValue(
+        log_mag=base_lm[None, :] + lm,
+        phase=base_ph[None, :] + ph,
+        dlog=grad[0].reshape(basis.n_sections, m, n) if dlog else None,
+    )
 
 
 def section_norm_sq_reference(basis: ThetaBasis, x, y) -> np.ndarray:

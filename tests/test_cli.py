@@ -25,6 +25,14 @@ def test_gram_square_torus_level_four(capsys, tmp_path):
     assert summary["results"]["4"]["gram_max_dev"] < 1e-8
 
 
+def test_gram_level_one_is_typed_error(capsys, tmp_path):
+    # the only level-1 section vanishes at the grid node (1/2, 1/2)
+    code, _, err = run(capsys, "gram", "--k", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert json.loads(err)["error"] == "DegenerateSample"
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_empty_k_list_is_config_error(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k_list": [], "grid_per_dim": 16}))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from theta_amoeba import ConfigError, EmptySet, NotACorrespondence
+from theta_amoeba import ConfigError, EmptySet, NotACorrespondence, metrics
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.gh import (
     convergence_suite,
@@ -139,9 +139,19 @@ def test_suite_rejects_higher_dimension():
         convergence_suite(rm, [2, 3, 4])
 
 
-def test_suite_small_sweep():
+def test_suite_small_sweep(monkeypatch):
+    levels = []
+    field = metrics.omega_k_field
+
+    def counted(basis, x, y):
+        levels.append(basis.k)
+        return field(basis, x, y)
+
+    monkeypatch.setattr(metrics, "omega_k_field", counted)
     rm = validate_riemann_matrix([[1j]])
     rep = convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
+    # one metric field per level serves both the C0 deviation and geodesics
+    assert levels == [2, 3, 4]
     assert np.all(rep.rows["c0_deviation"] > 0.0)
     assert np.all(np.diff(rep.rows["c0_deviation"]) < 0.0)
     assert np.allclose(rep.rows["base_diameter"], rep.rows["base_diameter"][0])

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from theta_amoeba import ConfigError
+from theta_amoeba import ConfigError, DegenerateSample
 from theta_amoeba.abelian import real_metric_tensor, validate_riemann_matrix
 from theta_amoeba.metrics import (
-    _hessian_log_fk,
+    _metric_field,
     balanced_matrix,
     c0_metric_deviation,
     flat_metric_field,
@@ -17,10 +19,13 @@ from theta_amoeba.metrics import (
     omega_k_tensor,
     quadrature_grid,
 )
-from theta_amoeba.theta import theta_basis
+from theta_amoeba.theta import distortion_fk, section_gauge_values, theta_basis
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
+COUPLED = validate_riemann_matrix(
+    np.array([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
+)
 
 
 def grid_for(k, n=1):
@@ -77,11 +82,18 @@ def test_balanced_detects_perturbed_basis():
     assert np.max(np.abs(m - c * np.eye(4))) / c > 0.1
 
 
-def test_omega_k_positive_definite_on_grid():
-    basis = theta_basis(SQUARE, 2)
+def test_omega_k_definiteness_on_grid():
+    # the level-2 map is the 2:1 Kummer map, so g_2 vanishes exactly at the
+    # four 2-torsion points (grid nodes) and nowhere else
     g = quadrature_grid(1, 16)
-    field = omega_k_field(basis, g.x, g.y)
-    assert np.linalg.eigvalsh(field)[:, 0].min() > 0.0
+    lam = np.linalg.eigvalsh(omega_k_field(theta_basis(SQUARE, 2), g.x, g.y))[:, 0]
+    torsion = np.all(np.isin(np.hstack([g.x, g.y]), (0.0, 0.5)), axis=1)
+    assert torsion.sum() == 4
+    assert np.all(lam[torsion] <= 1e-12)
+    assert np.all(lam[~torsion] >= 0.01)
+    for k in (3, 4):
+        lam = np.linalg.eigvalsh(omega_k_field(theta_basis(SQUARE, k), g.x, g.y))[:, 0]
+        assert lam.min() > 0.0
 
 
 def test_omega_k_lattice_translation_invariance():
@@ -91,19 +103,112 @@ def test_omega_k_lattice_translation_invariance():
     assert np.max(np.abs(g1 - g2)) < 1e-8
 
 
-def test_omega_k_richardson_consistency():
-    basis = theta_basis(SQUARE, 4)
-    x = np.array([[0.13]])
-    y = np.array([[0.27]])
-    h1 = _hessian_log_fk(basis, x, y, 1e-3)
-    h2 = _hessian_log_fk(basis, x, y, 5e-4)
-    assert np.max(np.abs(h1 - h2)) < 1e-7
+def fd_hessian_log_fk(basis, x, y, h=1e-3, weights=None):
+    """Oracle: complex Hessian of log f_k in z, by Richardson-extrapolated
+    central differences over the real and imaginary z directions."""
+    om, n = basis.om, basis.om.n
+    mode = "closed" if weights is None else "direct"
+    dirs = [np.eye(n)[j] + 0.0j for j in range(n)] + [1j * np.eye(n)[j] for j in range(n)]
+
+    def second_derivs(hh):
+        disp = [np.zeros(n, dtype=complex)]
+        index = {}
+        for r in range(2 * n):
+            for sgn in (2.0, -2.0):
+                index[(r, r, sgn)] = len(disp)
+                disp.append(sgn * hh * dirs[r])
+        for r in range(2 * n):
+            for s in range(r + 1, 2 * n):
+                for sr, ss in itertools.product((1.0, -1.0), repeat=2):
+                    index[(r, s, sr, ss)] = len(disp)
+                    disp.append(hh * (sr * dirs[r] + ss * dirs[s]))
+        dz = np.array(disp)
+        # z-shift in unreduced coordinates: dx = T^{-1} Im dz, dy = Re dz - S dx
+        dx = np.linalg.solve(om.im, dz.imag.T).T
+        dy = dz.real - dx @ om.re.T
+        xs = (x[:, None, :] + dx[None, :, :]).reshape(-1, n)
+        ys = (y[:, None, :] + dy[None, :, :]).reshape(-1, n)
+        fk = distortion_fk(basis, xs, ys, mode=mode, weights=weights)
+        f = np.log(fk).reshape(x.shape[0], len(disp))
+        d = np.empty((x.shape[0], 2 * n, 2 * n))
+        for r in range(2 * n):
+            d[:, r, r] = (
+                f[:, index[(r, r, 2.0)]] - 2.0 * f[:, 0] + f[:, index[(r, r, -2.0)]]
+            ) / (4.0 * hh * hh)
+            for s in range(r + 1, 2 * n):
+                val = (
+                    f[:, index[(r, s, 1.0, 1.0)]]
+                    - f[:, index[(r, s, 1.0, -1.0)]]
+                    - f[:, index[(r, s, -1.0, 1.0)]]
+                    + f[:, index[(r, s, -1.0, -1.0)]]
+                ) / (4.0 * hh * hh)
+                d[:, r, s] = val
+                d[:, s, r] = val
+        return d
+
+    d = (4.0 * second_derivs(0.5 * h) - second_derivs(h)) / 3.0
+    daa, dbb, dab, dba = d[:, :n, :n], d[:, n:, n:], d[:, :n, n:], d[:, n:, :n]
+    return 0.25 * ((daa + dbb) + 1j * (dab - dba))
 
 
-def test_omega_k_rejects_bad_step():
-    basis = theta_basis(SQUARE, 4)
-    with pytest.raises(ConfigError):
-        omega_k_tensor(basis, [[0.1]], [[0.1]], h_step=0.5)
+def fd_metric_field(basis, x, y, weights=None):
+    """Oracle g_k from H_k = (Im om)^{-1} + (1 / pi k) Hess log f_k."""
+    om, n = basis.om, basis.om.n
+    hk = om.im_inv + fd_hessian_log_fk(basis, x, y, weights=weights) / (np.pi * basis.k)
+    a = np.hstack([om.omega, np.eye(n)])
+    g = np.einsum("ni,mip,pq->mnq", a.T, hk, np.conj(a)).real
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+def assert_matches_fd(basis, x, y, weights=None):
+    # compare on the Hessian scale: g_k carries a factor 1 / (pi k)
+    g = _metric_field(basis, section_gauge_values(basis, x, y, dlog=True), weights)
+    g_fd = fd_metric_field(basis, x, y, weights=weights)
+    assert np.max(np.abs(g - g_fd)) * np.pi * basis.k <= 1e-8
+
+
+@pytest.mark.parametrize("rm", [SQUARE, GENERIC], ids=["square", "generic"])
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_omega_k_matches_finite_differences(rm, k):
+    rng = np.random.default_rng(k)
+    assert_matches_fd(theta_basis(rm, k), rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_omega_k_matches_finite_differences_coupled(k):
+    basis = theta_basis(COUPLED, k)
+    rng = np.random.default_rng(10 + k)
+    x, y = rng.uniform(size=(40, 2)), rng.uniform(size=(40, 2))
+    # off section zeros, where log f_k and its differences are well conditioned
+    keep = section_gauge_values(basis, x, y).log_mag.min(axis=0) > np.log(0.05)
+    assert keep.sum() >= 4
+    assert_matches_fd(basis, x[keep][:4], y[keep][:4])
+
+
+def test_omega_k_matches_finite_differences_weighted():
+    rng = np.random.default_rng(5)
+    weights = np.array([1.0, 1.4, 0.7]) ** 2
+    assert_matches_fd(
+        theta_basis(GENERIC, 3), rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1)), weights
+    )
+
+
+def test_omega_k_finite_at_exact_section_zeros():
+    # nodes of the 12^4 grid where one level-2 section sums to exactly 0.0
+    basis = theta_basis(validate_riemann_matrix(np.diag([1j, 2j]) + 0.0), 2)
+    x = np.array([[3, 9], [3, 9], [9, 3]]) / 12
+    y = np.array([[0, 3], [6, 9], [0, 10]]) / 12
+    assert np.all(np.isinf(section_gauge_values(basis, x, y).log_mag).any(axis=0))
+    assert np.all(np.isfinite(omega_k_field(basis, x, y)))
+
+
+def test_omega_k_rejects_common_zero_at_level_one():
+    # the only level-1 section vanishes at (1/2, 1/2)
+    basis = theta_basis(SQUARE, 1)
+    with pytest.raises(DegenerateSample):
+        omega_k_field(basis, [[0.5]], [[0.5]])
+    with pytest.raises(DegenerateSample):
+        balanced_matrix(basis, grid_for(1))
 
 
 def test_omega_k_tensor_symmetric():
@@ -121,7 +226,8 @@ def test_c0_deviation_zero_for_exact_flat_field():
 
 def test_c0_deviation_decreasing_in_level():
     devs = [
-        c0_metric_deviation(theta_basis(SQUARE, k), grid_for(k)) for k in (2, 4, 6, 8)
+        c0_metric_deviation(SQUARE, omega_k_metric_field(theta_basis(SQUARE, k), grid_for(k)))
+        for k in (2, 4, 6, 8)
     ]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     # log-log slope at most -1 (flat case decays much faster)
