@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample, MixedLevels
 from .metrics import QuadratureGrid
-from .theta import ThetaBasis, section_gauge_values
+from .theta import ThetaBasis, _stacked_log_mag
 
 DEFAULT_SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
@@ -60,9 +60,11 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     """Moment coordinates for a batch of points, shape (m, k^n).
 
     Computed as a softmax of 2 log|s_i|_h, so the ratio is exact even when
-    the individual magnitudes underflow.
+    the individual magnitudes underflow. Evaluated one lattice sum per
+    section (see theta._stacked_log_mag), whose roundoff the amoeba
+    sample's point count depends on.
     """
-    lm = 2.0 * section_gauge_values(basis, x, y).log_mag
+    lm = 2.0 * _stacked_log_mag(basis, x, y)
     lm = lm - lm.max(axis=0, keepdims=True)
     w = np.exp(lm)
     return (w / w.sum(axis=0, keepdims=True)).T

@@ -157,6 +157,12 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _cap_threads() -> int | None:
+    """Cap BLAS threads at THETA_AMOEBA_THREADS; return the cap in effect.
+
+    numpy has loaded its BLAS before this runs, so setting the thread
+    environment variables here would change nothing: without threadpoolctl
+    a requested cap cannot be applied, and that is a ConfigError.
+    """
     raw = os.environ.get("THETA_AMOEBA_THREADS")
     if raw is None:
         return None
@@ -166,11 +172,12 @@ def _cap_threads() -> int | None:
         raise ConfigError(f"THETA_AMOEBA_THREADS must be an integer, got {raw!r}")
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=limit)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
+        raise ConfigError(
+            "THETA_AMOEBA_THREADS needs threadpoolctl: BLAS is already loaded, "
+            "so its thread count can no longer be set through the environment"
+        ) from None
+    threadpool_limits(limits=limit)
     return limit
 
 
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _cap_threads()
+        thread_cap = _cap_threads()
         cfg = load_config(args.config, args)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -389,6 +396,7 @@ def main(argv=None) -> int:
                     "python": sys.version.split()[0],
                 },
                 "wall_time_seconds": elapsed,
+                "thread_cap": thread_cap,
                 "files": sorted(files + ["manifest.json"]),
             },
         )

@@ -16,11 +16,11 @@ from scipy import stats
 
 from .abelian import RiemannMatrix, base_distance
 from .amoeba import (
+    SimplexPoint,
     amoeba_sample,
     bk_distances,
     moment_points,
     nearest_sample_index,
-    phi_k,
 )
 from .errors import ConfigError, EmptySet, NotACorrespondence
 from .metrics import (
@@ -169,8 +169,10 @@ def convergence_suite(
         amoeba_grid = quadrature_grid(1, 8 * k)
         sample = amoeba_sample(basis, amoeba_grid)
         ys = np.arange(8 * k) / (8 * k)
+        # phi_k at every base point: the moment map on the zero section
+        phi = moment_points(basis, np.zeros((ys.size, 1)), ys[:, None])
         phi_idx = np.array(
-            [nearest_sample_index(sample, phi_k(basis, [y])) for y in ys]
+            [nearest_sample_index(sample, SimplexPoint(k=k, xi=xi)) for xi in phi]
         )
         d_phi = bk_distances(sample, phi_idx)
         # the same eight base points j/8 exist exactly on every 8k grid,

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import types
 
 import pytest
 
@@ -130,7 +132,17 @@ def test_amoeba_export(capsys, tmp_path):
     assert len(lines) > 1
 
 
+def fake_threadpoolctl(monkeypatch):
+    """Install a stand-in threadpoolctl that records the limits it is given."""
+    calls = []
+    module = types.ModuleType("threadpoolctl")
+    module.threadpool_limits = lambda limits: calls.append(limits)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", module)
+    return calls
+
+
 def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
+    limits = fake_threadpoolctl(monkeypatch)
     monkeypatch.setenv("THETA_AMOEBA_THREADS", "many")
     code, _, err = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
     assert code != 0
@@ -138,6 +150,32 @@ def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("THETA_AMOEBA_THREADS", "1")
     code, _, _ = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
     assert code == 0
+    assert limits == [1]
+
+
+def test_thread_cap_without_threadpoolctl_is_config_error(capsys, tmp_path, monkeypatch):
+    # numpy's BLAS is loaded by then, so the cap cannot go through the environment
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setenv("THETA_AMOEBA_THREADS", "2")
+    code, _, err = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "threadpoolctl" in payload["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("THETA_AMOEBA_THREADS", raising=False)
+    code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path / "a"))
+    assert code == 0
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["thread_cap"] is None
+    limits = fake_threadpoolctl(monkeypatch)
+    monkeypatch.setenv("THETA_AMOEBA_THREADS", "2")
+    code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["thread_cap"] == 2
+    assert limits == [2]
 
 
 def test_seventeen_digit_floats(capsys, tmp_path):

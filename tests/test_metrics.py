@@ -19,7 +19,13 @@ from theta_amoeba.metrics import (
     omega_k_tensor,
     quadrature_grid,
 )
-from theta_amoeba.theta import distortion_fk, section_gauge_values, theta_basis
+from theta_amoeba.theta import (
+    GaugeValue,
+    _stacked_log_mag,
+    distortion_fk,
+    section_gauge_values,
+    theta_basis,
+)
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
@@ -193,13 +199,38 @@ def test_omega_k_matches_finite_differences_weighted():
     )
 
 
+def assert_psd(g):
+    lams = np.linalg.eigvalsh(g)
+    assert np.all(np.isfinite(g))
+    assert lams[:, 0].min() >= -1e-12 * lams[:, -1].max()
+
+
 def test_omega_k_finite_at_exact_section_zeros():
     # nodes of the 12^4 grid where one level-2 section sums to exactly 0.0
+    # section by section; the one-sum route leaves roundoff there instead
     basis = theta_basis(validate_riemann_matrix(np.diag([1j, 2j]) + 0.0), 2)
     x = np.array([[3, 9], [3, 9], [9, 3]]) / 12
     y = np.array([[0, 3], [6, 9], [0, 10]]) / 12
-    assert np.all(np.isinf(section_gauge_values(basis, x, y).log_mag).any(axis=0))
-    assert np.all(np.isfinite(omega_k_field(basis, x, y)))
+    assert np.all(np.isinf(_stacked_log_mag(basis, x, y)).any(axis=0))
+    lm = section_gauge_values(basis, x, y).log_mag
+    assert np.all((lm.min(axis=0) - lm.max(axis=0)) < np.log(1e-14))
+    assert_psd(omega_k_field(basis, x, y))
+
+
+def test_metric_field_with_injected_exact_zero():
+    # an exact zero (log_mag -inf, d log nan) carries no weight, like a
+    # section with weight 0
+    basis = theta_basis(GENERIC, 3)
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1))
+    gv = section_gauge_values(basis, x, y, dlog=True)
+    log_mag, dlog = gv.log_mag.copy(), gv.dlog.copy()
+    log_mag[1, 2:4] = -np.inf
+    dlog[1, 2:4] = np.nan
+    g = _metric_field(basis, GaugeValue(log_mag, gv.phase, dlog))
+    assert_psd(g)
+    g_w = _metric_field(basis, gv, weights=np.array([1.0, 0.0, 1.0]))
+    np.testing.assert_array_equal(g[2:4], g_w[2:4])
 
 
 def test_omega_k_rejects_common_zero_at_level_one():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_amoeba import NonPositive, TruncationOverflow
-from theta_amoeba.abelian import validate_riemann_matrix
+from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
 from theta_amoeba.theta import (
+    _gauge,
+    _stacked_log_mag,
     distortion_fk,
     section_gauge_values,
     section_norm_sq_reference,
@@ -18,6 +20,11 @@ from theta_amoeba.theta import (
 )
 
 RNG = np.random.default_rng(7)
+SQUARE = validate_riemann_matrix([[1j]])
+GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
+COUPLED = validate_riemann_matrix(
+    np.array([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
+)
 
 
 def mp_theta(tau, z):
@@ -223,3 +230,75 @@ def test_distortion_mean_is_total_sections():
     f = distortion_fk(basis, pts_x, pts_y, mode="closed")
     assert np.all(f > 0.0)
     assert f.mean() == pytest.approx(8.0, rel=1e-6)
+
+
+def stacked_dlog(basis, x, y):
+    """Oracle: d_z log Theta_k(z; b_i) by one brute lattice sum per section."""
+    om, k, n = basis.om, basis.k, basis.om.n
+    om_k = om.omega / k
+    r = int(np.ceil(np.sqrt(50.0 / (np.pi * np.linalg.eigvalsh(om_k.imag)[0])))) + 2
+    off = np.array(list(itertools.product(range(-r, r + 1), repeat=n)), dtype=float)
+    zs = (xy_to_z(x, y, om)[None] - basis.b_points[:, None]).reshape(-1, n)
+    la = np.round(-zs.imag @ np.linalg.inv(om_k.imag).T)[:, None, :] + off[None]
+    e = 2j * np.pi * (
+        0.5 * np.einsum("mja,ab,mjb->mj", la, om_k, la) + np.einsum("mja,ma->mj", la, zs)
+    )
+    w = np.exp(e - e.real.max(axis=1, keepdims=True))
+    d = 2j * np.pi * np.einsum("mj,mja->ma", w, la) / w.sum(axis=1)[:, None]
+    return d.reshape(basis.n_sections, x.shape[0], n)
+
+
+@pytest.mark.parametrize(
+    "rm, k",
+    [
+        pytest.param(rm, k, id=f"{name}-{k}")
+        for name, rm, ks in (
+            ("square", SQUARE, (1, 2, 3, 5, 8, 16, 32)),
+            ("generic", GENERIC, (1, 2, 3, 5, 8, 16, 32)),
+            ("coupled", COUPLED, (1, 2, 3)),
+        )
+        for k in ks
+    ],
+)
+def test_one_sum_route_matches_per_section_route(rm, k):
+    # contract: |s_i|_h to roundoff of max_j |s_j|_h at each point, and
+    # d log Theta_k to roundoff where its weight p_i = |s_i|^2 / f_k counts
+    basis = theta_basis(rm, k)
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-0.5, 1.5, size=(30, rm.n))
+    y = rng.uniform(-0.5, 1.5, size=(30, rm.n))
+    gv = section_gauge_values(basis, x, y, dlog=True)
+    ref = np.exp(_stacked_log_mag(basis, x, y))
+    peak = ref.max(axis=0)
+    assert np.all(np.abs(np.exp(gv.log_mag) - ref) <= 1e-12 * peak)
+    p = ref**2 / (ref**2).sum(axis=0)
+    d_ref = stacked_dlog(basis, x, y)
+    err = (p[:, :, None] * np.abs(gv.dlog - d_ref)).max(axis=(0, 2))
+    scale = (p[:, :, None] * np.abs(d_ref)).max(axis=(0, 2))
+    assert np.all(err <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("rm", [SQUARE, GENERIC], ids=["square", "generic"])
+@pytest.mark.parametrize("k", [5, 32])
+def test_section_values_vs_mpmath_near_column_maximum(rm, k):
+    # the sections within e^-20 of the largest one at a point, against
+    # theta3 at 30 digits: error within roundoff of the largest section
+    basis = theta_basis(rm, k)
+    tau = complex(rm.omega[0, 0])
+    rng = np.random.default_rng(k)
+    x, y = rng.uniform(size=(3, 1)), rng.uniform(size=(3, 1))
+    lm = section_gauge_values(basis, x, y).log_mag
+    _, base_lm, _ = _gauge(basis, x, y)
+    with mpmath.workdps(30):
+        for p in range(3):
+            z = mpmath.mpc(tau) * mpmath.mpf(x[p, 0]) + mpmath.mpf(y[p, 0])
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau) / k)
+            exact = base_lm[p] + np.array(
+                [
+                    float(mpmath.log(abs(mpmath.jtheta(3, mpmath.pi * (z - mpmath.mpf(j) / k), q))))
+                    for j in range(k)
+                ]
+            )
+            near = exact >= exact.max() - 20.0
+            rel = np.exp(exact[near] - exact.max())
+            assert np.all(np.abs(lm[near, p] - exact[near]) * rel <= 1e-13)
