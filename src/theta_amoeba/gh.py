@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .abelian import RiemannMatrix, base_distance
 from .amoeba import (
@@ -113,11 +112,16 @@ def fit_loglog_slope(ks, values):
     (transient); returns (slope, 95% half-width)."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ks.size < 3:
-        raise ConfigError("slope fit needs at least 3 levels")
     mask = ks > ks.min() if ks.size > 3 else np.ones_like(ks, dtype=bool)
-    res = stats.linregress(np.log(ks[mask]), np.log(np.maximum(values[mask], 1e-300)))
-    return float(res.slope), float(1.96 * res.stderr)
+    x = np.log(ks[mask])
+    y = np.log(np.maximum(values[mask], 1e-300))
+    if x.size < 3 or np.ptp(x) == 0.0:
+        raise ConfigError("slope fit needs at least 3 levels, not all equal")
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = (dx @ dy) / (dx @ dx)
+    resid = dy - slope * dx
+    stderr = np.sqrt((resid @ resid) / (x.size - 2) / (dx @ dx))
+    return float(slope), float(1.96 * stderr)
 
 
 def convergence_suite(

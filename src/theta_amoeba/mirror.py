@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonPositive, ParallelLagrangians, SameLagrangian
-from .theta import TAIL_LOG
+from .theta import theta_char
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,9 @@ def triangle_coefficient(tau: complex, target: str) -> complex:
 
     Sums exp(2 pi i tau m^2) over m in Z (target "b0") or Z + 1/2 (target
     "b1").  Each term is the exponentiated area of one triangle family on the
-    mirror torus.  The truncation radius M keeps every dropped term below the
-    working tail bound: |exp(2 pi i tau m^2)| = exp(-2 pi Im(tau) m^2), so the
-    tail past M is dominated by a geometric series with ratio
-    exp(-2 pi Im(tau) M) < 1.
+    mirror torus.  The sum is the theta constant theta[delta; 0](2 tau, 0),
+    delta = 0 or 1/2, evaluated by the shared lattice-sum kernel and its
+    truncation rule.
     """
     tau = complex(tau)
     if tau.imag <= 0.0:
@@ -71,18 +70,13 @@ def triangle_coefficient(tau: complex, target: str) -> complex:
         delta = 0.5
     else:
         raise ValueError(f"unknown target {target!r}")
-    radius = int(np.ceil(np.sqrt(TAIL_LOG / (2.0 * np.pi * tau.imag)))) + 2
-    m = np.arange(-radius, radius + 1, dtype=float) + delta
-    return complex(np.sum(np.exp(2j * np.pi * tau * m**2)))
+    return complex(theta_char([[2.0 * tau]], [[0.0]], a=[delta])[0])
 
 
 def _theta_series(tau: complex, z: np.ndarray, a: float) -> np.ndarray:
-    # plain one-variable theta with characteristic (a, 0), small-tau helper
-    radius = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * complex(tau).imag)))) + 2
-    la = np.arange(-radius, radius + 1, dtype=float) + a
+    # one-variable theta[a; 0](tau, z) over z of any shape
     z = np.asarray(z, dtype=complex)
-    expo = 1j * np.pi * tau * la**2 + 2j * np.pi * np.multiply.outer(z, la)
-    return np.exp(expo).sum(axis=-1)
+    return theta_char([[tau]], z.reshape(-1, 1), a=[a]).reshape(z.shape)
 
 
 def addition_formula_residual(tau: complex, z) -> float:

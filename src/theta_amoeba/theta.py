@@ -25,19 +25,27 @@ ZERO_FLOOR_LOG = np.log(1e-12)
 _CHUNK_TERMS = 4_000_000
 
 
-def _offsets(n: int, r: int) -> np.ndarray:
-    """Integer box [-r, r]^n in lexicographic order (deterministic sums)."""
-    return np.array(list(itertools.product(range(-r, r + 1), repeat=n)), dtype=float)
+def _offsets(radii) -> np.ndarray:
+    """Integer box prod_i [-r_i, r_i] in lexicographic order (deterministic sums)."""
+    return np.array(
+        list(itertools.product(*(range(-r, r + 1) for r in radii))), dtype=float
+    )
 
 
-def _truncation_radius(t_eff: np.ndarray, scale: float = 1.0) -> int:
-    lam = float(np.linalg.eigvalsh(t_eff)[0])
-    if lam <= 0.0:
+def _truncation_radii(t_eff: np.ndarray) -> np.ndarray:
+    """Per-axis half-widths of the box bounding the truncation ellipsoid.
+
+    Terms with pi t(v) t_eff v > TAIL_LOG, v the offset from the box centre,
+    are dropped; the ellipsoid's bounding box has half-widths
+    sqrt(TAIL_LOG (t_eff^{-1})_ii / pi), plus a margin of 2 for centring.
+    """
+    if float(np.linalg.eigvalsh(t_eff)[0]) <= 0.0:
         raise NotPositive("effective period matrix has nonpositive imaginary part")
-    r = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * lam * scale)))) + 2
-    if r > MAX_RADIUS:
+    var = np.diag(np.linalg.inv(t_eff))
+    r = np.ceil(np.sqrt(TAIL_LOG * var / np.pi)).astype(int) + 2
+    if r.max() > MAX_RADIUS:
         raise TruncationOverflow(
-            f"lattice truncation radius {r} exceeds cap {MAX_RADIUS}"
+            f"lattice truncation radius {r.max()} exceeds cap {MAX_RADIUS}"
         )
     return r
 
@@ -51,19 +59,24 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
     stored as w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where
     shift_p is the row's largest real exponent, so |w| <= 1.
     """
-    n = om_eff.shape[0]
     t_eff = om_eff.imag
-    off = _offsets(n, _truncation_radius(t_eff))
+    off = _offsets(_truncation_radii(t_eff))
     l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
     m = z.shape[0]
-    chunk = max(1, _CHUNK_TERMS // off.shape[0])
+    # the (m, J, n) intermediates set the memory, so budget by J * n
+    chunk = max(1, _CHUNK_TERMS // off.size)
 
     def chunks():
         for s in range(0, m, chunk):
             rows = slice(s, min(m, s + chunk))
             la = l_star[rows, None, :] + off[None, :, :] + a
-            quad = np.einsum("mjn,np,mjp->mj", la, om_eff, la.astype(complex))
-            lin = np.einsum("mjn,mn->mj", la.astype(complex), z[rows])
+            # the quadratic part depends only on the box centre: one row
+            # serves a chunk whose points all share it, as the points of the
+            # closed-form f_k do once reduced mod 1/k (barring rounding ties)
+            lq = la[:1] if (l_star[rows] == l_star[s]).all() else la
+            # einsum casts to complex in buffered blocks, not as a copy
+            quad = np.einsum("mjn,np,mjp->mj", lq, om_eff, lq)
+            lin = np.einsum("mjn,mn->mj", la, z[rows])
             w = 2j * np.pi * (0.5 * quad + lin)
             shift = w.real.max(axis=1)
             # exponentiate in place: a second name for the terms would keep
@@ -75,6 +88,22 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
     return off, chunks()
 
 
+def _theta_sums(om_eff, z, a, b):
+    """theta[a; b](om_eff, z) = exp(shift) * vals, as arrays over the points."""
+    om_eff = np.atleast_2d(np.asarray(om_eff, dtype=complex))
+    n = om_eff.shape[0]
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
+    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
+    _, chunks = _lattice_terms(om_eff, z + b, a)
+    shift = np.empty(z.shape[0])
+    vals = np.empty(z.shape[0], dtype=complex)
+    for rows, _, w, s in chunks:
+        shift[rows] = s
+        vals[rows] = w.sum(axis=1)
+    return shift, vals
+
+
 def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
     """Log-form theta sum with characteristics.
 
@@ -83,27 +112,20 @@ def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
     leading axis of z (shape (m, n)). The sum is accurate to about 1e-16
     times its largest term, not relative to its own size.
     """
-    om_eff = np.atleast_2d(np.asarray(om_eff, dtype=complex))
-    n = om_eff.shape[0]
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
-    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    _, chunks = _lattice_terms(om_eff, z + b, a)
-    log_mag = np.empty(z.shape[0])
-    phase = np.empty(z.shape[0])
-    for rows, _, w, shift in chunks:
-        vals = w.sum(axis=1)
-        # theta has honest zeros: log_mag = -inf there, phase arbitrary 0
-        with np.errstate(divide="ignore"):
-            log_mag[rows] = shift + np.log(np.abs(vals))
-        phase[rows] = np.angle(vals)
-    return log_mag, phase
+    shift, vals = _theta_sums(om_eff, z, a, b)
+    # theta has honest zeros: log_mag = -inf there, phase arbitrary 0
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.abs(vals)), np.angle(vals)
 
 
 def theta_char(om_eff, z, a=None, b=None) -> np.ndarray:
-    """Complex theta values; only safe when magnitudes are moderate."""
-    lm, ph = theta_char_log(om_eff, z, a=a, b=b)
-    return np.exp(lm + 1j * ph)
+    """Complex theta values; only safe when magnitudes are moderate.
+
+    Scales the sums by exp(shift) directly, which keeps the digits a round
+    trip through (log_mag, phase) loses at large magnitude.
+    """
+    shift, vals = _theta_sums(om_eff, z, a, b)
+    return np.exp(shift) * vals
 
 
 @dataclass(frozen=True)
@@ -279,9 +301,15 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed", weights=None):
     """Density f_k = sum_i w_i |s_i|_h^2 of the coherent-state distortion.
 
     mode "direct" sums the gauge norms section by section and accepts
-    per-section weights. mode "closed" uses the lattice resummation over
-    the full (unweighted) basis, which collapses the b-sum and is cheap
-    at large k.
+    per-section weights. mode "closed" sums the full (unweighted) basis in
+    closed form: the b-sum forces the lattice indices l, l' of Theta_k and
+    its conjugate to agree mod k, so with l' = l - k q, L = (l, q) in Z^{2n},
+      f_k = C^2 k^{n/2} e^{-2 pi k tx T x} Re theta(Omega_2, zeta),
+      Omega_2 = [[0, 1], [1, -k]] (x) S + i [[2/k, -1], [-1, k]] (x) T,
+      zeta = (z - zbar, k zbar),
+    one genus-2n theta series whose cost does not grow with k^n. f_k is
+    invariant under (1/k)-lattice translations; reducing (x, y) mod 1/k
+    first keeps the series centred.
     """
     om, k, n = basis.om, basis.k, basis.om.n
     x, y = _as_points(x, y, n)
@@ -297,45 +325,14 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed", weights=None):
         raise ValueError(f"unknown distortion mode {mode!r}")
     if weights is not None:
         raise ValueError("closed mode supports only the unweighted density")
-    return _distortion_closed(om, k, n, x, y)
-
-
-def _distortion_closed(om: RiemannMatrix, k, n, x, y):
-    """f_k = C^2 k^{n/2} sum_{l,q} exp(-pi k (tuTu + tvTv)) cos-phase term
-
-    with u = x + l/k and v = u - q; the phase angle is
-    2 pi k tq (S (u - q/2) + y). Derived by summing |s_i|^2 over the basis,
-    which forces the two lattice indices to agree mod k.
-    """
-    t, s = om.im, om.re
-    lam = float(np.linalg.eigvalsh(t)[0])
-    r = np.sqrt(TAIL_LOG / (np.pi * k * lam))
-    lr = int(np.ceil(k * r)) + 2
-    qr = int(np.ceil(2.0 * r)) + 2
-    if lr > MAX_RADIUS:
-        raise TruncationOverflow(f"resummation radius {lr} exceeds cap {MAX_RADIUS}")
-    off_l = _offsets(n, lr)
-    off_q = _offsets(n, qr)
-
-    m = x.shape[0]
-    chunk = max(1, _CHUNK_TERMS // (off_l.shape[0] * off_q.shape[0]))
-    out = np.empty(m)
-    logdet = 2.0 * np.sum(np.log(np.diag(om.im_chol)))
-    const = 0.5 * n * np.log(2.0) + 0.5 * logdet + 0.5 * n * np.log(k)
-    for c0 in range(0, m, chunk):
-        c1 = min(m, c0 + chunk)
-        xs, ys = x[c0:c1], y[c0:c1]
-        l_star = np.round(-k * xs)
-        u = xs[:, None, :] + (l_star[:, None, :] + off_l[None, :, :]) / k
-        v = u[:, :, None, :] - off_q[None, None, :, :]
-        utu = np.einsum("mji,ip,mjp->mj", u, t, u)
-        vtv = np.einsum("mjqi,ip,mjqp->mjq", v, t, v)
-        mag = -np.pi * k * (utu[:, :, None] + vtv)
-        su = u @ s.T
-        ang = 2.0 * np.pi * k * (
-            np.einsum("qi,mji->mjq", off_q, su)
-            - 0.5 * np.einsum("qi,ip,qp->q", off_q, s, off_q)[None, None, :]
-            + (off_q @ ys.T).T[:, None, :]
-        )
-        out[c0:c1] = (np.exp(const + mag) * np.cos(ang)).sum(axis=(1, 2))
-    return out
+    x = x - np.round(k * x) / k
+    y = y - np.round(k * y) / k
+    z = xy_to_z(x, y, om)
+    zeta = np.hstack([z - z.conj(), k * z.conj()])
+    om2 = np.kron([[0.0, 1.0], [1.0, -k]], om.re) + 1j * np.kron(
+        [[2.0 / k, -1.0], [-1.0, k]], om.im
+    )
+    lm, ph = theta_char_log(om2, zeta)
+    xtx = np.einsum("mi,ij,mj->m", x, om.im, x)
+    const = 2.0 * basis.log_c_omega + 0.5 * n * np.log(k)
+    return np.exp(const - 2.0 * np.pi * k * xtx + lm) * np.cos(ph)

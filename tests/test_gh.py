@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import theta_amoeba
 from theta_amoeba import ConfigError, EmptySet, NotACorrespondence, metrics
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.gh import (
@@ -125,6 +131,38 @@ def test_slope_fit_excludes_transient_smallest_level():
     vals[0] = 17.0
     slope, _ = fit_loglog_slope(ks, vals)
     assert slope == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_slope_fit_matches_linregress():
+    # oracle: scipy's linregress on the same log-log data
+    rng = np.random.default_rng(8)
+    for size in (3, 4, 6, 9):
+        ks = np.sort(rng.choice(np.arange(2, 40), size=size, replace=False)).astype(float)
+        vals = 2.0 * ks ** rng.uniform(-2.5, -0.5) * np.exp(rng.normal(scale=0.1, size=size))
+        slope, ci = fit_loglog_slope(ks, vals)
+        keep = slice(1, None) if size > 3 else slice(None)
+        ref = stats.linregress(np.log(ks[keep]), np.log(vals[keep]))
+        assert slope == pytest.approx(ref.slope, rel=1e-12)
+        assert ci == pytest.approx(1.96 * ref.stderr, rel=1e-10)
+
+
+def test_slope_fit_rejects_degenerate_levels():
+    with pytest.raises(ConfigError):
+        fit_loglog_slope([2.0, 4.0], [1.0, 0.5])
+    with pytest.raises(ConfigError):
+        fit_loglog_slope([2.0, 2.0, 4.0, 8.0], [1.0, 1.0, 0.5, 0.25])
+    with pytest.raises(ConfigError):
+        fit_loglog_slope([3.0, 3.0, 3.0], [1.0, 0.9, 0.8])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time on every run
+    code = "import sys, theta_amoeba.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(theta_amoeba.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_suite_rejects_short_sweeps():

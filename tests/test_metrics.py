@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,6 @@ from theta_amoeba.metrics import (
 )
 from theta_amoeba.theta import (
     GaugeValue,
-    _stacked_log_mag,
     distortion_fk,
     section_gauge_values,
     theta_basis,
@@ -206,12 +206,26 @@ def assert_psd(g):
 
 
 def test_omega_k_finite_at_exact_section_zeros():
-    # nodes of the 12^4 grid where one level-2 section sums to exactly 0.0
-    # section by section; the one-sum route leaves roundoff there instead
-    basis = theta_basis(validate_riemann_matrix(np.diag([1j, 2j]) + 0.0), 2)
+    # nodes of the 12^4 grid where level-2 sections vanish exactly: Omega / 2
+    # is diagonal, so Theta_2(z; b) factors into theta3(tau_i, z_i - b_i), and
+    # the first factor (tau = i/2) sits on its zero 1/2 + tau/2 there. The
+    # precondition checks that at 50 digits; the one-sum route leaves
+    # roundoff at those sections instead
+    im_diag = (1, 2)
+    basis = theta_basis(validate_riemann_matrix(1j * np.diag(im_diag) + 0.0), 2)
     x = np.array([[3, 9], [3, 9], [9, 3]]) / 12
     y = np.array([[0, 3], [6, 9], [0, 10]]) / 12
-    assert np.all(np.isinf(_stacked_log_mag(basis, x, y)).any(axis=0))
+    with mpmath.workdps(50):
+        for xp, yp in zip(x, y):
+            z = [1j * mpmath.mpf(t) * mpmath.mpf(xi) + mpmath.mpf(yi)
+                 for t, xi, yi in zip(im_diag, xp, yp)]
+            q = [mpmath.exp(-mpmath.pi * t / basis.k) for t in im_diag]
+            smallest = min(
+                abs(mpmath.fprod(mpmath.jtheta(3, mpmath.pi * (zi - bi), qi)
+                                 for zi, bi, qi in zip(z, b, q)))
+                for b in basis.b_points
+            )
+            assert smallest < 1e-30
     lm = section_gauge_values(basis, x, y).log_mag
     assert np.all((lm.min(axis=0) - lm.max(axis=0)) < np.log(1e-14))
     assert_psd(omega_k_field(basis, x, y))

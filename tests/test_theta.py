@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from theta_amoeba import NonPositive, TruncationOverflow
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
 from theta_amoeba.theta import (
+    TAIL_LOG,
     _gauge,
     _stacked_log_mag,
+    _truncation_radii,
     distortion_fk,
     section_gauge_values,
     section_norm_sq_reference,
@@ -129,6 +131,55 @@ def test_truncation_overflow_for_thin_lattice():
         theta_char_log(om, np.array([[0.0 + 0.0j]]))
 
 
+@pytest.mark.parametrize(
+    "om",
+    [
+        np.diag([1j, 6j]),
+        np.array([[0.2 + 1.0j, -0.1 + 0.95j], [-0.1 + 0.95j, 0.3 + 1.0j]]),
+    ],
+    ids=["diag-1-6", "coupled-thin"],
+)
+def test_per_axis_box_matches_wide_brute_sum(om):
+    # the box bounds the truncation ellipsoid per axis, so on an anisotropic
+    # Im om it is narrower than the isotropic box sized by lambda_min
+    radii = _truncation_radii(om.imag)
+    iso = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * np.linalg.eigvalsh(om.imag)[0])))) + 2
+    assert radii.max() <= iso and radii.min() < iso
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        z = rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
+        a, b = rng.choice([0.0, 0.5], 2), rng.choice([0.0, 0.25], 2)
+        val = theta_char(om, z[None, :], a=a, b=b)[0]
+        ref = brute_theta(om, z, a, b, r=30)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+def test_shared_box_centre_matches_per_point_terms():
+    # points near the origin share the box centre 0, so their chunk builds
+    # the quadratic part once; one far point forces the per-point path
+    rng = np.random.default_rng(12)
+    z = rng.uniform(-0.2, 0.2, (6, 2)) + 1j * rng.uniform(-0.05, 0.05, (6, 2))
+    far = np.array([[0.1 + 3.0j, -0.2 - 2.0j]])
+    lm, ph = theta_char_log(COUPLED.omega, z)
+    lm_mixed, ph_mixed = theta_char_log(COUPLED.omega, np.vstack([z, far]))
+    lm_far, ph_far = theta_char_log(COUPLED.omega, far)
+    np.testing.assert_array_equal(np.append(lm, lm_far), lm_mixed)
+    np.testing.assert_array_equal(np.append(ph, ph_far), ph_mixed)
+
+
+def test_truncation_radii_one_dimensional_and_never_wider():
+    # n = 1: the bounding box is the old isotropic radius; n = 2: never wider
+    for t in np.geomspace(1e-3, 50.0, 400):
+        iso = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * t)))) + 2
+        assert _truncation_radii(np.array([[t]]))[0] == iso
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        g = rng.normal(size=(2, 2))
+        t = g @ g.T + 0.05 * np.eye(2)
+        iso = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * np.linalg.eigvalsh(t)[0])))) + 2
+        assert _truncation_radii(t).max() <= iso
+
+
 def test_basis_rejects_nonpositive_level():
     rm = validate_riemann_matrix([[1j]])
     with pytest.raises(NonPositive):
@@ -186,25 +237,30 @@ def test_section_shift_symmetry():
 
 
 def test_distortion_closed_matches_direct():
+    # unreduced points: the closed form reduces (x, y) mod 1/k itself
     rm = validate_riemann_matrix([[0.4 + 1.1j]])
-    basis = theta_basis(rm, 6)
-    x = RNG.uniform(size=(8, 1))
-    y = RNG.uniform(size=(8, 1))
-    direct = distortion_fk(basis, x, y, mode="direct")
-    closed = distortion_fk(basis, x, y, mode="closed")
-    assert np.allclose(closed, direct, rtol=1e-10)
+    for k in (1, 2, 6, 16, 32):
+        basis = theta_basis(rm, k)
+        rng = np.random.default_rng(k)
+        x = rng.uniform(-3.0, 4.0, size=(8, 1))
+        y = rng.uniform(-3.0, 4.0, size=(8, 1))
+        direct = distortion_fk(basis, x, y, mode="direct")
+        closed = distortion_fk(basis, x, y, mode="closed")
+        assert np.allclose(closed, direct, rtol=1e-10), k
 
 
 def test_distortion_closed_matches_direct_n2():
     rm = validate_riemann_matrix(
         np.array([[0.1 + 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, 1.4j]])
     )
-    basis = theta_basis(rm, 2)
-    x = RNG.uniform(size=(4, 2))
-    y = RNG.uniform(size=(4, 2))
-    direct = distortion_fk(basis, x, y, mode="direct")
-    closed = distortion_fk(basis, x, y, mode="closed")
-    assert np.allclose(closed, direct, rtol=1e-9)
+    for k in (1, 2, 6, 16, 32):
+        basis = theta_basis(rm, k)
+        rng = np.random.default_rng(100 + k)
+        x = rng.uniform(-3.0, 4.0, size=(4, 2))
+        y = rng.uniform(-3.0, 4.0, size=(4, 2))
+        direct = distortion_fk(basis, x, y, mode="direct")
+        closed = distortion_fk(basis, x, y, mode="closed")
+        assert np.allclose(closed, direct, rtol=1e-9), k
 
 
 def test_distortion_weighted_direct():
