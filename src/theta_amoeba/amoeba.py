@@ -17,10 +17,10 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample, MixedLevels
-from .metrics import QuadratureGrid
+from .metrics import QuadratureGrid, check_grid_resolution
 from .theta import ThetaBasis, _stacked_log_mag
 
-DEFAULT_SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
+SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class AmoebaSample:
     pre_x: np.ndarray
     pre_y: np.ndarray
     graph: object
-    constant: float
 
     @property
     def size(self) -> int:
@@ -80,10 +79,8 @@ def phi_k(basis: ThetaBasis, y) -> SimplexPoint:
     return moment_point(basis, np.zeros_like(y), y)
 
 
-def simplex_distance(
-    p: SimplexPoint, q: SimplexPoint, constant: float = DEFAULT_SIMPLEX_CONSTANT
-) -> float:
-    """d = (constant / sqrt(k)) arccos(sum_i sqrt(xi_i eta_i)).
+def simplex_distance(p: SimplexPoint, q: SimplexPoint) -> float:
+    """d = (SIMPLEX_CONSTANT / sqrt(k)) arccos(sum_i sqrt(xi_i eta_i)).
 
     The arccos of the Bhattacharyya coefficient is the great-circle
     distance between sqrt(xi) and sqrt(eta) on the unit sphere, which is
@@ -92,25 +89,23 @@ def simplex_distance(
     if p.k != q.k:
         raise MixedLevels(f"simplex points at levels {p.k} and {q.k}")
     dot = np.clip(np.sqrt(p.xi * q.xi).sum(), -1.0, 1.0)
-    return constant / np.sqrt(p.k) * float(np.arccos(dot))
+    return SIMPLEX_CONSTANT / np.sqrt(p.k) * float(np.arccos(dot))
 
 
-def _simplex_distance_rows(k, xi_a, xi_b, constant) -> np.ndarray:
+def _simplex_distance_rows(k, xi_a, xi_b) -> np.ndarray:
     dots = np.clip(np.einsum("mi,mi->m", np.sqrt(xi_a), np.sqrt(xi_b)), -1.0, 1.0)
-    return constant / np.sqrt(k) * np.arccos(dots)
+    return SIMPLEX_CONSTANT / np.sqrt(k) * np.arccos(dots)
 
 
-def amoeba_sample(
-    basis: ThetaBasis,
-    grid: QuadratureGrid,
-    constant: float = DEFAULT_SIMPLEX_CONSTANT,
-) -> AmoebaSample:
+def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     """Image of the grid under the moment map with an r-NN graph.
 
     Duplicate images (coordinates agreeing to 1e-12) are merged; the graph
     joins each sample to its r = 2(2n)+1 nearest neighbors in the sphere
-    chord metric, with simplex-distance edge lengths.
+    chord metric, with simplex-distance edge lengths. The grid must match
+    the basis dimension and have at least 8k nodes per axis.
     """
+    check_grid_resolution(basis, grid)
     xi_all = moment_points(basis, grid.x, grid.y)
     _, keep, inverse = np.unique(
         np.round(xi_all, 12), axis=0, return_index=True, return_inverse=True
@@ -127,9 +122,7 @@ def amoeba_sample(
     m = xi.shape[0]
     if m == 1:
         graph = coo_matrix((1, 1)).tocsr()
-        return AmoebaSample(
-            basis.k, xi, pre_x, pre_y, graph, constant
-        )
+        return AmoebaSample(basis.k, xi, pre_x, pre_y, graph)
     r = 2 * (2 * basis.om.n) + 1
     r = min(r, m - 1)
     tree = cKDTree(np.sqrt(xi))
@@ -152,23 +145,18 @@ def amoeba_sample(
         np.stack([np.minimum(rows, cols), np.maximum(rows, cols)], axis=1), axis=0
     )
     rows, cols = pairs[:, 0], pairs[:, 1]
-    vals = _simplex_distance_rows(basis.k, xi[rows], xi[cols], constant)
+    vals = _simplex_distance_rows(basis.k, xi[rows], xi[cols])
     graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
     n_comp, _ = connected_components(graph, directed=False)
     if n_comp > 1:
         raise DisconnectedSample(
             f"amoeba neighbor graph split into {n_comp} components"
         )
-    return AmoebaSample(basis.k, xi, pre_x, pre_y, graph, constant)
+    return AmoebaSample(basis.k, xi, pre_x, pre_y, graph)
 
 
 def nearest_sample_index(sample: AmoebaSample, p: SimplexPoint) -> int:
-    d = _simplex_distance_rows(
-        sample.k,
-        sample.xi,
-        np.broadcast_to(p.xi, sample.xi.shape),
-        sample.constant,
-    )
+    d = _simplex_distance_rows(sample.k, sample.xi, np.broadcast_to(p.xi, sample.xi.shape))
     return int(np.argmin(d))
 
 
@@ -177,7 +165,3 @@ def bk_distances(sample: AmoebaSample, sources) -> np.ndarray:
     return dijkstra(
         sample.graph, directed=False, indices=np.asarray(sources, dtype=int)
     )
-
-
-def bk_distance(sample: AmoebaSample, i: int, j: int) -> float:
-    return float(bk_distances(sample, [i])[0, j])

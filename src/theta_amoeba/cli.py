@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,29 +41,42 @@ from .quantization import (
 from .theta import section_gauge_values, theta_basis
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; ConfigError unless it is an integral JSON number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
-    riemann_matrix: object
+    riemann_matrix: RiemannMatrix
     k_list: list
-    grid_per_dim: int
-    tolerances: dict = field(default_factory=dict)
+    grid_per_dim: int | None = None  # None: 8 * max(k_list)
     seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self):
-        if not self.k_list:
-            raise ConfigError("k_list must be nonempty")
-        ks = list(self.k_list)
-        if any(int(k) != k or k < 1 for k in ks):
+        if not isinstance(self.k_list, (list, tuple)) or not self.k_list:
+            raise ConfigError("k_list must be a nonempty list")
+        ks = [_integer("k_list entry", k) for k in self.k_list]
+        if min(ks) < 1:
             raise ConfigError("k_list entries must be positive integers")
         if ks != sorted(ks) or len(set(ks)) != len(ks):
             raise ConfigError("k_list must be strictly ascending")
-        self.k_list = [int(k) for k in ks]
-        if self.grid_per_dim < 8 * max(self.k_list):
+        self.k_list = ks
+        if self.grid_per_dim is None:
+            self.grid_per_dim = 8 * max(ks)
+        self.grid_per_dim = _integer("grid_per_dim", self.grid_per_dim)
+        if self.grid_per_dim < 8 * max(ks):
             raise ConfigError(
                 f"grid_per_dim {self.grid_per_dim} is below 8*max(k_list)"
             )
-        self.seed = int(self.seed)
+        self.seed = _integer("seed", self.seed)
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
 
     def echo(self) -> dict:
         return {
@@ -74,19 +87,9 @@ class ExperimentConfig:
             },
             "k_list": self.k_list,
             "grid_per_dim": self.grid_per_dim,
-            "tolerances": dict(sorted(self.tolerances.items())),
             "seed": self.seed,
             "output_dir": str(self.output_dir),
         }
-
-
-def _load_omega(source) -> RiemannMatrix:
-    if isinstance(source, RiemannMatrix):
-        return source
-    if isinstance(source, str):
-        with open(source) as fh:
-            source = json.load(fh)
-    return riemann_matrix_from_json(source)
 
 
 def load_config(path: str | None, args) -> ExperimentConfig:
@@ -99,41 +102,28 @@ def load_config(path: str | None, args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {
-            "riemann_matrix",
-            "k_list",
-            "grid_per_dim",
-            "tolerances",
-            "seed",
-            "output_dir",
-        }
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if args.omega_file is not None:
-        raw["riemann_matrix"] = args.omega_file
-    if args.k is not None:
-        raw["k_list"] = list(args.k)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    if "riemann_matrix" not in raw:
-        raw["riemann_matrix"] = {"n": 1, "re": [[0.0]], "im": [[1.0]]}
-    if "k_list" not in raw:
-        raw["k_list"] = [2, 4]
-    if args.grid is not None:
-        raw["grid_per_dim"] = args.grid
-    if "grid_per_dim" not in raw:
-        raw["grid_per_dim"] = 8 * max(raw["k_list"])
+    flags = {
+        "riemann_matrix": args.omega_file,
+        "k_list": args.k,
+        "grid_per_dim": args.grid,
+        "seed": args.seed,
+        "output_dir": args.out,
+    }
+    raw.update({key: value for key, value in flags.items() if value is not None})
+    source = raw.get("riemann_matrix", {"n": 1, "re": [[0.0]], "im": [[1.0]]})
+    if not isinstance(source, (str, dict)):
+        raise ConfigError("riemann_matrix must be a path or a JSON object")
     try:
-        om = _load_omega(raw["riemann_matrix"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        om = riemann_matrix_from_json(source)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad riemann_matrix: {exc}") from exc
     return ExperimentConfig(
         riemann_matrix=om,
-        k_list=raw["k_list"],
-        grid_per_dim=raw["grid_per_dim"],
-        tolerances=raw.get("tolerances", {}),
+        k_list=raw.get("k_list", [2, 4]),
+        grid_per_dim=raw.get("grid_per_dim"),
         seed=raw.get("seed", 0),
         output_dir=raw.get("output_dir", "out"),
     )
@@ -276,41 +266,26 @@ def run_converge(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
     return summary, ["converge.csv"]
 
 
+_PEAK_COLUMNS = [
+    "proportionality_residual",
+    "gram_offdiag_max",
+    "band_min",
+    "band_max",
+    "decay_slope",
+    "decay_slope_model",
+    "decay_r2",
+]
+
+
 def run_peak(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
     om = cfg.riemann_matrix
     rows, summary = [], {}
     for k in cfg.k_list:
         d = peak_section_suite(om, k)
-        bsz_err = bsz_comparison(om, k, n_pairs=20, seed=cfg.seed)
-        rows.append(
-            [
-                k,
-                d.proportionality_residual,
-                d.gram_offdiag_max,
-                d.band_min,
-                d.band_max,
-                d.decay_slope,
-                d.decay_slope_model,
-                d.decay_r2,
-                bsz_err,
-            ]
-        )
+        bsz_err = bsz_comparison(om, k, seed=cfg.seed)
+        rows.append([k] + [getattr(d, name) for name in _PEAK_COLUMNS] + [bsz_err])
         summary[str(k)] = {"band": [d.band_min, d.band_max], "bsz_rel_err": bsz_err}
-    write_csv(
-        out / "peak.csv",
-        [
-            "k",
-            "proportionality_residual",
-            "gram_offdiag_max",
-            "band_min",
-            "band_max",
-            "decay_slope",
-            "decay_slope_model",
-            "decay_r2",
-            "bsz_rel_err",
-        ],
-        rows,
-    )
+    write_csv(out / "peak.csv", ["k"] + _PEAK_COLUMNS + ["bsz_rel_err"], rows)
     return summary, ["peak.csv"]
 
 
@@ -332,25 +307,16 @@ def run_mirror(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
     return {"intersection_counts": counts}, ["mirror.csv"]
 
 
-_SUBCOMMANDS = ("theta-eval", "gram", "bs-count", "amoeba", "converge", "peak", "mirror")
-
-
-def _dispatch(name: str, cfg: ExperimentConfig, out: Path, args) -> tuple[dict, list]:
-    if name == "theta-eval":
-        return run_theta_eval(cfg, out)
-    if name == "gram":
-        return run_gram(cfg, out)
-    if name == "bs-count":
-        return run_bs_count(cfg, out, args.cp1)
-    if name == "amoeba":
-        return run_amoeba(cfg, out)
-    if name == "converge":
-        return run_converge(cfg, out)
-    if name == "peak":
-        return run_peak(cfg, out)
-    if name == "mirror":
-        return run_mirror(cfg, out)
-    raise ConfigError(f"unknown subcommand {name!r}")
+# subcommand -> runner(cfg, out, args); the parser and main both read it
+RUNNERS = {
+    "theta-eval": lambda cfg, out, args: run_theta_eval(cfg, out),
+    "gram": lambda cfg, out, args: run_gram(cfg, out),
+    "bs-count": lambda cfg, out, args: run_bs_count(cfg, out, args.cp1),
+    "amoeba": lambda cfg, out, args: run_amoeba(cfg, out),
+    "converge": lambda cfg, out, args: run_converge(cfg, out),
+    "peak": lambda cfg, out, args: run_peak(cfg, out),
+    "mirror": lambda cfg, out, args: run_mirror(cfg, out),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="experiment harness for theta section bases on abelian varieties",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
@@ -380,7 +346,7 @@ def main(argv=None) -> int:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        summary, files = _dispatch(args.subcommand, cfg, out, args)
+        summary, files = RUNNERS[args.subcommand](cfg, out, args)
         elapsed = time.monotonic() - start
         write_json(out / "summary.json", {"subcommand": args.subcommand, "results": summary})
         files = files + ["summary.json"]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import xy_to_z
 from .errors import MixedLevels, NonPositive
-from .theta import ThetaBasis, section_gauge_values
+from .theta import ThetaBasis, _as_points, section_gauge_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +140,7 @@ def translate_sections(basis: ThetaBasis, g: GroupElement, x, y) -> np.ndarray:
     """
     if g.k != basis.k:
         raise MixedLevels(f"group level {g.k} does not match basis level {basis.k}")
-    n = basis.om.n
-    x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
-    y = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
+    x, y = _as_points(x, y, basis.om.n)
     a = g.alpha / g.k
     b = g.beta / g.k
     vals = section_gauge_values(basis, x + a, y + b).complex_values()
@@ -162,11 +159,8 @@ def verify_equivariance(basis: ThetaBasis, g: GroupElement, x, y) -> float:
     points.
     """
     analytic = translate_sections(basis, g, x, y)
-    n = basis.om.n
-    xs = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
-    ys = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
-    base = section_gauge_values(basis, xs, ys).complex_values()
-    algebraic = rho_matrix(g, n).to_dense().T @ base
+    base = section_gauge_values(basis, x, y).complex_values()
+    algebraic = rho_matrix(g, basis.om.n).to_dense().T @ base
     return float(np.max(np.abs(analytic - algebraic)))
 
 

@@ -39,15 +39,6 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    """Metric tensor in (x, y) coordinates at one point."""
-
-    x: np.ndarray
-    y: np.ndarray
-    g: np.ndarray
-
-
-@dataclass(frozen=True)
 class MetricField:
     """Metric tensors sampled on every node of a quadrature grid."""
 
@@ -121,11 +112,6 @@ def _metric_field(basis: ThetaBasis, gv: GaugeValue, weights=None) -> np.ndarray
 def omega_k_field(basis: ThetaBasis, x, y):
     """Pulled-back metric tensors at many points, shape (m, 2n, 2n)."""
     return _metric_field(basis, section_gauge_values(basis, x, y, dlog=True))
-
-
-def omega_k_tensor(basis: ThetaBasis, x, y) -> MetricSample:
-    g = omega_k_field(basis, x, y)[0]
-    return MetricSample(x=np.atleast_1d(x), y=np.atleast_1d(y), g=g)
 
 
 def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid, scales=None) -> np.ndarray:

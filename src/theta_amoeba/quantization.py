@@ -18,7 +18,14 @@ import numpy as np
 from .abelian import RiemannMatrix, base_distance, fiber_volume
 from .errors import DegenerateSample, NonPositive
 from .metrics import gram_matrix, quadrature_grid
-from .theta import ZERO_FLOOR_LOG, GaugeValue, ThetaBasis, section_gauge_values, theta_basis
+from .theta import (
+    ZERO_FLOOR_LOG,
+    GaugeValue,
+    ThetaBasis,
+    _as_points,
+    section_gauge_values,
+    theta_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,7 @@ def sigma_section(
     1/sqrt(V) (unit mode, V the Riemannian fiber volume); the phase is
     pi k t(x) b_i.
     """
-    fibers = bs_fibers_abelian(om, k)
-    b = np.array([float(c) for c in fibers.points[i]])
+    b = theta_basis(om, k).b_points[i]
     x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, om.n)
     phase = np.pi * k * (x @ b)
     if norm_mode == "plain":
@@ -84,7 +90,6 @@ def fiber_coefficients(
     i: int,
     norm_mode: str = "unit",
     measure: str = "riemannian",
-    m_fiber: int | None = None,
 ) -> np.ndarray:
     """c_j = int over the i-th BS fiber of (sigma_i, s_j)_h.
 
@@ -92,7 +97,7 @@ def fiber_coefficients(
     "coordinate" uses plain dx.
     """
     om, k, n = basis.om, basis.k, basis.om.n
-    m = m_fiber or max(16 * k, 32)
+    m = max(16 * k, 32)
     axes = np.meshgrid(*([np.arange(m) / m] * n), indexing="ij")
     xg = np.stack([a.ravel() for a in axes], axis=-1)
     b = basis.b_points[i]
@@ -130,10 +135,8 @@ def berg_reconstruct(
     measure, plain-normalized sigma) at each sample z and divides by
     s_i(z); the proposition predicts a z-independent constant.
     """
-    om, n = basis.om, basis.om.n
     c = fiber_coefficients(basis, i, norm_mode="plain", measure="coordinate")
-    x = np.atleast_2d(np.asarray(sample_x, dtype=float)).reshape(-1, n)
-    y = np.atleast_2d(np.asarray(sample_y, dtype=float)).reshape(-1, n)
+    x, y = _as_points(sample_x, sample_y, basis.om.n)
     vals = section_gauge_values(basis, x, y)
     if np.any(vals.log_mag[i] < ZERO_FLOOR_LOG):
         raise DegenerateSample("sample point too close to a section zero")
@@ -141,7 +144,7 @@ def berg_reconstruct(
     ratios = (c @ v) / v[i]
     mean = complex(ratios.mean())
     rel_std = float(ratios.std() / max(abs(mean), 1e-300))
-    printed = printed_reconstruction_constant(om, basis.k)
+    printed = printed_reconstruction_constant(basis.om, basis.k)
     return ReconstructionResult(
         ratio_mean=mean,
         ratio_rel_std=rel_std,
@@ -165,9 +168,7 @@ class PeakSectionDiagnostics:
     decay_curve: np.ndarray
 
 
-def peak_section_suite(
-    om: RiemannMatrix, k: int, grid_m: int | None = None
-) -> PeakSectionDiagnostics:
+def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     """Peak sections from fiber projections of the exact Bergman kernel.
 
     s~_i = (k/2pi)^{-n/4} sum_j c_ij s_j with c_ij the unit-mode fiber
@@ -251,11 +252,11 @@ def bsz_model_kernel(g: np.ndarray, k: int, u, v) -> complex:
     return complex((k / (2.0 * np.pi)) ** n * np.exp(expo))
 
 
-def bsz_comparison(
-    om: RiemannMatrix, k: int, n_pairs: int = 40, seed: int = 0, radius: float = 1.0
-) -> float:
+def bsz_comparison(om: RiemannMatrix, k: int, seed: int = 0) -> float:
     """Max relative magnitude error of the model kernel against the exact
-    kernel at offsets z0 + u/sqrt(k), with G = pi (Im om)^{-1}.
+    kernel over 20 seeded pairs of offsets z0 + u/sqrt(k), z0 + v/sqrt(k),
+    with G = pi (Im om)^{-1}; u and v have real and imaginary parts
+    uniform in [-1/sqrt(2), 1/sqrt(2)].
 
     The exact kernel is divided by (2pi)^n, matching the model's diagonal
     normalization of the volume form.
@@ -268,9 +269,9 @@ def bsz_comparison(
     g = np.pi * om.im_inv
     z0 = (rng.uniform(size=n) + 1j * rng.uniform(size=n)) @ om.im_chol.T
     worst = 0.0
-    for _ in range(n_pairs):
-        u = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
-        v = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
+    for _ in range(20):
+        u = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
+        v = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
         za = z0 + u / np.sqrt(k)
         zb = z0 + v / np.sqrt(k)
         xa, ya = z_to_xy(za, om)

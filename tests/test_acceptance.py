@@ -160,7 +160,7 @@ def test_accept_08_metric_convergence():
 
 def test_accept_09_fibration_convergence():
     start = time.monotonic()
-    report = convergence_suite(SQUARE, [4, 9, 16], n_pairs=50, seed=9)
+    report = convergence_suite(SQUARE, [4, 9, 16], seed=9)
     elapsed = time.monotonic() - start
     assert report.slopes["phi_distortion"][0] <= -0.5
     assert report.slopes["phi_covering_radius"][0] <= -0.5
@@ -184,7 +184,7 @@ def test_accept_10_peak_sections():
 
 
 def test_accept_11_bsz_model():
-    errs = [bsz_comparison(SQUARE, k, n_pairs=20, seed=11) for k in (4, 16, 64)]
+    errs = [bsz_comparison(SQUARE, k, seed=11) for k in (4, 16, 64)]
     slope = np.polyfit(np.log([4.0, 16.0, 64.0]), np.log(errs), 1)[0]
     assert slope <= -0.4
 

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import MixedLevels
+from theta_amoeba import ConfigError, MixedLevels
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
     SimplexPoint,
     amoeba_sample,
-    bk_distance,
     bk_distances,
     moment_point,
     moment_points,
@@ -129,10 +128,10 @@ def test_sample_stays_off_vertices():
 def test_bk_distance_identity_and_lower_bound():
     basis = theta_basis(SQUARE, 4)
     sample = amoeba_sample(basis, quadrature_grid(1, 32))
-    assert bk_distance(sample, 3, 3) == 0.0
+    assert bk_distances(sample, [3])[0, 3] == 0.0
     i, j = 0, sample.size // 2
     chord = simplex_distance(sample.point(i), sample.point(j))
-    assert bk_distance(sample, i, j) >= chord - 1e-12
+    assert bk_distances(sample, [i])[0, j] >= chord - 1e-12
 
 
 def test_phi_k_matches_moment_point_at_zero_section():
@@ -162,3 +161,15 @@ def test_covering_by_base_image_shrinks():
         d = bk_distances(sample, idx)
         radii.append(d.min(axis=0).max())
     assert radii[1] < radii[0]
+
+
+def test_sample_rejects_grid_of_other_dimension():
+    basis = theta_basis(SQUARE, 2)
+    with pytest.raises(ConfigError, match="dimension"):
+        amoeba_sample(basis, quadrature_grid(2, 16))
+
+
+def test_sample_rejects_grid_below_eight_k():
+    basis = theta_basis(SQUARE, 4)
+    with pytest.raises(ConfigError, match="too coarse"):
+        amoeba_sample(basis, quadrature_grid(1, 8))

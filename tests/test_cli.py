@@ -61,10 +61,33 @@ def test_grid_below_eight_k_rejected(capsys, tmp_path):
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k_list": [2], "grid": 16}))
-    code, _, err = run(capsys, "gram", "--config", str(cfg), "--out", str(tmp_path))
-    assert code != 0
+    for key, value in (("grid", 16), ("tolerances", {"gram": 1e-30})):
+        cfg.write_text(json.dumps({"k_list": [2], key: value}))
+        code, _, err = run(capsys, "gram", "--config", str(cfg), "--out", str(tmp_path))
+        assert code != 0
+        assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"seed": "x"},
+        {"k_list": 3},
+        {"k_list": [None]},
+        {"grid_per_dim": "big"},
+        {"output_dir": 5},
+        {"riemann_matrix": 5},
+        {"riemann_matrix": {"n": 1, "re": "x", "im": [[1.0]]}},
+    ],
+)
+def test_malformed_config_value_is_config_error(capsys, tmp_path, monkeypatch, config):
+    # no --out, which would override output_dir; a run would write ./out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, _, err = run(capsys, "gram", "--config", "cfg.json")
+    assert code == 1
     assert json.loads(err)["error"] == "ConfigError"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_omega_file_flag(capsys, tmp_path):

@@ -17,7 +17,6 @@ from theta_amoeba.metrics import (
     node_index,
     omega_k_field,
     omega_k_metric_field,
-    omega_k_tensor,
     quadrature_grid,
 )
 from theta_amoeba.theta import (
@@ -258,8 +257,8 @@ def test_omega_k_rejects_common_zero_at_level_one():
 
 def test_omega_k_tensor_symmetric():
     basis = theta_basis(GENERIC, 3)
-    sample = omega_k_tensor(basis, [[0.2]], [[0.7]])
-    assert np.array_equal(sample.g, sample.g.T)
+    g = omega_k_field(basis, [[0.2]], [[0.7]])[0]
+    assert np.array_equal(g, g.T)
 
 
 def test_c0_deviation_zero_for_exact_flat_field():

@@ -10,12 +10,12 @@ from theta_amoeba import NonPositive, TruncationOverflow
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
 from theta_amoeba.theta import (
     TAIL_LOG,
+    _as_points,
     _gauge,
     _stacked_log_mag,
     _truncation_radii,
     distortion_fk,
     section_gauge_values,
-    section_norm_sq_reference,
     theta_basis,
     theta_char,
     theta_char_log,
@@ -193,6 +193,28 @@ def test_basis_enumeration():
     assert basis.indices[0].tolist() == [0, 0]
     assert basis.indices[-1].tolist() == [2, 2]
     assert np.allclose(basis.b_points[4], [1.0 / 3.0, 1.0 / 3.0])
+
+
+def section_norm_sq_reference(basis, x, y) -> np.ndarray:
+    """Pointwise h-norms squared through the classical (non-gauge) route.
+
+    Uses s_i = C k^{-n/4} theta_0(z)^k Theta_k(z; b_i) with the holomorphic
+    Gaussian theta_0 = exp(pi/2 tz (Im om)^{-1} z) and the level-k metric
+    weight exp(-pi k tz (Im om)^{-1} zbar). Serves as an oracle for the
+    gauge formulas.
+    """
+    om, k, n = basis.om, basis.k, basis.om.n
+    x, y = _as_points(x, y, n)
+    z = xy_to_z(x, y, om)
+    zi = np.linalg.solve(om.im_chol.T, np.linalg.solve(om.im_chol, z.T)).T
+    theta0_re = 0.5 * np.pi * np.einsum("mi,mi->m", z, zi).real
+    weight = -np.pi * np.einsum("mi,mi->m", z, np.conj(zi)).real
+
+    zs = (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, n)
+    lm, _ = theta_char_log(om.omega / k, zs)
+    lm = lm.reshape(basis.n_sections, x.shape[0])
+    const = 2.0 * basis.log_c_omega - 0.5 * n * np.log(k)
+    return np.exp(const + (2.0 * k * theta0_re + k * weight)[None, :] + 2.0 * lm)
 
 
 def test_gauge_norm_matches_classical_route():
