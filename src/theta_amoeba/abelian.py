@@ -168,24 +168,39 @@ def base_metric(om: RiemannMatrix) -> BaseMetric:
     return BaseMetric(q=0.5 * (q + q.T))
 
 
-def _lattice_shifts(n: int) -> np.ndarray:
-    return np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+def ellipsoid_points(q: np.ndarray, radius: float, centre, half_widths) -> np.ndarray:
+    """Integer points v with t(v - c) q (v - c) <= radius^2, in lexicographic order.
+
+    They are enumerated from the box |v_i - c_i| <= half_widths_i, which
+    contains the ellipsoid when half_widths_i >= radius sqrt((q^{-1})_ii),
+    the reach of the ellipsoid along axis i (Fincke and Pohst, Math. Comp.
+    44, 1985).
+    """
+    centre = np.asarray(centre, dtype=float)
+    lo = np.ceil(centre - half_widths).astype(int)
+    hi = np.floor(centre + half_widths).astype(int)
+    box = np.indices(hi - lo + 1).reshape(centre.size, -1).T + lo
+    u = box - centre
+    return box[np.einsum("ji,ik,jk->j", u, q, u) <= radius * radius]
 
 
 def _torus_quadratic_distance(d: np.ndarray, q: np.ndarray) -> float:
-    """Min over one shell of integer shifts of sqrt(t(d+s) q (d+s))."""
-    shifts = _lattice_shifts(d.size)
-    v = d[None, :] + shifts
+    """Min over integer shifts s of sqrt(t(d+s) q (d+s)), a closest-vector search.
+
+    The best shift in {-1, 0, 1}^n bounds the minimum by u; the minimiser
+    is then among the shifts with |d + s|_q <= u, an ellipsoid about -d.
+    """
+    shell = d + np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d.size)))
+    u2 = np.einsum("ki,ij,kj->k", shell, q, shell).min()
+    u = np.sqrt(max(u2, 0.0))
+    half = u * np.sqrt(np.diag(np.linalg.inv(q)))
+    v = d + ellipsoid_points(q, u, -d, half)
     vals = np.einsum("ki,ij,kj->k", v, q, v)
-    return float(np.sqrt(max(vals.min(), 0.0)))
+    return float(np.sqrt(max(vals.min(initial=u2), 0.0)))
 
 
 def total_distance(p: TorusPoint, q: TorusPoint, om: RiemannMatrix) -> float:
-    """Flat geodesic distance on (X, omega_0), one lattice shell per factor.
-
-    Assumes the test matrices are close enough to Minkowski-reduced that the
-    nearest lattice representative lies within {-1,0,1}^{2n}.
-    """
+    """Flat geodesic distance on (X, omega_0) between two torus points."""
     g = real_metric_tensor(om)
     d = np.concatenate([p.x - q.x, p.y - q.y])
     return _torus_quadratic_distance(d, g)

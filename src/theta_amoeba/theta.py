@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import RiemannMatrix, xy_to_z
+from .abelian import RiemannMatrix, ellipsoid_points, xy_to_z
 from .errors import NonPositive, NotPositive, TruncationOverflow
 
-# tail budget: drop terms below ~1e-16 relative, plus margin
+# tail budget: every dropped term lies below exp(-TAIL_LOG) ~ 1e-16 * e^-5
+# of the Gaussian peak (see _offsets)
 TAIL_LOG = 16.0 * np.log(10.0) + 5.0
 MAX_RADIUS = 200
 # double precision leaves ~1e-17 residue at true section zeros, so a
@@ -25,42 +26,51 @@ ZERO_FLOOR_LOG = np.log(1e-12)
 _CHUNK_TERMS = 4_000_000
 
 
-def _offsets(radii) -> np.ndarray:
-    """Integer box prod_i [-r_i, r_i] in lexicographic order (deterministic sums)."""
-    return np.array(
-        list(itertools.product(*(range(-r, r + 1) for r in radii))), dtype=float
-    )
+def _truncation_radii(t_eff: np.ndarray) -> tuple[float, np.ndarray]:
+    """Radius R + rho of the ellipsoid of kept offsets, and its bounding box.
 
-
-def _truncation_radii(t_eff: np.ndarray) -> np.ndarray:
-    """Per-axis half-widths of the box bounding the truncation ellipsoid.
-
-    Terms with pi t(v) t_eff v > TAIL_LOG, v the offset from the box centre,
-    are dropped; the ellipsoid's bounding box has half-widths
-    sqrt(TAIL_LOG (t_eff^{-1})_ii / pi), plus a margin of 2 for centring.
+    R^2 = TAIL_LOG / pi is the Gaussian tail radius about the series centre
+    c, and rho = max |delta|_{t_eff} over the corners delta of {+-1/2}^n is
+    the farthest c can sit from its rounded centre l* = round(c). The
+    ellipsoid t(v) t_eff v <= (R + rho)^2 reaches (R + rho)
+    sqrt((t_eff^{-1})_ii) along axis i; the box half-widths round that up.
     """
     if float(np.linalg.eigvalsh(t_eff)[0]) <= 0.0:
         raise NotPositive("effective period matrix has nonpositive imaginary part")
-    var = np.diag(np.linalg.inv(t_eff))
-    r = np.ceil(np.sqrt(TAIL_LOG * var / np.pi)).astype(int) + 2
+    corners = 0.5 * np.array(list(itertools.product((-1.0, 1.0), repeat=t_eff.shape[0])))
+    rho = np.sqrt(np.einsum("ji,ik,jk->j", corners, t_eff, corners).max())
+    radius = float(np.sqrt(TAIL_LOG / np.pi) + rho)
+    r = np.ceil(radius * np.sqrt(np.diag(np.linalg.inv(t_eff)))).astype(int)
     if r.max() > MAX_RADIUS:
         raise TruncationOverflow(
             f"lattice truncation radius {r.max()} exceeds cap {MAX_RADIUS}"
         )
-    return r
+    return radius, r
+
+
+def _offsets(t_eff: np.ndarray) -> np.ndarray:
+    """Offsets v with t(v) t_eff v <= (R + rho)^2, in lexicographic order.
+
+    One set serves every centre: a term at l = l* + v with |l - c|_{t_eff}
+    <= R has |v| <= |l - c| + |l* - c| <= R + rho, so every dropped term
+    lies below exp(-TAIL_LOG) times the Gaussian peak at c, for any om.
+    """
+    radius, radii = _truncation_radii(t_eff)
+    return ellipsoid_points(t_eff, radius, np.zeros(radii.size), radii).astype(float)
 
 
 def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
     """Truncated terms of theta[a; 0](om_eff, z), built once per point.
 
-    Returns the box offsets off (shape (J, n)) and a generator over chunks
-    of points yielding (rows, l_star, w, shift). Point p's terms run over
-    l = l*_p + off_j + a, with l*_p the integer centre of its box, and are
-    stored as w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where
-    shift_p is the row's largest real exponent, so |w| <= 1.
+    Returns the offsets off of _offsets (shape (J, n)), one set for every
+    point, and a generator over chunks of points yielding (rows, l_star, w,
+    shift). Point p's terms run over l = l*_p + off_j + a, with l*_p the
+    rounded centre of its Gaussian, and are stored as
+    w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where shift_p
+    is the row's largest real exponent, so |w| <= 1.
     """
     t_eff = om_eff.imag
-    off = _offsets(_truncation_radii(t_eff))
+    off = _offsets(t_eff)
     l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
     m = z.shape[0]
     # the (m, J, n) intermediates set the memory, so budget by J * n
@@ -70,7 +80,7 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
         for s in range(0, m, chunk):
             rows = slice(s, min(m, s + chunk))
             la = l_star[rows, None, :] + off[None, :, :] + a
-            # the quadratic part depends only on the box centre: one row
+            # the quadratic part depends only on the centre l*: one row
             # serves a chunk whose points all share it, as the points of the
             # closed-form f_k do once reduced mod 1/k (barring rounding ties)
             lq = la[:1] if (l_star[rows] == l_star[s]).all() else la
@@ -214,7 +224,7 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
 
     Section j is the Omega/k series with term l twisted by e(-tl j / k), so
     one lattice sum per point gives all k^n sections: its terms are
-    contracted against the table e(-t(off) j / k) over the box offsets,
+    contracted against the table e(-t(off) j / k) over the offsets,
     then multiplied by the point's phase e(-t(l*) j / k). Both phases are
     read from the k-th roots of unity by an integer index mod k. With
     dlog, the same contraction of (l* + off) times the terms gives

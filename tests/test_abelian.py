@@ -186,3 +186,28 @@ def test_submersion_inequality_base_vs_total():
         p = TorusPoint(x=RNG.uniform(size=2), y=RNG.uniform(size=2))
         q = TorusPoint(x=p.x.copy(), y=RNG.uniform(size=2))
         assert base_distance(p.y, q.y, rm) <= total_distance(p, q, rm) + 1e-10
+
+
+def brute_closest(d, q, r):
+    """Oracle: min of sqrt(t(d+s) q (d+s)) over every shift s in [-r, r]^n."""
+    grid = np.arange(-r, r + 1, dtype=float)
+    shifts = np.stack(np.meshgrid(*[grid] * d.size, indexing="ij"), -1).reshape(-1, d.size)
+    v = d + shifts
+    return float(np.sqrt(np.einsum("ki,ij,kj->k", v, q, v).min()))
+
+
+def test_distances_match_brute_closest_vector_on_skewed_lattice():
+    # Im om = A tA with A unimodular: the same lattice as i I, in a basis so
+    # skewed that the nearest representative often lies outside {-1,0,1}^n
+    a = np.array([[1.0, 3.0], [0.0, 1.0]])
+    rm = validate_riemann_matrix(1j * (a @ a.T))
+    g = real_metric_tensor(rm)
+    q = base_metric(rm).q
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        p = TorusPoint(x=rng.uniform(size=2), y=rng.uniform(size=2))
+        r = TorusPoint(x=rng.uniform(size=2), y=rng.uniform(size=2))
+        d_base = brute_closest(p.y - r.y, q, 8)
+        d_total = brute_closest(np.concatenate([p.x - r.x, p.y - r.y]), g, 5)
+        assert base_distance(p.y, r.y, rm) == pytest.approx(d_base, abs=1e-12)
+        assert total_distance(p, r, rm) == pytest.approx(d_total, abs=1e-12)

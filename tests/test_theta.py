@@ -12,8 +12,8 @@ from theta_amoeba.theta import (
     TAIL_LOG,
     _as_points,
     _gauge,
+    _offsets,
     _stacked_log_mag,
-    _truncation_radii,
     distortion_fk,
     section_gauge_values,
     theta_basis,
@@ -139,12 +139,7 @@ def test_truncation_overflow_for_thin_lattice():
     ],
     ids=["diag-1-6", "coupled-thin"],
 )
-def test_per_axis_box_matches_wide_brute_sum(om):
-    # the box bounds the truncation ellipsoid per axis, so on an anisotropic
-    # Im om it is narrower than the isotropic box sized by lambda_min
-    radii = _truncation_radii(om.imag)
-    iso = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * np.linalg.eigvalsh(om.imag)[0])))) + 2
-    assert radii.max() <= iso and radii.min() < iso
+def test_ellipsoid_offsets_match_wide_brute_sum(om):
     rng = np.random.default_rng(11)
     for _ in range(4):
         z = rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
@@ -167,17 +162,57 @@ def test_shared_box_centre_matches_per_point_terms():
     np.testing.assert_array_equal(np.append(ph, ph_far), ph_mixed)
 
 
-def test_truncation_radii_one_dimensional_and_never_wider():
-    # n = 1: the bounding box is the old isotropic radius; n = 2: never wider
-    for t in np.geomspace(1e-3, 50.0, 400):
-        iso = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * t)))) + 2
-        assert _truncation_radii(np.array([[t]]))[0] == iso
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        g = rng.normal(size=(2, 2))
-        t = g @ g.T + 0.05 * np.eye(2)
-        iso = int(np.ceil(np.sqrt(TAIL_LOG / (np.pi * np.linalg.eigvalsh(t)[0])))) + 2
-        assert _truncation_radii(t).max() <= iso
+def closed_form_im(t, k):
+    """Im of the genus-2n matrix of distortion_fk's closed form at level k."""
+    return np.kron([[2.0 / k, -1.0], [-1.0, k]], t)
+
+
+@st.composite
+def tail_problems(draw):
+    """A positive T and a centre c, with some coordinates of c half-integers."""
+    kind = draw(st.sampled_from(["random", "skewed", "closed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if kind == "closed":
+        n0 = draw(st.integers(1, 2))
+        t0 = COUPLED.im if n0 == 2 else np.array([[draw(st.floats(0.5, 2.0))]])
+        t = closed_form_im(t0, draw(st.integers(2, 8)))
+    elif kind == "random":
+        n = draw(st.integers(1, 4))
+        g = rng.normal(size=(n, n))
+        t = g @ g.T + draw(st.floats(0.3, 2.0)) * np.eye(n)
+    else:
+        # a diagonal form in a skewed basis, as A tA with A = [[1, 3], [0, 1]]
+        n = draw(st.integers(2, 4))
+        i, j = rng.permutation(n)[:2]
+        u = np.eye(n)
+        u[i, j] = draw(st.sampled_from([-3, -2, 2, 3]))
+        t = u @ np.diag(rng.uniform(0.5, 2.0, n)) @ u.T
+    n = t.shape[0]
+    c = rng.uniform(-5.0, 5.0, n)
+    ties = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c = np.where(ties, np.floor(c) + 0.5, c)
+    return t, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail_problems())
+def test_offsets_contain_every_tail_term(problem):
+    # every l with pi |l - c|_T^2 <= TAIL_LOG is among the kept terms
+    # l* + off, with l* = round(c) as _lattice_terms takes it
+    t, c = problem
+    keep = {tuple(v) for v in (np.round(c) + _offsets(t)).astype(int)}
+    half = np.sqrt(TAIL_LOG * np.diag(np.linalg.inv(t)) / np.pi) + 1.0
+    ranges = [range(int(np.floor(ci - h)), int(np.ceil(ci + h)) + 1) for ci, h in zip(c, half)]
+    box = np.array(list(itertools.product(*ranges)))
+    u = box - c
+    inside = box[np.pi * np.einsum("ji,ik,jk->j", u, t, u) <= TAIL_LOG]
+    assert {tuple(l) for l in inside} <= keep
+
+
+def test_offset_counts():
+    # the n = 2 series of the Gram workload and the genus-4 closed-form f_k
+    assert len(_offsets(COUPLED.im / 2)) == 103
+    assert len(_offsets(closed_form_im(COUPLED.im, 2))) == 3585
 
 
 def test_basis_rejects_nonpositive_level():
