@@ -125,10 +125,13 @@ def z_to_coords(z, om: RiemannMatrix) -> TorusPoint:
 
 
 def z_to_xy(z, om: RiemannMatrix):
-    """Invert z = Omega x + y without reduction: x = (Im om)^{-1} Im z."""
+    """Invert z = Omega x + y without reduction: x = (Im om)^{-1} Im z.
+
+    z is one point of shape (n,) or a batch of shape (m, n).
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    x = np.linalg.solve(om.im_chol.T, np.linalg.solve(om.im_chol, z.imag))
-    y = z.real - om.re @ x
+    x = np.linalg.solve(om.im_chol.T, np.linalg.solve(om.im_chol, z.imag.T)).T
+    y = z.real - x @ om.re.T
     return x, y
 
 
@@ -208,6 +211,11 @@ def total_distance(p: TorusPoint, q: TorusPoint, om: RiemannMatrix) -> float:
 
 def base_distance(y1, y2, om: RiemannMatrix) -> float:
     """Quotient-metric distance on the base torus X^-."""
-    q = base_metric(om).q
+    return _base_distance(y1, y2, base_metric(om).q)
+
+
+def _base_distance(y1, y2, q: np.ndarray) -> float:
+    """base_distance in the quotient metric q = base_metric(om).q, which
+    callers measuring many distances compute once."""
     d = reduce_mod1(y1) - reduce_mod1(y2)
     return _torus_quadratic_distance(np.atleast_1d(d), q)

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample, MixedLevels
 from .metrics import QuadratureGrid, check_grid_resolution
-from .theta import ThetaBasis, _stacked_log_mag
+from .theta import ThetaBasis, _stacked_log_mag, _unique_rows
 
 SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
@@ -61,7 +61,8 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     Computed as a softmax of 2 log|s_i|_h, so the ratio is exact even when
     the individual magnitudes underflow. Evaluated one lattice sum per
     section (see theta._stacked_log_mag), whose roundoff the amoeba
-    sample's point count depends on.
+    sample's point count depends on; each distinct shifted point z - b_i
+    is summed once, with the values of summing every one bit for bit.
     """
     lm = 2.0 * _stacked_log_mag(basis, x, y)
     lm = lm - lm.max(axis=0, keepdims=True)
@@ -107,14 +108,7 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     """
     check_grid_resolution(basis, grid)
     xi_all = moment_points(basis, grid.x, grid.y)
-    _, keep, inverse = np.unique(
-        np.round(xi_all, 12), axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(keep)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    keep = keep[order]
-    rep = rank[inverse]
+    keep, rep = _unique_rows(np.round(xi_all, 12))
     xi = xi_all[keep]
     pre_x = grid.x[keep]
     pre_y = grid.y[keep]
@@ -141,10 +135,9 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
         cols.append(b[mask])
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    pairs = np.unique(
-        np.stack([np.minimum(rows, cols), np.maximum(rows, cols)], axis=1), axis=0
-    )
-    rows, cols = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    # lo * m + hi sorts as the pair (lo, hi) does, since hi < m
+    rows, cols = np.divmod(np.unique(lo * m + hi), m)
     vals = _simplex_distance_rows(basis.k, xi[rows], xi[cols])
     graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
     n_comp, _ = connected_components(graph, directed=False)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import RiemannMatrix, base_distance, fiber_volume
+from .abelian import RiemannMatrix, _base_distance, base_metric, fiber_volume, z_to_xy
 from .errors import DegenerateSample, NonPositive
 from .metrics import gram_matrix, quadrature_grid
 from .theta import (
@@ -213,7 +213,8 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     gv = section_gauge_values(basis, pts_x, pts_y)
     tilde0 = kappa * (c[0] @ gv.complex_values())
     log_sq = 2.0 * np.log(np.abs(tilde0))
-    dists = np.array([base_distance(p, np.zeros(n), om) for p in pts_y])
+    q = base_metric(om).q
+    dists = np.array([_base_distance(p, np.zeros(n), q) for p in pts_y])
     a = np.polyfit(dists**2, log_sq, 1)
     fitted = np.polyval(a, dists**2)
     ss_res = float(np.sum((log_sq - fitted) ** 2))
@@ -261,23 +262,18 @@ def bsz_comparison(om: RiemannMatrix, k: int, seed: int = 0) -> float:
     The exact kernel is divided by (2pi)^n, matching the model's diagonal
     normalization of the volume form.
     """
-    from .abelian import z_to_xy
-
     n = om.n
     basis = theta_basis(om, k)
     rng = np.random.default_rng(seed)
     g = np.pi * om.im_inv
     z0 = (rng.uniform(size=n) + 1j * rng.uniform(size=n)) @ om.im_chol.T
-    worst = 0.0
-    for _ in range(20):
-        u = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
-        v = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2)
-        za = z0 + u / np.sqrt(k)
-        zb = z0 + v / np.sqrt(k)
-        xa, ya = z_to_xy(za, om)
-        xb, yb = z_to_xy(zb, om)
-        exact = bergman_kernel(basis, xa[None, :], ya[None, :], xb[None, :], yb[None, :])[0]
-        model = bsz_model_kernel(g, k, u, v)
-        err = abs(abs(exact) / (2.0 * np.pi) ** n - abs(model)) / abs(model)
-        worst = max(worst, err)
-    return worst
+    # per pair, in draw order: Re u, Im u, Re v, Im v
+    r = rng.uniform(-1, 1, (20, 4, n))
+    u = (r[:, 0] + 1j * r[:, 1]) / np.sqrt(2)
+    v = (r[:, 2] + 1j * r[:, 3]) / np.sqrt(2)
+    xa, ya = z_to_xy(z0 + u / np.sqrt(k), om)
+    xb, yb = z_to_xy(z0 + v / np.sqrt(k), om)
+    exact = bergman_kernel(basis, xa, ya, xb, yb)
+    model = np.array([bsz_model_kernel(g, k, a, b) for a, b in zip(u, v)])
+    err = np.abs(np.abs(exact) / (2.0 * np.pi) ** n - np.abs(model)) / np.abs(model)
+    return float(err.max())

@@ -269,20 +269,48 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     )
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of bitwise-equal rows of a 2-D array: (first, inverse).
+
+    first[g] is the index of group g's first row, ascending, so groups are
+    numbered in order of first appearance; a[first][inverse] restores a.
+    Rows are compared as their raw bytes (an int64 view), so -0.0 and
+    +0.0 fall into different groups and equal means bit-equal.
+    """
+    keys = np.ascontiguousarray(a).view(np.int64)
+    # lexsort is stable, so each group's first sorted row is its first row
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    first = order[new]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return first[by_first], inverse
+
+
 def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     """log|s_i|_h through one lattice sum per section, at z - b_i.
 
-    The route section_gauge_values replaced: the same values and accuracy
-    contract from k^n times the terms. amoeba.moment_points keeps it,
-    because amoeba_sample merges images that agree to 12 digits, so its
-    point count depends on last-bit roundoff; the tests use it as oracle.
+    The route section_gauge_values replaced, with the same values and
+    accuracy contract. amoeba.moment_points keeps it, because
+    amoeba_sample merges images that agree to 12 digits, so its point
+    count depends on last-bit roundoff; the tests use it as oracle. Each
+    distinct shifted point z - b_i is summed once: on a grid that the
+    shifts b_i map to itself most of them repeat, and a row's sum does not
+    depend on the other rows, so the values are those of summing every
+    shifted point, bit for bit.
     """
     n = basis.om.n
     z, base_lm, _ = _gauge(basis, x, y)
     # one stacked lattice-sum call: section b enters only as a z-shift
     zs = (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, n)
-    lm, _ = theta_char_log(basis.om.omega / basis.k, zs)
-    return base_lm[None, :] + lm.reshape(basis.n_sections, z.shape[0])
+    first, inverse = _unique_rows(zs)
+    lm, _ = theta_char_log(basis.om.omega / basis.k, zs[first])
+    return base_lm[None, :] + lm[inverse].reshape(basis.n_sections, z.shape[0])
 
 
 def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed", weights=None):

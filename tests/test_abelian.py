@@ -82,12 +82,15 @@ def test_coords_roundtrip(n):
 
 def test_unreduced_inverse_matches_linear_solve():
     rm = random_riemann(2, RNG)
-    z = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-    x, y = z_to_xy(z, rm)
+    zs = RNG.normal(size=(4, 2)) + 1j * RNG.normal(size=(4, 2))
+    xs, ys = z_to_xy(zs, rm)
     # oracle: solve the real 2n x 2n linear system [Re om, I; Im om, 0]
     a = np.block([[rm.re, np.eye(2)], [rm.im, np.zeros((2, 2))]])
-    sol = np.linalg.solve(a, np.concatenate([z.real, z.imag]))
-    assert np.allclose(np.concatenate([x, y]), sol, atol=1e-12)
+    for z, xb, yb in zip(zs, xs, ys):
+        sol = np.linalg.solve(a, np.concatenate([z.real, z.imag]))
+        x, y = z_to_xy(z, rm)
+        assert np.allclose(np.concatenate([x, y]), sol, atol=1e-12)
+        assert np.allclose(np.concatenate([xb, yb]), sol, atol=1e-12)
 
 
 def test_torus_point_reduces_mod_one():

@@ -112,6 +112,12 @@ def test_level_one_image_is_a_point():
     assert sample.xi[0, 0] == pytest.approx(1.0)
 
 
+def test_sample_size_at_benchmark_grid():
+    # the point count depends on last-bit roundoff of xi, merged at 12 digits
+    sample = amoeba_sample(theta_basis(SQUARE, 16), quadrature_grid(1, 256))
+    assert sample.size == 2304
+
+
 def test_sample_size_bounded_by_grid():
     basis = theta_basis(SQUARE, 4)
     grid = quadrature_grid(1, 32)

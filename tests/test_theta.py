@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import NonPositive, TruncationOverflow
+from theta_amoeba import NonPositive, TruncationOverflow, theta
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
+from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import (
     TAIL_LOG,
     _as_points,
     _gauge,
     _offsets,
     _stacked_log_mag,
+    _unique_rows,
     distortion_fk,
     section_gauge_values,
     theta_basis,
@@ -415,3 +417,78 @@ def test_section_values_vs_mpmath_near_column_maximum(rm, k):
             near = exact >= exact.max() - 20.0
             rel = np.exp(exact[near] - exact.max())
             assert np.all(np.abs(lm[near, p] - exact[near]) * rel <= 1e-13)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_unique_rows_matches_numpy_unique(dtype):
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 3, size=(400, 3)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.integers(0, 2, size=a.shape)
+    first, inverse = _unique_rows(a)
+    _, index, inv = np.unique(a, axis=0, return_index=True, return_inverse=True)
+    # the same groups with the same first rows, numbered by first appearance
+    assert np.array_equal(first, np.sort(index))
+    assert np.array_equal(first[inverse], index[inv.ravel()])
+    assert np.array_equal(a[first][inverse], a)
+
+
+def test_unique_rows_edge_cases():
+    # bitwise keys: -0.0 and +0.0 are different rows
+    first, inverse = _unique_rows(np.array([[0.0], [-0.0], [0.0]]))
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+    first, inverse = _unique_rows(np.array([[0.5 + 1j, 2.0]]))
+    assert first.tolist() == [0] and inverse.tolist() == [0]
+    first, inverse = _unique_rows(np.zeros((0, 2), dtype=complex))
+    assert first.size == 0 and inverse.size == 0
+
+
+def stacked_log_mag_every_row(basis, x, y):
+    """Oracle: one lattice sum for every shifted point z - b_i, repeats included."""
+    n = basis.om.n
+    z, base_lm, _ = _gauge(basis, x, y)
+    zs = (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, n)
+    lm, _ = theta_char_log(basis.om.omega / basis.k, zs)
+    return base_lm[None, :] + lm.reshape(basis.n_sections, z.shape[0])
+
+
+@pytest.mark.parametrize(
+    "rm, k, grid_m",
+    [
+        pytest.param(SQUARE, 16, 128, id="square-grid"),
+        pytest.param(GENERIC, 5, None, id="generic-seeded"),
+        pytest.param(COUPLED, 2, 8, id="coupled-grid"),
+    ],
+)
+def test_stacked_log_mag_sums_distinct_points_bitwise(rm, k, grid_m):
+    # grid points repeat under the shifts b_i; seeded points do not
+    if grid_m is None:
+        x, y = np.random.default_rng(3).uniform(-0.5, 1.5, size=(2, 200, rm.n))
+    else:
+        grid = quadrature_grid(rm.n, grid_m)
+        x, y = grid.x, grid.y
+    basis = theta_basis(rm, k)
+    assert np.array_equal(_stacked_log_mag(basis, x, y), stacked_log_mag_every_row(basis, x, y))
+
+
+@pytest.mark.parametrize("rm", [SQUARE, COUPLED], ids=["square", "coupled"])
+def test_stacked_log_mag_of_no_points(rm):
+    basis = theta_basis(rm, 3)
+    empty = np.zeros((0, rm.n))
+    assert _stacked_log_mag(basis, empty, empty).shape == (basis.n_sections, 0)
+
+
+@pytest.mark.parametrize("k, m, rows", [(16, 128, 31_744), (32, 256, 129_024)])
+def test_stacked_log_mag_sums_each_distinct_point_once(monkeypatch, k, m, rows):
+    # of the k * m^2 shifted points of a grid with k | m, only these differ
+    sent = []
+    original = theta.theta_char_log
+
+    def counting(om_eff, z, a=None, b=None):
+        sent.append(z.shape[0])
+        return original(om_eff, z, a, b)
+
+    monkeypatch.setattr(theta, "theta_char_log", counting)
+    grid = quadrature_grid(1, m)
+    _stacked_log_mag(theta_basis(SQUARE, k), grid.x, grid.y)
+    assert sent == [rows]
