@@ -74,10 +74,14 @@ def reduce_mod1(v) -> np.ndarray:
 
 
 def validate_riemann_matrix(raw) -> RiemannMatrix:
-    """Check symmetry and positivity of Im(omega); derive Cholesky data."""
+    """Check finiteness, symmetry and positivity of Im(omega); derive
+    Cholesky data."""
     om = np.atleast_2d(np.asarray(raw, dtype=complex))
     if om.shape[0] != om.shape[1]:
         raise NotSymmetric(f"matrix is {om.shape}, expected square")
+    # NaN fails every comparison, so the checks below would let it through
+    if not np.all(np.isfinite(om)):
+        raise NotSymmetric("period matrix has a non-finite entry")
     asym = np.max(np.abs(om - om.T)) if om.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"entrywise asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")

@@ -54,7 +54,9 @@ def _integer(name: str, value) -> int:
 class ExperimentConfig:
     riemann_matrix: RiemannMatrix
     k_list: list
-    grid_per_dim: int | None = None  # None: 8 * max(k_list)
+    # read by GRID_COMMANDS only, None elsewhere; load_config sets the
+    # default 8 * max(k_list)
+    grid_per_dim: int | None = None
     seed: int = 0
     output_dir: str = "out"
 
@@ -67,13 +69,12 @@ class ExperimentConfig:
         if ks != sorted(ks) or len(set(ks)) != len(ks):
             raise ConfigError("k_list must be strictly ascending")
         self.k_list = ks
-        if self.grid_per_dim is None:
-            self.grid_per_dim = 8 * max(ks)
-        self.grid_per_dim = _integer("grid_per_dim", self.grid_per_dim)
-        if self.grid_per_dim < 8 * max(ks):
-            raise ConfigError(
-                f"grid_per_dim {self.grid_per_dim} is below 8*max(k_list)"
-            )
+        if self.grid_per_dim is not None:
+            self.grid_per_dim = _integer("grid_per_dim", self.grid_per_dim)
+            if self.grid_per_dim < 8 * max(ks):
+                raise ConfigError(
+                    f"grid_per_dim {self.grid_per_dim} is below 8*max(k_list)"
+                )
         self.seed = _integer("seed", self.seed)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
@@ -108,11 +109,13 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     flags = {
         "riemann_matrix": args.omega_file,
         "k_list": args.k,
-        "grid_per_dim": args.grid,
+        "grid_per_dim": getattr(args, "grid", None),
         "seed": args.seed,
         "output_dir": args.out,
     }
     raw.update({key: value for key, value in flags.items() if value is not None})
+    if "grid_per_dim" in raw and args.subcommand not in GRID_COMMANDS:
+        raise ConfigError(f"{args.subcommand} does not read grid_per_dim")
     source = raw.get("riemann_matrix", {"n": 1, "re": [[0.0]], "im": [[1.0]]})
     if not isinstance(source, (str, dict)):
         raise ConfigError("riemann_matrix must be a path or a JSON object")
@@ -120,13 +123,16 @@ def load_config(path: str | None, args) -> ExperimentConfig:
         om = riemann_matrix_from_json(source)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad riemann_matrix: {exc}") from exc
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         riemann_matrix=om,
         k_list=raw.get("k_list", [2, 4]),
         grid_per_dim=raw.get("grid_per_dim"),
         seed=raw.get("seed", 0),
         output_dir=raw.get("output_dir", "out"),
     )
+    if args.subcommand in GRID_COMMANDS and cfg.grid_per_dim is None:
+        cfg.grid_per_dim = 8 * max(cfg.k_list)
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -317,6 +323,8 @@ RUNNERS = {
     "peak": lambda cfg, out, args: run_peak(cfg, out),
     "mirror": lambda cfg, out, args: run_mirror(cfg, out),
 }
+# the subcommands that read grid_per_dim; only they take --grid
+GRID_COMMANDS = ("gram", "amoeba", "converge")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--k", type=int, nargs="+", default=None)
         p.add_argument("--omega-file", default=None)
-        p.add_argument("--grid", type=int, default=None)
+        if name in GRID_COMMANDS:
+            p.add_argument("--grid", type=int, default=None)
         if name == "bs-count":
             p.add_argument("--cp1", action="store_true")
     return parser

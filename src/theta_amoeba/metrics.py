@@ -71,23 +71,17 @@ def gram_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def _metric_field(basis: ThetaBasis, gv: GaugeValue, weights=None) -> np.ndarray:
+def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
     """Pulled-back Fubini-Study metric from section values and d log Theta_k.
 
-    With p_i = w_i |s_i|_h^2 / f_k, the complex Hessian of log f_k is
+    With p_i = |s_i|_h^2 / f_k, the complex Hessian of log f_k is
     Cov_p(d log Theta_k(z; b_i)) - pi k (Im om)^{-1}, so the hermitian
     coefficient matrix of g_k is Cov_p / (pi k): positive semidefinite by
     construction. It maps to real 2n x 2n tensors in (x, y) through
-    dz = [Omega, I] d(x, y).
+    dz = [Omega, I] d(x, y). A section with log_mag -inf carries no weight.
     """
     om, k = basis.om, basis.k
     lw = 2.0 * gv.log_mag
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (basis.n_sections,):
-            raise ValueError("weights must have one entry per section")
-        with np.errstate(divide="ignore"):
-            lw = lw + np.log(w)[:, None]
     shift = lw.max(axis=0)
     with np.errstate(invalid="ignore"):
         e = np.exp(lw - shift)
@@ -114,24 +108,14 @@ def omega_k_field(basis: ThetaBasis, x, y):
     return _metric_field(basis, section_gauge_values(basis, x, y, dlog=True))
 
 
-def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid, scales=None) -> np.ndarray:
+def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     """Embedding mass matrix M_ij = int (s_i, s_j)_h / f against the
-    pulled-back volume form.
-
-    scales optionally rescales each section (negative control for the
-    balanced condition); the distortion and volume form follow the scaled
-    basis.
-    """
+    pulled-back volume form."""
     check_grid_resolution(basis, grid)
     gv = section_gauge_values(basis, grid.x, grid.y, dlog=True)
     v = gv.complex_values()
-    weights = None
-    if scales is not None:
-        scales = np.asarray(scales, dtype=float)
-        v = scales[:, None] * v
-        weights = scales**2
     f = np.einsum("im,im->m", v, v.conj()).real
-    gk = _metric_field(basis, gv, weights)
+    gk = _metric_field(basis, gv)
     # g_k may vanish at isolated nodes, where det is 0 up to roundoff
     vol = np.sqrt(np.maximum(np.linalg.det(gk), 0.0))
     m = np.einsum("im,jm,m->ij", v, v.conj(), vol / f) / grid.size

@@ -17,7 +17,7 @@ import numpy as np
 
 from .abelian import RiemannMatrix, _base_distance, base_metric, fiber_volume, z_to_xy
 from .errors import DegenerateSample, NonPositive
-from .metrics import gram_matrix, quadrature_grid
+from .metrics import quadrature_grid
 from .theta import (
     ZERO_FLOOR_LOG,
     GaugeValue,
@@ -54,25 +54,16 @@ def bs_points_cp1(k: int) -> BSFiberSet:
     return BSFiberSet(k=k, kind="cp1", points=pts)
 
 
-def sigma_section(
-    om: RiemannMatrix, k: int, i: int, x, norm_mode: str = "plain"
-) -> GaugeValue:
+def sigma_section(om: RiemannMatrix, k: int, i: int, x) -> GaugeValue:
     """Covariantly constant section over the i-th Bohr-Sommerfeld fiber.
 
-    In the unitary gauge its modulus is identically 1 (plain mode) or
-    1/sqrt(V) (unit mode, V the Riemannian fiber volume); the phase is
+    In the unitary gauge its modulus is identically 1 and its phase is
     pi k t(x) b_i.
     """
     b = theta_basis(om, k).b_points[i]
     x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, om.n)
     phase = np.pi * k * (x @ b)
-    if norm_mode == "plain":
-        lm = np.zeros_like(phase)
-    elif norm_mode == "unit":
-        lm = np.full_like(phase, -0.5 * np.log(fiber_volume(om)))
-    else:
-        raise ValueError(f"unknown norm_mode {norm_mode!r}")
-    return GaugeValue(log_mag=lm[None, :], phase=phase[None, :])
+    return GaugeValue(log_mag=np.zeros((1, phase.size)), phase=phase[None, :])
 
 
 def bergman_kernel(basis: ThetaBasis, x1, y1, x2, y2) -> np.ndarray:
@@ -85,17 +76,9 @@ def bergman_kernel(basis: ThetaBasis, x1, y1, x2, y2) -> np.ndarray:
     return np.einsum("im,im->m", v1, np.conj(v2))
 
 
-def fiber_coefficients(
-    basis: ThetaBasis,
-    i: int,
-    norm_mode: str = "unit",
-    measure: str = "riemannian",
-) -> np.ndarray:
-    """c_j = int over the i-th BS fiber of (sigma_i, s_j)_h.
-
-    measure "riemannian" uses the fiber volume element sqrt(det G_xx) dx;
-    "coordinate" uses plain dx.
-    """
+def fiber_coefficients(basis: ThetaBasis, i: int) -> np.ndarray:
+    """c_j = int over the i-th BS fiber of (sigma_i, s_j)_h dx, in the
+    coordinate measure dx with sigma_i of modulus 1."""
     om, k, n = basis.om, basis.k, basis.om.n
     m = max(16 * k, 32)
     axes = np.meshgrid(*([np.arange(m) / m] * n), indexing="ij")
@@ -103,9 +86,8 @@ def fiber_coefficients(
     b = basis.b_points[i]
     yg = np.broadcast_to(b, xg.shape)
     s_vals = section_gauge_values(basis, xg, yg).complex_values()
-    sig = sigma_section(om, k, i, xg, norm_mode=norm_mode).complex_values()[0]
-    weight = fiber_volume(om) if measure == "riemannian" else 1.0
-    return weight * (np.conj(s_vals) @ sig) / xg.shape[0]
+    sig = sigma_section(om, k, i, xg).complex_values()[0]
+    return (np.conj(s_vals) @ sig) / xg.shape[0]
 
 
 @dataclass(frozen=True)
@@ -131,11 +113,11 @@ def berg_reconstruct(
 ) -> ReconstructionResult:
     """Ratio of the fiber-integrated kernel to the i-th section.
 
-    Computes int over the BS fiber of Pi_k(z, x) sigma_i(x) dx (coordinate
-    measure, plain-normalized sigma) at each sample z and divides by
+    Computes int over the BS fiber of Pi_k(z, x) sigma_i(x) dx at each
+    sample z (the coefficients of fiber_coefficients) and divides by
     s_i(z); the proposition predicts a z-independent constant.
     """
-    c = fiber_coefficients(basis, i, norm_mode="plain", measure="coordinate")
+    c = fiber_coefficients(basis, i)
     x, y = _as_points(sample_x, sample_y, basis.om.n)
     vals = section_gauge_values(basis, x, y)
     if np.any(vals.log_mag[i] < ZERO_FLOOR_LOG):
@@ -171,17 +153,19 @@ class PeakSectionDiagnostics:
 def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     """Peak sections from fiber projections of the exact Bergman kernel.
 
-    s~_i = (k/2pi)^{-n/4} sum_j c_ij s_j with c_ij the unit-mode fiber
-    integrals; on a flat torus each s~_i is exactly proportional to s_i,
-    so all the asymptotic statements can be checked against that oracle.
+    s~_i = kappa sum_j c_ij s_j with c_ij = sqrt(V) fiber_coefficients: the
+    fiber integrals of the unit-normalized sigma_i in the Riemannian fiber
+    measure, V the fiber volume. On a flat torus each s~_i is exactly
+    proportional to s_i, so all the asymptotic statements can be checked
+    against that oracle.
     """
     basis = theta_basis(om, k)
     n = om.n
     # the analogue of (k/2pi)^{-n/4} in this curvature normalization: the
-    # reciprocal of the limiting fiber-projection coefficient C k^{n/4}
-    kappa = np.exp(-basis.log_c_omega - 0.25 * n * np.log(k))
-    c = np.stack(
-        [fiber_coefficients(basis, i, norm_mode="unit") for i in range(basis.n_sections)]
+    # reciprocal of the limiting fiber-projection coefficient |c_ii| = (2k)^{n/4}
+    kappa = (2.0 * k) ** (-0.25 * n)
+    c = np.sqrt(fiber_volume(om)) * np.stack(
+        [fiber_coefficients(basis, i) for i in range(basis.n_sections)]
     )
 
     # (a) proportionality: mass of row i away from entry i
@@ -189,21 +173,19 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     diag_sq = np.abs(np.diag(c)) ** 2
     prop_res = float(np.sqrt(np.max(1.0 - diag_sq / row_norm_sq)))
 
-    # (b) Gram of the peak sections through the quadrature Gram of the basis
+    sv = np.linalg.svd(c, compute_uv=False)
+    cond = float(sv[0] / sv[-1])
+
+    # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n, from one
+    # evaluation of the sections on the quadrature grid
     grid = quadrature_grid(n, max(8 * k, 16))
-    gram = gram_matrix(basis, grid)
-    gram_peak = kappa**2 * (c @ gram @ c.conj().T)
+    v = section_gauge_values(basis, grid.x, grid.y).complex_values()
+    tilde = kappa * (c @ v)
+    gram_peak = (tilde @ tilde.conj().T) / grid.size
     dg = np.sqrt(np.abs(np.diag(gram_peak)))
     normalized = gram_peak / np.outer(dg, dg)
     off = np.abs(normalized - np.diag(np.diag(normalized)))
     gram_off = float(off.max())
-
-    sv = np.linalg.svd(c, compute_uv=False)
-    cond = float(sv[0] / sv[-1])
-
-    # (d) pointwise band of sum |s~|^2 / k^n
-    v = section_gauge_values(basis, grid.x, grid.y).complex_values()
-    tilde = kappa * (c @ v)
     band = np.einsum("im,im->m", tilde, np.conj(tilde)).real / k**n
 
     # (e) decay of s~_0 along the base, against squared base distance

@@ -313,13 +313,13 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     return base_lm[None, :] + lm[inverse].reshape(basis.n_sections, z.shape[0])
 
 
-def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed", weights=None):
-    """Density f_k = sum_i w_i |s_i|_h^2 of the coherent-state distortion.
+def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):
+    """Density f_k = sum_i |s_i|_h^2 of the coherent-state distortion.
 
-    mode "direct" sums the gauge norms section by section and accepts
-    per-section weights. mode "closed" sums the full (unweighted) basis in
-    closed form: the b-sum forces the lattice indices l, l' of Theta_k and
-    its conjugate to agree mod k, so with l' = l - k q, L = (l, q) in Z^{2n},
+    mode "direct" sums the gauge norms section by section. mode "closed"
+    sums the basis in closed form: the b-sum forces the lattice indices
+    l, l' of Theta_k and its conjugate to agree mod k, so with
+    l' = l - k q, L = (l, q) in Z^{2n},
       f_k = C^2 k^{n/2} e^{-2 pi k tx T x} Re theta(Omega_2, zeta),
       Omega_2 = [[0, 1], [1, -k]] (x) S + i [[2/k, -1], [-1, k]] (x) T,
       zeta = (z - zbar, k zbar),
@@ -330,17 +330,9 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed", weights=None):
     om, k, n = basis.om, basis.k, basis.om.n
     x, y = _as_points(x, y, n)
     if mode == "direct":
-        sq = section_gauge_values(basis, x, y).norm_sq()
-        if weights is None:
-            return sq.sum(axis=0)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (basis.n_sections,):
-            raise ValueError("weights must have one entry per section")
-        return w @ sq
+        return section_gauge_values(basis, x, y).norm_sq().sum(axis=0)
     if mode != "closed":
         raise ValueError(f"unknown distortion mode {mode!r}")
-    if weights is not None:
-        raise ValueError("closed mode supports only the unweighted density")
     x = x - np.round(k * x) / k
     y = y - np.round(k * y) / k
     z = xy_to_z(x, y, om)

@@ -59,6 +59,20 @@ def test_validate_rejects_indefinite_imaginary_part():
         validate_riemann_matrix(np.diag([1j, -1j]))
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[np.nan + 1j]],
+        [[1j * np.inf]],
+        [[1j, np.nan], [np.nan, 2j]],
+    ],
+    ids=["nan-real", "inf-imag", "nan-offdiagonal"],
+)
+def test_validate_rejects_non_finite_entries(raw):
+    with pytest.raises(NotSymmetric, match="non-finite"):
+        validate_riemann_matrix(raw)
+
+
 def test_json_loader_roundtrip(tmp_path):
     path = tmp_path / "om.json"
     path.write_text(

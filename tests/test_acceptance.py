@@ -39,7 +39,7 @@ from theta_amoeba.quantization import (
     bsz_comparison,
     peak_section_suite,
 )
-from theta_amoeba.theta import distortion_fk, theta_char, theta_basis
+from theta_amoeba.theta import ThetaBasis, distortion_fk, theta_basis, theta_char
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
@@ -77,7 +77,10 @@ def test_accept_03_balanced_condition():
     m = balanced_matrix(basis, grid)
     tr = m.trace().real / 3
     assert np.max(np.abs(m - tr * np.eye(3))) / tr < 1e-5
-    m_bad = balanced_matrix(basis, grid, scales=np.array([1.0, 1.4, 0.7]))
+    # negative control: three of the four level-4 sections are not balanced
+    # (two of them are, to roundoff)
+    partial = ThetaBasis(om=GENERIC, k=4, indices=theta_basis(GENERIC, 4).indices[:3])
+    m_bad = balanced_matrix(partial, quadrature_grid(1, 32))
     tr_bad = m_bad.trace().real / 3
     assert np.max(np.abs(m_bad - tr_bad * np.eye(3))) / tr_bad > 0.1
 

@@ -107,6 +107,38 @@ def test_omega_file_flag(capsys, tmp_path):
     assert json.loads(out)["results"]["2"]["gram_max_dev"] < 1e-8
 
 
+def test_non_finite_omega_is_typed_error(capsys, tmp_path):
+    om = tmp_path / "omega.json"
+    om.write_text('{"n": 1, "re": [[NaN]], "im": [[1.0]]}')
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "gram", "--k", "2", "--omega-file", str(om), "--out", str(out))
+    assert code == 1
+    assert json.loads(err)["error"] == "NotSymmetric"
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", ["theta-eval", "bs-count", "peak", "mirror"])
+def test_grid_flag_only_where_read(capsys, tmp_path, name):
+    # --grid is an argparse error (exit 2) on subcommands that never read it
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--k", "2", "--grid", "16", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["theta-eval", "bs-count", "peak", "mirror"])
+def test_grid_config_key_only_where_read(capsys, tmp_path, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_list": [2], "grid_per_dim": 16}))
+    out = tmp_path / "o"
+    code, _, err = run(capsys, name, "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "grid_per_dim" in payload["message"]
+    assert not out.exists()
+
+
 def test_manifest_references_every_file(capsys, tmp_path):
     code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path))
     assert code == 0

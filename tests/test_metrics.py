@@ -21,6 +21,7 @@ from theta_amoeba.metrics import (
 )
 from theta_amoeba.theta import (
     GaugeValue,
+    ThetaBasis,
     distortion_fk,
     section_gauge_values,
     theta_basis,
@@ -81,10 +82,11 @@ def test_balanced_is_scalar_matrix():
 
 
 def test_balanced_detects_perturbed_basis():
-    basis = theta_basis(SQUARE, 4)
-    m = balanced_matrix(basis, grid_for(4), scales=[2.0, 1.0, 1.0, 1.0])
-    c = np.trace(m).real / 4
-    assert np.max(np.abs(m - c * np.eye(4))) / c > 0.1
+    # dropping one of the four level-4 sections unbalances the embedding
+    basis = ThetaBasis(om=SQUARE, k=4, indices=theta_basis(SQUARE, 4).indices[:3])
+    m = balanced_matrix(basis, grid_for(4))
+    c = np.trace(m).real / 3
+    assert np.max(np.abs(m - c * np.eye(3))) / c > 0.1
 
 
 def test_omega_k_definiteness_on_grid():
@@ -112,7 +114,6 @@ def fd_hessian_log_fk(basis, x, y, h=1e-3, weights=None):
     """Oracle: complex Hessian of log f_k in z, by Richardson-extrapolated
     central differences over the real and imaginary z directions."""
     om, n = basis.om, basis.om.n
-    mode = "closed" if weights is None else "direct"
     dirs = [np.eye(n)[j] + 0.0j for j in range(n)] + [1j * np.eye(n)[j] for j in range(n)]
 
     def second_derivs(hh):
@@ -133,7 +134,10 @@ def fd_hessian_log_fk(basis, x, y, h=1e-3, weights=None):
         dy = dz.real - dx @ om.re.T
         xs = (x[:, None, :] + dx[None, :, :]).reshape(-1, n)
         ys = (y[:, None, :] + dy[None, :, :]).reshape(-1, n)
-        fk = distortion_fk(basis, xs, ys, mode=mode, weights=weights)
+        if weights is None:
+            fk = distortion_fk(basis, xs, ys)
+        else:
+            fk = weights @ section_gauge_values(basis, xs, ys).norm_sq()
         f = np.log(fk).reshape(x.shape[0], len(disp))
         d = np.empty((x.shape[0], 2 * n, 2 * n))
         for r in range(2 * n):
@@ -165,9 +169,17 @@ def fd_metric_field(basis, x, y, weights=None):
     return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
+def weighted(gv, weights):
+    """gv with section i scaled by sqrt(w_i): its log_mag shifted by log(w_i) / 2."""
+    with np.errstate(divide="ignore"):
+        shift = 0.5 * np.log(weights)[:, None]
+    return GaugeValue(gv.log_mag + shift, gv.phase, gv.dlog)
+
+
 def assert_matches_fd(basis, x, y, weights=None):
     # compare on the Hessian scale: g_k carries a factor 1 / (pi k)
-    g = _metric_field(basis, section_gauge_values(basis, x, y, dlog=True), weights)
+    gv = section_gauge_values(basis, x, y, dlog=True)
+    g = _metric_field(basis, gv if weights is None else weighted(gv, weights))
     g_fd = fd_metric_field(basis, x, y, weights=weights)
     assert np.max(np.abs(g - g_fd)) * np.pi * basis.k <= 1e-8
 
@@ -242,7 +254,7 @@ def test_metric_field_with_injected_exact_zero():
     dlog[1, 2:4] = np.nan
     g = _metric_field(basis, GaugeValue(log_mag, gv.phase, dlog))
     assert_psd(g)
-    g_w = _metric_field(basis, gv, weights=np.array([1.0, 0.0, 1.0]))
+    g_w = _metric_field(basis, weighted(gv, np.array([1.0, 0.0, 1.0])))
     np.testing.assert_array_equal(g[2:4], g_w[2:4])
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from theta_amoeba import DegenerateSample, NonPositive
-from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
+from theta_amoeba import DegenerateSample, NonPositive, metrics, quantization, theta
+from theta_amoeba.abelian import fiber_volume, validate_riemann_matrix, xy_to_z
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.quantization import (
     berg_reconstruct,
@@ -78,18 +78,9 @@ def test_cp1_count(k):
 
 def test_sigma_modulus_constant_along_fiber():
     xg = np.linspace(0.0, 1.0, 64, endpoint=False).reshape(-1, 1)
-    gv = sigma_section(GENERIC, 4, 1, xg, norm_mode="plain")
+    gv = sigma_section(GENERIC, 4, 1, xg)
     mags = np.exp(gv.log_mag[0])
     assert mags.std() / mags.mean() < 1e-9
-
-
-def test_sigma_unit_mode_fiber_norm():
-    from theta_amoeba.abelian import fiber_volume
-
-    xg = np.linspace(0.0, 1.0, 64, endpoint=False).reshape(-1, 1)
-    gv = sigma_section(GENERIC, 3, 0, xg, norm_mode="unit")
-    integral = np.mean(np.exp(2.0 * gv.log_mag[0])) * fiber_volume(GENERIC)
-    assert integral == pytest.approx(1.0, abs=1e-8)
 
 
 def test_sigma_covariantly_constant_oracle():
@@ -118,12 +109,12 @@ def test_sigma_gauge_value_matches_classical_oracle():
     z = xg @ om.omega.T + b
     quad = np.einsum("mi,ij,mj->m", z, om.im_inv, np.conj(z)).real
     oracle = sigma_holomorphic(om, k, b, xg) * np.exp(-0.5 * np.pi * k * quad)
-    ours = sigma_section(om, k, i, xg, norm_mode="plain").complex_values()[0]
+    ours = sigma_section(om, k, i, xg).complex_values()[0]
     assert np.allclose(ours, oracle, rtol=1e-10)
 
 
 def test_sigma_value_at_origin():
-    gv = sigma_section(GENERIC, 5, 2, np.zeros((1, 1)), norm_mode="plain")
+    gv = sigma_section(GENERIC, 5, 2, np.zeros((1, 1)))
     assert gv.log_mag[0, 0] == 0.0
     assert gv.phase[0, 0] == 0.0
 
@@ -195,14 +186,24 @@ def test_reconstruction_matches_printed_constant_square_torus():
     )
 
 
-def test_reconstruction_linearity():
-    basis = theta_basis(SQUARE, 2)
-    c1 = fiber_coefficients(basis, 1, norm_mode="plain", measure="coordinate")
-    c2 = fiber_coefficients(basis, 1, norm_mode="unit", measure="coordinate")
-    # unit mode rescales sigma by 1/sqrt(V) = 1 here; doubling the section
-    # doubles every coefficient
-    assert np.allclose(2.0 * c1, 2.0 * c1 + 0.0)
-    assert np.allclose(c1, c2, atol=1e-14)
+@pytest.mark.parametrize(
+    "om, k",
+    [
+        (GENERIC, 8),
+        (GENERIC, 16),
+        (validate_riemann_matrix(np.diag([1.5j, 0.8j]) + 0.0), 3),
+        (validate_riemann_matrix([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]]), 3),
+    ],
+    ids=["generic-8", "generic-16", "diag-3", "coupled-3"],
+)
+def test_fiber_projection_diagonal_coefficient(om, k):
+    # in the unit normalization (sigma of fiber norm 1, Riemannian measure)
+    # |c_ii| is (2k)^{n/4} whatever Omega is; peak_section_suite's kappa is
+    # its reciprocal
+    basis = theta_basis(om, k)
+    for i in (0, basis.n_sections - 1):
+        c_ii = abs(fiber_coefficients(basis, i)[i]) * np.sqrt(fiber_volume(om))
+        assert c_ii == pytest.approx((2.0 * k) ** (om.n / 4.0), rel=1e-12)
 
 
 def test_reconstruction_rejects_zero_locus():
@@ -229,6 +230,32 @@ def test_peak_band_tightens():
     d16 = peak_section_suite(SQUARE, 16)
     assert 0.9 < d8.band_min <= d8.band_max < 1.1
     assert d16.band_max - d16.band_min < d8.band_max - d8.band_min
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.2j, 2j])
+def test_peak_band_tends_to_one_off_unit_determinant(tau):
+    # sum |s~_i|^2 / k^n tends to 1 for every Omega, not det(Im Omega)^{-1/2};
+    # a missing or doubled sqrt(V) moves it by a factor V^{+-1}
+    d = peak_section_suite(validate_riemann_matrix([[tau]]), 16)
+    assert abs(d.band_min - 1.0) < 1e-3 and abs(d.band_max - 1.0) < 1e-3
+
+
+def test_peak_suite_evaluates_grid_once(monkeypatch):
+    # the Gram and the band of the peak sections come from one evaluation
+    # of the sections on the max(8k, 16)^{2n} quadrature grid
+    sizes = []
+
+    def counted(basis, x, y, dlog=False):
+        sizes.append(np.shape(x)[0])
+        return section_gauge_values(basis, x, y, dlog=dlog)
+
+    # every module binding, so a second route through metrics counts too
+    for module in (theta, metrics, quantization):
+        monkeypatch.setattr(module, "section_gauge_values", counted)
+    for k in (2, 4):
+        sizes.clear()
+        peak_section_suite(SQUARE, k)
+        assert sizes.count(max(8 * k, 16) ** 2) == 1
 
 
 def test_peak_decay_regression():

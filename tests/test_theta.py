@@ -322,17 +322,6 @@ def test_distortion_closed_matches_direct_n2():
         assert np.allclose(closed, direct, rtol=1e-9), k
 
 
-def test_distortion_weighted_direct():
-    rm = validate_riemann_matrix([[1j]])
-    basis = theta_basis(rm, 3)
-    x = np.array([[0.4]])
-    y = np.array([[0.1]])
-    sq = section_gauge_values(basis, x, y).norm_sq()[:, 0]
-    w = np.array([1.0, 2.0, 0.5])
-    val = distortion_fk(basis, x, y, mode="direct", weights=w)
-    assert val[0] == pytest.approx(w @ sq, rel=1e-12)
-
-
 def test_distortion_mean_is_total_sections():
     # integral of f_k over X equals k^n when the Gram matrix is near identity
     rm = validate_riemann_matrix([[1j]])
