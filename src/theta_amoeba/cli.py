@@ -2,10 +2,11 @@
 
 Subcommands cover point evaluation, Gram and balanced matrices, fiber
 enumeration, amoeba export, the convergence sweep, the peak-section and
-near-diagonal kernel suites, and the mirror two-torus example.  Every run
-writes a manifest listing all produced files; data artifacts are
-byte-reproducible for a fixed config and seed (the manifest itself carries
-wall-clock timings, so it is the one file allowed to differ between runs).
+near-diagonal kernel suites, and the mirror two-torus example.  Runners only
+compute; main writes their tables, summary.json and a manifest listing
+exactly those files.  Data artifacts are byte-reproducible for a fixed
+config and seed (the manifest itself carries wall-clock timings, so it is
+the one file allowed to differ between runs).
 """
 
 from __future__ import annotations
@@ -135,16 +136,12 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
-def write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def write_csv(path: Path, header: list, table: np.ndarray) -> None:
+    """The header, then each row of table: numbers as %.17g, which reads
+    back to the same double, and objects (bs-count's Fractions) as str."""
+    cell = "%.17g" if np.issubdtype(table.dtype, np.number) else "%s"
+    row = ",".join([cell] * table.shape[1])
+    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -163,9 +160,11 @@ def _cap_threads() -> int | None:
     if raw is None:
         return None
     try:
-        limit = max(1, int(raw))
+        limit = int(raw)
     except ValueError:
-        raise ConfigError(f"THETA_AMOEBA_THREADS must be an integer, got {raw!r}")
+        limit = 0  # refused below with the same message
+    if limit < 1:
+        raise ConfigError(f"THETA_AMOEBA_THREADS must be a positive integer, got {raw!r}")
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
@@ -177,34 +176,33 @@ def _cap_threads() -> int | None:
     return limit
 
 
-def run_theta_eval(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
+def run_theta_eval(cfg: ExperimentConfig) -> tuple[dict, dict]:
     om = cfg.riemann_matrix
-    rows = []
+    blocks = []
     for k in cfg.k_list:
         basis = theta_basis(om, k)
         grid = quadrature_grid(om.n, 8)
         gv = section_gauge_values(basis, grid.x, grid.y)
-        for i in range(basis.n_sections):
-            for m in range(grid.size):
-                rows.append(
-                    [k, i]
-                    + [float(v) for v in grid.x[m]]
-                    + [float(v) for v in grid.y[m]]
-                    + [float(gv.log_mag[i, m]), float(gv.phase[i, m])]
-                )
+        i, m = np.divmod(np.arange(gv.log_mag.size), grid.size)
+        blocks.append(
+            np.column_stack(
+                [np.full(i.size, k), i, grid.x[m], grid.y[m]]
+                + [gv.log_mag.ravel(), gv.phase.ravel()]
+            )
+        )
     header = (
         ["k", "section"]
         + [f"x{d}" for d in range(om.n)]
         + [f"y{d}" for d in range(om.n)]
         + ["log_mag", "phase"]
     )
-    write_csv(out / "theta_eval.csv", header, rows)
-    return {"points_per_level": 8 ** (2 * om.n)}, ["theta_eval.csv"]
+    summary = {"points_per_level": 8 ** (2 * om.n)}
+    return summary, {"theta_eval.csv": (header, np.concatenate(blocks))}
 
 
-def run_gram(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
+def run_gram(cfg: ExperimentConfig) -> tuple[dict, dict]:
     om = cfg.riemann_matrix
-    rows, summary = [], {}
+    blocks, summary = [], {}
     for k in cfg.k_list:
         basis = theta_basis(om, k)
         grid = quadrature_grid(om.n, cfg.grid_per_dim)
@@ -216,60 +214,51 @@ def run_gram(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
             np.max(np.abs(bal - tr * np.eye(basis.n_sections))) / tr
         )
         summary[str(k)] = {"gram_max_dev": gram_dev, "balanced_rel_dev": bal_dev}
-        for i in range(basis.n_sections):
-            for j in range(basis.n_sections):
-                rows.append([k, i, j, float(gram[i, j].real), float(gram[i, j].imag)])
-    write_csv(out / "gram.csv", ["k", "i", "j", "re", "im"], rows)
-    return summary, ["gram.csv"]
+        i, j = np.divmod(np.arange(gram.size), len(gram))
+        blocks.append(
+            np.column_stack([np.full(i.size, k), i, j, gram.real.ravel(), gram.imag.ravel()])
+        )
+    return summary, {"gram.csv": (["k", "i", "j", "re", "im"], np.concatenate(blocks))}
 
 
-def run_bs_count(cfg: ExperimentConfig, out: Path, cp1: bool) -> tuple[dict, list]:
-    rows, summary = [], {}
+def run_bs_count(cfg: ExperimentConfig, cp1: bool) -> tuple[dict, dict]:
+    blocks, summary = [], {}
     for k in cfg.k_list:
-        if cp1:
-            fs = bs_points_cp1(k)
-            pts = [(p,) for p in fs.points]
-        else:
-            fs = bs_fibers_abelian(cfg.riemann_matrix, k)
-            pts = fs.points
-        summary[str(k)] = {"kind": fs.kind, "count": len(pts)}
-        for idx, p in enumerate(pts):
-            rows.append([k, idx] + [str(c) for c in p])
+        fs = bs_points_cp1(k) if cp1 else bs_fibers_abelian(cfg.riemann_matrix, k)
+        count = len(fs.points)
+        summary[str(k)] = {"kind": fs.kind, "count": count}
+        points = np.array(fs.points, dtype=object).reshape(count, -1)
+        blocks.append(np.column_stack([np.full(count, k), np.arange(count), points]))
     dim = 1 if cp1 else cfg.riemann_matrix.n
     header = ["k", "index"] + [f"b{d}" for d in range(dim)]
-    write_csv(out / "bs_count.csv", header, rows)
-    return summary, ["bs_count.csv"]
+    return summary, {"bs_count.csv": (header, np.concatenate(blocks))}
 
 
-def run_amoeba(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
+def run_amoeba(cfg: ExperimentConfig) -> tuple[dict, dict]:
     om = cfg.riemann_matrix
-    rows, summary = [], {}
+    blocks, summary = [], {}
     for k in cfg.k_list:
         basis = theta_basis(om, k)
         grid = quadrature_grid(om.n, cfg.grid_per_dim)
         sample = amoeba_sample(basis, grid)
         summary[str(k)] = {"points": sample.size}
-        for m in range(sample.size):
-            for comp in range(sample.xi.shape[1]):
-                rows.append([k, m, comp, float(sample.xi[m, comp])])
-    write_csv(out / "amoeba.csv", ["k", "point", "component", "xi"], rows)
-    return summary, ["amoeba.csv"]
+        m, comp = np.divmod(np.arange(sample.xi.size), sample.xi.shape[1])
+        blocks.append(np.column_stack([np.full(m.size, k), m, comp, sample.xi.ravel()]))
+    header = ["k", "point", "component", "xi"]
+    return summary, {"amoeba.csv": (header, np.concatenate(blocks))}
 
 
-def run_converge(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
+def run_converge(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = convergence_suite(
         cfg.riemann_matrix, cfg.k_list, cfg.grid_per_dim, seed=cfg.seed
     )
-    rows = []
     names = sorted(report.rows)
-    for idx, k in enumerate(report.ks):
-        rows.append([k] + [float(report.rows[name][idx]) for name in names])
-    write_csv(out / "converge.csv", ["k"] + names, rows)
+    table = np.column_stack([report.ks] + [report.rows[name] for name in names])
     summary = {
         "slopes": {name: report.slopes[name] for name in sorted(report.slopes)},
         "notes": report.notes,
     }
-    return summary, ["converge.csv"]
+    return summary, {"converge.csv": (["k"] + names, table)}
 
 
 _PEAK_COLUMNS = [
@@ -283,7 +272,7 @@ _PEAK_COLUMNS = [
 ]
 
 
-def run_peak(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
+def run_peak(cfg: ExperimentConfig) -> tuple[dict, dict]:
     om = cfg.riemann_matrix
     rows, summary = [], {}
     for k in cfg.k_list:
@@ -291,37 +280,34 @@ def run_peak(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
         bsz_err = bsz_comparison(om, k, seed=cfg.seed)
         rows.append([k] + [getattr(d, name) for name in _PEAK_COLUMNS] + [bsz_err])
         summary[str(k)] = {"band": [d.band_min, d.band_max], "bsz_rel_err": bsz_err}
-    write_csv(out / "peak.csv", ["k"] + _PEAK_COLUMNS + ["bsz_rel_err"], rows)
-    return summary, ["peak.csv"]
+    header = ["k"] + _PEAK_COLUMNS + ["bsz_rel_err"]
+    return summary, {"peak.csv": (header, np.array(rows))}
 
 
-def run_mirror(cfg: ExperimentConfig, out: Path) -> tuple[dict, list]:
-    taus = [1j, 0.5 + 1j, 2j]
+def run_mirror(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rows = []
-    for tau in taus:
+    for tau in [1j, 0.5 + 1j, 2j]:
         b0 = triangle_coefficient(tau, "b0")
         b1 = triangle_coefficient(tau, "b1")
         u, v = np.meshgrid(np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10))
         resid = addition_formula_residual(tau, (u + tau * v).ravel())
         rows.append([tau.real, tau.imag, b0.real, b0.imag, b1.real, b1.imag, resid])
-    write_csv(
-        out / "mirror.csv",
-        ["tau_re", "tau_im", "b0_re", "b0_im", "b1_re", "b1_im", "addition_residual"],
-        rows,
-    )
+    header = ["tau_re", "tau_im", "b0_re", "b0_im", "b1_re", "b1_im", "addition_residual"]
     counts = {str(k): intersection_count_vs_dimension(k)[0] for k in cfg.k_list}
-    return {"intersection_counts": counts}, ["mirror.csv"]
+    return {"intersection_counts": counts}, {"mirror.csv": (header, np.array(rows))}
 
 
-# subcommand -> runner(cfg, out, args); the parser and main both read it
+# subcommand -> runner(cfg), bs-count's with --cp1 as well. A runner only
+# computes: it returns (summary, tables), tables mapping a CSV name to
+# (header, 2-D array), and main writes them. The parser and main read this.
 RUNNERS = {
-    "theta-eval": lambda cfg, out, args: run_theta_eval(cfg, out),
-    "gram": lambda cfg, out, args: run_gram(cfg, out),
-    "bs-count": lambda cfg, out, args: run_bs_count(cfg, out, args.cp1),
-    "amoeba": lambda cfg, out, args: run_amoeba(cfg, out),
-    "converge": lambda cfg, out, args: run_converge(cfg, out),
-    "peak": lambda cfg, out, args: run_peak(cfg, out),
-    "mirror": lambda cfg, out, args: run_mirror(cfg, out),
+    "theta-eval": run_theta_eval,
+    "gram": run_gram,
+    "bs-count": run_bs_count,
+    "amoeba": run_amoeba,
+    "converge": run_converge,
+    "peak": run_peak,
+    "mirror": run_mirror,
 }
 # the subcommands that read grid_per_dim; only they take --grid
 GRID_COMMANDS = ("gram", "amoeba", "converge")
@@ -355,10 +341,14 @@ def main(argv=None) -> int:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        summary, files = RUNNERS[args.subcommand](cfg, out, args)
+        runner = RUNNERS[args.subcommand]
+        cp1 = getattr(args, "cp1", False)
+        summary, tables = runner(cfg, cp1) if runner is run_bs_count else runner(cfg)
+        for name, (header, table) in tables.items():
+            write_csv(out / name, header, table)
         elapsed = time.monotonic() - start
-        write_json(out / "summary.json", {"subcommand": args.subcommand, "results": summary})
-        files = files + ["summary.json"]
+        results = {"subcommand": args.subcommand, "results": summary}
+        write_json(out / "summary.json", results)
         write_json(
             out / "manifest.json",
             {
@@ -372,15 +362,16 @@ def main(argv=None) -> int:
                 },
                 "wall_time_seconds": elapsed,
                 "thread_cap": thread_cap,
-                "files": sorted(files + ["manifest.json"]),
+                "files": sorted([*tables, "summary.json", "manifest.json"]),
             },
         )
-        if args.subcommand == "bs-count" and args.cp1:
+        if cp1:
+            _, table = tables["bs_count.csv"]
             for k in cfg.k_list:
-                pts = ", ".join(str(p) for p in bs_points_cp1(k).points)
+                pts = ", ".join(str(b) for b in table[table[:, 0] == k, 2])
                 print(f"k={k}: {pts}")
         else:
-            print(json.dumps({"subcommand": args.subcommand, "results": summary}, sort_keys=True))
+            print(json.dumps(results, sort_keys=True))
         return 0
     except ThetaAmoebaError as exc:
         print(

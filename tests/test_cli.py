@@ -2,10 +2,16 @@ import json
 import os
 import sys
 import types
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from theta_amoeba.cli import main
+from theta_amoeba.abelian import validate_riemann_matrix
+from theta_amoeba.amoeba import amoeba_sample
+from theta_amoeba.cli import ExperimentConfig, main, run_amoeba, run_theta_eval, write_csv
+from theta_amoeba.metrics import quadrature_grid
+from theta_amoeba.theta import section_gauge_values, theta_basis
 
 
 def run(capsys, *argv):
@@ -198,10 +204,12 @@ def fake_threadpoolctl(monkeypatch):
 
 def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
     limits = fake_threadpoolctl(monkeypatch)
-    monkeypatch.setenv("THETA_AMOEBA_THREADS", "many")
-    code, _, err = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
-    assert code != 0
-    assert json.loads(err)["error"] == "ConfigError"
+    for raw in ("many", "0", "-2"):
+        monkeypatch.setenv("THETA_AMOEBA_THREADS", raw)
+        code, _, err = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
+        assert code != 0
+        assert json.loads(err)["error"] == "ConfigError"
+    assert limits == []
     monkeypatch.setenv("THETA_AMOEBA_THREADS", "1")
     code, _, _ = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
     assert code == 0
@@ -231,6 +239,70 @@ def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads((tmp_path / "b" / "manifest.json").read_text())["thread_cap"] == 2
     assert limits == [2]
+
+
+def test_runner_tables_match_row_loops():
+    # the column-built tables hold the rows the per-cell loops produced
+    om = validate_riemann_matrix([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 0.3 + 1.2j]])
+    cfg = ExperimentConfig(riemann_matrix=om, k_list=[1, 2], grid_per_dim=16)
+    rows = []
+    for k in cfg.k_list:
+        grid = quadrature_grid(2, 8)
+        gv = section_gauge_values(theta_basis(om, k), grid.x, grid.y)
+        for i in range(k**2):
+            for m in range(grid.size):
+                rows.append([k, i, *grid.x[m], *grid.y[m], gv.log_mag[i, m], gv.phase[i, m]])
+    header, table = run_theta_eval(cfg)[1]["theta_eval.csv"]
+    assert header == ["k", "section", "x0", "x1", "y0", "y1", "log_mag", "phase"]
+    assert np.array_equal(table, np.array(rows))
+    square = validate_riemann_matrix([[1j]])
+    cfg = ExperimentConfig(riemann_matrix=square, k_list=[2, 3], grid_per_dim=24)
+    rows = []
+    for k in cfg.k_list:
+        xi = amoeba_sample(theta_basis(square, k), quadrature_grid(1, 24)).xi
+        for m in range(xi.shape[0]):
+            for comp in range(xi.shape[1]):
+                rows.append([k, m, comp, xi[m, comp]])
+    _, table = run_amoeba(cfg)[1]["amoeba.csv"]
+    assert np.array_equal(table, np.array(rows))
+
+
+def test_write_csv_exact_text(tmp_path):
+    # one %.17g rule for numeric tables, str for tables of objects
+    numbers = np.array([[3, 0.1, 1 / 3, -0.0], [1e-300, -np.inf, 2.0**53, 0.5]])
+    write_csv(tmp_path / "numbers.csv", ["a", "b", "c", "d"], numbers)
+    assert (tmp_path / "numbers.csv").read_text() == (
+        "a,b,c,d\n"
+        "3,0.10000000000000001,0.33333333333333331,-0\n"
+        "1e-300,-inf,9007199254740992,0.5\n"
+    )
+    text = np.array([[3, 0, Fraction(-1, 3)], [3, 1, Fraction(1)]], dtype=object)
+    write_csv(tmp_path / "text.csv", ["k", "index", "b0"], text)
+    assert (tmp_path / "text.csv").read_text() == "k,index,b0\n3,0,-1/3\n3,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, csv, stdout",
+    [
+        (
+            [],
+            "k,index,b0\n3,0,0\n3,1,1/3\n3,2,2/3\n",
+            '{"results": {"3": {"count": 3, "kind": "abelian"}}, "subcommand": "bs-count"}\n',
+        ),
+        (
+            ["--cp1"],
+            "k,index,b0\n3,0,-1\n3,1,-1/3\n3,2,1/3\n3,3,1\n",
+            "k=3: -1, -1/3, 1/3, 1\n",
+        ),
+    ],
+)
+def test_bs_count_exact_artifacts(capsys, tmp_path, flags, csv, stdout):
+    code, out, _ = run(capsys, "bs-count", "--k", "3", *flags, "--out", str(tmp_path))
+    assert code == 0
+    assert out == stdout
+    assert (tmp_path / "bs_count.csv").read_text() == csv
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["files"] == ["bs_count.csv", "manifest.json", "summary.json"]
 
 
 def test_seventeen_digit_floats(capsys, tmp_path):

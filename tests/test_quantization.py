@@ -219,6 +219,14 @@ def test_peak_sections_proportional_to_basis():
     assert d.change_of_basis_cond < 1.0 + 1e-4
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_peak_proportionality_resolves_roundoff(k):
+    # c is diagonal to roundoff here; 1 - |c_ii|^2/|c_i|^2 read ~1.5e-8
+    # (sqrt(eps)), the off-diagonal mass reads ~1e-15
+    d = peak_section_suite(validate_riemann_matrix([[0.3 + 1.2j]]), k)
+    assert d.proportionality_residual < 1e-12
+
+
 def test_peak_gram_asymptotically_orthonormal():
     for k in (2, 4, 8):
         d = peak_section_suite(SQUARE, k)
