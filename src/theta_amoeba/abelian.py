@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class TorusPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", reduce_mod1(self.x))
         object.__setattr__(self, "y", reduce_mod1(self.y))
-
-
-@dataclass(frozen=True)
-class BaseMetric:
-    """Riemannian-submersion quotient metric on the base torus X^-."""
-
-    q: np.ndarray
 
 
 def reduce_mod1(v) -> np.ndarray:
@@ -165,14 +158,15 @@ def fiber_volume(om: RiemannMatrix) -> float:
     return float(np.sqrt(np.linalg.det(fiber_block(om))))
 
 
-def base_metric(om: RiemannMatrix) -> BaseMetric:
-    """Schur complement of the fiber block in the flat 2n x 2n metric."""
+def base_metric(om: RiemannMatrix) -> np.ndarray:
+    """Riemannian-submersion quotient metric on the base torus X^-, n x n:
+    the Schur complement of the fiber block in the flat 2n x 2n metric."""
     g = real_metric_tensor(om)
     n = om.n
     gxx, gxy = g[:n, :n], g[:n, n:]
     gyx, gyy = g[n:, :n], g[n:, n:]
     q = gyy - gyx @ np.linalg.solve(gxx, gxy)
-    return BaseMetric(q=0.5 * (q + q.T))
+    return 0.5 * (q + q.T)
 
 
 def ellipsoid_points(q: np.ndarray, radius: float, centre, half_widths) -> np.ndarray:
@@ -215,11 +209,11 @@ def total_distance(p: TorusPoint, q: TorusPoint, om: RiemannMatrix) -> float:
 
 def base_distance(y1, y2, om: RiemannMatrix) -> float:
     """Quotient-metric distance on the base torus X^-."""
-    return _base_distance(y1, y2, base_metric(om).q)
+    return _base_distance(y1, y2, base_metric(om))
 
 
 def _base_distance(y1, y2, q: np.ndarray) -> float:
-    """base_distance in the quotient metric q = base_metric(om).q, which
+    """base_distance in the quotient metric q = base_metric(om), which
     callers measuring many distances compute once."""
     d = reduce_mod1(y1) - reduce_mod1(y2)
     return _torus_quadratic_distance(np.atleast_1d(d), q)

@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .errors import DisconnectedSample, MixedLevels
+from .errors import DisconnectedSample
 from .metrics import QuadratureGrid, check_grid_resolution
 from .theta import ThetaBasis, _stacked_log_mag, _unique_rows
 
@@ -24,35 +24,23 @@ SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
-class SimplexPoint:
-    """Nonnegative moment coordinates summing to one."""
-
-    k: int
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if np.any(xi < 0.0):
-            raise ValueError("moment coordinates must be nonnegative")
-        object.__setattr__(self, "xi", xi / xi.sum())
-
-
-@dataclass(frozen=True)
 class AmoebaSample:
-    """Sampled moment-map image with its intrinsic neighbor graph."""
+    """Sampled moment-map image with its intrinsic neighbor graph.
+
+    nodes[p] is the grid node sample point p was taken from, and
+    node_sample[g] the sample point grid node g merged into, so
+    node_sample[nodes] is arange(size).
+    """
 
     k: int
     xi: np.ndarray
-    pre_x: np.ndarray
-    pre_y: np.ndarray
+    nodes: np.ndarray
+    node_sample: np.ndarray
     graph: object
 
     @property
     def size(self) -> int:
         return self.xi.shape[0]
-
-    def point(self, i: int) -> SimplexPoint:
-        return SimplexPoint(k=self.k, xi=self.xi[i])
 
 
 def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
@@ -70,30 +58,13 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     return (w / w.sum(axis=0, keepdims=True)).T
 
 
-def moment_point(basis: ThetaBasis, x, y) -> SimplexPoint:
-    return SimplexPoint(k=basis.k, xi=moment_points(basis, x, y)[0])
-
-
-def phi_k(basis: ThetaBasis, y) -> SimplexPoint:
-    """Restriction of the moment map to the zero section x = 0."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return moment_point(basis, np.zeros_like(y), y)
-
-
-def simplex_distance(p: SimplexPoint, q: SimplexPoint) -> float:
-    """d = (SIMPLEX_CONSTANT / sqrt(k)) arccos(sum_i sqrt(xi_i eta_i)).
+def simplex_distances(k, xi_a, xi_b) -> np.ndarray:
+    """Row-wise d = (SIMPLEX_CONSTANT / sqrt(k)) arccos(sum_i sqrt(xi_i eta_i)).
 
     The arccos of the Bhattacharyya coefficient is the great-circle
     distance between sqrt(xi) and sqrt(eta) on the unit sphere, which is
     the submersion metric on the simplex.
     """
-    if p.k != q.k:
-        raise MixedLevels(f"simplex points at levels {p.k} and {q.k}")
-    dot = np.clip(np.sqrt(p.xi * q.xi).sum(), -1.0, 1.0)
-    return SIMPLEX_CONSTANT / np.sqrt(p.k) * float(np.arccos(dot))
-
-
-def _simplex_distance_rows(k, xi_a, xi_b) -> np.ndarray:
     dots = np.clip(np.einsum("mi,mi->m", np.sqrt(xi_a), np.sqrt(xi_b)), -1.0, 1.0)
     return SIMPLEX_CONSTANT / np.sqrt(k) * np.arccos(dots)
 
@@ -101,22 +72,23 @@ def _simplex_distance_rows(k, xi_a, xi_b) -> np.ndarray:
 def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     """Image of the grid under the moment map with an r-NN graph.
 
-    Duplicate images (coordinates agreeing to 1e-12) are merged; the graph
-    joins each sample to its r = 2(2n)+1 nearest neighbors in the sphere
-    chord metric, with simplex-distance edge lengths. The grid must match
-    the basis dimension and have at least 8k nodes per axis.
+    Nodes whose images are equal after np.round(xi, 12) are merged into
+    one sample point, the image of the first such node. This is not a
+    1e-12 tolerance: images within 1e-12 whose coordinates round to
+    different 12th decimals stay apart. The graph joins each sample to its
+    r = 2(2n)+1 nearest neighbors in the sphere chord metric, with
+    simplex-distance edge lengths. The grid must match the basis dimension
+    and have at least 8k nodes per axis.
     """
     check_grid_resolution(basis, grid)
     xi_all = moment_points(basis, grid.x, grid.y)
-    keep, rep = _unique_rows(np.round(xi_all, 12))
-    xi = xi_all[keep]
-    pre_x = grid.x[keep]
-    pre_y = grid.y[keep]
+    nodes, node_sample = _unique_rows(np.round(xi_all, 12))
+    xi = xi_all[nodes]
 
     m = xi.shape[0]
     if m == 1:
         graph = coo_matrix((1, 1)).tocsr()
-        return AmoebaSample(basis.k, xi, pre_x, pre_y, graph)
+        return AmoebaSample(basis.k, xi, nodes, node_sample, graph)
     r = 2 * (2 * basis.om.n) + 1
     r = min(r, m - 1)
     tree = cKDTree(np.sqrt(xi))
@@ -126,7 +98,7 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     # add images of grid-adjacent preimage pairs: chords of curves inside
     # the image, guaranteeing connectivity for grid-sourced samples
     dim = 2 * grid.n
-    node = rep.reshape((grid.m,) * dim)
+    node = node_sample.reshape((grid.m,) * dim)
     for ax in range(dim):
         a = node.ravel()
         b = np.roll(node, -1, axis=ax).ravel()
@@ -138,19 +110,14 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     # lo * m + hi sorts as the pair (lo, hi) does, since hi < m
     rows, cols = np.divmod(np.unique(lo * m + hi), m)
-    vals = _simplex_distance_rows(basis.k, xi[rows], xi[cols])
+    vals = simplex_distances(basis.k, xi[rows], xi[cols])
     graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
     n_comp, _ = connected_components(graph, directed=False)
     if n_comp > 1:
         raise DisconnectedSample(
             f"amoeba neighbor graph split into {n_comp} components"
         )
-    return AmoebaSample(basis.k, xi, pre_x, pre_y, graph)
-
-
-def nearest_sample_index(sample: AmoebaSample, p: SimplexPoint) -> int:
-    d = _simplex_distance_rows(sample.k, sample.xi, np.broadcast_to(p.xi, sample.xi.shape))
-    return int(np.argmin(d))
+    return AmoebaSample(basis.k, xi, nodes, node_sample, graph)
 
 
 def bk_distances(sample: AmoebaSample, sources) -> np.ndarray:

@@ -77,6 +77,8 @@ class ExperimentConfig:
                     f"grid_per_dim {self.grid_per_dim} is below 8*max(k_list)"
                 )
         self.seed = _integer("seed", self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
 
@@ -240,10 +242,10 @@ def run_amoeba(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for k in cfg.k_list:
         basis = theta_basis(om, k)
         grid = quadrature_grid(om.n, cfg.grid_per_dim)
-        sample = amoeba_sample(basis, grid)
-        summary[str(k)] = {"points": sample.size}
-        m, comp = np.divmod(np.arange(sample.xi.size), sample.xi.shape[1])
-        blocks.append(np.column_stack([np.full(m.size, k), m, comp, sample.xi.ravel()]))
+        xi = amoeba_sample(basis, grid).xi
+        summary[str(k)] = {"points": xi.shape[0]}
+        m, comp = np.divmod(np.arange(xi.size), xi.shape[1])
+        blocks.append(np.column_stack([np.full(m.size, k), m, comp, xi.ravel()]))
     header = ["k", "point", "component", "xi"]
     return summary, {"amoeba.csv": (header, np.concatenate(blocks))}
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abelian import RiemannMatrix, _base_distance, base_metric
-from .amoeba import (
-    SimplexPoint,
-    amoeba_sample,
-    bk_distances,
-    moment_points,
-    nearest_sample_index,
-)
+from .amoeba import amoeba_sample, bk_distances
 from .errors import ConfigError, EmptySet, NotACorrespondence
 from .metrics import (
     c0_metric_deviation,
@@ -155,7 +149,7 @@ def convergence_suite(
 
     # the eight base points j/8 exist exactly on every 8k grid (ys[j k] is
     # j/8 to the bit), so one base-distance block serves the whole sweep
-    q = base_metric(om).q
+    q = base_metric(om)
     y8 = np.arange(8) / 8
     d_base = np.array([[_base_distance([a], [b], q) for b in y8] for a in y8])
 
@@ -176,12 +170,9 @@ def convergence_suite(
 
         amoeba_grid = quadrature_grid(1, 8 * k)
         sample = amoeba_sample(basis, amoeba_grid)
-        ys = np.arange(8 * k) / (8 * k)
-        # phi_k at every base point: the moment map on the zero section
-        phi = moment_points(basis, np.zeros((ys.size, 1)), ys[:, None])
-        phi_idx = np.array(
-            [nearest_sample_index(sample, SimplexPoint(k=k, xi=xi)) for xi in phi]
-        )
+        # the grid runs x-major, so node g has y index g % 8k and its first
+        # 8k nodes are the zero section x = 0: phi_k at every base point
+        phi_idx = sample.node_sample[: 8 * k]
         d_phi = bk_distances(sample, phi_idx)
         base_sub = np.arange(8) * k
         d_img = d_phi[np.ix_(base_sub, phi_idx[base_sub])]
@@ -194,13 +185,8 @@ def convergence_suite(
         # the image of its base projection, plus the measured distortion
         # as the gluing padding
         p_idx = rng.choice(sample.size, size=min(50, sample.size), replace=False)
-        nearest_phi = np.argmin(
-            np.abs(
-                np.subtract.outer(sample.pre_y[p_idx, 0], ys)
-                - np.round(np.subtract.outer(sample.pre_y[p_idx, 0], ys))
-            ),
-            axis=1,
-        )
+        # the base point nearest p's preimage is its own y node
+        nearest_phi = sample.nodes[p_idx] % (8 * k)
         defect = d_phi[nearest_phi, p_idx]
         rows["coupled_defect"].append(float(defect.max()) + distortion)
 

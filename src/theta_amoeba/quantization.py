@@ -196,7 +196,7 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     gv = section_gauge_values(basis, pts_x, pts_y)
     tilde0 = kappa * (c[0] @ gv.complex_values())
     log_sq = 2.0 * np.log(np.abs(tilde0))
-    q = base_metric(om).q
+    q = base_metric(om)
     dists = np.array([_base_distance(p, np.zeros(n), q) for p in pts_y])
     a = np.polyfit(dists**2, log_sq, 1)
     fitted = np.polyval(a, dists**2)

@@ -183,7 +183,7 @@ def test_base_distance_square_torus():
 def test_base_metric_pure_imaginary_is_inverse_im():
     # with Re om = 0 the Schur complement collapses to (Im om)^{-1}
     rm = validate_riemann_matrix(np.diag([2j, 1j]) + 0.0)
-    assert np.allclose(base_metric(rm).q, np.diag([0.5, 1.0]), atol=1e-13)
+    assert np.allclose(base_metric(rm), np.diag([0.5, 1.0]), atol=1e-13)
 
 
 def test_fiber_volume_square_torus():
@@ -219,7 +219,7 @@ def test_distances_match_brute_closest_vector_on_skewed_lattice():
     a = np.array([[1.0, 3.0], [0.0, 1.0]])
     rm = validate_riemann_matrix(1j * (a @ a.T))
     g = real_metric_tensor(rm)
-    q = base_metric(rm).q
+    q = base_metric(rm)
     rng = np.random.default_rng(5)
     for _ in range(100):
         p = TorusPoint(x=rng.uniform(size=2), y=rng.uniform(size=2))

@@ -3,28 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import ConfigError, MixedLevels
+from theta_amoeba import ConfigError
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
-    SimplexPoint,
     amoeba_sample,
     bk_distances,
-    moment_point,
     moment_points,
-    nearest_sample_index,
-    phi_k,
-    simplex_distance,
+    simplex_distances,
 )
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import theta_basis
 
 SQUARE = validate_riemann_matrix([[1j]])
+GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
 RNG = np.random.default_rng(23)
 
 
-def random_simplex(k, n_coords, rng):
-    xi = rng.uniform(0.0, 1.0, size=n_coords)
-    return SimplexPoint(k=k, xi=xi)
+def random_simplex(n_coords, rng):
+    """One random point of the simplex, as a (1, n_coords) row."""
+    xi = rng.uniform(0.0, 1.0, size=(1, n_coords))
+    return xi / xi.sum()
+
+
+def simplex_distance(k, xi, eta) -> float:
+    return float(simplex_distances(k, xi, eta)[0])
 
 
 def test_moment_coordinates_normalized():
@@ -47,44 +49,42 @@ def test_moment_invariant_under_fiber_torsion():
 def test_moment_peak_section_at_its_base_point():
     basis = theta_basis(SQUARE, 8)
     for i in range(8):
-        p = moment_point(basis, [0.0], [i / 8.0])
-        assert int(np.argmax(p.xi)) == i
+        xi = moment_points(basis, [[0.0]], [[i / 8.0]])[0]
+        assert int(np.argmax(xi)) == i
 
 
 def test_moment_concentration_at_nearest_base_point():
     basis = theta_basis(SQUARE, 8)
     for y in np.linspace(0.0, 1.0, 40, endpoint=False):
-        p = moment_point(basis, [0.0], [y])
+        xi = moment_points(basis, [[0.0]], [[y]])[0]
         nearest = int(np.round(y * 8)) % 8
-        assert int(np.argmax(p.xi)) == nearest
+        assert int(np.argmax(xi)) == nearest
 
 
 def test_simplex_distance_coincident_points():
-    p = random_simplex(4, 4, RNG)
-    assert simplex_distance(p, p) == pytest.approx(0.0, abs=1e-12)
+    p = random_simplex(4, RNG)
+    assert simplex_distance(4, p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simplex_distance_between_vertices():
     k = 4
-    e1 = SimplexPoint(k=k, xi=np.array([1.0, 0.0, 0.0, 0.0]))
-    e2 = SimplexPoint(k=k, xi=np.array([0.0, 1.0, 0.0, 0.0]))
-    assert simplex_distance(e1, e2) == pytest.approx(
+    e1 = np.array([[1.0, 0.0, 0.0, 0.0]])
+    e2 = np.array([[0.0, 1.0, 0.0, 0.0]])
+    assert simplex_distance(k, e1, e2) == pytest.approx(
         np.pi / (2.0 * np.sqrt(np.pi * k)), rel=1e-14
     )
 
 
 def test_simplex_distance_matches_great_circle_oracle():
     k = 3
-    for _ in range(10):
-        p = random_simplex(k, 3, RNG)
-        q = random_simplex(k, 3, RNG)
-        # oracle: arc length between unit vectors sqrt(xi) on the sphere
-        u = np.sqrt(p.xi)
-        v = np.sqrt(q.xi)
-        arc = np.arctan2(np.linalg.norm(np.cross(u, v)), u @ v)
-        assert simplex_distance(p, q) == pytest.approx(
-            arc / np.sqrt(np.pi * k), rel=1e-9
-        )
+    p = RNG.uniform(size=(10, 3))
+    q = RNG.uniform(size=(10, 3))
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    # oracle: arc length between unit vectors sqrt(xi) on the sphere
+    u, v = np.sqrt(p), np.sqrt(q)
+    arc = np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), (u * v).sum(axis=1))
+    assert np.allclose(simplex_distances(k, p, q), arc / np.sqrt(np.pi * k), rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -92,17 +92,10 @@ def test_simplex_distance_matches_great_circle_oracle():
 def test_simplex_distance_metric_axioms(seed):
     rng = np.random.default_rng(seed)
     k = 4
-    a, b, c = (random_simplex(k, 5, rng) for _ in range(3))
-    dab = simplex_distance(a, b)
-    assert dab == pytest.approx(simplex_distance(b, a), abs=1e-12)
-    assert dab <= simplex_distance(a, c) + simplex_distance(c, b) + 1e-12
-
-
-def test_simplex_distance_rejects_mixed_levels():
-    p = random_simplex(2, 2, RNG)
-    q = random_simplex(3, 2, RNG)
-    with pytest.raises(MixedLevels):
-        simplex_distance(p, q)
+    a, b, c = (random_simplex(5, rng) for _ in range(3))
+    dab = simplex_distance(k, a, b)
+    assert dab == pytest.approx(simplex_distance(k, b, a), abs=1e-12)
+    assert dab <= simplex_distance(k, a, c) + simplex_distance(k, c, b) + 1e-12
 
 
 def test_level_one_image_is_a_point():
@@ -136,16 +129,8 @@ def test_bk_distance_identity_and_lower_bound():
     sample = amoeba_sample(basis, quadrature_grid(1, 32))
     assert bk_distances(sample, [3])[0, 3] == 0.0
     i, j = 0, sample.size // 2
-    chord = simplex_distance(sample.point(i), sample.point(j))
+    chord = simplex_distance(4, sample.xi[[i]], sample.xi[[j]])
     assert bk_distances(sample, [i])[0, j] >= chord - 1e-12
-
-
-def test_phi_k_matches_moment_point_at_zero_section():
-    basis = theta_basis(SQUARE, 3)
-    y = [0.37]
-    assert np.allclose(
-        phi_k(basis, y).xi, moment_point(basis, [0.0], y).xi, atol=1e-15
-    )
 
 
 def test_graph_connects_whole_sample():
@@ -162,9 +147,7 @@ def test_covering_by_base_image_shrinks():
     for k in (4, 8):
         basis = theta_basis(SQUARE, k)
         sample = amoeba_sample(basis, quadrature_grid(1, 8 * k))
-        ys = np.arange(8 * k) / (8 * k)
-        idx = [nearest_sample_index(sample, phi_k(basis, [y])) for y in ys]
-        d = bk_distances(sample, idx)
+        d = bk_distances(sample, sample.node_sample[: 8 * k])
         radii.append(d.min(axis=0).max())
     assert radii[1] < radii[0]
 
@@ -179,3 +162,28 @@ def test_sample_rejects_grid_below_eight_k():
     basis = theta_basis(SQUARE, 4)
     with pytest.raises(ConfigError, match="too coarse"):
         amoeba_sample(basis, quadrature_grid(1, 8))
+
+
+def nearest_sample_oracle(sample, xi):
+    """Brute nearest sample point to each row of xi, by the arccos of the
+    Bhattacharyya coefficient."""
+    dots = np.clip(np.sqrt(xi) @ np.sqrt(sample.xi).T, -1.0, 1.0)
+    return np.argmin(np.arccos(dots), axis=1)
+
+
+@pytest.mark.parametrize("om", [SQUARE, GENERIC], ids=["square", "generic"])
+@pytest.mark.parametrize("k", [3, 4, 8])
+def test_node_map_inverts_and_matches_nearest_sample(om, k):
+    basis = theta_basis(om, k)
+    grid = quadrature_grid(1, 8 * k)
+    sample = amoeba_sample(basis, grid)
+    assert np.array_equal(sample.node_sample[sample.nodes], np.arange(sample.size))
+    xi_all = moment_points(basis, grid.x, grid.y)
+    assert np.max(np.abs(xi_all - sample.xi[sample.node_sample])) <= 1e-12
+    # the zero section x = 0 is the grid's first row of 8k nodes
+    zero = np.arange(8 * k)
+    assert np.array_equal(grid.x[zero], np.zeros((8 * k, 1)))
+    phi = moment_points(basis, np.zeros((8 * k, 1)), grid.y[zero])
+    assert np.array_equal(
+        nearest_sample_oracle(sample, phi), sample.node_sample[: 8 * k]
+    )

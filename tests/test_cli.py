@@ -84,6 +84,7 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
         {"output_dir": 5},
         {"riemann_matrix": 5},
         {"riemann_matrix": {"n": 1, "re": "x", "im": [[1.0]]}},
+        {"seed": -1},
     ],
 )
 def test_malformed_config_value_is_config_error(capsys, tmp_path, monkeypatch, config):
