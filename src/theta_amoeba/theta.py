@@ -64,33 +64,35 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
 
     Returns the offsets off of _offsets (shape (J, n)), one set for every
     point, and a generator over chunks of points yielding (rows, l_star, w,
-    shift). Point p's terms run over l = l*_p + off_j + a, with l*_p the
-    rounded centre of its Gaussian, and are stored as
+    shift). Point p's terms run over l = c_p + off_j, c_p = l*_p + a, with
+    l*_p the rounded centre of its Gaussian, and are stored as
     w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where shift_p
-    is the row's largest real exponent, so |w| <= 1.
+    is the row's largest real exponent, so |w| <= 1. The exponent is factored
+    (Deconinck et al. 2004) as P_p + Q_j + t(om c_p + z_p) off_j, with
+    P_p = 1/2 t(c_p) om c_p + t(c_p) z_p and Q_j = 1/2 t(off_j) om off_j.
     """
     t_eff = om_eff.imag
     off = _offsets(t_eff)
     l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
-    m = z.shape[0]
-    # the (m, J, n) intermediates set the memory, so budget by J * n
+    m, n = z.shape
+    q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
+    # the (rows, J) terms and the dlog contraction's (rows, n, J) set the memory
     chunk = max(1, _CHUNK_TERMS // off.size)
 
     def chunks():
         for s in range(0, m, chunk):
             rows = slice(s, min(m, s + chunk))
-            la = l_star[rows, None, :] + off[None, :, :] + a
-            # the quadratic part depends only on the centre l*: one row
-            # serves a chunk whose points all share it, as the points of the
-            # closed-form f_k do once reduced mod 1/k (barring rounding ties)
-            lq = la[:1] if (l_star[rows] == l_star[s]).all() else la
-            # einsum casts to complex in buffered blocks, not as a copy
-            quad = np.einsum("mjn,np,mjp->mj", lq, om_eff, lq)
-            lin = np.einsum("mjn,mn->mj", la, z[rows])
-            w = 2j * np.pi * (0.5 * quad + lin)
+            c = l_star[rows] + a
+            # elementwise, not BLAS: a row's bits must not depend on its chunk's shape
+            zeta = z[rows] + sum(c[:, d, None] * om_eff[d] for d in range(n))
+            w = zeta[:, :1] * off[:, 0]
+            for d in range(1, n):
+                w += zeta[:, d, None] * off[:, d]
+            w += q
+            w += 0.5 * (c * (zeta + z[rows])).sum(axis=1)[:, None]
+            # in place: a second name would keep the terms alive into the next chunk
+            w *= 2j * np.pi
             shift = w.real.max(axis=1)
-            # exponentiate in place: a second name for the terms would keep
-            # them alive while the next chunk is built
             w -= shift[:, None]
             np.exp(w, out=w)
             yield rows, l_star[rows], w, shift
@@ -119,8 +121,8 @@ def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
 
     theta[a; b](om_eff, z) = sum_l e(1/2 t(l+a) om (l+a) + t(l+a)(z+b)),
     with e(t) = exp(2 pi i t). Returns (log_mag, phase) arrays over the
-    leading axis of z (shape (m, n)). The sum is accurate to about 1e-16
-    times its largest term, not relative to its own size.
+    leading axis of z (shape (m, n)). The sum is accurate to roundoff of its
+    largest term, which grows with the exponents, not relative to its size.
     """
     shift, vals = _theta_sums(om_eff, z, a, b)
     # theta has honest zeros: log_mag = -inf there, phase arbitrary 0
@@ -230,14 +232,12 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     dlog, the same contraction of (l* + off) times the terms gives
     d_z log Theta_k(z; b_i).
 
-    Accuracy contract, shared with the per-section route
-    (_stacked_log_mag): |s_i|_h is accurate to about 1e-16 times
-    max_j |s_j|_h at each point, not relative to |s_i|_h. Every section
-    sums the same terms up to phase, so each sum is accurate to roundoff
-    of its largest term, which is of the size of the largest section; the
-    roundoff grows with the phases and exponents involved (measured
-    <= 3e-14 for k <= 32 and coordinates in [-0.5, 1.5]). log|s_i|_h of a
-    section far below the largest one carries no digits.
+    Accuracy contract, shared with _stacked_log_mag: |s_i|_h is accurate to
+    roundoff times max_j |s_j|_h at each point, not relative to |s_i|_h:
+    every section sums the same terms up to phase. The roundoff grows with
+    k and |x|; for k <= 32 and coordinates in [-0.5, 1.5] it is within 1e-13
+    (against mpmath at k = 32, 250 points: <= 2.9e-14 on Omega = i,
+    <= 5.7e-14 on 0.3 + 1.2i). Sections far below the largest carry no digits.
     """
     k, n = basis.k, basis.om.n
     z, base_lm, base_ph = _gauge(basis, x, y)

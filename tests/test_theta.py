@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,9 +11,11 @@ from theta_amoeba import NonPositive, TruncationOverflow, theta
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import (
+    _CHUNK_TERMS,
     TAIL_LOG,
     _as_points,
     _gauge,
+    _lattice_terms,
     _offsets,
     _stacked_log_mag,
     _unique_rows,
@@ -54,6 +57,41 @@ def brute_theta(om, z, a, b, r=12):
         w = 0.5 * la @ om @ la + la @ (z + b)
         total += np.exp(2j * np.pi * w)
     return total
+
+
+def einsum_lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
+    """Oracle: theta._lattice_terms before its exponent was factored.
+
+    Same interface, offsets and centres; each chunk builds l = l* + off + a
+    as a (rows, J, n) array and takes the exponent with two einsums.
+    """
+    t_eff = om_eff.imag
+    off = _offsets(t_eff)
+    l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
+    m = z.shape[0]
+    # the (m, J, n) intermediates set the memory, so budget by J * n
+    chunk = max(1, _CHUNK_TERMS // off.size)
+
+    def chunks():
+        for s in range(0, m, chunk):
+            rows = slice(s, min(m, s + chunk))
+            la = l_star[rows, None, :] + off[None, :, :] + a
+            # the quadratic part depends only on the centre l*: one row
+            # serves a chunk whose points all share it, as the points of the
+            # closed-form f_k do once reduced mod 1/k (barring rounding ties)
+            lq = la[:1] if (l_star[rows] == l_star[s]).all() else la
+            # einsum casts to complex in buffered blocks, not as a copy
+            quad = np.einsum("mjn,np,mjp->mj", lq, om_eff, lq)
+            lin = np.einsum("mjn,mn->mj", la, z[rows])
+            w = 2j * np.pi * (0.5 * quad + lin)
+            shift = w.real.max(axis=1)
+            # exponentiate in place: a second name for the terms would keep
+            # them alive while the next chunk is built
+            w -= shift[:, None]
+            np.exp(w, out=w)
+            yield rows, l_star[rows], w, shift
+
+    return off, chunks()
 
 
 def test_theta_square_lattice_origin():
@@ -151,17 +189,97 @@ def test_ellipsoid_offsets_match_wide_brute_sum(om):
         assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
-def test_shared_box_centre_matches_per_point_terms():
-    # points near the origin share the box centre 0, so their chunk builds
-    # the quadratic part once; one far point forces the per-point path
-    rng = np.random.default_rng(12)
-    z = rng.uniform(-0.2, 0.2, (6, 2)) + 1j * rng.uniform(-0.05, 0.05, (6, 2))
-    far = np.array([[0.1 + 3.0j, -0.2 - 2.0j]])
-    lm, ph = theta_char_log(COUPLED.omega, z)
-    lm_mixed, ph_mixed = theta_char_log(COUPLED.omega, np.vstack([z, far]))
-    lm_far, ph_far = theta_char_log(COUPLED.omega, far)
-    np.testing.assert_array_equal(np.append(lm, lm_far), lm_mixed)
-    np.testing.assert_array_equal(np.append(ph, ph_far), ph_mixed)
+@pytest.mark.parametrize(
+    "rm, k",
+    [
+        pytest.param(GENERIC, 32, id="generic-32"),
+        pytest.param(COUPLED, 1, id="coupled-1"),
+        pytest.param(COUPLED, 2, id="coupled-2"),
+        pytest.param(COUPLED, 8, id="coupled-8"),
+    ],
+)
+def test_row_terms_are_the_same_bits_in_any_chunk(rm, k):
+    # each point's terms and shift, computed in a batch of 40, alone, and in
+    # slices of 3 and 17, agree bit for bit: _stacked_log_mag's dedup relies
+    # on a row's sum not depending on the rows that share its chunk
+    x, y = np.random.default_rng(k).uniform(-0.5, 1.5, size=(2, 40, rm.n))
+    z = xy_to_z(x, y, rm)
+
+    def terms(zs):
+        (_, _, w, shift), = list(_lattice_terms(rm.omega / k, zs, np.zeros(rm.n))[1])
+        return w, shift
+
+    w_all, s_all = terms(z)
+    for rows in [slice(p, p + 1) for p in range(40)] + [slice(5, 8), slice(11, 28)]:
+        w, shift = terms(z[rows])
+        np.testing.assert_array_equal(w, w_all[rows])
+        np.testing.assert_array_equal(shift, s_all[rows])
+
+@st.composite
+def kernel_problems(draw):
+    """A level-k series Omega / k with n = 1 or 2, points z = Omega x + y with
+    x, y in [-0.5, 1.5]^n, and a characteristic a in {0, 1/2}^n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 2))
+    s = rng.uniform(-0.5, 0.5, (n, n))
+    if n == 1:
+        t = np.array([[rng.uniform(0.5, 2.0)]])
+    elif draw(st.booleans()):
+        g = rng.normal(size=(2, 2))
+        t = g @ g.T + rng.uniform(0.3, 1.0) * np.eye(2)
+    else:
+        # a diagonal form in a skewed basis, as A tA with A = [[1, 3], [0, 1]]
+        u = np.array([[1.0, draw(st.sampled_from([-3, -2, 2, 3]))], [0.0, 1.0]])
+        t = u @ np.diag(rng.uniform(0.5, 2.0, 2)) @ u.T
+    om = s + s.T + 1j * t
+    x, y = rng.uniform(-0.5, 1.5, (2, 20, n))
+    a = 0.5 * rng.integers(0, 2, n)
+    return om / draw(st.integers(1, 32)), x @ om.T + y, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_problems())
+def test_factored_terms_match_einsum_oracle(problem):
+    # each term w e^shift within 1e-13 of its row's largest term, plus a few
+    # ulps of its exponent's partial sums 2 pi (1/2 |l| |om| |l| + |l| |z|):
+    # both kernels round that exponent, in different orders, and far points
+    # carry exponents in the thousands at n = 2, k = 32
+    om_eff, z, a = problem
+    off, new = _lattice_terms(om_eff, z, a)
+    off_ref, ref = einsum_lattice_terms(om_eff, z, a)
+    np.testing.assert_array_equal(off, off_ref)
+    for (rows, l_star, w, shift), (rows_ref, l_ref, w_ref, s_ref) in zip(new, ref, strict=True):
+        assert rows == rows_ref
+        np.testing.assert_array_equal(l_star, l_ref)
+        # the row's largest real exponent is 0, and |e^(i phi)| may round
+        # an ulp above 1
+        assert np.all(np.abs(w) <= 1.0 + 2.0 * np.finfo(float).eps)
+        la = np.abs(l_ref[:, None, :] + off + a)
+        size = 2.0 * np.pi * (
+            0.5 * np.einsum("mjn,np,mjp->mj", la, np.abs(om_eff), la)
+            + np.einsum("mjn,mn->mj", la, np.abs(z[rows]))
+        )
+        err = np.abs(w * np.exp(shift - s_ref)[:, None] - w_ref)
+        assert np.all(err <= 1e-13 + 8.0 * np.finfo(float).eps * size * np.abs(w_ref))
+
+
+def test_chunk_holds_terms_not_offset_vectors():
+    # one chunk of the Gram workload's CPL Omega/2 series on 16^4 nodes
+    # allocates about its (rows, J) complex terms twice at peak and keeps
+    # them once; a (rows, J, n) array of l, as the einsum kernel built,
+    # would push the peak past 2.5x
+    grid = quadrature_grid(2, 16)
+    z = xy_to_z(grid.x, grid.y, COUPLED)
+    off, chunks = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
+    tracemalloc.start()
+    try:
+        _, _, w, _ = next(chunks)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (_CHUNK_TERMS // off.size, len(off))
+    assert peak <= 2.5 * w.nbytes
+    assert held <= 1.25 * w.nbytes
 
 
 def closed_form_im(t, k):
@@ -382,30 +500,52 @@ def test_one_sum_route_matches_per_section_route(rm, k):
     assert np.all(err <= 1e-12 * scale)
 
 
+def mp_section_log_mag(basis, x, y):
+    """Oracle: log|s_i|_h of an n = 1 basis at every point, via theta3 at 30 digits."""
+    k = basis.k
+    tau = complex(basis.om.omega[0, 0])
+    _, base_lm, _ = _gauge(basis, x, y)
+    out = np.empty((k, x.shape[0]))
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau) / k)
+        for p in range(x.shape[0]):
+            z = mpmath.mpc(tau) * mpmath.mpf(x[p, 0]) + mpmath.mpf(y[p, 0])
+            out[:, p] = base_lm[p] + np.array(
+                [
+                    float(mpmath.log(abs(mpmath.jtheta(3, mpmath.pi * (z - mpmath.mpf(j) / k), q))))
+                    for j in range(k)
+                ]
+            )
+    return out
+
+
 @pytest.mark.parametrize("rm", [SQUARE, GENERIC], ids=["square", "generic"])
 @pytest.mark.parametrize("k", [5, 32])
 def test_section_values_vs_mpmath_near_column_maximum(rm, k):
     # the sections within e^-20 of the largest one at a point, against
     # theta3 at 30 digits: error within roundoff of the largest section
     basis = theta_basis(rm, k)
-    tau = complex(rm.omega[0, 0])
     rng = np.random.default_rng(k)
     x, y = rng.uniform(size=(3, 1)), rng.uniform(size=(3, 1))
     lm = section_gauge_values(basis, x, y).log_mag
-    _, base_lm, _ = _gauge(basis, x, y)
-    with mpmath.workdps(30):
-        for p in range(3):
-            z = mpmath.mpc(tau) * mpmath.mpf(x[p, 0]) + mpmath.mpf(y[p, 0])
-            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau) / k)
-            exact = base_lm[p] + np.array(
-                [
-                    float(mpmath.log(abs(mpmath.jtheta(3, mpmath.pi * (z - mpmath.mpf(j) / k), q))))
-                    for j in range(k)
-                ]
-            )
-            near = exact >= exact.max() - 20.0
-            rel = np.exp(exact[near] - exact.max())
-            assert np.all(np.abs(lm[near, p] - exact[near]) * rel <= 1e-13)
+    exact = mp_section_log_mag(basis, x, y)
+    for p in range(3):
+        near = exact[:, p] >= exact[:, p].max() - 20.0
+        rel = np.exp(exact[near, p] - exact[:, p].max())
+        assert np.all(np.abs(lm[near, p] - exact[near, p]) * rel <= 1e-13)
+
+
+@pytest.mark.parametrize("rm", [SQUARE, GENERIC], ids=["square", "generic"])
+def test_section_accuracy_contract_at_level_32(rm):
+    # section_gauge_values's stated contract, on both routes, at its largest
+    # level and over its whole coordinate box: |s_i|_h within 1e-13 of
+    # max_j |s_j|_h at each point, against theta3 at 30 digits
+    basis = theta_basis(rm, 32)
+    x, y = np.random.default_rng(32).uniform(-0.5, 1.5, size=(2, 24, 1))
+    exact = mp_section_log_mag(basis, x, y)
+    top = exact.max(axis=0)
+    for lm in (section_gauge_values(basis, x, y).log_mag, _stacked_log_mag(basis, x, y)):
+        assert np.abs(np.exp(lm - top) - np.exp(exact - top)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
