@@ -39,24 +39,6 @@ class RiemannMatrix:
         c = self.im_chol
         return np.linalg.inv(c.T) @ np.linalg.inv(c)
 
-    def hermitian_form(self, z: np.ndarray, w: np.ndarray) -> complex:
-        """t(z) (Im omega)^{-1} conj(w), evaluated through the Cholesky factor."""
-        a = np.linalg.solve(self.im_chol, np.asarray(z, dtype=complex))
-        b = np.linalg.solve(self.im_chol, np.conj(np.asarray(w, dtype=complex)))
-        return complex(a @ b)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Point of X in action-angle coordinates, reduced to [0, 1)^n each."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", reduce_mod1(self.x))
-        object.__setattr__(self, "y", reduce_mod1(self.y))
-
 
 def reduce_mod1(v) -> np.ndarray:
     """Reduce coordinates to [0, 1), rounding near-1 values down to 0."""
@@ -105,20 +87,11 @@ def riemann_matrix_from_json(source) -> RiemannMatrix:
     return rm
 
 
-def coords_to_z(p: TorusPoint, om: RiemannMatrix) -> np.ndarray:
-    return om.omega @ p.x + p.y
-
-
 def xy_to_z(x, y, om: RiemannMatrix) -> np.ndarray:
     """Unreduced chart map; x, y may be arrays of shape (..., n)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return x @ om.omega.T + y
-
-
-def z_to_coords(z, om: RiemannMatrix) -> TorusPoint:
-    x, y = z_to_xy(z, om)
-    return TorusPoint(x=x, y=y)
 
 
 def z_to_xy(z, om: RiemannMatrix):
@@ -130,12 +103,6 @@ def z_to_xy(z, om: RiemannMatrix):
     x = np.linalg.solve(om.im_chol.T, np.linalg.solve(om.im_chol, z.imag.T)).T
     y = z.real - x @ om.re.T
     return x, y
-
-
-def h0_log_density(z, om: RiemannMatrix) -> float:
-    """log h0 = -pi * t(z) (Im omega)^{-1} conj(z); real by Hermitian symmetry."""
-    val = om.hermitian_form(z, z)
-    return float(-np.pi * val.real)
 
 
 def real_metric_tensor(om: RiemannMatrix) -> np.ndarray:
@@ -200,20 +167,7 @@ def _torus_quadratic_distance(d: np.ndarray, q: np.ndarray) -> float:
     return float(np.sqrt(max(vals.min(initial=u2), 0.0)))
 
 
-def total_distance(p: TorusPoint, q: TorusPoint, om: RiemannMatrix) -> float:
-    """Flat geodesic distance on (X, omega_0) between two torus points."""
-    g = real_metric_tensor(om)
-    d = np.concatenate([p.x - q.x, p.y - q.y])
-    return _torus_quadratic_distance(d, g)
-
-
 def base_distance(y1, y2, om: RiemannMatrix) -> float:
     """Quotient-metric distance on the base torus X^-."""
-    return _base_distance(y1, y2, base_metric(om))
-
-
-def _base_distance(y1, y2, q: np.ndarray) -> float:
-    """base_distance in the quotient metric q = base_metric(om), which
-    callers measuring many distances compute once."""
     d = reduce_mod1(y1) - reduce_mod1(y2)
-    return _torus_quadratic_distance(np.atleast_1d(d), q)
+    return _torus_quadratic_distance(np.atleast_1d(d), base_metric(om))

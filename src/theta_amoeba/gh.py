@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import RiemannMatrix, _base_distance, base_metric
+from .abelian import RiemannMatrix, base_distance
 from .amoeba import amoeba_sample, bk_distances
 from .errors import ConfigError, EmptySet, NotACorrespondence
 from .metrics import (
@@ -136,7 +136,7 @@ def convergence_suite(
     k_list = sorted(int(k) for k in k_list)
     if len(k_list) < 3:
         raise ConfigError("need at least 3 ascending levels")
-    m0 = grid_resolution or max(8 * max(k_list), 32)
+    m0 = max(8 * max(k_list), 32) if grid_resolution is None else grid_resolution
     if m0 < 8 * max(k_list):
         raise ConfigError(f"grid resolution {m0} below 8*max(k) = {8 * max(k_list)}")
     rng = np.random.default_rng(seed)
@@ -149,9 +149,8 @@ def convergence_suite(
 
     # the eight base points j/8 exist exactly on every 8k grid (ys[j k] is
     # j/8 to the bit), so one base-distance block serves the whole sweep
-    q = base_metric(om)
     y8 = np.arange(8) / 8
-    d_base = np.array([[_base_distance([a], [b], q) for b in y8] for a in y8])
+    d_base = np.array([[base_distance([a], [b], om) for b in y8] for a in y8])
 
     rows = {
         "c0_deviation": [],

@@ -179,17 +179,3 @@ def geodesic_distances(field: MetricField, sources) -> np.ndarray:
     n_nodes = field.grid.size
     graph = coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
     return dijkstra(graph, directed=False, indices=np.asarray(sources, dtype=int))
-
-
-def node_index(grid: QuadratureGrid, x, y) -> int:
-    """Nearest grid node, snapping each coordinate to j/m mod 1."""
-    coords = np.concatenate([np.atleast_1d(x), np.atleast_1d(y)])
-    j = np.mod(np.round(coords * grid.m).astype(int), grid.m)
-    return int(np.ravel_multi_index(j, (grid.m,) * (2 * grid.n)))
-
-
-def geodesic_distance(field: MetricField, p_xy, q_xy) -> float:
-    """Distance between two points snapped to the metric-field grid."""
-    src = node_index(field.grid, *p_xy)
-    dst = node_index(field.grid, *q_xy)
-    return float(geodesic_distances(field, [src])[0, dst])

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import RiemannMatrix, _base_distance, base_metric, fiber_volume, z_to_xy
+from .abelian import RiemannMatrix, base_distance, fiber_volume, z_to_xy
 from .errors import DegenerateSample, NonPositive
 from .metrics import quadrature_grid
 from .theta import (
@@ -196,8 +196,7 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     gv = section_gauge_values(basis, pts_x, pts_y)
     tilde0 = kappa * (c[0] @ gv.complex_values())
     log_sq = 2.0 * np.log(np.abs(tilde0))
-    q = base_metric(om)
-    dists = np.array([_base_distance(p, np.zeros(n), q) for p in pts_y])
+    dists = np.array([base_distance(p, np.zeros(n), om) for p in pts_y])
     a = np.polyfit(dists**2, log_sq, 1)
     fitted = np.polyval(a, dists**2)
     ss_res = float(np.sum((log_sq - fitted) ** 2))

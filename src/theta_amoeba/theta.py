@@ -187,7 +187,7 @@ class ThetaBasis:
 
 
 def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
-    if int(k) < 1:
+    if int(k) < 1 or k != int(k):
         raise NonPositive(f"level k must be a positive integer, got {k}")
     k = int(k)
     idx = np.array(list(itertools.product(range(k), repeat=om.n)), dtype=int)

@@ -7,21 +7,25 @@ from hypothesis import strategies as st
 
 from theta_amoeba import NotPositive, NotSymmetric
 from theta_amoeba.abelian import (
-    TorusPoint,
+    _torus_quadratic_distance,
     base_distance,
     base_metric,
-    coords_to_z,
     fiber_volume,
-    h0_log_density,
     real_metric_tensor,
+    reduce_mod1,
     riemann_matrix_from_json,
-    total_distance,
     validate_riemann_matrix,
-    z_to_coords,
+    xy_to_z,
     z_to_xy,
 )
 
 RNG = np.random.default_rng(20260826)
+
+
+def flat_distance(dx, dy, om):
+    """Oracle: flat distance on (X, g_0) for the offset (dx, dy), by the
+    closest-vector search over Z^{2n}."""
+    return _torus_quadratic_distance(np.concatenate([dx, dy]), real_metric_tensor(om))
 
 
 def random_riemann(n, rng):
@@ -87,11 +91,10 @@ def test_json_loader_roundtrip(tmp_path):
 def test_coords_roundtrip(n):
     rm = random_riemann(n, RNG)
     for _ in range(5):
-        p = TorusPoint(x=RNG.uniform(size=n), y=RNG.uniform(size=n))
-        z = coords_to_z(p, rm)
-        q = z_to_coords(z, rm)
-        assert np.allclose(q.x, p.x, atol=1e-12)
-        assert np.allclose(q.y, p.y, atol=1e-12)
+        x, y = RNG.uniform(size=(2, n))
+        xr, yr = z_to_xy(xy_to_z(x, y, rm), rm)
+        assert np.allclose(xr, x, atol=1e-12)
+        assert np.allclose(yr, y, atol=1e-12)
 
 
 def test_unreduced_inverse_matches_linear_solve():
@@ -105,26 +108,18 @@ def test_unreduced_inverse_matches_linear_solve():
         x, y = z_to_xy(z, rm)
         assert np.allclose(np.concatenate([x, y]), sol, atol=1e-12)
         assert np.allclose(np.concatenate([xb, yb]), sol, atol=1e-12)
+    # xy_to_z maps the batch back
+    assert np.allclose(xy_to_z(xs, ys, rm), zs, atol=1e-12)
 
 
 def test_torus_point_reduces_mod_one():
-    p = TorusPoint(x=np.array([1.25]), y=np.array([-0.25]))
-    assert p.x[0] == pytest.approx(0.25)
-    assert p.y[0] == pytest.approx(0.75)
-
-
-def test_h0_log_density_square_torus():
-    rm = validate_riemann_matrix([[1j]])
-    # z = i: -pi * |z|^2 / Im om = -pi
-    assert h0_log_density(np.array([1j]), rm) == pytest.approx(-np.pi, abs=1e-14)
-
-
-def test_h0_log_density_is_real_negative_quadratic():
-    rm = random_riemann(2, RNG)
-    z = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-    v = h0_log_density(z, rm)
-    assert v <= 0.0
-    assert h0_log_density(2.0 * z, rm) == pytest.approx(4.0 * v, rel=1e-12)
+    # a point of X in action-angle coordinates has each coordinate in [0, 1)
+    assert reduce_mod1(1.25)[0] == pytest.approx(0.25)
+    assert reduce_mod1(-0.25)[0] == pytest.approx(0.75)
+    assert reduce_mod1([0.0, 3.0, -2.0]).tolist() == [0.0, 0.0, 0.0]
+    # values within 1e-15 below 1 round down to 0, not up to a point at 1
+    assert reduce_mod1([1.0 - 1e-16, -1e-17, 1.0 - 1e-15]).tolist() == [0.0, 0.0, 0.0]
+    assert reduce_mod1(1.0 - 1e-14)[0] == 1.0 - 1e-14
 
 
 def test_metric_tensor_square_torus_is_identity():
@@ -147,16 +142,14 @@ def test_metric_tensor_matches_distance_pullback():
 
 def test_total_distance_square_torus_half_shift():
     rm = validate_riemann_matrix([[1j]])
-    p = TorusPoint(x=np.zeros(1), y=np.zeros(1))
-    q = TorusPoint(x=np.zeros(1), y=np.array([0.5]))
-    assert total_distance(p, q, rm) == pytest.approx(0.5, abs=1e-14)
+    assert flat_distance(np.zeros(1), np.array([-0.5]), rm) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_total_distance_wraps_around():
     rm = validate_riemann_matrix([[1j]])
-    p = TorusPoint(x=np.zeros(1), y=np.array([0.1]))
-    q = TorusPoint(x=np.zeros(1), y=np.array([0.9]))
-    assert total_distance(p, q, rm) == pytest.approx(0.2, abs=1e-14)
+    assert flat_distance(np.zeros(1), np.array([0.1 - 0.9]), rm) == pytest.approx(
+        0.2, abs=1e-14
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,13 +157,16 @@ def test_total_distance_wraps_around():
 def test_total_distance_metric_axioms(seed):
     rng = np.random.default_rng(seed)
     rm = random_riemann(2, rng)
-    pts = [TorusPoint(x=rng.uniform(size=2), y=rng.uniform(size=2)) for _ in range(3)]
-    a, b, c = pts
-    dab = total_distance(a, b, rm)
-    dba = total_distance(b, a, rm)
-    dac = total_distance(a, c, rm)
-    dcb = total_distance(c, b, rm)
-    assert total_distance(a, a, rm) <= 1e-10
+    a, b, c = rng.uniform(size=(3, 4))
+
+    def dist(p, q):
+        return flat_distance(p[:2] - q[:2], p[2:] - q[2:], rm)
+
+    dab = dist(a, b)
+    dba = dist(b, a)
+    dac = dist(a, c)
+    dcb = dist(c, b)
+    assert dist(a, a) <= 1e-10
     assert dab == pytest.approx(dba, abs=1e-10)
     assert dab <= dac + dcb + 1e-10
 
@@ -200,9 +196,9 @@ def test_fiber_volume_stretched_torus():
 def test_submersion_inequality_base_vs_total():
     rm = random_riemann(2, RNG)
     for _ in range(5):
-        p = TorusPoint(x=RNG.uniform(size=2), y=RNG.uniform(size=2))
-        q = TorusPoint(x=p.x.copy(), y=RNG.uniform(size=2))
-        assert base_distance(p.y, q.y, rm) <= total_distance(p, q, rm) + 1e-10
+        # two points on one fiber section x = const
+        y1, y2 = RNG.uniform(size=(2, 2))
+        assert base_distance(y1, y2, rm) <= flat_distance(np.zeros(2), y1 - y2, rm) + 1e-10
 
 
 def brute_closest(d, q, r):
@@ -222,9 +218,8 @@ def test_distances_match_brute_closest_vector_on_skewed_lattice():
     q = base_metric(rm)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        p = TorusPoint(x=rng.uniform(size=2), y=rng.uniform(size=2))
-        r = TorusPoint(x=rng.uniform(size=2), y=rng.uniform(size=2))
-        d_base = brute_closest(p.y - r.y, q, 8)
-        d_total = brute_closest(np.concatenate([p.x - r.x, p.y - r.y]), g, 5)
-        assert base_distance(p.y, r.y, rm) == pytest.approx(d_base, abs=1e-12)
-        assert total_distance(p, r, rm) == pytest.approx(d_total, abs=1e-12)
+        px, py, rx, ry = rng.uniform(size=(4, 2))
+        d_base = brute_closest(py - ry, q, 8)
+        d_total = brute_closest(np.concatenate([px - rx, py - ry]), g, 5)
+        assert base_distance(py, ry, rm) == pytest.approx(d_base, abs=1e-12)
+        assert flat_distance(px - rx, py - ry, rm) == pytest.approx(d_total, abs=1e-12)

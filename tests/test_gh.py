@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import theta_amoeba
-from theta_amoeba import ConfigError, EmptySet, NotACorrespondence, metrics
+from theta_amoeba import ConfigError, EmptySet, NotACorrespondence, abelian, gh, metrics
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.gh import (
     convergence_suite,
@@ -169,6 +169,29 @@ def test_suite_rejects_short_sweeps():
     rm = validate_riemann_matrix([[1j]])
     with pytest.raises(ConfigError):
         convergence_suite(rm, [2, 4])
+
+
+def test_suite_rejects_zero_grid_resolution():
+    # 0 is a resolution below 8*max(k), not a request for the default grid
+    rm = validate_riemann_matrix([[1j]])
+    with pytest.raises(ConfigError, match="below 8"):
+        convergence_suite(rm, [2, 3, 4], grid_resolution=0)
+
+
+def test_suite_measures_base_distances_through_base_distance(monkeypatch):
+    # the 8 x 8 block of base distances between the points j/8 goes
+    # through the one public route, once per pair
+    calls = []
+
+    def counted(y1, y2, om):
+        calls.append(om)
+        return abelian.base_distance(y1, y2, om)
+
+    monkeypatch.setattr(gh, "base_distance", counted)
+    rm = validate_riemann_matrix([[1j]])
+    convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
+    assert len(calls) == 64
+    assert all(om is rm for om in calls)
 
 
 def test_suite_rejects_higher_dimension():

@@ -11,10 +11,8 @@ from theta_amoeba.metrics import (
     balanced_matrix,
     c0_metric_deviation,
     flat_metric_field,
-    geodesic_distance,
     geodesic_distances,
     gram_matrix,
-    node_index,
     omega_k_field,
     omega_k_metric_field,
     quadrature_grid,
@@ -293,17 +291,21 @@ def test_c0_deviation_decreasing_in_level():
 
 
 def test_flat_geodesic_half_period():
-    field = flat_metric_field(SQUARE, quadrature_grid(1, 32))
-    d = geodesic_distance(field, (0.0, 0.0), (0.0, 0.5))
+    grid = quadrature_grid(1, 32)
+    field = flat_metric_field(SQUARE, grid)
+    # node (x, y) = (0, 0) to (0, 1/2): the grid runs x-major
+    d = geodesic_distances(field, [0])[0, 16]
+    assert (grid.x[16], grid.y[16]) == (0.0, 0.5)
     assert d == pytest.approx(0.5, abs=2.0 / 32)
 
 
 def test_geodesic_symmetry():
-    field = omega_k_metric_field(theta_basis(SQUARE, 3), quadrature_grid(1, 24))
-    p, q = (0.0, 0.0), (0.3, 0.4)
-    assert geodesic_distance(field, p, q) == pytest.approx(
-        geodesic_distance(field, q, p), abs=1e-12
-    )
+    grid = quadrature_grid(1, 24)
+    field = omega_k_metric_field(theta_basis(SQUARE, 3), grid)
+    # nodes nearest (0, 0) and (0.3, 0.4)
+    p, q = 0, 7 * 24 + 10
+    d = geodesic_distances(field, [p, q])
+    assert d[0, q] == pytest.approx(d[1, p], abs=1e-12)
 
 
 def test_geodesic_ratio_near_one():
@@ -318,9 +320,3 @@ def test_geodesic_ratio_near_one():
     ratio = dk[mask] / d0[mask]
     assert np.max(np.abs(ratio - 1.0)) < 0.05
 
-
-def test_node_index_roundtrip():
-    grid = quadrature_grid(1, 16)
-    idx = node_index(grid, 0.25, 0.5)
-    assert np.allclose(grid.x[idx], 0.25)
-    assert np.allclose(grid.y[idx], 0.5)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from theta_amoeba import DegenerateSample, NonPositive, metrics, quantization, theta
+from theta_amoeba import DegenerateSample, NonPositive, abelian, metrics, quantization, theta
 from theta_amoeba.abelian import fiber_volume, validate_riemann_matrix, xy_to_z
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.quantization import (
@@ -142,19 +142,17 @@ def test_bergman_reproducing_property():
 
 
 def test_bergman_offdiagonal_decay():
-    from theta_amoeba.abelian import TorusPoint, total_distance
+    from theta_amoeba.abelian import _torus_quadratic_distance, real_metric_tensor
 
+    g0 = real_metric_tensor(SQUARE)
     basis = theta_basis(SQUARE, 8)
     logs, dists = [], []
     for _ in range(40):
         x1, y1 = RNG.uniform(size=2)
         x2, y2 = RNG.uniform(size=2)
         val = bergman_kernel(basis, [[x1]], [[y1]], [[x2]], [[y2]])[0]
-        d = total_distance(
-            TorusPoint(np.array([x1]), np.array([y1])),
-            TorusPoint(np.array([x2]), np.array([y2])),
-            SQUARE,
-        )
+        # oracle: the flat distance on (X, g_0), a closest-vector search
+        d = _torus_quadratic_distance(np.array([x1 - x2, y1 - y2]), g0)
         if abs(val) > 1e-280 and d > 1e-3:
             logs.append(np.log(abs(val) / 8.0))
             dists.append(np.sqrt(8.0) * d)
@@ -264,6 +262,23 @@ def test_peak_suite_evaluates_grid_once(monkeypatch):
         sizes.clear()
         peak_section_suite(SQUARE, k)
         assert sizes.count(max(8 * k, 16) ** 2) == 1
+
+
+def test_peak_suite_measures_base_distances_through_base_distance(monkeypatch):
+    # one base distance per point of the 57-point decay curve, through the
+    # one public route
+    calls = []
+
+    def counted(y1, y2, om):
+        calls.append(om)
+        return abelian.base_distance(y1, y2, om)
+
+    monkeypatch.setattr(quantization, "base_distance", counted)
+    for k in (2, 4):
+        calls.clear()
+        peak_section_suite(SQUARE, k)
+        assert len(calls) == 57
+        assert all(om is SQUARE for om in calls)
 
 
 def test_peak_decay_regression():

@@ -335,10 +335,12 @@ def test_offset_counts():
     assert len(_offsets(closed_form_im(COUPLED.im, 2))) == 3585
 
 
-def test_basis_rejects_nonpositive_level():
+@pytest.mark.parametrize("k", [0, 1.9, 2.5])
+def test_basis_rejects_nonpositive_level(k):
+    # a non-integral level is refused, not truncated to int(k)
     rm = validate_riemann_matrix([[1j]])
-    with pytest.raises(NonPositive):
-        theta_basis(rm, 0)
+    with pytest.raises(NonPositive, match="positive integer"):
+        theta_basis(rm, k)
 
 
 def test_basis_enumeration():
