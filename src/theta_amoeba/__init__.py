@@ -10,6 +10,7 @@ from .errors import (
     DegenerateSample,
     DisconnectedSample,
     EmptySet,
+    InvalidPoints,
     MixedLevels,
     NonPositive,
     NotACorrespondence,

@@ -39,7 +39,7 @@ from .quantization import (
     bsz_comparison,
     peak_section_suite,
 )
-from .theta import section_gauge_values, theta_basis
+from .theta import grid_gauge_values, theta_basis
 
 
 def _integer(name: str, value) -> int:
@@ -184,7 +184,7 @@ def run_theta_eval(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for k in cfg.k_list:
         basis = theta_basis(om, k)
         grid = quadrature_grid(om.n, 8)
-        gv = section_gauge_values(basis, grid.x, grid.y)
+        gv = grid_gauge_values(basis, grid.m)
         i, m = np.divmod(np.arange(gv.log_mag.size), grid.size)
         blocks.append(
             np.column_stack(

@@ -37,6 +37,10 @@ class NotACorrespondence(ThetaAmoebaError):
     """Relation is not total and surjective on both sides."""
 
 
+class InvalidPoints(ThetaAmoebaError):
+    """Point coordinates that are not finite or do not pair up as (x, y)."""
+
+
 class DegenerateSample(ThetaAmoebaError):
     """Sample point with vanishing section value."""
 

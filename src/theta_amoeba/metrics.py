@@ -9,6 +9,7 @@ volume factor.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,13 @@ from scipy.sparse.csgraph import dijkstra
 
 from .abelian import RiemannMatrix, real_metric_tensor
 from .errors import ConfigError, DegenerateSample, NonPositive
-from .theta import ZERO_FLOOR_LOG, GaugeValue, ThetaBasis, section_gauge_values
+from .theta import (
+    ZERO_FLOOR_LOG,
+    GaugeValue,
+    ThetaBasis,
+    grid_gauge_values,
+    section_gauge_values,
+)
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,14 @@ class MetricField:
 
 
 def quadrature_grid(n: int, m: int) -> QuadratureGrid:
-    if m < 2:
-        raise ConfigError(f"grid needs at least 2 nodes per axis, got {m}")
+    """The m^{2n} nodes (x, y) in ((1/m) Z / Z)^{2n}, x-major.
+
+    n must be an integer >= 1 and m an integer >= 2: a fractional m would
+    not give a periodic grid, and grid_gauge_values reads node indices.
+    """
+    for name, value, least in (("dimension", n, 1), ("nodes per axis", m, 2)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"grid {name} must be an integer >= {least}, got {value!r}")
     axes = np.meshgrid(*([np.arange(m) / m] * (2 * n)), indexing="ij")
     flat = np.stack([a.ravel() for a in axes], axis=-1)
     return QuadratureGrid(n=n, m=m, x=flat[:, :n], y=flat[:, n:])
@@ -66,7 +79,7 @@ def check_grid_resolution(basis: ThetaBasis, grid: QuadratureGrid):
 def gram_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     """L^2 Gram matrix (s_i, s_j) by grid-mean quadrature of gauge values."""
     check_grid_resolution(basis, grid)
-    v = section_gauge_values(basis, grid.x, grid.y).complex_values()
+    v = grid_gauge_values(basis, grid.m).complex_values()
     g = (v @ v.conj().T) / grid.size
     return 0.5 * (g + g.conj().T)
 
@@ -112,7 +125,7 @@ def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     """Embedding mass matrix M_ij = int (s_i, s_j)_h / f against the
     pulled-back volume form."""
     check_grid_resolution(basis, grid)
-    gv = section_gauge_values(basis, grid.x, grid.y, dlog=True)
+    gv = grid_gauge_values(basis, grid.m, dlog=True)
     v = gv.complex_values()
     f = np.einsum("im,im->m", v, v.conj()).real
     gk = _metric_field(basis, gv)
@@ -138,7 +151,9 @@ def flat_metric_field(om: RiemannMatrix, grid: QuadratureGrid) -> MetricField:
 
 
 def omega_k_metric_field(basis: ThetaBasis, grid: QuadratureGrid) -> MetricField:
-    return MetricField(grid=grid, g=omega_k_field(basis, grid.x, grid.y))
+    check_grid_resolution(basis, grid)
+    gv = grid_gauge_values(basis, grid.m, dlog=True)
+    return MetricField(grid=grid, g=_metric_field(basis, gv))
 
 
 def _graph_edges(field: MetricField):

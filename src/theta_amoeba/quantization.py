@@ -17,12 +17,12 @@ import numpy as np
 
 from .abelian import RiemannMatrix, base_distance, fiber_volume, z_to_xy
 from .errors import DegenerateSample, NonPositive
-from .metrics import quadrature_grid
 from .theta import (
     ZERO_FLOOR_LOG,
     GaugeValue,
     ThetaBasis,
     _as_points,
+    grid_gauge_values,
     section_gauge_values,
     theta_basis,
 )
@@ -178,11 +178,10 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     cond = float(sv[0] / sv[-1])
 
     # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n, from one
-    # evaluation of the sections on the quadrature grid
-    grid = quadrature_grid(n, max(8 * k, 16))
-    v = section_gauge_values(basis, grid.x, grid.y).complex_values()
+    # evaluation of the sections on the max(8k, 16)^{2n} quadrature grid
+    v = grid_gauge_values(basis, max(8 * k, 16)).complex_values()
     tilde = kappa * (c @ v)
-    gram_peak = (tilde @ tilde.conj().T) / grid.size
+    gram_peak = (tilde @ tilde.conj().T) / v.shape[1]
     dg = np.sqrt(np.abs(np.diag(gram_peak)))
     normalized = gram_peak / np.outer(dg, dg)
     off = np.abs(normalized - np.diag(np.diag(normalized)))

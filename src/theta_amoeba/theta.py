@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import RiemannMatrix, ellipsoid_points, xy_to_z
-from .errors import NonPositive, NotPositive, TruncationOverflow
+from .errors import InvalidPoints, NonPositive, NotPositive, TruncationOverflow
 
 # tail budget: every dropped term lies below exp(-TAIL_LOG) ~ 1e-16 * e^-5
 # of the Gaussian peak (see _offsets)
@@ -195,10 +195,16 @@ def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
 
 
 def _as_points(x, y, n):
-    x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
-    y = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
+    """x and y as matching (m, n) arrays of finite coordinates."""
+    try:
+        x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
+        y = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPoints(f"coordinates are not real arrays of {n}-vectors: {exc}") from None
     if x.shape != y.shape:
-        raise ValueError("x and y must have matching shapes")
+        raise InvalidPoints(f"x and y must have matching shapes, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidPoints("point coordinates must be finite")
     return x, y
 
 
@@ -221,9 +227,31 @@ def _gauge(basis: ThetaBasis, x, y):
     return xy_to_z(x, y, om), base_lm, base_ph
 
 
+def _log_form(vals, point_phase, shift, l_star, w_off):
+    """One chunk's sums in log form, sections first: (log_mag, phase, dlog).
+
+    vals (p, S) are a chunk's section sums before the point phase, scaled
+    by exp(-shift); w_off (p, n, S), or None, the same sums with each term
+    times its offset. d log Theta_k = 2 pi i (l* + w_off / vals) is read
+    before point_phase (p, S) multiplies vals in place: the phase cancels
+    in the ratio, and an exact zero gives inf/nan there.
+    """
+    grad = None
+    if w_off is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = 2j * np.pi * (l_star[:, :, None] + w_off / vals[:, None, :])
+        grad = grad.transpose(2, 0, 1)
+    vals *= point_phase
+    with np.errstate(divide="ignore"):
+        log_mag = (shift[:, None] + np.log(np.abs(vals))).T
+    return log_mag, np.angle(vals).T, grad
+
+
 def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeValue:
     """Evaluate every basis section at unreduced coordinates z = Omega x + y.
 
+    This is the route for scattered points; grid_gauge_values serves the
+    nodes of a quadrature grid with the same values and accuracy contract.
     Section j is the Omega/k series with term l twisted by e(-tl j / k), so
     one lattice sum per point gives all k^n sections: its terms are
     contracted against the table e(-t(off) j / k) over the offsets,
@@ -232,12 +260,15 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     dlog, the same contraction of (l* + off) times the terms gives
     d_z log Theta_k(z; b_i).
 
-    Accuracy contract, shared with _stacked_log_mag: |s_i|_h is accurate to
-    roundoff times max_j |s_j|_h at each point, not relative to |s_i|_h:
-    every section sums the same terms up to phase. The roundoff grows with
-    k and |x|; for k <= 32 and coordinates in [-0.5, 1.5] it is within 1e-13
-    (against mpmath at k = 32, 250 points: <= 2.9e-14 on Omega = i,
-    <= 5.7e-14 on 0.3 + 1.2i). Sections far below the largest carry no digits.
+    Accuracy contract, shared with _stacked_log_mag and grid_gauge_values:
+    |s_i|_h is accurate to roundoff times max_j |s_j|_h at each point, not
+    relative to |s_i|_h: every section sums the same terms up to phase.
+    The roundoff grows with k and |x|; for k <= 32 and coordinates in
+    [-0.5, 1.5] it is within 1e-13 (against mpmath at k = 32, 250 points:
+    <= 2.9e-14 on Omega = i, <= 5.7e-14 on 0.3 + 1.2i). Sections far below
+    the largest carry no digits. At k = 1 the one section cancels to zero
+    along the theta divisor; there the roundoff is relative to the sum's
+    largest term instead.
     """
     k, n = basis.k, basis.om.n
     z, base_lm, base_ph = _gauge(basis, x, y)
@@ -251,20 +282,83 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     grad = np.empty((basis.n_sections, m, n), dtype=complex) if dlog else None
     for rows, l_star, w, shift in chunks:
         l_star = l_star.astype(int)
-        vals = w @ table
+        w_off = (w[:, None, :] * off.T[None, :, :]) @ table if dlog else None
+        point_phase = unit[(l_star @ idx) % k]
+        log_mag[:, rows], phase[:, rows], d = _log_form(w @ table, point_phase, shift, l_star, w_off)
         if dlog:
-            w_off = (w[:, None, :] * off.T[None, :, :]) @ table
-            # the point phase cancels in the ratio; an exact zero gives inf/nan
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = 2j * np.pi * (l_star[:, :, None] + w_off / vals[:, None, :])
-            grad[:, rows] = d.transpose(2, 0, 1)
-        vals *= unit[(l_star @ idx) % k]
-        with np.errstate(divide="ignore"):
-            log_mag[:, rows] = (shift[:, None] + np.log(np.abs(vals))).T
-        phase[:, rows] = np.angle(vals).T
+            grad[:, rows] = d
     return GaugeValue(
         log_mag=base_lm[None, :] + log_mag,
         phase=base_ph[None, :] + phase,
+        dlog=grad,
+    )
+
+
+def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeValue:
+    """Every basis section on every node of quadrature_grid(n, m), x-major.
+
+    The grid route: section_gauge_values at the grid's nodes, with the
+    same values and accuracy contract. At z = Omega x + y with real y the
+    centre l* and the row shift depend on x alone, and y enters term l
+    only as the phase e(tl y). So one lattice sum per x-node, at
+    z = Omega x, serves its m^n nodes y = q / m: their sums are
+      sum_j w(x, j) e(-t(off_j) s / k) e(t(off_j) q / m),
+    times the point phases e(-t(l*) s / k) e(t(l*) q / m), all read from
+    roots of unity by integer indices mod k and mod m. A chunk of x-nodes
+    then costs one (m^n x J)(J x rows k^n) product, the multiply-adds of
+    section_gauge_values' contraction without its per-node exponentials;
+    dlog widens it by n more blocks of the offset-weighted terms. Each
+    node's sum is still its own: this factors every term exactly, it does
+    not tile the grid by Heisenberg translations.
+    """
+    k, n = basis.k, basis.om.n
+    nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
+    x = nodes / m
+    z, base_lm, base_ph = _gauge(basis, x, np.zeros_like(x))
+    off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
+    off_int = off.astype(int)
+    unit_k = np.exp(-2j * np.pi * np.arange(k) / k)
+    unit_m = np.exp(2j * np.pi * np.arange(m) / m)
+    idx = basis.indices.T
+    table = unit_k[(off_int @ idx) % k]
+    y_table = unit_m[(nodes @ off_int.T) % m]
+    # the term blocks: the terms, then each times one offset coordinate
+    blocks = np.hstack([np.ones((len(off), 1)), off]) if dlog else np.ones((len(off), 1))
+    n_s, n_y, n_b = basis.n_sections, len(nodes), blocks.shape[1]
+    # an x-node's (J, blocks, S) operand and (m^n, blocks, S) sums set the memory
+    step = max(1, _CHUNK_TERMS // (n_b * n_s * (n_y + len(off))))
+    log_mag = np.empty((n_s, n_y * n_y))
+    phase = np.empty((n_s, n_y * n_y))
+    grad = np.empty((n_s, n_y * n_y, n), dtype=complex) if dlog else None
+    for rows, l_star, w, shift in chunks:
+        l_star = l_star.astype(int)
+        for start in range(0, w.shape[0], step):
+            part = slice(start, start + step)
+            r = w[part].shape[0]
+            terms = w[part].T[:, None, :, None] * blocks[:, :, None, None] * table[:, None, None, :]
+            sums = (y_table @ terms.reshape(len(off), -1)).reshape(n_y, n_b, r, n_s)
+            vals = sums[:, 0].transpose(1, 0, 2).reshape(r * n_y, n_s)
+            w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s) if dlog else None
+            point_phase = (
+                unit_k[(l_star[part] @ idx) % k][:, None, :]
+                * unit_m[(l_star[part] @ nodes.T) % m][:, :, None]
+            ).reshape(r * n_y, n_s)
+            cols = slice((rows.start + start) * n_y, (rows.start + start + r) * n_y)
+            log_mag[:, cols], phase[:, cols], d = _log_form(
+                vals,
+                point_phase,
+                np.repeat(shift[part], n_y),
+                np.repeat(l_star[part], n_y, axis=0),
+                w_off,
+            )
+            if dlog:
+                grad[:, cols] = d
+    # the gauge phase pi k (tx S x + tx y) at every node; y runs over the
+    # same points nodes / m as x
+    base_ph = base_ph[:, None] + np.pi * k * (x @ x.T)
+    return GaugeValue(
+        log_mag=np.repeat(base_lm, n_y)[None, :] + log_mag,
+        phase=base_ph.ravel()[None, :] + phase,
         dlog=grad,
     )
 

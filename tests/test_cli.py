@@ -11,7 +11,7 @@ from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import amoeba_sample
 from theta_amoeba.cli import ExperimentConfig, main, run_amoeba, run_theta_eval, write_csv
 from theta_amoeba.metrics import quadrature_grid
-from theta_amoeba.theta import section_gauge_values, theta_basis
+from theta_amoeba.theta import grid_gauge_values, theta_basis
 
 
 def run(capsys, *argv):
@@ -249,7 +249,7 @@ def test_runner_tables_match_row_loops():
     rows = []
     for k in cfg.k_list:
         grid = quadrature_grid(2, 8)
-        gv = section_gauge_values(theta_basis(om, k), grid.x, grid.y)
+        gv = grid_gauge_values(theta_basis(om, k), grid.m)
         for i in range(k**2):
             for m in range(grid.size):
                 rows.append([k, i, *grid.x[m], *grid.y[m], gv.log_mag[i, m], gv.phase[i, m]])

@@ -202,13 +202,13 @@ def test_suite_rejects_higher_dimension():
 
 def test_suite_small_sweep(monkeypatch):
     levels = []
-    field = metrics.omega_k_field
+    evaluate = metrics.grid_gauge_values
 
-    def counted(basis, x, y):
+    def counted(basis, m, dlog=False):
         levels.append(basis.k)
-        return field(basis, x, y)
+        return evaluate(basis, m, dlog=dlog)
 
-    monkeypatch.setattr(metrics, "omega_k_field", counted)
+    monkeypatch.setattr(metrics, "grid_gauge_values", counted)
     rm = validate_riemann_matrix([[1j]])
     rep = convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
     # one metric field per level serves both the C0 deviation and geodesics

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from theta_amoeba import ConfigError, DegenerateSample
+from theta_amoeba import ConfigError, DegenerateSample, InvalidPoints
 from theta_amoeba.abelian import real_metric_tensor, validate_riemann_matrix
 from theta_amoeba.metrics import (
     _metric_field,
@@ -263,6 +263,35 @@ def test_omega_k_rejects_common_zero_at_level_one():
         omega_k_field(basis, [[0.5]], [[0.5]])
     with pytest.raises(DegenerateSample):
         balanced_matrix(basis, grid_for(1))
+
+
+def test_omega_k_rejects_bad_coordinates_as_such():
+    # a NaN point is not a common zero of the sections
+    basis = theta_basis(SQUARE, 2)
+    for x, y in (([[np.nan]], [[0.5]]), ([[0.5]], [[-np.inf]]), ([[0.5], [0.25]], [[0.5]])):
+        with pytest.raises(InvalidPoints):
+            omega_k_field(basis, x, y)
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(1, 4.5), (0, 4), (1, 1), (-1, 4), (1.0, 4), (2, "8"), (1, True)],
+)
+def test_quadrature_grid_rejects_bad_sizes(n, m):
+    # a fractional m would build a grid that is not periodic
+    with pytest.raises(ConfigError):
+        quadrature_grid(n, m)
+
+
+def test_quadrature_grid_accepts_numpy_integers():
+    grid = quadrature_grid(np.int64(1), np.int32(4))
+    assert grid.size == 16
+    np.testing.assert_array_equal(grid.y[:4, 0], [0.0, 0.25, 0.5, 0.75])
+
+
+def test_omega_k_metric_field_rejects_mismatched_grid():
+    with pytest.raises(ConfigError):
+        omega_k_metric_field(theta_basis(SQUARE, 2), quadrature_grid(2, 16))
 
 
 def test_omega_k_tensor_symmetric():

@@ -18,7 +18,12 @@ from theta_amoeba.quantization import (
     printed_reconstruction_constant,
     sigma_section,
 )
-from theta_amoeba.theta import distortion_fk, section_gauge_values, theta_basis
+from theta_amoeba.theta import (
+    distortion_fk,
+    grid_gauge_values,
+    section_gauge_values,
+    theta_basis,
+)
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.4j]])
@@ -251,13 +256,13 @@ def test_peak_suite_evaluates_grid_once(monkeypatch):
     # of the sections on the max(8k, 16)^{2n} quadrature grid
     sizes = []
 
-    def counted(basis, x, y, dlog=False):
-        sizes.append(np.shape(x)[0])
-        return section_gauge_values(basis, x, y, dlog=dlog)
+    def counted(basis, m, dlog=False):
+        sizes.append(m ** (2 * basis.om.n))
+        return grid_gauge_values(basis, m, dlog=dlog)
 
     # every module binding, so a second route through metrics counts too
     for module in (theta, metrics, quantization):
-        monkeypatch.setattr(module, "section_gauge_values", counted)
+        monkeypatch.setattr(module, "grid_gauge_values", counted)
     for k in (2, 4):
         sizes.clear()
         peak_section_suite(SQUARE, k)

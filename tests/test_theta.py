@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import NonPositive, TruncationOverflow, theta
+from theta_amoeba import InvalidPoints, NonPositive, TruncationOverflow, theta
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import (
     _CHUNK_TERMS,
     TAIL_LOG,
+    ZERO_FLOOR_LOG,
     _as_points,
     _gauge,
     _lattice_terms,
@@ -20,6 +22,7 @@ from theta_amoeba.theta import (
     _stacked_log_mag,
     _unique_rows,
     distortion_fk,
+    grid_gauge_values,
     section_gauge_values,
     theta_basis,
     theta_char,
@@ -216,9 +219,9 @@ def test_row_terms_are_the_same_bits_in_any_chunk(rm, k):
         np.testing.assert_array_equal(shift, s_all[rows])
 
 @st.composite
-def kernel_problems(draw):
-    """A level-k series Omega / k with n = 1 or 2, points z = Omega x + y with
-    x, y in [-0.5, 1.5]^n, and a characteristic a in {0, 1/2}^n."""
+def period_matrices(draw):
+    """A symmetric Omega with positive definite imaginary part, n = 1 or 2;
+    at n = 2 Im Omega is random or a diagonal form in a skewed basis."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(1, 2))
     s = rng.uniform(-0.5, 0.5, (n, n))
@@ -231,7 +234,16 @@ def kernel_problems(draw):
         # a diagonal form in a skewed basis, as A tA with A = [[1, 3], [0, 1]]
         u = np.array([[1.0, draw(st.sampled_from([-3, -2, 2, 3]))], [0.0, 1.0]])
         t = u @ np.diag(rng.uniform(0.5, 2.0, 2)) @ u.T
-    om = s + s.T + 1j * t
+    return s + s.T + 1j * t
+
+
+@st.composite
+def kernel_problems(draw):
+    """A level-k series Omega / k with n = 1 or 2, points z = Omega x + y with
+    x, y in [-0.5, 1.5]^n, and a characteristic a in {0, 1/2}^n."""
+    om = draw(period_matrices())
+    n = om.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     x, y = rng.uniform(-0.5, 1.5, (2, 20, n))
     a = 0.5 * rng.integers(0, 2, n)
     return om / draw(st.integers(1, 32)), x @ om.T + y, a
@@ -500,6 +512,84 @@ def test_one_sum_route_matches_per_section_route(rm, k):
     err = (p[:, :, None] * np.abs(gv.dlog - d_ref)).max(axis=(0, 2))
     scale = (p[:, :, None] * np.abs(d_ref)).max(axis=(0, 2))
     assert np.all(err <= 1e-12 * scale)
+
+
+@st.composite
+def grid_problems(draw):
+    """A basis on a random Omega (n = 1 or 2) and a grid of m = 8k to
+    8k + 5 nodes per axis, so that both k | m and k not dividing m occur."""
+    rm = validate_riemann_matrix(draw(period_matrices()))
+    # n = 2 stops at k = 2: its grid has m^4 nodes
+    k = draw(st.integers(1, 16 if rm.n == 1 else 2))
+    return theta_basis(rm, k), 8 * k + draw(st.integers(0, 5)), draw(st.integers(0, 2**31 - 1))
+
+
+def largest_term(basis, x, y):
+    """The largest term of each point's lattice sum, in gauge units."""
+    z, base_lm, _ = _gauge(basis, x, y)
+    _, chunks = _lattice_terms(basis.om.omega / basis.k, z, np.zeros(basis.om.n))
+    return np.exp(base_lm + np.concatenate([shift for *_, shift in chunks]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_problems())
+def test_grid_route_matches_scattered_route(problem):
+    # the shared contract at every compared node: |s_i|_h to 1e-13 of
+    # max_j |s_j|_h, and d log Theta_k as in the one-sum route test, with
+    # its scale floored at 2 pi: d log Theta_k vanishes at the half-period
+    # nodes, where both routes read roundoff of terms 2 pi i l, |l| >= 1
+    basis, m, seed = problem
+    grid = quadrature_grid(basis.om.n, m)
+    gv = grid_gauge_values(basis, m, dlog=True)
+    assert gv.log_mag.shape == (basis.n_sections, grid.size)
+    # the oracle costs a full lattice sum per node: at most 4096 of them
+    nodes = np.arange(grid.size)
+    if grid.size > 4096:
+        nodes = np.sort(np.random.default_rng(seed).choice(grid.size, 4096, replace=False))
+    x, y = grid.x[nodes], grid.y[nodes]
+    ref = section_gauge_values(basis, x, y, dlog=True)
+    v, v_ref = gv.complex_values()[:, nodes], ref.complex_values()
+    peak = np.abs(v_ref).max(axis=0)
+    # roundoff is relative to a sum's largest term. At k >= 2 that term
+    # lies below max_j |s_j|_h; at k = 1 the one section cancels to zero
+    # along the theta divisor, so there the term is the scale
+    scale = peak if basis.k > 1 else np.maximum(peak, largest_term(basis, x, y))
+    assert np.all(np.abs(v - v_ref) <= 1e-13 * scale)
+    # d log Theta_k is undefined at a common zero of the sections (k = 1,
+    # where half-period nodes meet the theta divisor)
+    keep = peak >= np.exp(ZERO_FLOOR_LOG)
+    p = (np.abs(v_ref[:, keep]) / peak[keep]) ** 2
+    p = (p / p.sum(axis=0))[:, :, None]
+    d, d_ref = gv.dlog[:, nodes[keep]], ref.dlog[:, keep]
+    # a section at roundoff of the largest carries no weight and no d log:
+    # either route may read it as an exact zero, with d log inf or nan
+    live = p > np.finfo(float).eps
+    err = np.where(live, p * np.abs(d - d_ref), 0.0).max(axis=(0, 2))
+    d_scale = np.where(live, p * np.abs(d_ref), 0.0).max(axis=(0, 2))
+    cond = scale[keep] / peak[keep]
+    assert np.all(err <= 1e-12 * np.maximum(d_scale, 2.0 * np.pi) * cond)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([[np.nan]], [[0.5]]),
+        ([[0.25]], [[np.inf]]),
+        ([[0.25], [-np.inf]], [[0.5], [0.5]]),
+        ([[0.25], [0.5]], [[0.5]]),
+        ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+        ([["a"]], [[0.5]]),
+    ],
+    ids=["nan-x", "inf-y", "-inf-x", "shape", "not-n-vectors", "not-numbers"],
+)
+def test_bad_coordinates_raise_typed_error(x, y):
+    # raised before any arithmetic: no NaN output, no RuntimeWarning
+    basis = theta_basis(COUPLED if np.size(x) == 3 else SQUARE, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (section_gauge_values, distortion_fk):
+            with pytest.raises(InvalidPoints):
+                evaluate(basis, x, y)
 
 
 def mp_section_log_mag(basis, x, y):
