@@ -117,7 +117,8 @@ def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
 
 
 def omega_k_field(basis: ThetaBasis, x, y):
-    """Pulled-back metric tensors at many points, shape (m, 2n, 2n)."""
+    """Pulled-back metric tensors at scattered points, shape (m, 2n, 2n);
+    omega_k_metric_field serves the nodes of a quadrature grid."""
     return _metric_field(basis, section_gauge_values(basis, x, y, dlog=True))
 
 

@@ -200,9 +200,9 @@ def _as_points(x, y, n):
         x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
         y = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
     except (TypeError, ValueError) as exc:
-        raise InvalidPoints(f"coordinates are not real arrays of {n}-vectors: {exc}") from None
+        raise InvalidPoints(f"coordinates are not real {n}-vectors: {exc}") from None
     if x.shape != y.shape:
-        raise InvalidPoints(f"x and y must have matching shapes, got {x.shape} and {y.shape}")
+        raise InvalidPoints(f"x and y shapes differ: {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidPoints("point coordinates must be finite")
     return x, y
@@ -250,8 +250,11 @@ def _log_form(vals, point_phase, shift, l_star, w_off):
 def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeValue:
     """Evaluate every basis section at unreduced coordinates z = Omega x + y.
 
-    This is the route for scattered points; grid_gauge_values serves the
-    nodes of a quadrature grid with the same values and accuracy contract.
+    This is the route for scattered points. grid_gauge_values serves the
+    nodes of a quadrature grid, with the same values and accuracy contract:
+    it factors each node's terms exactly instead of summing them afresh,
+    so every node keeps its own sum and gram_matrix = I still checks the
+    basis node by node.
     Section j is the Omega/k series with term l twisted by e(-tl j / k), so
     one lattice sum per point gives all k^n sections: its terms are
     contracted against the table e(-t(off) j / k) over the offsets,
@@ -284,7 +287,10 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
         l_star = l_star.astype(int)
         w_off = (w[:, None, :] * off.T[None, :, :]) @ table if dlog else None
         point_phase = unit[(l_star @ idx) % k]
-        log_mag[:, rows], phase[:, rows], d = _log_form(w @ table, point_phase, shift, l_star, w_off)
+        vals = w @ table
+        log_mag[:, rows], phase[:, rows], d = _log_form(
+            vals, point_phase, shift, l_star, w_off
+        )
         if dlog:
             grad[:, rows] = d
     return GaugeValue(
@@ -308,8 +314,8 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     then costs one (m^n x J)(J x rows k^n) product, the multiply-adds of
     section_gauge_values' contraction without its per-node exponentials;
     dlog widens it by n more blocks of the offset-weighted terms. Each
-    node's sum is still its own: this factors every term exactly, it does
-    not tile the grid by Heisenberg translations.
+    node still gets its own sum: every term is factored exactly, and no
+    node's values are copied from another by a Heisenberg translation.
     """
     k, n = basis.k, basis.om.n
     nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
@@ -320,10 +326,12 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     unit_k = np.exp(-2j * np.pi * np.arange(k) / k)
     unit_m = np.exp(2j * np.pi * np.arange(m) / m)
     idx = basis.indices.T
-    table = unit_k[(off_int @ idx) % k]
     y_table = unit_m[(nodes @ off_int.T) % m]
-    # the term blocks: the terms, then each times one offset coordinate
-    blocks = np.hstack([np.ones((len(off), 1)), off]) if dlog else np.ones((len(off), 1))
+    # the section table, then with dlog each offset coordinate times it:
+    # (J, blocks, S)
+    blocks = unit_k[(off_int @ idx) % k][:, None, :]
+    if dlog:
+        blocks = np.concatenate([blocks, off[:, :, None] * blocks], axis=1)
     n_s, n_y, n_b = basis.n_sections, len(nodes), blocks.shape[1]
     # an x-node's (J, blocks, S) operand and (m^n, blocks, S) sums set the memory
     step = max(1, _CHUNK_TERMS // (n_b * n_s * (n_y + len(off))))
@@ -334,22 +342,22 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
         l_star = l_star.astype(int)
         for start in range(0, w.shape[0], step):
             part = slice(start, start + step)
-            r = w[part].shape[0]
-            terms = w[part].T[:, None, :, None] * blocks[:, :, None, None] * table[:, None, None, :]
+            wx, lx = w[part], l_star[part]
+            r = len(wx)
+            terms = wx.T[:, None, :, None] * blocks[:, :, None, :]
             sums = (y_table @ terms.reshape(len(off), -1)).reshape(n_y, n_b, r, n_s)
+            # node order is x-major: rows of (x-node, y-node)
             vals = sums[:, 0].transpose(1, 0, 2).reshape(r * n_y, n_s)
-            w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s) if dlog else None
+            w_off = None
+            if dlog:
+                w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
             point_phase = (
-                unit_k[(l_star[part] @ idx) % k][:, None, :]
-                * unit_m[(l_star[part] @ nodes.T) % m][:, :, None]
+                unit_k[(lx @ idx) % k][:, None, :] * unit_m[(lx @ nodes.T) % m][:, :, None]
             ).reshape(r * n_y, n_s)
             cols = slice((rows.start + start) * n_y, (rows.start + start + r) * n_y)
+            shift_y, l_y = np.repeat(shift[part], n_y), np.repeat(lx, n_y, axis=0)
             log_mag[:, cols], phase[:, cols], d = _log_form(
-                vals,
-                point_phase,
-                np.repeat(shift[part], n_y),
-                np.repeat(l_star[part], n_y, axis=0),
-                w_off,
+                vals, point_phase, shift_y, l_y, w_off
             )
             if dlog:
                 grad[:, cols] = d

@@ -550,9 +550,10 @@ def test_grid_route_matches_scattered_route(problem):
     ref = section_gauge_values(basis, x, y, dlog=True)
     v, v_ref = gv.complex_values()[:, nodes], ref.complex_values()
     peak = np.abs(v_ref).max(axis=0)
-    # roundoff is relative to a sum's largest term. At k >= 2 that term
-    # lies below max_j |s_j|_h; at k = 1 the one section cancels to zero
-    # along the theta divisor, so there the term is the scale
+    # roundoff is relative to a sum's largest term, which at k >= 2 stays
+    # below max_j |s_j|_h (a ratio <= 1.0 measured on the coupled and
+    # random matrices); at k = 1 the one section cancels to zero along the
+    # theta divisor, so there the term is the scale
     scale = peak if basis.k > 1 else np.maximum(peak, largest_term(basis, x, y))
     assert np.all(np.abs(v - v_ref) <= 1e-13 * scale)
     # d log Theta_k is undefined at a common zero of the sections (k = 1,
@@ -571,20 +572,20 @@ def test_grid_route_matches_scattered_route(problem):
 
 
 @pytest.mark.parametrize(
-    "x, y",
+    "rm, x, y",
     [
-        ([[np.nan]], [[0.5]]),
-        ([[0.25]], [[np.inf]]),
-        ([[0.25], [-np.inf]], [[0.5], [0.5]]),
-        ([[0.25], [0.5]], [[0.5]]),
-        ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
-        ([["a"]], [[0.5]]),
+        (SQUARE, [[np.nan]], [[0.5]]),
+        (SQUARE, [[0.25]], [[np.inf]]),
+        (SQUARE, [[0.25], [-np.inf]], [[0.5], [0.5]]),
+        (SQUARE, [[0.25], [0.5]], [[0.5]]),
+        (COUPLED, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+        (SQUARE, [["a"]], [[0.5]]),
     ],
     ids=["nan-x", "inf-y", "-inf-x", "shape", "not-n-vectors", "not-numbers"],
 )
-def test_bad_coordinates_raise_typed_error(x, y):
+def test_bad_coordinates_raise_typed_error(rm, x, y):
     # raised before any arithmetic: no NaN output, no RuntimeWarning
-    basis = theta_basis(COUPLED if np.size(x) == 3 else SQUARE, 2)
+    basis = theta_basis(rm, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for evaluate in (section_gauge_values, distortion_fk):
