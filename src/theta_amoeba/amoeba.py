@@ -49,8 +49,13 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     Computed as a softmax of 2 log|s_i|_h, so the ratio is exact even when
     the individual magnitudes underflow. Evaluated one lattice sum per
     section (see theta._stacked_log_mag), whose roundoff the amoeba
-    sample's point count depends on; each distinct shifted point z - b_i
-    is summed once, with the values of summing every one bit for bit.
+    sample's point count depends on. Each distinct shifted point z - b_i
+    is summed once; the groups come from per-coordinate tables of Im z and
+    of the differences Re z - j / k and one sort of packed integer keys,
+    never from the k^n m shifted rows themselves. They are the groups of
+    bitwise-equal rows, and the distinct points are formed by the same
+    subtraction and summed in the same order, so every xi is bit for bit
+    that of summing every shifted point.
     """
     lm = 2.0 * _stacked_log_mag(basis, x, y)
     lm = lm - lm.max(axis=0, keepdims=True)

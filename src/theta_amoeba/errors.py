@@ -22,7 +22,11 @@ class MixedLevels(ThetaAmoebaError):
 
 
 class NonPositive(ThetaAmoebaError):
-    """A sampled metric tensor is not positive definite."""
+    """A quantity that must be positive is not.
+
+    A level k that is not an integer >= 1, a tau with Im tau <= 0, or a
+    metric tensor that is not positive (semi)definite.
+    """
 
 
 class DisconnectedSample(ThetaAmoebaError):

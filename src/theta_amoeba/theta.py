@@ -187,8 +187,10 @@ class ThetaBasis:
 
 
 def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
-    if int(k) < 1 or k != int(k):
-        raise NonPositive(f"level k must be a positive integer, got {k}")
+    # bool is an int subclass, and NaN and +-inf fail the chained comparison
+    # before int() could raise on them
+    if isinstance(k, (bool, np.bool_)) or not (1 <= k < np.inf and k == int(k)):
+        raise NonPositive(f"level k must be a positive integer, got {k!r}")
     k = int(k)
     idx = np.array(list(itertools.product(range(k), repeat=om.n)), dtype=int)
     return ThetaBasis(om=om, k=k, indices=idx)
@@ -394,6 +396,56 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], inverse
 
 
+def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unique_rows of the shifted points z_p - b_i (row i m + p), unbuilt.
+
+    b_i is real, so row (i, p) holds the bits of Im z_p and, per coordinate
+    d, of the IEEE difference Re z_pd - b_id: two rows are bit-equal
+    exactly when their Im z rows are and each coordinate's differences
+    are. Tables far smaller than the k^n m rows code these: the distinct
+    Im z rows, and per d the distinct differences u - j / k over the
+    distinct values u of Re z[:, d] and j < k, grouped by their bits. The
+    codes combine into one int64 key per row, and one sort of
+    key * 2^bits + row orders the rows by group and, within a group, by
+    index; that gives _unique_rows' first and inverse.
+    """
+    k, m, n = basis.k, z.shape[0], z.shape[1]
+    n_rows = basis.n_sections * m
+    bits = max(n_rows - 1, 0).bit_length()
+    im_first, im_code = _unique_rows(z.imag)
+    # key < span, and key * 2^bits + row must stay below 2^63
+    key, span = np.broadcast_to(im_code, (basis.n_sections, m)), im_first.size
+    for d in range(n):
+        re, re_code = np.unique(
+            np.ascontiguousarray(z.real[:, d]).view(np.int64), return_inverse=True
+        )
+        diffs = re.view(float)[:, None] - np.arange(k) / k
+        codes, diff_code = np.unique(diffs.view(np.int64).ravel(), return_inverse=True)
+        key = key * codes.size + diff_code[re_code * k + basis.indices[:, d, None]]
+        span *= codes.size
+        if span << bits >= 1 << 63:
+            # renumber; no table has more codes than there are rows, so
+            # the next product still fits in int64
+            distinct, flat = np.unique(key.ravel(), return_inverse=True)
+            key, span = flat.reshape(key.shape), distinct.size
+    packed = key.reshape(-1) << bits
+    packed |= np.arange(n_rows)
+    packed.sort()
+    row = packed & ((1 << bits) - 1)
+    packed >>= bits
+    new = np.empty(n_rows, dtype=bool)
+    new[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = row[starts]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(row)
+    inverse[row] = np.repeat(rank, np.diff(starts, append=n_rows))
+    return first[by_first], inverse
+
+
 def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     """log|s_i|_h through one lattice sum per section, at z - b_i.
 
@@ -402,17 +454,21 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     amoeba_sample merges images that agree to 12 digits, so its point
     count depends on last-bit roundoff; the tests use it as oracle. Each
     distinct shifted point z - b_i is summed once: on a grid that the
-    shifts b_i map to itself most of them repeat, and a row's sum does not
-    depend on the other rows, so the values are those of summing every
-    shifted point, bit for bit.
+    shifts b_i map to itself most of them repeat. _shifted_groups finds
+    them from per-coordinate tables and one packed sort, without building
+    the k^n m rows, and gives the groups _unique_rows gives on those rows.
+    The distinct points are then formed by the same complex-minus-real
+    subtraction, so they reach the lattice sum with the same bits and in
+    the same order; a row's sum does not depend on the other rows, so the
+    values are those of summing every shifted point, bit for bit.
     """
-    n = basis.om.n
     z, base_lm, _ = _gauge(basis, x, y)
-    # one stacked lattice-sum call: section b enters only as a z-shift
-    zs = (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, n)
-    first, inverse = _unique_rows(zs)
-    lm, _ = theta_char_log(basis.om.omega / basis.k, zs[first])
-    return base_lm[None, :] + lm[inverse].reshape(basis.n_sections, z.shape[0])
+    m = z.shape[0]
+    first, inverse = _shifted_groups(basis, z)
+    section, point = np.divmod(first, m)
+    zs = z[point] - basis.b_points[section]
+    lm, _ = theta_char_log(basis.om.omega / basis.k, zs)
+    return base_lm[None, :] + lm[inverse].reshape(basis.n_sections, m)
 
 
 def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):

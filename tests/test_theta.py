@@ -19,6 +19,7 @@ from theta_amoeba.theta import (
     _gauge,
     _lattice_terms,
     _offsets,
+    _shifted_groups,
     _stacked_log_mag,
     _unique_rows,
     distortion_fk,
@@ -347,9 +348,10 @@ def test_offset_counts():
     assert len(_offsets(closed_form_im(COUPLED.im, 2))) == 3585
 
 
-@pytest.mark.parametrize("k", [0, 1.9, 2.5])
+@pytest.mark.parametrize("k", [0, 1.9, 2.5, np.nan, np.inf, -np.inf, True])
 def test_basis_rejects_nonpositive_level(k):
-    # a non-integral level is refused, not truncated to int(k)
+    # a non-integral level is refused, not truncated to int(k); NaN and +-inf
+    # raise the same typed error, and True is not taken for level 1
     rm = validate_riemann_matrix([[1j]])
     with pytest.raises(NonPositive, match="positive integer"):
         theta_basis(rm, k)
@@ -663,6 +665,82 @@ def test_unique_rows_edge_cases():
     assert first.tolist() == [0] and inverse.tolist() == [0]
     first, inverse = _unique_rows(np.zeros((0, 2), dtype=complex))
     assert first.size == 0 and inverse.size == 0
+
+
+def stacked_rows(basis, z):
+    """Oracle: the k^n m shifted points z_p - b_i, row i m + p, built in full."""
+    return (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, basis.om.n)
+
+
+def grid_z(rm, k, m):
+    grid = quadrature_grid(rm.n, m)
+    return _gauge(theta_basis(rm, k), grid.x, grid.y)[0]
+
+
+def seeded_z(rm, k, size):
+    x, y = np.random.default_rng(3).uniform(-0.5, 1.5, size=(2, size, rm.n))
+    return _gauge(theta_basis(rm, k), x, y)[0]
+
+
+def signed_zero_z():
+    # Re and Im over 0.0, -0.0 and 0.5: -0.0 - 0 stays apart from 0.0 - 0,
+    # while -0.0 - 1/2 and 0.0 - 1/2 are the same point
+    parts = np.array(list(itertools.product([0.0, -0.0, 0.5], [0.0, -0.0])))
+    z = parts[:, :1].astype(complex)
+    z.imag = parts[:, 1:]
+    return z
+
+
+@pytest.mark.parametrize(
+    "rm, k, z",
+    [
+        pytest.param(SQUARE, 16, grid_z(SQUARE, 16, 128), id="square-grid"),
+        pytest.param(GENERIC, 16, grid_z(GENERIC, 16, 128), id="generic-grid"),
+        pytest.param(COUPLED, 2, grid_z(COUPLED, 2, 8), id="coupled-grid"),
+        pytest.param(GENERIC, 5, seeded_z(GENERIC, 5, 200), id="generic-seeded"),
+        pytest.param(COUPLED, 3, seeded_z(COUPLED, 3, 200), id="coupled-seeded"),
+        pytest.param(SQUARE, 2, signed_zero_z(), id="signed-zeros"),
+        pytest.param(SQUARE, 3, np.zeros((0, 1), dtype=complex), id="no-points"),
+        pytest.param(COUPLED, 3, np.zeros((0, 2), dtype=complex), id="no-points-coupled"),
+    ],
+)
+def test_shifted_groups_are_unique_rows_of_the_stack(rm, k, z):
+    basis = theta_basis(rm, k)
+    first, inverse = _shifted_groups(basis, z)
+    want_first, want_inverse = _unique_rows(stacked_rows(basis, z))
+    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+
+
+def test_signed_zero_shifts_group_by_bits():
+    basis = theta_basis(SQUARE, 2)
+    z = signed_zero_z()
+    first, inverse = _shifted_groups(basis, z)
+    rows = stacked_rows(basis, z).view(np.int64)
+    # equal group means equal bits, and every bit pattern has one group:
+    # Re over {0.0, -0.0, 1/2, -1/2} times Im over {0.0, -0.0}
+    assert np.array_equal(rows[first][inverse], rows)
+    assert first.size == len({r.tobytes() for r in rows}) == 8
+
+
+def test_shifted_groups_past_the_int64_packing_bound():
+    # 2^11 Re rows (r, r, r, r) / 2^13, each with Im rows A, B and A again:
+    # 16 sections give 98 304 rows and 2^12 distinct differences per axis.
+    # A mixed-radix key of the Im code and four such codes, times the rows'
+    # 2^17, passes 2^63; unrenumbered it would wrap mod 2^64 onto the same
+    # bits for A and B, merging rows that differ only in Im
+    basis = theta_basis(validate_riemann_matrix(1j * np.eye(4)), 2)
+    re = np.repeat(np.arange(2**11) / 2**13, 3)[:, None] * np.ones(4)
+    z = re.astype(complex)
+    z.imag = np.tile([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]], (2**11, 1))
+    stack = stacked_rows(basis, z)
+    span = len(_unique_rows(stack.imag)[0])
+    for d in range(4):
+        span *= len(np.unique(stack.real[:, d].view(np.int64)))
+    assert span * len(stack) >= 2**63
+    first, inverse = _shifted_groups(basis, z)
+    want_first, want_inverse = _unique_rows(stack)
+    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+    assert first.size == 2 * len(stack) // 3
 
 
 def stacked_log_mag_every_row(basis, x, y):
