@@ -373,6 +373,23 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     )
 
 
+def _groups(order: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of grouped rows, from their order sorted by group.
+
+    order lists the row indices by group and, within a group, ascending;
+    new flags each group's first entry in it. Groups are numbered in order
+    of first appearance, and first[g] is group g's first row.
+    """
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(rank, np.diff(starts, append=order.size))
+    return first[by_first], inverse
+
+
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Groups of bitwise-equal rows of a 2-D array: (first, inverse).
 
@@ -382,18 +399,12 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     +0.0 fall into different groups and equal means bit-equal.
     """
     keys = np.ascontiguousarray(a).view(np.int64)
-    # lexsort is stable, so each group's first sorted row is its first row
+    # lexsort is stable, so each group's rows stay in ascending order
     order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    first = order[new]
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    inverse = np.empty_like(order)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    return first[by_first], inverse
+    return _groups(order, new)
 
 
 def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +418,7 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
     distinct values u of Re z[:, d] and j < k, grouped by their bits. The
     codes combine into one int64 key per row, and one sort of
     key * 2^bits + row orders the rows by group and, within a group, by
-    index; that gives _unique_rows' first and inverse.
+    index, as _groups takes them.
     """
     k, m, n = basis.k, z.shape[0], z.shape[1]
     n_rows = basis.n_sections * m
@@ -433,17 +444,9 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
     packed.sort()
     row = packed & ((1 << bits) - 1)
     packed >>= bits
-    new = np.empty(n_rows, dtype=bool)
-    new[:1] = True
+    new = np.ones(n_rows, dtype=bool)
     np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    first = row[starts]
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    inverse = np.empty_like(row)
-    inverse[row] = np.repeat(rank, np.diff(starts, append=n_rows))
-    return first[by_first], inverse
+    return _groups(row, new)
 
 
 def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
