@@ -420,7 +420,7 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
     key * 2^bits + row orders the rows by group and, within a group, by
     index, as _groups takes them.
     """
-    k, m, n = basis.k, z.shape[0], z.shape[1]
+    k, (m, n) = basis.k, z.shape
     n_rows = basis.n_sections * m
     bits = max(n_rows - 1, 0).bit_length()
     im_first, im_code = _unique_rows(z.imag)
@@ -430,6 +430,7 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
         re, re_code = np.unique(
             np.ascontiguousarray(z.real[:, d]).view(np.int64), return_inverse=True
         )
+        # j / k has the bits of b_points = indices / k
         diffs = re.view(float)[:, None] - np.arange(k) / k
         codes, diff_code = np.unique(diffs.view(np.int64).ravel(), return_inverse=True)
         key = key * codes.size + diff_code[re_code * k + basis.indices[:, d, None]]
@@ -468,6 +469,7 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     z, base_lm, _ = _gauge(basis, x, y)
     m = z.shape[0]
     first, inverse = _shifted_groups(basis, z)
+    # one lattice-sum call: section b enters only as a z-shift
     section, point = np.divmod(first, m)
     zs = z[point] - basis.b_points[section]
     lm, _ = theta_char_log(basis.om.omega / basis.k, zs)
