@@ -711,17 +711,6 @@ def test_shifted_groups_are_unique_rows_of_the_stack(rm, k, z):
     assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
 
 
-def test_signed_zero_shifts_group_by_bits():
-    basis = theta_basis(SQUARE, 2)
-    z = signed_zero_z()
-    first, inverse = _shifted_groups(basis, z)
-    rows = stacked_rows(basis, z).view(np.int64)
-    # equal group means equal bits, and every bit pattern has one group:
-    # Re over {0.0, -0.0, 1/2, -1/2} times Im over {0.0, -0.0}
-    assert np.array_equal(rows[first][inverse], rows)
-    assert first.size == len({r.tobytes() for r in rows}) == 8
-
-
 def test_shifted_groups_past_the_int64_packing_bound():
     # 2^11 Re rows (r, r, r, r) / 2^13, each with Im rows A, B and A again:
     # 16 sections give 98 304 rows and 2^12 distinct differences per axis.
