@@ -6,13 +6,12 @@ coordinate and y the base coordinate; both live on the unit torus.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositive, NotSymmetric
+from .errors import InvalidPoints, NotPositive, NotSymmetric
 
 SYMMETRY_TOL = 1e-12
 
@@ -117,12 +116,8 @@ def real_metric_tensor(om: RiemannMatrix) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def fiber_block(om: RiemannMatrix) -> np.ndarray:
-    return real_metric_tensor(om)[: om.n, : om.n]
-
-
 def fiber_volume(om: RiemannMatrix) -> float:
-    return float(np.sqrt(np.linalg.det(fiber_block(om))))
+    return float(np.sqrt(np.linalg.det(real_metric_tensor(om)[: om.n, : om.n])))
 
 
 def base_metric(om: RiemannMatrix) -> np.ndarray:
@@ -152,22 +147,32 @@ def ellipsoid_points(q: np.ndarray, radius: float, centre, half_widths) -> np.nd
     return box[np.einsum("ji,ik,jk->j", u, q, u) <= radius * radius]
 
 
-def _torus_quadratic_distance(d: np.ndarray, q: np.ndarray) -> float:
-    """Min over integer shifts s of sqrt(t(d+s) q (d+s)), a closest-vector search.
+def _torus_quadratic_distance(d, q: np.ndarray) -> np.ndarray:
+    """Min over integer shifts s of sqrt(t(d+s) q (d+s)) per row of d (..., n).
 
-    The best shift in {-1, 0, 1}^n bounds the minimum by u; the minimiser
-    is then among the shifts with |d + s|_q <= u, an ellipsoid about -d.
+    d - round(d) is exact for |d| < 1, so d + s keeps its bits, and then
+    |d_i| <= 1/2. The shift s = 0 bounds every row's minimum by r = max |d|_q,
+    so the minimiser lies in the box |s_i| <= ceil(r sqrt((q^{-1})_ii) + 1/2)
+    (Fincke and Pohst, Math. Comp. 44, 1985), evaluated for all rows at
+    once in blocks of shifts that bound the memory.
     """
-    shell = d + np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d.size)))
-    u2 = np.einsum("ki,ij,kj->k", shell, q, shell).min()
-    u = np.sqrt(max(u2, 0.0))
-    half = u * np.sqrt(np.diag(np.linalg.inv(q)))
-    v = d + ellipsoid_points(q, u, -d, half)
-    vals = np.einsum("ki,ij,kj->k", v, q, v)
-    return float(np.sqrt(max(vals.min(initial=u2), 0.0)))
+    d = np.asarray(d, dtype=float)
+    rows = np.reshape(d - np.round(d), (-1, d.shape[-1]))
+    r2 = np.einsum("ki,ij,kj->k", rows, q, rows).max(initial=0.0)
+    half = np.ceil(np.sqrt(r2) * np.sqrt(np.diag(np.linalg.inv(q))) + 0.5).astype(int)
+    shifts = np.indices(2 * half + 1).reshape(half.size, -1).T - half
+    vals = np.full(len(rows), np.inf)
+    step = max(1, 2**18 // max(len(rows), 1))  # shifts per block of ~2^18 pairs
+    for lo in range(0, len(shifts), step):
+        v = rows[:, None, :] + shifts[lo : lo + step]
+        vals = np.minimum(vals, np.einsum("rsi,ij,rsj->rs", v, q, v).min(axis=1))
+    return np.sqrt(np.maximum(vals, 0.0)).reshape(d.shape[:-1])
 
 
-def base_distance(y1, y2, om: RiemannMatrix) -> float:
-    """Quotient-metric distance on the base torus X^-."""
-    d = reduce_mod1(y1) - reduce_mod1(y2)
-    return _torus_quadratic_distance(np.atleast_1d(d), base_metric(om))
+def base_distance(y1, y2, om: RiemannMatrix):
+    """Quotient-metric distance on the base torus X^-, one per broadcast pair
+    of (..., n) batches y1, y2; a single pair gives a float."""
+    if not (np.isfinite(y1).all() and np.isfinite(y2).all()):
+        raise InvalidPoints("base point coordinates must be finite")
+    dist = _torus_quadratic_distance(reduce_mod1(y1) - reduce_mod1(y2), base_metric(om))
+    return float(dist) if dist.ndim == 0 else dist

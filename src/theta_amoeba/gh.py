@@ -41,6 +41,8 @@ def finite_metric_space(labels, d) -> FiniteMetricSpace:
     the triangle inequality on every triple (on 4000 seeded random triples
     above 200 points)."""
     d = np.asarray(d, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("distance matrix must have finite entries")
     if not np.allclose(d, d.T, atol=1e-12):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0.0) or np.any(d < 0.0):
@@ -150,7 +152,7 @@ def convergence_suite(
     # the eight base points j/8 exist exactly on every 8k grid (ys[j k] is
     # j/8 to the bit), so one base-distance block serves the whole sweep
     y8 = np.arange(8) / 8
-    d_base = np.array([[base_distance([a], [b], om) for b in y8] for a in y8])
+    d_base = base_distance(y8[:, None, None], y8[None, :, None], om)
 
     rows = {
         "c0_deviation": [],

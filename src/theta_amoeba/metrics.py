@@ -40,10 +40,6 @@ class QuadratureGrid:
     def size(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.size
-
 
 @dataclass(frozen=True)
 class MetricField:

@@ -147,7 +147,6 @@ class PeakSectionDiagnostics:
     decay_r2: float
     decay_slope_model: float
     change_of_basis_cond: float
-    decay_curve: np.ndarray
 
 
 def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
@@ -190,18 +189,16 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
 
     # (e) decay of s~_0 along the base, against squared base distance
     ys = np.linspace(-0.35, 0.35, 57)
-    pts_y = ys.reshape(-1, 1) if n == 1 else np.tile(ys.reshape(-1, 1), (1, n))
-    pts_x = np.zeros_like(pts_y)
-    gv = section_gauge_values(basis, pts_x, pts_y)
+    pts_y = np.tile(ys[:, None], (1, n))
+    gv = section_gauge_values(basis, np.zeros_like(pts_y), pts_y)
     tilde0 = kappa * (c[0] @ gv.complex_values())
     log_sq = 2.0 * np.log(np.abs(tilde0))
-    dists = np.array([base_distance(p, np.zeros(n), om) for p in pts_y])
+    dists = base_distance(pts_y, np.zeros(n), om)
     a = np.polyfit(dists**2, log_sq, 1)
     fitted = np.polyval(a, dists**2)
     ss_res = float(np.sum((log_sq - fitted) ** 2))
     ss_tot = float(np.sum((log_sq - log_sq.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    curve = np.stack([dists**2, log_sq], axis=1)
 
     return PeakSectionDiagnostics(
         k=k,
@@ -213,25 +210,23 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
         decay_r2=float(r2),
         decay_slope_model=-2.0 * np.pi * k,
         change_of_basis_cond=cond,
-        decay_curve=curve,
     )
 
 
-def bsz_model_kernel(g: np.ndarray, k: int, u, v) -> complex:
-    """(k/2pi)^n exp(-1/2 tu G ubar - 1/2 tv G vbar + tu G vbar)."""
+def bsz_model_kernel(g: np.ndarray, k: int, u, v):
+    """(k/2pi)^n exp(-1/2 tu G ubar - 1/2 tv G vbar + tu G vbar), one value per
+    broadcast pair of (..., n) batches u, v; a single pair gives a complex."""
     g = np.atleast_2d(np.asarray(g, dtype=complex))
     lam = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     if lam[0] <= 0.0:
         raise NonPositive("model metric matrix must be positive definite")
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    n = g.shape[0]
-    expo = (
-        -0.5 * (u @ g @ np.conj(u))
-        - 0.5 * (v @ g @ np.conj(v))
-        + u @ g @ np.conj(v)
-    )
-    return complex((k / (2.0 * np.pi)) ** n * np.exp(expo))
+
+    def form(a, b):
+        return np.einsum("...i,ij,...j->...", a, g, np.conj(b))
+
+    expo = -0.5 * form(u, u) - 0.5 * form(v, v) + form(u, v)
+    val = (k / (2.0 * np.pi)) ** len(g) * np.exp(expo)
+    return complex(val) if val.ndim == 0 else val
 
 
 def bsz_comparison(om: RiemannMatrix, k: int, seed: int = 0) -> float:
@@ -255,6 +250,6 @@ def bsz_comparison(om: RiemannMatrix, k: int, seed: int = 0) -> float:
     xa, ya = z_to_xy(z0 + u / np.sqrt(k), om)
     xb, yb = z_to_xy(z0 + v / np.sqrt(k), om)
     exact = bergman_kernel(basis, xa, ya, xb, yb)
-    model = np.array([bsz_model_kernel(g, k, a, b) for a, b in zip(u, v)])
+    model = bsz_model_kernel(g, k, u, v)
     err = np.abs(np.abs(exact) / (2.0 * np.pi) ** n - np.abs(model)) / np.abs(model)
     return float(err.max())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import NotPositive, NotSymmetric
+from theta_amoeba import InvalidPoints, NotPositive, NotSymmetric
 from theta_amoeba.abelian import (
     _torus_quadratic_distance,
     base_distance,
@@ -223,3 +223,61 @@ def test_distances_match_brute_closest_vector_on_skewed_lattice():
         d_total = brute_closest(np.concatenate([px - rx, py - ry]), g, 5)
         assert base_distance(py, ry, rm) == pytest.approx(d_base, abs=1e-12)
         assert flat_distance(px - rx, py - ry, rm) == pytest.approx(d_total, abs=1e-12)
+
+
+SKEW_BASIS = np.array([[1.0, 3.0], [0.0, 1.0]])
+SKEWED = validate_riemann_matrix(1j * (SKEW_BASIS @ SKEW_BASIS.T))
+
+
+@pytest.mark.parametrize(
+    "n, rm",
+    [(1, None), (2, None), (3, None), (2, SKEWED)],
+    ids=["random-1", "random-2", "random-3", "skewed-2"],
+)
+def test_batched_distances_match_brute_closest_vector(n, rm):
+    rng = np.random.default_rng(11 + n)
+    rm = random_riemann(n, rng) if rm is None else rm
+    q = base_metric(rm)
+    y1, y2 = rng.uniform(-1.5, 1.5, size=(2, 40, n))
+    batch = base_distance(y1, y2, rm)
+    assert batch.shape == (40,)
+    d = reduce_mod1(y1) - reduce_mod1(y2)
+    brute = [brute_closest(row, q, 8 if n < 3 else 4) for row in d]
+    assert np.allclose(batch, brute, rtol=0.0, atol=1e-12)
+
+
+def test_batched_distances_across_shift_blocks():
+    # on A = [[1, 10], [0, 1]] the search box holds 3021 shifts, so 4000
+    # rows are searched a few dozen shifts at a time, and their minimisers
+    # fall in several blocks
+    rm = validate_riemann_matrix(1j * np.array([[101.0, 10.0], [10.0, 1.0]]))
+    q = base_metric(rm)
+    y = np.random.default_rng(3).uniform(size=(4000, 2))
+    batch = base_distance(y, np.zeros(2), rm)
+    brute = [brute_closest(row, q, 12) for row in reduce_mod1(y)]
+    assert np.allclose(batch, brute, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_base_distance_broadcasts_pairs(n):
+    rng = np.random.default_rng(20 + n)
+    rm = random_riemann(n, rng)
+    a = rng.uniform(size=(8, 1, n))
+    b = rng.uniform(size=(1, 8, n))
+    block = base_distance(a, b, rm)
+    assert block.shape == (8, 8)
+    pairwise = [[base_distance(a[i, 0], b[0, j], rm) for j in range(8)] for i in range(8)]
+    assert np.allclose(block, pairwise, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.diag(base_distance(a[:, 0], a[:, 0], rm)), 0.0)
+    # a single pair is a float, and an empty batch an empty array
+    assert isinstance(base_distance(a[0, 0], b[0, 0], rm), float)
+    assert base_distance(np.zeros((0, n)), np.zeros(n), rm).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_base_distance_rejects_non_finite_points(bad):
+    rm = validate_riemann_matrix(np.diag([1j, 2j]) + 0.0)
+    with pytest.raises(InvalidPoints, match="finite"):
+        base_distance([0.1, bad], [0.2, 0.3], rm)
+    with pytest.raises(InvalidPoints, match="finite"):
+        base_distance(np.zeros((3, 2)), [[0.0, 0.0], [0.1, 0.2], [bad, 0.0]], rm)

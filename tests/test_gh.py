@@ -41,6 +41,15 @@ def test_construction_rejects_triangle_violation():
         finite_metric_space(["a", "b", "c"], d)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_construction_rejects_non_finite_entries(bad):
+    # a disconnected graph's shortest-path matrix has +inf entries; both
+    # they and NaN are named as such, not passed on or called asymmetric
+    d = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite entries"):
+        finite_metric_space(["a", "b", "c"], d)
+
+
 def test_hausdorff_identical_subsets():
     space = line_space([0.0, 1.0, 2.5])
     assert hausdorff_distance(space, [0, 1, 2], [0, 1, 2]) == 0.0
@@ -179,19 +188,24 @@ def test_suite_rejects_zero_grid_resolution():
 
 
 def test_suite_measures_base_distances_through_base_distance(monkeypatch):
-    # the 8 x 8 block of base distances between the points j/8 goes
-    # through the one public route, once per pair
+    # the 8 x 8 block of base distances between the points j/8 comes from
+    # one call of the one public route, and equals it pair by pair
     calls = []
 
     def counted(y1, y2, om):
-        calls.append(om)
-        return abelian.base_distance(y1, y2, om)
+        out = abelian.base_distance(y1, y2, om)
+        calls.append((np.broadcast(y1, y2).shape, om, out))
+        return out
 
     monkeypatch.setattr(gh, "base_distance", counted)
     rm = validate_riemann_matrix([[1j]])
     convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
-    assert len(calls) == 64
-    assert all(om is rm for om in calls)
+    assert len(calls) == 1
+    shape, om, block = calls[0]
+    assert shape == (8, 8, 1) and om is rm
+    y8 = np.arange(8) / 8
+    pairwise = [[abelian.base_distance([a], [b], rm) for b in y8] for a in y8]
+    assert np.array_equal(block, pairwise)
 
 
 def test_suite_rejects_higher_dimension():

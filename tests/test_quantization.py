@@ -270,20 +270,24 @@ def test_peak_suite_evaluates_grid_once(monkeypatch):
 
 
 def test_peak_suite_measures_base_distances_through_base_distance(monkeypatch):
-    # one base distance per point of the 57-point decay curve, through the
-    # one public route
+    # the 57 base distances of the decay curve come from one call of the
+    # one public route, and equal it point by point
     calls = []
 
     def counted(y1, y2, om):
-        calls.append(om)
-        return abelian.base_distance(y1, y2, om)
+        out = abelian.base_distance(y1, y2, om)
+        calls.append((np.asarray(y1), om, out))
+        return out
 
     monkeypatch.setattr(quantization, "base_distance", counted)
     for k in (2, 4):
         calls.clear()
         peak_section_suite(SQUARE, k)
-        assert len(calls) == 57
-        assert all(om is SQUARE for om in calls)
+        assert len(calls) == 1
+        pts_y, om, dists = calls[0]
+        assert pts_y.shape == (57, 1) and om is SQUARE
+        pointwise = [abelian.base_distance(p, np.zeros(1), SQUARE) for p in pts_y]
+        assert np.array_equal(dists, pointwise)
 
 
 def test_peak_decay_regression():
@@ -308,6 +312,20 @@ def test_bsz_model_hermitian_symmetry():
     assert bsz_model_kernel(g, 4, u, v) == pytest.approx(
         np.conj(bsz_model_kernel(g, 4, v, u)), rel=1e-14
     )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bsz_model_batch_matches_single_pairs(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = a @ a.conj().T + np.eye(n)
+    u = rng.normal(size=(6, 1, n)) + 1j * rng.normal(size=(6, 1, n))
+    v = rng.normal(size=(1, 5, n)) + 1j * rng.normal(size=(1, 5, n))
+    batch = bsz_model_kernel(g, 4, u, v)
+    assert batch.shape == (6, 5)
+    single = [[bsz_model_kernel(g, 4, ui[0], vj) for vj in v[0]] for ui in u]
+    assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
+    assert isinstance(bsz_model_kernel(g, 4, u[0, 0], v[0, 0]), complex)
 
 
 def test_bsz_model_rejects_indefinite_metric():
