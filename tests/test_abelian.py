@@ -225,36 +225,33 @@ def test_distances_match_brute_closest_vector_on_skewed_lattice():
         assert flat_distance(px - rx, py - ry, rm) == pytest.approx(d_total, abs=1e-12)
 
 
-SKEW_BASIS = np.array([[1.0, 3.0], [0.0, 1.0]])
-SKEWED = validate_riemann_matrix(1j * (SKEW_BASIS @ SKEW_BASIS.T))
+def skewed(a01):
+    # Im om = A tA with A = [[1, a01], [0, 1]] unimodular: the lattice of i I
+    basis = np.array([[1.0, a01], [0.0, 1.0]])
+    return validate_riemann_matrix(1j * (basis @ basis.T))
 
 
 @pytest.mark.parametrize(
-    "n, rm",
-    [(1, None), (2, None), (3, None), (2, SKEWED)],
-    ids=["random-1", "random-2", "random-3", "skewed-2"],
+    "n, rm, rows, radius",
+    [
+        (1, None, 40, 8),
+        (2, None, 40, 8),
+        (3, None, 40, 4),
+        (2, skewed(3.0), 40, 8),
+        # a box of 3021 shifts: 4000 rows are searched a few dozen shifts at
+        # a time, and their minimisers fall in several blocks
+        (2, skewed(10.0), 4000, 12),
+    ],
+    ids=["random-1", "random-2", "random-3", "skewed-3", "skewed-10-blocks"],
 )
-def test_batched_distances_match_brute_closest_vector(n, rm):
+def test_batched_distances_match_brute_closest_vector(n, rm, rows, radius):
     rng = np.random.default_rng(11 + n)
     rm = random_riemann(n, rng) if rm is None else rm
     q = base_metric(rm)
-    y1, y2 = rng.uniform(-1.5, 1.5, size=(2, 40, n))
+    y1, y2 = rng.uniform(-1.5, 1.5, size=(2, rows, n))
     batch = base_distance(y1, y2, rm)
-    assert batch.shape == (40,)
-    d = reduce_mod1(y1) - reduce_mod1(y2)
-    brute = [brute_closest(row, q, 8 if n < 3 else 4) for row in d]
-    assert np.allclose(batch, brute, rtol=0.0, atol=1e-12)
-
-
-def test_batched_distances_across_shift_blocks():
-    # on A = [[1, 10], [0, 1]] the search box holds 3021 shifts, so 4000
-    # rows are searched a few dozen shifts at a time, and their minimisers
-    # fall in several blocks
-    rm = validate_riemann_matrix(1j * np.array([[101.0, 10.0], [10.0, 1.0]]))
-    q = base_metric(rm)
-    y = np.random.default_rng(3).uniform(size=(4000, 2))
-    batch = base_distance(y, np.zeros(2), rm)
-    brute = [brute_closest(row, q, 12) for row in reduce_mod1(y)]
+    assert batch.shape == (rows,)
+    brute = [brute_closest(d, q, radius) for d in reduce_mod1(y1) - reduce_mod1(y2)]
     assert np.allclose(batch, brute, rtol=0.0, atol=1e-12)
 
 
