@@ -171,7 +171,16 @@ def _torus_quadratic_distance(d, q: np.ndarray) -> np.ndarray:
 
 def base_distance(y1, y2, om: RiemannMatrix):
     """Quotient-metric distance on the base torus X^-, one per broadcast pair
-    of (..., n) batches y1, y2; a single pair gives a float."""
+    of (..., n) batches y1, y2; a single pair gives a float. Other shapes,
+    and coordinates that are not finite reals, raise InvalidPoints."""
+    try:
+        y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+        np.broadcast_shapes(y1.shape, y2.shape)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPoints(f"base points are not broadcast real batches: {exc}") from None
+    # einsum would stretch a length-1 last axis across the n coordinates
+    if y1.shape[-1:] != (om.n,) or y2.shape[-1:] != (om.n,):
+        raise InvalidPoints(f"base points are not {om.n}-vectors: {y1.shape}, {y2.shape}")
     if not (np.isfinite(y1).all() and np.isfinite(y2).all()):
         raise InvalidPoints("base point coordinates must be finite")
     dist = _torus_quadratic_distance(reduce_mod1(y1) - reduce_mod1(y2), base_metric(om))

@@ -51,8 +51,8 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     section (see theta._stacked_log_mag), whose roundoff the amoeba
     sample's point count depends on. Each distinct shifted point z - b_i
     is summed once; the groups come from per-coordinate tables of Im z and
-    of the differences Re z - j / k and one sort of packed integer keys,
-    never from the k^n m shifted rows themselves. They are the groups of
+    of the differences Re z - j / k, indexed without a sort, never from the
+    k^n m shifted rows themselves. They are the groups of
     bitwise-equal rows, and the distinct points are formed by the same
     subtraction and summed in the same order, so every xi is bit for bit
     that of summing every shifted point.

@@ -23,7 +23,9 @@ MAX_RADIUS = 200
 # double precision leaves ~1e-17 residue at true section zeros, so a
 # degeneracy cutoff on |s|_h must sit well above that cancellation floor
 ZERO_FLOOR_LOG = np.log(1e-12)
-_CHUNK_TERMS = 4_000_000
+# complex terms per lattice chunk (512 KB): in cache and at the memory floor,
+# yet amortising each chunk's Python work (swept from 8192 to 4 000 000)
+_CHUNK_TERMS = 32_768
 
 
 def _truncation_radii(t_eff: np.ndarray) -> tuple[float, np.ndarray]:
@@ -76,7 +78,7 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
     l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
     m, n = z.shape
     q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
-    # the (rows, J) terms and the dlog contraction's (rows, n, J) set the memory
+    # sized so that the dlog contraction's (rows, n, J) terms fit in a chunk
     chunk = max(1, _CHUNK_TERMS // off.size)
 
     def chunks():
@@ -335,7 +337,7 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     if dlog:
         blocks = np.concatenate([blocks, off[:, :, None] * blocks], axis=1)
     n_s, n_y, n_b = basis.n_sections, len(nodes), blocks.shape[1]
-    # an x-node's (J, blocks, S) operand and (m^n, blocks, S) sums set the memory
+    # the x-nodes' (J, blocks, S) operands and (m^n, blocks, S) sums fill a chunk
     step = max(1, _CHUNK_TERMS // (n_b * n_s * (n_y + len(off))))
     log_mag = np.empty((n_s, n_y * n_y))
     phase = np.empty((n_s, n_y * n_y))
@@ -373,23 +375,6 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     )
 
 
-def _groups(order: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of grouped rows, from their order sorted by group.
-
-    order lists the row indices by group and, within a group, ascending;
-    new flags each group's first entry in it. Groups are numbered in order
-    of first appearance, and first[g] is group g's first row.
-    """
-    starts = np.flatnonzero(new)
-    first = order[starts]
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    inverse = np.empty_like(order)
-    inverse[order] = np.repeat(rank, np.diff(starts, append=order.size))
-    return first[by_first], inverse
-
-
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Groups of bitwise-equal rows of a 2-D array: (first, inverse).
 
@@ -404,7 +389,14 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorted_keys = keys[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    return _groups(order, new)
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(rank, np.diff(starts, append=order.size))
+    return first[by_first], inverse
 
 
 def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,15 +408,12 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
     are. Tables far smaller than the k^n m rows code these: the distinct
     Im z rows, and per d the distinct differences u - j / k over the
     distinct values u of Re z[:, d] and j < k, grouped by their bits. The
-    codes combine into one int64 key per row, and one sort of
-    key * 2^bits + row orders the rows by group and, within a group, by
-    index, as _groups takes them.
+    codes combine into one mixed-radix key per row, below span, which
+    indexes a table of each key's first row: no sort runs over the rows.
     """
     k, (m, n) = basis.k, z.shape
     n_rows = basis.n_sections * m
-    bits = max(n_rows - 1, 0).bit_length()
     im_first, im_code = _unique_rows(z.imag)
-    # key < span, and key * 2^bits + row must stay below 2^63
     key, span = np.broadcast_to(im_code, (basis.n_sections, m)), im_first.size
     for d in range(n):
         re, re_code = np.unique(
@@ -435,19 +424,19 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
         codes, diff_code = np.unique(diffs.view(np.int64).ravel(), return_inverse=True)
         key = key * codes.size + diff_code[re_code * k + basis.indices[:, d, None]]
         span *= codes.size
-        if span << bits >= 1 << 63:
-            # renumber; no table has more codes than there are rows, so
-            # the next product still fits in int64
+        if span > 2 * n_rows:
+            # up to 2 n_rows, the span-long tables cost less than np.unique's
+            # sort; codes.size <= n_rows, so the next product fits in int64
             distinct, flat = np.unique(key.ravel(), return_inverse=True)
             key, span = flat.reshape(key.shape), distinct.size
-    packed = key.reshape(-1) << bits
-    packed |= np.arange(n_rows)
-    packed.sort()
-    row = packed & ((1 << bits) - 1)
-    packed >>= bits
-    new = np.ones(n_rows, dtype=bool)
-    np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    return _groups(row, new)
+    key = key.ravel()
+    # ufunc.at applies every index in turn, unlike a repeated-index store
+    first_row = np.full(span, n_rows)
+    np.minimum.at(first_row, key, np.arange(n_rows))
+    first = np.sort(first_row[first_row < n_rows])
+    rank = np.empty(span, dtype=np.intp)
+    rank[key[first]] = np.arange(first.size)
+    return first, rank[key]
 
 
 def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
@@ -459,12 +448,13 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     count depends on last-bit roundoff; the tests use it as oracle. Each
     distinct shifted point z - b_i is summed once: on a grid that the
     shifts b_i map to itself most of them repeat. _shifted_groups finds
-    them from per-coordinate tables and one packed sort, without building
-    the k^n m rows, and gives the groups _unique_rows gives on those rows.
-    The distinct points are then formed by the same complex-minus-real
-    subtraction, so they reach the lattice sum with the same bits and in
-    the same order; a row's sum does not depend on the other rows, so the
-    values are those of summing every shifted point, bit for bit.
+    them from per-coordinate tables and a table of first rows, without
+    building or sorting the k^n m rows, and gives the groups _unique_rows
+    gives on those rows. The distinct points are then formed by the same
+    complex-minus-real subtraction, so they reach the lattice sum with the
+    same bits and in the same order; a row's sum does not depend on the
+    other rows or on the chunk size, so the values are those of summing
+    every shifted point, bit for bit.
     """
     z, base_lm, _ = _gauge(basis, x, y)
     m = z.shape[0]

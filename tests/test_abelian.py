@@ -271,6 +271,22 @@ def test_base_distance_broadcasts_pairs(n):
     assert base_distance(np.zeros((0, n)), np.zeros(n), rm).shape == (0,)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_base_distance_rejects_batches_that_are_not_n_vectors(n):
+    # a length-1 last axis at n = 2 would broadcast across both coordinates
+    # and return the distance of (y1 - y2) * (1, 1)
+    rm = validate_riemann_matrix(np.diag([1j, 1.3j])[:n, :n] + 0.0)
+    for y1, y2 in [
+        (np.full(n + 1, 0.1), np.full(n + 1, 0.2)),
+        (np.zeros((4, n)), np.zeros((3, n))),
+        (np.zeros((4, n)), np.zeros(n + 1)),
+        (0.1, 0.2),
+        ([["a"] * n], np.zeros(n)),
+    ] + ([([0.1], [0.2]), (np.zeros((4, 1)), np.zeros(2))] if n == 2 else []):
+        with pytest.raises(InvalidPoints):
+            base_distance(y1, y2, rm)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_base_distance_rejects_non_finite_points(bad):
     rm = validate_riemann_matrix(np.diag([1j, 2j]) + 0.0)

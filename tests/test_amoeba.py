@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,20 @@ def test_sample_size_at_benchmark_grid():
     # the point count depends on last-bit roundoff of xi, merged at 12 digits
     sample = amoeba_sample(theta_basis(SQUARE, 16), quadrature_grid(1, 256))
     assert sample.size == 2304
+
+
+def test_sample_memory_at_level_32():
+    # the benchmark's largest level; with 4 000 000-term lattice chunks and
+    # one sort of packed keys over the 2 097 152 shifted rows it peaked at
+    # 122 MB, cache-sized chunks and the first-row table bring it to 70 MB
+    basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
+    tracemalloc.start()
+    try:
+        amoeba_sample(basis, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6
 
 
 def test_sample_size_bounded_by_grid():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from theta_amoeba import InvalidPoints, NonPositive, TruncationOverflow, theta
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
+from theta_amoeba.amoeba import moment_points
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import (
     _CHUNK_TERMS,
@@ -276,23 +277,88 @@ def test_factored_terms_match_einsum_oracle(problem):
         assert np.all(err <= 1e-13 + 8.0 * np.finfo(float).eps * size * np.abs(w_ref))
 
 
-def test_chunk_holds_terms_not_offset_vectors():
-    # one chunk of the Gram workload's CPL Omega/2 series on 16^4 nodes
-    # allocates about its (rows, J) complex terms twice at peak and keeps
-    # them once; a (rows, J, n) array of l, as the einsum kernel built,
-    # would push the peak past 2.5x
+def test_chunk_holds_terms_not_offset_vectors(monkeypatch):
+    # one chunk of the Gram workload's CPL Omega/2 series on 16^4 nodes.
+    # At the shipped size NumPy's fixed ufunc buffers rival the terms, so
+    # there the bound is absolute: two chunks' worth of complex terms.
+    # With 4 000 000-term chunks the terms dominate: the chunk allocates
+    # them about twice at peak and keeps them once, and a (rows, J, n)
+    # array of l, as the einsum kernel built, would push the peak past 2.5x
     grid = quadrature_grid(2, 16)
     z = xy_to_z(grid.x, grid.y, COUPLED)
-    off, chunks = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
-    tracemalloc.start()
-    try:
-        _, _, w, _ = next(chunks)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert w.shape == (_CHUNK_TERMS // off.size, len(off))
-    assert peak <= 2.5 * w.nbytes
-    assert held <= 1.25 * w.nbytes
+
+    def first_chunk():
+        off, chunks = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
+        tracemalloc.start()
+        try:
+            _, _, w, _ = next(chunks)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (theta._CHUNK_TERMS // off.size, len(off))
+        return w.nbytes, held, peak
+
+    _, _, peak = first_chunk()
+    assert peak <= 2 * 16 * theta._CHUNK_TERMS
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 4_000_000)
+    size, held, peak = first_chunk()
+    assert peak <= 2.5 * size
+    assert held <= 1.25 * size
+
+
+CHUNK_SIZES = [1, _CHUNK_TERMS, 4_000_000]
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 8, 64, id="square-8"),
+        pytest.param(GENERIC, 5, 40, id="generic-5"),
+        pytest.param(COUPLED, 2, 6, id="coupled-2"),
+    ],
+)
+def test_moment_map_is_the_same_bits_at_any_chunk_size(monkeypatch, rm, k, m):
+    # 1-row chunks, the shipped size and 4 000 000 terms: a row's terms and
+    # sum do not depend on its chunk, so amoeba_sample's rounding splits,
+    # and the point counts the benchmark pins, do not either
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    x, y = grid.x, grid.y
+    runs = []
+    for terms in CHUNK_SIZES:
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
+        runs.append((_stacked_log_mag(basis, x, y), moment_points(basis, x, y)))
+    for lm, xi in runs[1:]:
+        assert np.array_equal(lm, runs[0][0]) and np.array_equal(xi, runs[0][1])
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(GENERIC, 5, 40, id="generic-5"),
+        pytest.param(COUPLED, 3, 8, id="coupled-3"),
+    ],
+)
+def test_gauge_values_keep_their_contract_at_any_chunk_size(monkeypatch, rm, k, m):
+    # not bit for bit: BLAS contracts a chunk's terms by a path that depends
+    # on its shape, so only the accuracy contract holds across chunk sizes,
+    # d log Theta_k as in test_grid_route_matches_scattered_route
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    runs = []
+    for terms in CHUNK_SIZES:
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
+        runs.append(section_gauge_values(basis, grid.x, grid.y, dlog=True))
+        runs.append(grid_gauge_values(basis, m, dlog=True))
+    ref = runs[-1]
+    v_ref = ref.complex_values()
+    peak = np.abs(v_ref).max(axis=0)
+    p = (np.abs(v_ref) / peak) ** 2
+    weight = (p / p.sum(axis=0))[:, :, None]
+    live = weight > np.finfo(float).eps
+    d_scale = np.where(live, weight * np.abs(ref.dlog), 0.0).max(axis=(0, 2))
+    for gv in runs:
+        assert np.all(np.abs(gv.complex_values() - v_ref) <= 1e-13 * peak)
+        err = np.where(live, weight * np.abs(gv.dlog - ref.dlog), 0.0).max(axis=(0, 2))
+        assert np.all(err <= 1e-12 * np.maximum(d_scale, 2.0 * np.pi))
 
 
 def closed_form_im(t, k):
@@ -711,12 +777,12 @@ def test_shifted_groups_are_unique_rows_of_the_stack(rm, k, z):
     assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
 
 
-def test_shifted_groups_past_the_int64_packing_bound():
+def test_shifted_groups_renumber_keys_past_the_row_count():
     # 2^11 Re rows (r, r, r, r) / 2^13, each with Im rows A, B and A again:
     # 16 sections give 98 304 rows and 2^12 distinct differences per axis.
-    # A mixed-radix key of the Im code and four such codes, times the rows'
-    # 2^17, passes 2^63; unrenumbered it would wrap mod 2^64 onto the same
-    # bits for A and B, merging rows that differ only in Im
+    # A mixed-radix key of the Im code and four such codes reaches 2^49,
+    # and its product with the row count passes 2^63; renumbered after
+    # each axis, the first-row table stays within twice the rows
     basis = theta_basis(validate_riemann_matrix(1j * np.eye(4)), 2)
     re = np.repeat(np.arange(2**11) / 2**13, 3)[:, None] * np.ones(4)
     z = re.astype(complex)
