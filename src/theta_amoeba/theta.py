@@ -408,8 +408,8 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
     are. Tables far smaller than the k^n m rows code these: the distinct
     Im z rows, and per d the distinct differences u - j / k over the
     distinct values u of Re z[:, d] and j < k, grouped by their bits. The
-    codes combine into one mixed-radix key per row, below span, which
-    indexes a table of each key's first row: no sort runs over the rows.
+    codes combine into one mixed-radix key per row, below span, indexing a
+    table of each key's first row; only a renumbered key is sorted.
     """
     k, (m, n) = basis.k, z.shape
     n_rows = basis.n_sections * m
