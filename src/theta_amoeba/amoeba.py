@@ -57,10 +57,13 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     subtraction and summed in the same order, so every xi is bit for bit
     that of summing every shifted point.
     """
-    lm = 2.0 * _stacked_log_mag(basis, x, y)
-    lm = lm - lm.max(axis=0, keepdims=True)
-    w = np.exp(lm)
-    return (w / w.sum(axis=0, keepdims=True)).T
+    # in place: the (k^n, m) softmax holds no temporaries of its size
+    w = _stacked_log_mag(basis, x, y)
+    w *= 2.0
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    return w.T
 
 
 def simplex_distances(k, xi_a, xi_b) -> np.ndarray:

@@ -87,17 +87,17 @@ def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
     Cov_p(d log Theta_k(z; b_i)) - pi k (Im om)^{-1}, so the hermitian
     coefficient matrix of g_k is Cov_p / (pi k): positive semidefinite by
     construction. It maps to real 2n x 2n tensors in (x, y) through
-    dz = [Omega, I] d(x, y). A section with log_mag -inf carries no weight.
+    dz = [Omega, I] d(x, y). The scale cancels in p_i, read off
+    |values_i|^2, and an exact zero carries no weight.
     """
     om, k = basis.om, basis.k
-    lw = 2.0 * gv.log_mag
-    shift = lw.max(axis=0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(lw - shift)
-        log_fk = shift + np.log(e.sum(axis=0))
+    e = np.abs(gv.values) ** 2
+    total = e.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        log_fk = 2.0 * gv.log_scale + np.log(total)
     if not np.all(log_fk >= 2.0 * ZERO_FLOOR_LOG):
         raise DegenerateSample("f_k vanishes at a sample point: common zero of the sections")
-    p = e / e.sum(axis=0)
+    p = e / total
     # an exact zero of one section carries no weight; its d log is nan
     d = np.where(p[:, :, None] > 0.0, gv.dlog, 0.0)
     d = d - np.einsum("sm,sma->ma", p, d)[None]

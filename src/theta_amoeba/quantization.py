@@ -10,13 +10,14 @@ trapezoid sums that are spectrally accurate.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .abelian import RiemannMatrix, base_distance, fiber_volume, z_to_xy
-from .errors import DegenerateSample, NonPositive
+from .errors import ConfigError, DegenerateSample, InvalidPoints, NonPositive
 from .theta import (
     ZERO_FLOOR_LOG,
     GaugeValue,
@@ -54,31 +55,46 @@ def bs_points_cp1(k: int) -> BSFiberSet:
     return BSFiberSet(k=k, kind="cp1", points=pts)
 
 
+def _check_fiber(basis: ThetaBasis, i) -> None:
+    """Refuse i unless it numbers one of the k^n Bohr-Sommerfeld fibers: a
+    negative index would wrap to the last fibers."""
+    count = basis.n_sections
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < count:
+        raise ConfigError(f"fiber index must be an integer in [0, {count}), got {i!r}")
+
+
 def sigma_section(om: RiemannMatrix, k: int, i: int, x) -> GaugeValue:
     """Covariantly constant section over the i-th Bohr-Sommerfeld fiber.
 
     In the unitary gauge its modulus is identically 1 and its phase is
     pi k t(x) b_i.
     """
-    b = theta_basis(om, k).b_points[i]
+    basis = theta_basis(om, k)
+    _check_fiber(basis, i)
+    b = basis.b_points[i]
     x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, om.n)
     phase = np.pi * k * (x @ b)
-    return GaugeValue(log_mag=np.zeros((1, phase.size)), phase=phase[None, :])
+    ones = np.ones((1, phase.size), dtype=complex)
+    return GaugeValue(log_scale=np.zeros(phase.size), base_phase=phase, values=ones)
 
 
 def bergman_kernel(basis: ThetaBasis, x1, y1, x2, y2) -> np.ndarray:
     """Pi_k(z, w) = sum_i s_i(z) conj(s_i(w)) in gauge values.
 
-    Inputs are matched batches of (x, y) coordinates for z and w.
+    Inputs are matched batches of (x, y) coordinates for z and w, of one
+    length.
     """
     v1 = section_gauge_values(basis, x1, y1).complex_values()
     v2 = section_gauge_values(basis, x2, y2).complex_values()
+    if v1.shape != v2.shape:
+        raise InvalidPoints(f"z and w batches differ in length: {v1.shape} and {v2.shape}")
     return np.einsum("im,im->m", v1, np.conj(v2))
 
 
 def fiber_coefficients(basis: ThetaBasis, i: int) -> np.ndarray:
     """c_j = int over the i-th BS fiber of (sigma_i, s_j)_h dx, in the
     coordinate measure dx with sigma_i of modulus 1."""
+    _check_fiber(basis, i)
     om, k, n = basis.om, basis.k, basis.om.n
     m = max(16 * k, 32)
     axes = np.meshgrid(*([np.arange(m) / m] * n), indexing="ij")

@@ -2,8 +2,8 @@
 
 The level-k basis on X = C^n / (Omega Z^n + Z^n) is indexed by rational
 points b_i in (1/k)(Z/k)^n of the base torus. All section evaluation goes
-through one truncated lattice sum, reported in log-magnitude / phase form
-so large k never overflows.
+through one truncated lattice sum, reported as a per-point log-scale times
+complex sums of modulus at most the term count, so large k never overflows.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
 def theta_char(om_eff, z, a=None, b=None) -> np.ndarray:
     """Complex theta values; only safe when magnitudes are moderate.
 
-    Scales the sums by exp(shift) directly, which keeps the digits a round
-    trip through (log_mag, phase) loses at large magnitude.
+    Scales the sums by exp(shift) directly, as GaugeValue.complex_values
+    scales its sums by exp(log_scale): no round trip through log|.| and
+    arg, which would lose digits at large magnitude.
     """
     shift, vals = _theta_sums(om_eff, z, a, b)
     return np.exp(shift) * vals
@@ -144,24 +145,37 @@ def theta_char(om_eff, z, a=None, b=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeValue:
-    """Section values in the unitary gauge, stored as log|.| and phase.
+    """Section values in the unitary gauge: a per-point scale times sums.
 
-    Arrays have shape (n_sections, n_points). In this gauge the pointwise
-    h-norm of a section is exp(log_mag), so norms stay representable at
-    any level. dlog, when requested, holds d_z log Theta_k(z; b_i) with
-    shape (n_sections, n_points, n); the gauge factor is common to all
-    sections and is left out.
+    Section i at point p is exp(log_scale[p] + i base_phase[p]) values[i, p].
+    The per-point factor, from arrays of shape (n_points,), is the gauge
+    factor times the lattice sum's row scale exp(shift); values, shape
+    (n_sections, n_points), are the sums times their point phases, of
+    modulus at most the term count.
+    No section is divided by the scale, so norms stay representable at any
+    level. dlog, when requested, holds d_z log Theta_k(z; b_i) with shape
+    (n_sections, n_points, n); the gauge factor is left out.
     """
 
-    log_mag: np.ndarray
-    phase: np.ndarray
+    log_scale: np.ndarray
+    base_phase: np.ndarray
+    values: np.ndarray
     dlog: np.ndarray | None = None
 
+    @property
+    def log_mag(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # -inf at an exact zero
+            return self.log_scale + np.log(np.abs(self.values))
+
+    @property
+    def phase(self) -> np.ndarray:
+        return self.base_phase + np.angle(self.values)
+
     def complex_values(self) -> np.ndarray:
-        return np.exp(self.log_mag + 1j * self.phase)
+        return np.exp(self.log_scale + 1j * self.base_phase) * self.values
 
     def norm_sq(self) -> np.ndarray:
-        return np.exp(2.0 * self.log_mag)
+        return np.exp(2.0 * self.log_scale) * np.abs(self.values) ** 2
 
 
 @dataclass(frozen=True)
@@ -231,24 +245,17 @@ def _gauge(basis: ThetaBasis, x, y):
     return xy_to_z(x, y, om), base_lm, base_ph
 
 
-def _log_form(vals, point_phase, shift, l_star, w_off):
-    """One chunk's sums in log form, sections first: (log_mag, phase, dlog).
+def _dlog(vals, l_star, w_off):
+    """d log Theta_k of one chunk's sums, sections first: (S, p, n).
 
     vals (p, S) are a chunk's section sums before the point phase, scaled
-    by exp(-shift); w_off (p, n, S), or None, the same sums with each term
-    times its offset. d log Theta_k = 2 pi i (l* + w_off / vals) is read
-    before point_phase (p, S) multiplies vals in place: the phase cancels
-    in the ratio, and an exact zero gives inf/nan there.
+    by exp(-shift); w_off (p, n, S) the same sums with each term times its
+    offset. d log Theta_k = 2 pi i (l* + w_off / vals): the point phase
+    and the scale cancel in the ratio, and an exact zero gives inf/nan.
     """
-    grad = None
-    if w_off is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = 2j * np.pi * (l_star[:, :, None] + w_off / vals[:, None, :])
-        grad = grad.transpose(2, 0, 1)
-    vals *= point_phase
-    with np.errstate(divide="ignore"):
-        log_mag = (shift[:, None] + np.log(np.abs(vals))).T
-    return log_mag, np.angle(vals).T, grad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = 2j * np.pi * (l_star[:, :, None] + w_off / vals[:, None, :])
+    return grad.transpose(2, 0, 1)
 
 
 def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeValue:
@@ -278,30 +285,24 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     largest term instead.
     """
     k, n = basis.k, basis.om.n
-    z, base_lm, base_ph = _gauge(basis, x, y)
+    z, log_scale, base_ph = _gauge(basis, x, y)
     m = z.shape[0]
     off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     unit = np.exp(-2j * np.pi * np.arange(k) / k)
     idx = basis.indices.T
     table = unit[(off.astype(int) @ idx) % k]
-    log_mag = np.empty((basis.n_sections, m))
-    phase = np.empty((basis.n_sections, m))
+    values = np.empty((basis.n_sections, m), dtype=complex)
     grad = np.empty((basis.n_sections, m, n), dtype=complex) if dlog else None
     for rows, l_star, w, shift in chunks:
         l_star = l_star.astype(int)
-        w_off = (w[:, None, :] * off.T[None, :, :]) @ table if dlog else None
-        point_phase = unit[(l_star @ idx) % k]
         vals = w @ table
-        log_mag[:, rows], phase[:, rows], d = _log_form(
-            vals, point_phase, shift, l_star, w_off
-        )
         if dlog:
-            grad[:, rows] = d
-    return GaugeValue(
-        log_mag=base_lm[None, :] + log_mag,
-        phase=base_ph[None, :] + phase,
-        dlog=grad,
-    )
+            w_off = (w[:, None, :] * off.T[None, :, :]) @ table
+            grad[:, rows] = _dlog(vals, l_star, w_off)
+        vals *= unit[(l_star @ idx) % k]
+        values[:, rows] = vals.T
+        log_scale[rows] += shift
+    return GaugeValue(log_scale=log_scale, base_phase=base_ph, values=values, dlog=grad)
 
 
 def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeValue:
@@ -324,7 +325,7 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     k, n = basis.k, basis.om.n
     nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
     x = nodes / m
-    z, base_lm, base_ph = _gauge(basis, x, np.zeros_like(x))
+    z, log_scale, base_ph = _gauge(basis, x, np.zeros_like(x))
     off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     off_int = off.astype(int)
     unit_k = np.exp(-2j * np.pi * np.arange(k) / k)
@@ -339,11 +340,11 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     n_s, n_y, n_b = basis.n_sections, len(nodes), blocks.shape[1]
     # the x-nodes' (J, blocks, S) operands and (m^n, blocks, S) sums fill a chunk
     step = max(1, _CHUNK_TERMS // (n_b * n_s * (n_y + len(off))))
-    log_mag = np.empty((n_s, n_y * n_y))
-    phase = np.empty((n_s, n_y * n_y))
+    values = np.empty((n_s, n_y * n_y), dtype=complex)
     grad = np.empty((n_s, n_y * n_y, n), dtype=complex) if dlog else None
     for rows, l_star, w, shift in chunks:
         l_star = l_star.astype(int)
+        log_scale[rows] += shift
         for start in range(0, w.shape[0], step):
             part = slice(start, start + step)
             wx, lx = w[part], l_star[part]
@@ -352,25 +353,21 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
             sums = (y_table @ terms.reshape(len(off), -1)).reshape(n_y, n_b, r, n_s)
             # node order is x-major: rows of (x-node, y-node)
             vals = sums[:, 0].transpose(1, 0, 2).reshape(r * n_y, n_s)
-            w_off = None
+            cols = slice((rows.start + start) * n_y, (rows.start + start + r) * n_y)
             if dlog:
                 w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
-            point_phase = (
+                grad[:, cols] = _dlog(vals, np.repeat(lx, n_y, axis=0), w_off)
+            vals *= (
                 unit_k[(lx @ idx) % k][:, None, :] * unit_m[(lx @ nodes.T) % m][:, :, None]
             ).reshape(r * n_y, n_s)
-            cols = slice((rows.start + start) * n_y, (rows.start + start + r) * n_y)
-            shift_y, l_y = np.repeat(shift[part], n_y), np.repeat(lx, n_y, axis=0)
-            log_mag[:, cols], phase[:, cols], d = _log_form(
-                vals, point_phase, shift_y, l_y, w_off
-            )
-            if dlog:
-                grad[:, cols] = d
+            values[:, cols] = vals.T
     # the gauge phase pi k (tx S x + tx y) at every node; y runs over the
     # same points nodes / m as x
     base_ph = base_ph[:, None] + np.pi * k * (x @ x.T)
     return GaugeValue(
-        log_mag=np.repeat(base_lm, n_y)[None, :] + log_mag,
-        phase=base_ph.ravel()[None, :] + phase,
+        log_scale=np.repeat(log_scale, n_y),
+        base_phase=base_ph.ravel(),
+        values=values,
         dlog=grad,
     )
 
@@ -462,8 +459,13 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     # one lattice-sum call: section b enters only as a z-shift
     section, point = np.divmod(first, m)
     zs = z[point] - basis.b_points[section]
-    lm, _ = theta_char_log(basis.om.omega / basis.k, zs)
-    return base_lm[None, :] + lm[inverse].reshape(basis.n_sections, m)
+    shift, vals = _theta_sums(basis.om.omega / basis.k, zs, None, None)
+    with np.errstate(divide="ignore"):
+        lm = shift + np.log(np.abs(vals))
+    # in place: the only (k^n, m) array is the result
+    lm = lm[inverse].reshape(basis.n_sections, m)
+    lm += base_lm
+    return lm
 
 
 def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):

@@ -21,6 +21,7 @@ from theta_amoeba.theta import (
     GaugeValue,
     ThetaBasis,
     distortion_fk,
+    grid_gauge_values,
     section_gauge_values,
     theta_basis,
 )
@@ -168,10 +169,9 @@ def fd_metric_field(basis, x, y, weights=None):
 
 
 def weighted(gv, weights):
-    """gv with section i scaled by sqrt(w_i): its log_mag shifted by log(w_i) / 2."""
-    with np.errstate(divide="ignore"):
-        shift = 0.5 * np.log(weights)[:, None]
-    return GaugeValue(gv.log_mag + shift, gv.phase, gv.dlog)
+    """gv with section i scaled by sqrt(w_i): its values times sqrt(w_i)."""
+    values = gv.values * np.sqrt(weights)[:, None]
+    return GaugeValue(gv.log_scale, gv.base_phase, values, gv.dlog)
 
 
 def assert_matches_fd(basis, x, y, weights=None):
@@ -241,19 +241,53 @@ def test_omega_k_finite_at_exact_section_zeros():
 
 
 def test_metric_field_with_injected_exact_zero():
-    # an exact zero (log_mag -inf, d log nan) carries no weight, like a
+    # an exact zero (values 0, d log nan) carries no weight, like a
     # section with weight 0
     basis = theta_basis(GENERIC, 3)
     rng = np.random.default_rng(3)
     x, y = rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1))
     gv = section_gauge_values(basis, x, y, dlog=True)
-    log_mag, dlog = gv.log_mag.copy(), gv.dlog.copy()
-    log_mag[1, 2:4] = -np.inf
+    values, dlog = gv.values.copy(), gv.dlog.copy()
+    values[1, 2:4] = 0.0
     dlog[1, 2:4] = np.nan
-    g = _metric_field(basis, GaugeValue(log_mag, gv.phase, dlog))
+    g = _metric_field(basis, GaugeValue(gv.log_scale, gv.base_phase, values, dlog))
     assert_psd(g)
     g_w = _metric_field(basis, weighted(gv, np.array([1.0, 0.0, 1.0])))
     np.testing.assert_array_equal(g[2:4], g_w[2:4])
+
+
+def log_form_metric_field(basis, gv):
+    """Oracle: _metric_field with its weights taken from log_mag, as
+    p_i = exp(2 log_mag_i - max) / sum_j exp(2 log_mag_j - max)."""
+    om, k = basis.om, basis.k
+    lw = 2.0 * gv.log_mag
+    with np.errstate(invalid="ignore"):
+        e = np.exp(lw - lw.max(axis=0))
+    p = e / e.sum(axis=0)
+    d = np.where(p[:, :, None] > 0.0, gv.dlog, 0.0)
+    d = d - np.einsum("sm,sma->ma", p, d)[None]
+    cov = np.einsum("sm,sma,smb->mab", p, d, d.conj())
+    a = np.hstack([om.omega, np.eye(om.n)])
+    g = np.einsum("ni,mip,pq->mnq", a.T, cov, np.conj(a)).real / (np.pi * k)
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "rm, k",
+    [(GENERIC, k) for k in range(4, 11)] + [(COUPLED, 2)],
+    ids=[f"generic-{k}" for k in range(4, 11)] + ["coupled-2"],
+)
+def test_metric_field_matches_log_form_weights(rm, k):
+    # on the grids the suites use, exact section zeros included (GEN k = 10
+    # on 80^2 has three): the scaled weights |values_i|^2 / sum_j |values_j|^2
+    # give the field of the log-form weights to 1e-13 of each node's largest
+    # entry, floored at the flat metric's: g_2 vanishes at 2-torsion nodes
+    basis = theta_basis(rm, k)
+    grid = grid_for(k, rm.n)
+    gv = grid_gauge_values(basis, grid.m, dlog=True)
+    g, ref = _metric_field(basis, gv), log_form_metric_field(basis, gv)
+    scale = np.maximum(np.abs(ref).max(axis=(1, 2)), np.abs(real_metric_tensor(rm)).max())
+    assert np.all(np.abs(g - ref).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_omega_k_rejects_common_zero_at_level_one():

@@ -3,7 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from theta_amoeba import DegenerateSample, NonPositive, abelian, metrics, quantization, theta
+from theta_amoeba import (
+    ConfigError,
+    DegenerateSample,
+    InvalidPoints,
+    NonPositive,
+    abelian,
+    metrics,
+    quantization,
+    theta,
+)
 from theta_amoeba.abelian import fiber_volume, validate_riemann_matrix, xy_to_z
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.quantization import (
@@ -214,6 +223,39 @@ def test_reconstruction_rejects_zero_locus():
     # the single section vanishes at (x, y) = (1/2, 1/2)
     with pytest.raises(DegenerateSample):
         berg_reconstruct(basis, 0, [[0.5]], [[0.5]])
+
+
+COUPLED = validate_riemann_matrix([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
+
+
+@pytest.mark.parametrize("om, k", [(SQUARE, 3), (COUPLED, 2)], ids=["n1", "n2"])
+def test_fiber_index_out_of_range_is_refused(om, k):
+    # a negative index used to wrap to the last fiber, one past the end to
+    # raise a bare IndexError
+    basis = theta_basis(om, k)
+    count = basis.n_sections
+    x = np.zeros((1, om.n))
+    for i in (-1, count, count + 2, True, 1.0, "0"):
+        with pytest.raises(ConfigError):
+            fiber_coefficients(basis, i)
+        with pytest.raises(ConfigError):
+            sigma_section(om, k, i, x)
+        with pytest.raises(ConfigError):
+            berg_reconstruct(basis, i, x + 0.3, x + 0.4)
+    # numpy integers in range are fiber indices like ints
+    np.testing.assert_array_equal(
+        fiber_coefficients(basis, np.int64(count - 1)), fiber_coefficients(basis, count - 1)
+    )
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 3), (2, 3), (3, 1)])
+def test_bergman_kernel_refuses_unmatched_batches(m1, m2):
+    # 1 against 3 used to broadcast silently, 2 against 3 to raise a bare ValueError
+    basis = theta_basis(GENERIC, 3)
+    x1, y1 = RNG.uniform(size=(2, m1, 1))
+    x2, y2 = RNG.uniform(size=(2, m2, 1))
+    with pytest.raises(InvalidPoints):
+        bergman_kernel(basis, x1, y1, x2, y2)
 
 
 def test_peak_sections_proportional_to_basis():

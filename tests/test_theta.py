@@ -484,6 +484,38 @@ def test_gauge_magnitude_never_overflows_at_high_level():
     assert np.all(np.isfinite(gv.phase))
 
 
+@pytest.mark.parametrize(
+    "rm, k",
+    [(SQUARE, 5), (GENERIC, 3), (GENERIC, 8), (COUPLED, 2), (COUPLED, 3)],
+    ids=["square-5", "generic-3", "generic-8", "coupled-2", "coupled-3"],
+)
+def test_scaled_values_match_the_log_form(rm, k):
+    # on both routes, the scale times the sums is exp(log_mag + i phase) to
+    # 1e-14 of max_j |s_j|_h at each point, and phase keeps the bits of
+    # base_phase + arg(values) that theta_eval.csv writes
+    basis = theta_basis(rm, k)
+    rng = np.random.default_rng(k)
+    x, y = rng.uniform(size=(2, 40, rm.n))
+    for gv in (section_gauge_values(basis, x, y), grid_gauge_values(basis, 8)):
+        ref = np.exp(gv.log_mag + 1j * gv.phase)
+        peak = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(gv.complex_values() - ref).max(axis=0) <= 1e-14 * peak)
+        assert np.array_equal(gv.phase, gv.base_phase + np.angle(gv.values))
+
+
+@pytest.mark.parametrize("rm, k", [(GENERIC, 8), (COUPLED, 3)], ids=["generic-8", "coupled-3"])
+def test_scaled_values_finite_at_unreduced_points(rm, k):
+    # |x| ~ 10: the gauge weight exp(-pi k tx T x) and the sums' row shift
+    # cancel inside log_scale, never in a product of overflowing factors
+    basis = theta_basis(rm, k)
+    rng = np.random.default_rng(k)
+    x = rng.choice([-1.0, 1.0], size=(8, rm.n)) * rng.uniform(9.5, 10.5, size=(8, rm.n))
+    gv = section_gauge_values(basis, x, rng.uniform(-10.0, 10.0, size=(8, rm.n)), dlog=True)
+    for a in (gv.log_scale, gv.values, gv.dlog, gv.log_mag, gv.phase, gv.complex_values()):
+        assert np.all(np.isfinite(a))
+    np.testing.assert_allclose(gv.norm_sq(), np.exp(2.0 * gv.log_mag), rtol=1e-13)
+
+
 def test_section_shift_symmetry():
     # translating y by the basis spacing permutes the section norms
     rm = validate_riemann_matrix([[1j]])
@@ -837,13 +869,13 @@ def test_stacked_log_mag_of_no_points(rm):
 def test_stacked_log_mag_sums_each_distinct_point_once(monkeypatch, k, m, rows):
     # of the k * m^2 shifted points of a grid with k | m, only these differ
     sent = []
-    original = theta.theta_char_log
+    original = theta._theta_sums
 
-    def counting(om_eff, z, a=None, b=None):
+    def counting(om_eff, z, a, b):
         sent.append(z.shape[0])
         return original(om_eff, z, a, b)
 
-    monkeypatch.setattr(theta, "theta_char_log", counting)
+    monkeypatch.setattr(theta, "_theta_sums", counting)
     grid = quadrature_grid(1, m)
     _stacked_log_mag(theta_basis(SQUARE, k), grid.x, grid.y)
     assert sent == [rows]
