@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample
-from .metrics import QuadratureGrid, check_grid_resolution
+from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
 from .theta import ThetaBasis, _stacked_log_mag, _unique_rows
 
 SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
@@ -130,6 +130,5 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
 
 def bk_distances(sample: AmoebaSample, sources) -> np.ndarray:
     """Intrinsic shortest-path distances from sample indices to all samples."""
-    return dijkstra(
-        sample.graph, directed=False, indices=np.asarray(sources, dtype=int)
-    )
+    indices = _source_indices(sources, sample.size)
+    return dijkstra(sample.graph, directed=False, indices=indices)

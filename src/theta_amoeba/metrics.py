@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .abelian import RiemannMatrix, real_metric_tensor
+from .abelian import RiemannMatrix
 from .errors import ConfigError, DegenerateSample, NonPositive
 from .theta import (
     ZERO_FLOOR_LOG,
@@ -43,10 +43,12 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Metric tensors sampled on every node of a quadrature grid."""
+    """A metric on every node of a quadrature grid as Hermitian forms h, shape
+    (nodes, n, n), in dz; the flat metric's are h0 = (Im om)^{-1}."""
 
     grid: QuadratureGrid
-    g: np.ndarray
+    om: RiemannMatrix
+    h: np.ndarray
 
 
 def quadrature_grid(n: int, m: int) -> QuadratureGrid:
@@ -81,81 +83,71 @@ def gram_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
 
 
 def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
-    """Pulled-back Fubini-Study metric from section values and d log Theta_k.
+    """Pulled-back Fubini-Study metric as Hermitian forms, shape (points, n, n).
 
-    With p_i = |s_i|_h^2 / f_k, the complex Hessian of log f_k is
-    Cov_p(d log Theta_k(z; b_i)) - pi k (Im om)^{-1}, so the hermitian
-    coefficient matrix of g_k is Cov_p / (pi k): positive semidefinite by
-    construction. It maps to real 2n x 2n tensors in (x, y) through
-    dz = [Omega, I] d(x, y). The scale cancels in p_i, read off
-    |values_i|^2, and an exact zero carries no weight.
+    With F = sum_j |Theta_j|^2 and u = sum_j conj(Theta_j) d Theta_j / F,
+    h = sum_i (d Theta_i - Theta_i u)(d Theta_i - Theta_i u)^* / (pi k F) is
+    (Im om)^{-1} + Hess log f_k / (pi k), positive semidefinite by construction.
+    No section is divided out, so an exact zero keeps its term
+    |d Theta_i|^2 / (pi k F); the per-point scale of values and grad cancels.
     """
-    om, k = basis.om, basis.k
-    e = np.abs(gv.values) ** 2
-    total = e.sum(axis=0)
+    v, d = gv.values, gv.grad
+    total = (np.abs(v) ** 2).sum(axis=0)
     with np.errstate(divide="ignore"):
         log_fk = 2.0 * gv.log_scale + np.log(total)
     if not np.all(log_fk >= 2.0 * ZERO_FLOOR_LOG):
         raise DegenerateSample("f_k vanishes at a sample point: common zero of the sections")
-    p = e / total
-    # an exact zero of one section carries no weight; its d log is nan
-    d = np.where(p[:, :, None] > 0.0, gv.dlog, 0.0)
-    d = d - np.einsum("sm,sma->ma", p, d)[None]
-    cov = np.einsum("sm,sma,smb->mab", p, d, d.conj())
-    a = np.hstack([om.omega, np.eye(om.n)])
-    g = np.einsum("ni,mip,pq->mnq", a.T, cov, np.conj(a)).real / (np.pi * k)
-    g = 0.5 * (g + np.swapaxes(g, 1, 2))
-    lams = np.linalg.eigvalsh(g)
-    # nan-safe; exact zeros are allowed (g_2 vanishes at 2-torsion points)
+    u = np.einsum("sm,sma->ma", v.conj(), d) / total[:, None]
+    c = d - v[:, :, None] * u
+    h = np.einsum("sma,smb->mab", c, c.conj()) / (np.pi * basis.k * total[:, None, None])
+    h = 0.5 * (h + np.swapaxes(h, 1, 2).conj())
+    lams = np.linalg.eigvalsh(h)
+    # exact zeros are allowed (g_2 vanishes at 2-torsion points)
     if not lams[:, 0].min() >= -1e-12 * lams[:, -1].max():
         raise NonPositive("pulled-back metric is not positive semidefinite")
-    return g
+    return h
 
 
 def omega_k_field(basis: ThetaBasis, x, y):
-    """Pulled-back metric tensors at scattered points, shape (m, 2n, 2n);
-    omega_k_metric_field serves the nodes of a quadrature grid."""
-    return _metric_field(basis, section_gauge_values(basis, x, y, dlog=True))
+    """Pulled-back metric at scattered points as Hermitian forms h, shape
+    (m, n, n); omega_k_metric_field serves the nodes of a quadrature grid."""
+    return _metric_field(basis, section_gauge_values(basis, x, y, grad=True))
 
 
 def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     """Embedding mass matrix M_ij = int (s_i, s_j)_h / f against the
     pulled-back volume form."""
     check_grid_resolution(basis, grid)
-    gv = grid_gauge_values(basis, grid.m, dlog=True)
+    gv = grid_gauge_values(basis, grid.m, grad=True)
     v = gv.complex_values()
     f = np.einsum("im,im->m", v, v.conj()).real
-    gk = _metric_field(basis, gv)
-    # g_k may vanish at isolated nodes, where det is 0 up to roundoff
-    vol = np.sqrt(np.maximum(np.linalg.det(gk), 0.0))
+    # sqrt det of the real form in (x, y): dz = Omega dx + dy has Jacobian det(Im om)
+    vol = np.linalg.det(basis.om.im) * np.abs(np.linalg.det(_metric_field(basis, gv)))
     m = np.einsum("im,jm,m->ij", v, v.conj(), vol / f) / grid.size
     return 0.5 * (m + m.conj().T)
 
 
-def c0_metric_deviation(om: RiemannMatrix, field: MetricField) -> float:
-    """sup over the field's nodes of || g0^{-1/2} (g0 - g) g0^{-1/2} ||_2."""
-    g0 = real_metric_tensor(om)
-    chol = np.linalg.cholesky(g0)
-    inv = np.linalg.inv(chol)
-    rel = inv[None, :, :] @ (g0[None, :, :] - field.g) @ inv.T[None, :, :]
-    rel = 0.5 * (rel + np.swapaxes(rel, 1, 2))
+def c0_metric_deviation(field: MetricField) -> float:
+    """sup over the field's nodes of || g0^{-1/2} (g0 - g) g0^{-1/2} ||_2: with
+    Im om = c t(c), the largest |eigenvalue| of t(c) (h0 - h) c."""
+    c = field.om.im_chol
+    rel = c.T @ (field.om.im_inv - field.h) @ c
     return float(np.max(np.abs(np.linalg.eigvalsh(rel))))
 
 
 def flat_metric_field(om: RiemannMatrix, grid: QuadratureGrid) -> MetricField:
-    g0 = real_metric_tensor(om)
-    return MetricField(grid=grid, g=np.broadcast_to(g0, (grid.size, 2 * grid.n, 2 * grid.n)))
+    return MetricField(grid=grid, om=om, h=np.broadcast_to(om.im_inv, (grid.size, om.n, om.n)))
 
 
 def omega_k_metric_field(basis: ThetaBasis, grid: QuadratureGrid) -> MetricField:
     check_grid_resolution(basis, grid)
-    gv = grid_gauge_values(basis, grid.m, dlog=True)
-    return MetricField(grid=grid, g=_metric_field(basis, gv))
+    gv = grid_gauge_values(basis, grid.m, grad=True)
+    return MetricField(grid=grid, om=basis.om, h=_metric_field(basis, gv))
 
 
 def _graph_edges(field: MetricField):
-    """Sparse edge list of the periodic one-shell grid graph with
-    endpoint-averaged metric edge lengths."""
+    """Sparse edge list of the periodic one-shell grid graph with endpoint-averaged
+    edge lengths sqrt(Re(t(dz) h conj(dz))), dz = Omega dx + dy per step."""
     grid = field.grid
     dim = 2 * grid.n
     m = grid.m
@@ -173,8 +165,9 @@ def _graph_edges(field: MetricField):
         i = node.ravel()
         j = nb.ravel()
         delta = np.array(o, dtype=float) / m
-        gavg = 0.5 * (field.g[i] + field.g[j])
-        w = np.sqrt(np.einsum("p,mpq,q->m", delta, gavg, delta))
+        dz = field.om.omega @ delta[: grid.n] + delta[grid.n :]
+        havg = 0.5 * (field.h[i] + field.h[j])
+        w = np.sqrt(np.einsum("p,mpq,q->m", dz, havg, dz.conj()).real)
         rows.append(i)
         cols.append(j)
         vals.append(w)
@@ -185,9 +178,23 @@ def _graph_edges(field: MetricField):
     )
 
 
+def _source_indices(sources, nodes: int) -> np.ndarray:
+    """sources as a 1-D array of node indices, each an integer in [0, nodes).
+
+    Anything else is refused: SciPy's dijkstra reads -1 as the last node,
+    truncates 0.5 to node 0 and returns one more axis for nested sources.
+    """
+    a = np.asarray(sources)
+    integral = a.ndim == 1 and a.size > 0 and a.dtype.kind in "iu"
+    if not (integral and 0 <= a.min() and a.max() < nodes):
+        raise ConfigError(f"sources must be integer node indices in [0, {nodes}), got {sources!r}")
+    return a.astype(int)
+
+
 def geodesic_distances(field: MetricField, sources) -> np.ndarray:
     """Graph-geodesic distances from source node indices to all nodes."""
-    rows, cols, vals = _graph_edges(field)
     n_nodes = field.grid.size
+    indices = _source_indices(sources, n_nodes)
+    rows, cols, vals = _graph_edges(field)
     graph = coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    return dijkstra(graph, directed=False, indices=np.asarray(sources, dtype=int))
+    return dijkstra(graph, directed=False, indices=indices)

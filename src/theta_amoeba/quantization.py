@@ -9,7 +9,6 @@ trapezoid sums that are spectrally accurate.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .theta import (
     GaugeValue,
     ThetaBasis,
     _as_points,
+    _level,
     grid_gauge_values,
     section_gauge_values,
     theta_basis,
@@ -39,18 +39,13 @@ class BSFiberSet:
 
 
 def bs_fibers_abelian(om: RiemannMatrix, k: int) -> BSFiberSet:
-    if k < 1:
-        raise NonPositive(f"level must be positive, got {k}")
-    pts = tuple(
-        tuple(Fraction(j, k) for j in idx)
-        for idx in itertools.product(range(k), repeat=om.n)
-    )
-    return BSFiberSet(k=k, kind="abelian", points=pts)
+    basis = theta_basis(om, k)
+    pts = tuple(tuple(Fraction(int(j), basis.k) for j in idx) for idx in basis.indices)
+    return BSFiberSet(k=basis.k, kind="abelian", points=pts)
 
 
 def bs_points_cp1(k: int) -> BSFiberSet:
-    if k < 1:
-        raise NonPositive(f"level must be positive, got {k}")
+    k = _level(k)
     pts = tuple(Fraction(2 * i - k, k) for i in range(k + 1))
     return BSFiberSet(k=k, kind="cp1", points=pts)
 
@@ -72,7 +67,10 @@ def sigma_section(om: RiemannMatrix, k: int, i: int, x) -> GaugeValue:
     basis = theta_basis(om, k)
     _check_fiber(basis, i)
     b = basis.b_points[i]
-    x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, om.n)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[-1] != om.n or not np.isfinite(x).all():
+        raise InvalidPoints(f"x must be finite {om.n}-vectors, got shape {x.shape}")
+    x = x.reshape(-1, om.n)
     phase = np.pi * k * (x @ b)
     ones = np.ones((1, phase.size), dtype=complex)
     return GaugeValue(log_scale=np.zeros(phase.size), base_phase=phase, values=ones)

@@ -78,7 +78,7 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
     l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
     m, n = z.shape
     q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
-    # sized so that the dlog contraction's (rows, n, J) terms fit in a chunk
+    # sized so that the gradient contraction's (rows, n, J) terms fit in a chunk
     chunk = max(1, _CHUNK_TERMS // off.size)
 
     def chunks():
@@ -153,14 +153,14 @@ class GaugeValue:
     (n_sections, n_points), are the sums times their point phases, of
     modulus at most the term count.
     No section is divided by the scale, so norms stay representable at any
-    level. dlog, when requested, holds d_z log Theta_k(z; b_i) with shape
-    (n_sections, n_points, n); the gauge factor is left out.
+    level. grad, when requested, holds d_z of the sums, shape (n_sections,
+    n_points, n), scaled like values: d_z Theta_k(z; b_i), none divided out.
     """
 
     log_scale: np.ndarray
     base_phase: np.ndarray
     values: np.ndarray
-    dlog: np.ndarray | None = None
+    grad: np.ndarray | None = None
 
     @property
     def log_mag(self) -> np.ndarray:
@@ -202,12 +202,17 @@ class ThetaBasis:
         return 0.25 * (n * np.log(2.0) + logdet)
 
 
-def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
+def _level(k) -> int:
+    """k as an int, or NonPositive unless it is a positive integer."""
     # bool is an int subclass, and NaN and +-inf fail the chained comparison
     # before int() could raise on them
     if isinstance(k, (bool, np.bool_)) or not (1 <= k < np.inf and k == int(k)):
         raise NonPositive(f"level k must be a positive integer, got {k!r}")
-    k = int(k)
+    return int(k)
+
+
+def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
+    k = _level(k)
     idx = np.array(list(itertools.product(range(k), repeat=om.n)), dtype=int)
     return ThetaBasis(om=om, k=k, indices=idx)
 
@@ -245,20 +250,19 @@ def _gauge(basis: ThetaBasis, x, y):
     return xy_to_z(x, y, om), base_lm, base_ph
 
 
-def _dlog(vals, l_star, w_off):
-    """d log Theta_k of one chunk's sums, sections first: (S, p, n).
+def _gradient(vals, l_star, w_off, phase):
+    """d_z of one chunk's section sums times their point phases: (S, p, n).
 
     vals (p, S) are a chunk's section sums before the point phase, scaled
     by exp(-shift); w_off (p, n, S) the same sums with each term times its
-    offset. d log Theta_k = 2 pi i (l* + w_off / vals): the point phase
-    and the scale cancel in the ratio, and an exact zero gives inf/nan.
+    offset. Term l = l* + off carries 2 pi i l, so d_z is 2 pi i (l* vals +
+    w_off): nothing is divided, and an exact zero keeps its gradient.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = 2j * np.pi * (l_star[:, :, None] + w_off / vals[:, None, :])
+    grad = 2j * np.pi * phase[:, None, :] * (l_star[:, :, None] * vals[:, None, :] + w_off)
     return grad.transpose(2, 0, 1)
 
 
-def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeValue:
+def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeValue:
     """Evaluate every basis section at unreduced coordinates z = Omega x + y.
 
     This is the route for scattered points. grid_gauge_values serves the
@@ -271,8 +275,8 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     contracted against the table e(-t(off) j / k) over the offsets,
     then multiplied by the point's phase e(-t(l*) j / k). Both phases are
     read from the k-th roots of unity by an integer index mod k. With
-    dlog, the same contraction of (l* + off) times the terms gives
-    d_z log Theta_k(z; b_i).
+    grad, the same contraction of (l* + off) times the terms gives the
+    gradient d_z Theta_k(z; b_i), scaled like the values.
 
     Accuracy contract, shared with _stacked_log_mag and grid_gauge_values:
     |s_i|_h is accurate to roundoff times max_j |s_j|_h at each point, not
@@ -292,20 +296,21 @@ def section_gauge_values(basis: ThetaBasis, x, y, dlog: bool = False) -> GaugeVa
     idx = basis.indices.T
     table = unit[(off.astype(int) @ idx) % k]
     values = np.empty((basis.n_sections, m), dtype=complex)
-    grad = np.empty((basis.n_sections, m, n), dtype=complex) if dlog else None
+    grads = np.empty((basis.n_sections, m, n), dtype=complex) if grad else None
     for rows, l_star, w, shift in chunks:
         l_star = l_star.astype(int)
         vals = w @ table
-        if dlog:
+        phase = unit[(l_star @ idx) % k]
+        if grad:
             w_off = (w[:, None, :] * off.T[None, :, :]) @ table
-            grad[:, rows] = _dlog(vals, l_star, w_off)
-        vals *= unit[(l_star @ idx) % k]
+            grads[:, rows] = _gradient(vals, l_star, w_off, phase)
+        vals *= phase
         values[:, rows] = vals.T
         log_scale[rows] += shift
-    return GaugeValue(log_scale=log_scale, base_phase=base_ph, values=values, dlog=grad)
+    return GaugeValue(log_scale=log_scale, base_phase=base_ph, values=values, grad=grads)
 
 
-def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeValue:
+def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeValue:
     """Every basis section on every node of quadrature_grid(n, m), x-major.
 
     The grid route: section_gauge_values at the grid's nodes, with the
@@ -318,7 +323,7 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     roots of unity by integer indices mod k and mod m. A chunk of x-nodes
     then costs one (m^n x J)(J x rows k^n) product, the multiply-adds of
     section_gauge_values' contraction without its per-node exponentials;
-    dlog widens it by n more blocks of the offset-weighted terms. Each
+    grad widens it by n more blocks of the offset-weighted terms. Each
     node still gets its own sum: every term is factored exactly, and no
     node's values are copied from another by a Heisenberg translation.
     """
@@ -332,16 +337,16 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
     unit_m = np.exp(2j * np.pi * np.arange(m) / m)
     idx = basis.indices.T
     y_table = unit_m[(nodes @ off_int.T) % m]
-    # the section table, then with dlog each offset coordinate times it:
+    # the section table, then with grad each offset coordinate times it:
     # (J, blocks, S)
     blocks = unit_k[(off_int @ idx) % k][:, None, :]
-    if dlog:
+    if grad:
         blocks = np.concatenate([blocks, off[:, :, None] * blocks], axis=1)
     n_s, n_y, n_b = basis.n_sections, len(nodes), blocks.shape[1]
     # the x-nodes' (J, blocks, S) operands and (m^n, blocks, S) sums fill a chunk
     step = max(1, _CHUNK_TERMS // (n_b * n_s * (n_y + len(off))))
     values = np.empty((n_s, n_y * n_y), dtype=complex)
-    grad = np.empty((n_s, n_y * n_y, n), dtype=complex) if dlog else None
+    grads = np.empty((n_s, n_y * n_y, n), dtype=complex) if grad else None
     for rows, l_star, w, shift in chunks:
         l_star = l_star.astype(int)
         log_scale[rows] += shift
@@ -354,12 +359,13 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
             # node order is x-major: rows of (x-node, y-node)
             vals = sums[:, 0].transpose(1, 0, 2).reshape(r * n_y, n_s)
             cols = slice((rows.start + start) * n_y, (rows.start + start + r) * n_y)
-            if dlog:
-                w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
-                grad[:, cols] = _dlog(vals, np.repeat(lx, n_y, axis=0), w_off)
-            vals *= (
+            phase = (
                 unit_k[(lx @ idx) % k][:, None, :] * unit_m[(lx @ nodes.T) % m][:, :, None]
             ).reshape(r * n_y, n_s)
+            if grad:
+                w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
+                grads[:, cols] = _gradient(vals, np.repeat(lx, n_y, axis=0), w_off, phase)
+            vals *= phase
             values[:, cols] = vals.T
     # the gauge phase pi k (tx S x + tx y) at every node; y runs over the
     # same points nodes / m as x
@@ -368,7 +374,7 @@ def grid_gauge_values(basis: ThetaBasis, m: int, dlog: bool = False) -> GaugeVal
         log_scale=np.repeat(log_scale, n_y),
         base_phase=base_ph.ravel(),
         values=values,
-        dlog=grad,
+        grad=grads,
     )
 
 

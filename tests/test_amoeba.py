@@ -149,6 +149,18 @@ def test_bk_distance_identity_and_lower_bound():
     assert bk_distances(sample, [i])[0, j] >= chord - 1e-12
 
 
+@pytest.mark.parametrize(
+    "sources",
+    [[-1], [0.5], [[0]], "points", [], [True], ["0"], 0],
+    ids=["negative", "fraction", "nested", "past-end", "empty", "bool", "string", "scalar"],
+)
+def test_bk_distances_refuse_bad_sources(sources):
+    sample = amoeba_sample(theta_basis(SQUARE, 4), quadrature_grid(1, 32))
+    with pytest.raises(ConfigError):
+        bk_distances(sample, [sample.size] if sources == "points" else sources)
+    assert bk_distances(sample, np.array([sample.size - 1]))[0, sample.size - 1] == 0.0
+
+
 def test_graph_connects_whole_sample():
     basis = theta_basis(SQUARE, 8)
     sample = amoeba_sample(basis, quadrature_grid(1, 64))

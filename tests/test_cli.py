@@ -33,6 +33,19 @@ def test_gram_square_torus_level_four(capsys, tmp_path):
     assert summary["results"]["4"]["gram_max_dev"] < 1e-8
 
 
+def test_gram_balanced_at_an_exact_section_zero(capsys, tmp_path):
+    # on Omega = 0.3 + 1.2i one node of the level-7 grid sits on an exact
+    # zero of a section; its volume form keeps that section's gradient, so
+    # the balanced matrix is scalar to roundoff
+    om = tmp_path / "omega.json"
+    om.write_text(json.dumps({"n": 1, "re": [[0.3]], "im": [[1.2]]}))
+    code, out, _ = run(
+        capsys, "gram", "--k", "7", "--omega-file", str(om), "--out", str(tmp_path / "o")
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["7"]["balanced_rel_dev"] < 1e-12
+
+
 def test_gram_level_one_is_typed_error(capsys, tmp_path):
     # the only level-1 section vanishes at the grid node (1/2, 1/2)
     code, _, err = run(capsys, "gram", "--k", "1", "--out", str(tmp_path))

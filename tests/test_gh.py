@@ -218,9 +218,9 @@ def test_suite_small_sweep(monkeypatch):
     levels = []
     evaluate = metrics.grid_gauge_values
 
-    def counted(basis, m, dlog=False):
+    def counted(basis, m, grad=False):
         levels.append(basis.k)
-        return evaluate(basis, m, dlog=dlog)
+        return evaluate(basis, m, grad=grad)
 
     monkeypatch.setattr(metrics, "grid_gauge_values", counted)
     rm = validate_riemann_matrix([[1j]])

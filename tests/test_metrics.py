@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from theta_amoeba import ConfigError, DegenerateSample, InvalidPoints
-from theta_amoeba.abelian import real_metric_tensor, validate_riemann_matrix
+from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.metrics import (
     _metric_field,
     balanced_matrix,
@@ -160,33 +160,58 @@ def fd_hessian_log_fk(basis, x, y, h=1e-3, weights=None):
 
 
 def fd_metric_field(basis, x, y, weights=None):
-    """Oracle g_k from H_k = (Im om)^{-1} + (1 / pi k) Hess log f_k."""
-    om, n = basis.om, basis.om.n
-    hk = om.im_inv + fd_hessian_log_fk(basis, x, y, weights=weights) / (np.pi * basis.k)
-    a = np.hstack([om.omega, np.eye(n)])
-    g = np.einsum("ni,mip,pq->mnq", a.T, hk, np.conj(a)).real
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
+    """Oracle: the Hermitian H_k = (Im om)^{-1} + (1 / pi k) Hess log f_k."""
+    return basis.om.im_inv + fd_hessian_log_fk(basis, x, y, weights=weights) / (np.pi * basis.k)
 
 
 def weighted(gv, weights):
-    """gv with section i scaled by sqrt(w_i): its values times sqrt(w_i)."""
-    values = gv.values * np.sqrt(weights)[:, None]
-    return GaugeValue(gv.log_scale, gv.base_phase, values, gv.dlog)
+    """gv with section i scaled by sqrt(w_i): its values and gradient."""
+    root = np.sqrt(weights)[:, None]
+    return GaugeValue(gv.log_scale, gv.base_phase, gv.values * root, gv.grad * root[:, :, None])
 
 
-def assert_matches_fd(basis, x, y, weights=None):
+def columns(gv, cols):
+    """gv at the points cols only."""
+    return GaugeValue(
+        gv.log_scale[cols], gv.base_phase[cols], gv.values[:, cols], gv.grad[:, cols]
+    )
+
+
+def grid_zeros(basis, m):
+    """Grid-route values and gradients, and the nodes where a section sums
+    to an exact zero."""
+    gv = grid_gauge_values(basis, m, grad=True)
+    return gv, (gv.values == 0.0).any(axis=0)
+
+
+def assert_matches_fd(basis, x, y, weights=None, gv=None):
     # compare on the Hessian scale: g_k carries a factor 1 / (pi k)
-    gv = section_gauge_values(basis, x, y, dlog=True)
-    g = _metric_field(basis, gv if weights is None else weighted(gv, weights))
-    g_fd = fd_metric_field(basis, x, y, weights=weights)
-    assert np.max(np.abs(g - g_fd)) * np.pi * basis.k <= 1e-8
+    if gv is None:
+        gv = section_gauge_values(basis, x, y, grad=True)
+    h = _metric_field(basis, gv if weights is None else weighted(gv, weights))
+    h_fd = fd_metric_field(basis, x, y, weights=weights)
+    assert np.max(np.abs(h - h_fd)) * np.pi * basis.k <= 1e-8
 
 
-@pytest.mark.parametrize("rm", [SQUARE, GENERIC], ids=["square", "generic"])
-@pytest.mark.parametrize("k", [2, 3, 4, 8])
-def test_omega_k_matches_finite_differences(rm, k):
-    rng = np.random.default_rng(k)
-    assert_matches_fd(theta_basis(rm, k), rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1)))
+@pytest.mark.parametrize(
+    "rm, k, zeros",
+    [(rm, k, False) for k in (2, 3, 4, 8) for rm in (SQUARE, GENERIC)]
+    + [(GENERIC, k, True) for k in (7, 9, 10)],
+    ids=[f"{k}-{name}" for k in (2, 3, 4, 8) for name in ("square", "generic")]
+    + [f"{k}-generic-grid-zeros" for k in (7, 9, 10)],
+)
+def test_omega_k_matches_finite_differences(rm, k, zeros):
+    basis = theta_basis(rm, k)
+    if not zeros:
+        rng = np.random.default_rng(k)
+        assert_matches_fd(basis, rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1)))
+        return
+    # the nodes of the 8k grid where the grid route sums a section to exactly
+    # zero: one at k = 7 and 9, three at k = 10
+    grid = quadrature_grid(1, 8 * k)
+    gv, zero = grid_zeros(basis, grid.m)
+    assert zero.sum() == (3 if k == 10 else 1)
+    assert_matches_fd(basis, grid.x[zero], grid.y[zero], gv=columns(gv, zero))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -208,9 +233,9 @@ def test_omega_k_matches_finite_differences_weighted():
     )
 
 
-def assert_psd(g):
-    lams = np.linalg.eigvalsh(g)
-    assert np.all(np.isfinite(g))
+def assert_psd(h):
+    lams = np.linalg.eigvalsh(h)
+    assert np.all(np.isfinite(h))
     assert lams[:, 0].min() >= -1e-12 * lams[:, -1].max()
 
 
@@ -241,35 +266,34 @@ def test_omega_k_finite_at_exact_section_zeros():
 
 
 def test_metric_field_with_injected_exact_zero():
-    # an exact zero (values 0, d log nan) carries no weight, like a
-    # section with weight 0
+    # an exact zero (values 0, gradient kept) adds its term
+    # |d Theta_i|^2 / (pi k f_k), here at least a tenth of the rest, to the
+    # field without section i; the d log form dropped that term
     basis = theta_basis(GENERIC, 3)
     rng = np.random.default_rng(3)
     x, y = rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1))
-    gv = section_gauge_values(basis, x, y, dlog=True)
-    values, dlog = gv.values.copy(), gv.dlog.copy()
+    gv = section_gauge_values(basis, x, y, grad=True)
+    values = gv.values.copy()
     values[1, 2:4] = 0.0
-    dlog[1, 2:4] = np.nan
-    g = _metric_field(basis, GaugeValue(gv.log_scale, gv.base_phase, values, dlog))
-    assert_psd(g)
-    g_w = _metric_field(basis, weighted(gv, np.array([1.0, 0.0, 1.0])))
-    np.testing.assert_array_equal(g[2:4], g_w[2:4])
+    h = _metric_field(basis, GaugeValue(gv.log_scale, gv.base_phase, values, gv.grad))
+    assert_psd(h)
+    h_w = _metric_field(basis, weighted(gv, np.array([1.0, 0.0, 1.0])))
+    total = (np.abs(values[:, 2:4]) ** 2).sum(axis=0)
+    term = np.abs(gv.grad[1, 2:4, 0]) ** 2 / (np.pi * basis.k * total)
+    assert np.all(term >= 0.1 * np.abs(h_w[2:4, 0, 0]))
+    np.testing.assert_allclose(h[2:4, 0, 0] - h_w[2:4, 0, 0], term, rtol=1e-12)
 
 
 def log_form_metric_field(basis, gv):
-    """Oracle: _metric_field with its weights taken from log_mag, as
-    p_i = exp(2 log_mag_i - max) / sum_j exp(2 log_mag_j - max)."""
-    om, k = basis.om, basis.k
+    """Oracle: the d log form of the field, Cov_p(d log Theta) / (pi k),
+    with weights p_i = exp(2 log_mag_i - max) / sum_j exp(2 log_mag_j - max)
+    and d log Theta_i = grad_i / values_i; undefined at an exact zero."""
     lw = 2.0 * gv.log_mag
-    with np.errstate(invalid="ignore"):
-        e = np.exp(lw - lw.max(axis=0))
+    e = np.exp(lw - lw.max(axis=0))
     p = e / e.sum(axis=0)
-    d = np.where(p[:, :, None] > 0.0, gv.dlog, 0.0)
+    d = gv.grad / gv.values[:, :, None]
     d = d - np.einsum("sm,sma->ma", p, d)[None]
-    cov = np.einsum("sm,sma,smb->mab", p, d, d.conj())
-    a = np.hstack([om.omega, np.eye(om.n)])
-    g = np.einsum("ni,mip,pq->mnq", a.T, cov, np.conj(a)).real / (np.pi * k)
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
+    return np.einsum("sm,sma,smb->mab", p, d, d.conj()) / (np.pi * basis.k)
 
 
 @pytest.mark.parametrize(
@@ -278,16 +302,48 @@ def log_form_metric_field(basis, gv):
     ids=[f"generic-{k}" for k in range(4, 11)] + ["coupled-2"],
 )
 def test_metric_field_matches_log_form_weights(rm, k):
-    # on the grids the suites use, exact section zeros included (GEN k = 10
-    # on 80^2 has three): the scaled weights |values_i|^2 / sum_j |values_j|^2
-    # give the field of the log-form weights to 1e-13 of each node's largest
-    # entry, floored at the flat metric's: g_2 vanishes at 2-torsion nodes
+    # on the grids the suites use: the field of values and gradients is the
+    # d log form to 1e-13 of each node's largest entry, floored at the flat
+    # metric's (g_2 vanishes at 2-torsion nodes). At the exact section zeros
+    # (GEN k = 7 and 9 on 8k^2 have one, k = 10 on 80^2 three) the d log form
+    # is undefined, and the scattered route, whose roundoff leaves those
+    # sections nonzero, is the reference to 1e-12
     basis = theta_basis(rm, k)
     grid = grid_for(k, rm.n)
-    gv = grid_gauge_values(basis, grid.m, dlog=True)
-    g, ref = _metric_field(basis, gv), log_form_metric_field(basis, gv)
-    scale = np.maximum(np.abs(ref).max(axis=(1, 2)), np.abs(real_metric_tensor(rm)).max())
-    assert np.all(np.abs(g - ref).max(axis=(1, 2)) <= 1e-13 * scale)
+    gv, zero = grid_zeros(basis, grid.m)
+    h = _metric_field(basis, gv)
+    ref = np.empty_like(h)
+    ref[~zero] = log_form_metric_field(basis, columns(gv, ~zero))
+    if zero.any():
+        ref[zero] = omega_k_field(basis, grid.x[zero], grid.y[zero])
+    scale = np.maximum(np.abs(ref).max(axis=(1, 2)), np.abs(rm.im_inv).max())
+    err = np.abs(h - ref).max(axis=(1, 2))
+    assert np.all(err[~zero] <= 1e-13 * scale[~zero])
+    assert np.all(err[zero] <= 1e-12 * scale[zero])
+
+
+@pytest.mark.parametrize("k", [7, 9, 10])
+def test_omega_k_continuous_at_grid_zeros(k):
+    # at the grid's exact section zeros the field equals the scattered
+    # route's at points 1e-9 away to 1e-12: it has no dip there
+    basis = theta_basis(GENERIC, k)
+    grid = quadrature_grid(1, 8 * k)
+    gv, zero = grid_zeros(basis, grid.m)
+    h = _metric_field(basis, gv)[zero]
+    x, y = grid.x[zero], grid.y[zero]
+    for dx, dy in ((1e-9, 0.0), (0.0, 1e-9), (-1e-9, 1e-9)):
+        assert np.max(np.abs(omega_k_field(basis, x + dx, y + dy) - h)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, m", [(7, 56), (9, 72), (10, 80)])
+def test_omega_k_field_is_one_over_k_periodic(k, m):
+    # translating x or y by 1/k moves each section by a root of unity or
+    # permutes them, so when k | m the field repeats every m / k nodes along
+    # both axes, exact section zeros included, to 1e-13 of its largest entry
+    h = omega_k_metric_field(theta_basis(GENERIC, k), quadrature_grid(1, m)).h.reshape(m, m)
+    for axis in (0, 1):
+        shifted = np.roll(h, m // k, axis=axis)
+        assert np.max(np.abs(shifted - h)) <= 1e-13 * np.abs(h).max()
 
 
 def test_omega_k_rejects_common_zero_at_level_one():
@@ -329,21 +385,20 @@ def test_omega_k_metric_field_rejects_mismatched_grid():
 
 
 def test_omega_k_tensor_symmetric():
-    basis = theta_basis(GENERIC, 3)
-    g = omega_k_field(basis, [[0.2]], [[0.7]])[0]
-    assert np.array_equal(g, g.T)
+    # Hermitian to the bit, n = 1 and 2
+    for rm, x, y in ((GENERIC, [[0.2]], [[0.7]]), (COUPLED, [[0.2, 0.4]], [[0.7, 0.1]])):
+        h = omega_k_field(theta_basis(rm, 3), x, y)[0]
+        assert np.array_equal(h, h.conj().T)
 
 
 def test_c0_deviation_zero_for_exact_flat_field():
-    g0 = real_metric_tensor(GENERIC)
-    chol = np.linalg.inv(np.linalg.cholesky(g0))
-    rel = chol @ (g0 - g0) @ chol.T
-    assert np.max(np.abs(np.linalg.eigvalsh(rel))) == 0.0
+    field = flat_metric_field(GENERIC, quadrature_grid(1, 8))
+    assert c0_metric_deviation(field) == 0.0
 
 
 def test_c0_deviation_decreasing_in_level():
     devs = [
-        c0_metric_deviation(SQUARE, omega_k_metric_field(theta_basis(SQUARE, k), grid_for(k)))
+        c0_metric_deviation(omega_k_metric_field(theta_basis(SQUARE, k), grid_for(k)))
         for k in (2, 4, 6, 8)
     ]
     assert all(a > b for a, b in zip(devs, devs[1:]))
@@ -360,6 +415,22 @@ def test_flat_geodesic_half_period():
     d = geodesic_distances(field, [0])[0, 16]
     assert (grid.x[16], grid.y[16]) == (0.0, 0.5)
     assert d == pytest.approx(0.5, abs=2.0 / 32)
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [[-1], [0.5], [[0]], "nodes", [], [True], ["0"], 0],
+    ids=["negative", "fraction", "nested", "past-end", "empty", "bool", "string", "scalar"],
+)
+def test_geodesic_distances_refuse_bad_sources(sources):
+    # SciPy read -1 as the last node, truncated 0.5 to node 0 and gave [[0]]
+    # a third axis
+    grid = quadrature_grid(1, 16)
+    field = flat_metric_field(SQUARE, grid)
+    with pytest.raises(ConfigError):
+        geodesic_distances(field, [grid.size] if sources == "nodes" else sources)
+    d = geodesic_distances(field, np.array([0, grid.size - 1], dtype=np.int32))
+    assert d.shape == (2, grid.size) and d[0, 0] == d[1, grid.size - 1] == 0.0
 
 
 def test_geodesic_symmetry():

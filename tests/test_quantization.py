@@ -73,6 +73,17 @@ def test_abelian_fibers_match_basis_points():
     assert np.array_equal(pts, basis.b_points)
 
 
+@pytest.mark.parametrize("k", [2.5, np.nan, True, np.True_, 0, -1, np.inf])
+def test_bs_sets_refuse_non_integral_levels(k):
+    # 2.5 and NaN used to raise a bare TypeError, and True was level 1
+    with pytest.raises(NonPositive):
+        bs_fibers_abelian(SQUARE, k)
+    with pytest.raises(NonPositive):
+        bs_points_cp1(k)
+    assert bs_fibers_abelian(SQUARE, np.int64(3)) == bs_fibers_abelian(SQUARE, 3)
+    assert bs_points_cp1(3.0) == bs_points_cp1(3)
+
+
 def test_cp1_points_level_three():
     fs = bs_points_cp1(3)
     assert fs.points == (
@@ -248,6 +259,18 @@ def test_fiber_index_out_of_range_is_refused(om, k):
     )
 
 
+@pytest.mark.parametrize(
+    "om, x",
+    [(SQUARE, [np.nan]), (SQUARE, [[0.2], [np.inf]]), (COUPLED, [[0.1], [0.2]]),
+     (COUPLED, [0.1, 0.2, 0.3])],
+    ids=["nan", "inf", "last-axis-1", "last-axis-3"],
+)
+def test_sigma_section_refuses_bad_points(om, x):
+    # NaN used to give nan+nanj, and (2, 1) was read as one 2-vector
+    with pytest.raises(InvalidPoints):
+        sigma_section(om, 2, 0, x)
+
+
 @pytest.mark.parametrize("m1, m2", [(1, 3), (2, 3), (3, 1)])
 def test_bergman_kernel_refuses_unmatched_batches(m1, m2):
     # 1 against 3 used to broadcast silently, 2 against 3 to raise a bare ValueError
@@ -298,9 +321,9 @@ def test_peak_suite_evaluates_grid_once(monkeypatch):
     # of the sections on the max(8k, 16)^{2n} quadrature grid
     sizes = []
 
-    def counted(basis, m, dlog=False):
+    def counted(basis, m, grad=False):
         sizes.append(m ** (2 * basis.om.n))
-        return grid_gauge_values(basis, m, dlog=dlog)
+        return grid_gauge_values(basis, m, grad=grad)
 
     # every module binding, so a second route through metrics counts too
     for module in (theta, metrics, quantization):

@@ -15,7 +15,6 @@ from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import (
     _CHUNK_TERMS,
     TAIL_LOG,
-    ZERO_FLOOR_LOG,
     _as_points,
     _gauge,
     _lattice_terms,
@@ -341,24 +340,21 @@ def test_moment_map_is_the_same_bits_at_any_chunk_size(monkeypatch, rm, k, m):
 def test_gauge_values_keep_their_contract_at_any_chunk_size(monkeypatch, rm, k, m):
     # not bit for bit: BLAS contracts a chunk's terms by a path that depends
     # on its shape, so only the accuracy contract holds across chunk sizes,
-    # d log Theta_k as in test_grid_route_matches_scattered_route
+    # the gradients as in test_grid_route_matches_scattered_route
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
     runs = []
     for terms in CHUNK_SIZES:
         monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
-        runs.append(section_gauge_values(basis, grid.x, grid.y, dlog=True))
-        runs.append(grid_gauge_values(basis, m, dlog=True))
+        runs.append(section_gauge_values(basis, grid.x, grid.y, grad=True))
+        runs.append(grid_gauge_values(basis, m, grad=True))
     ref = runs[-1]
-    v_ref = ref.complex_values()
+    v_ref, d_ref = ref.complex_values(), gauge_grad(ref)
     peak = np.abs(v_ref).max(axis=0)
-    p = (np.abs(v_ref) / peak) ** 2
-    weight = (p / p.sum(axis=0))[:, :, None]
-    live = weight > np.finfo(float).eps
-    d_scale = np.where(live, weight * np.abs(ref.dlog), 0.0).max(axis=(0, 2))
+    d_scale = np.maximum(np.abs(d_ref).max(axis=(0, 2)), 2.0 * np.pi * peak)
     for gv in runs:
         assert np.all(np.abs(gv.complex_values() - v_ref) <= 1e-13 * peak)
-        err = np.where(live, weight * np.abs(gv.dlog - ref.dlog), 0.0).max(axis=(0, 2))
-        assert np.all(err <= 1e-12 * np.maximum(d_scale, 2.0 * np.pi))
+        err = np.abs(gauge_grad(gv) - d_ref).max(axis=(0, 2))
+        assert np.all(err <= 1e-12 * d_scale)
 
 
 def closed_form_im(t, k):
@@ -510,8 +506,8 @@ def test_scaled_values_finite_at_unreduced_points(rm, k):
     basis = theta_basis(rm, k)
     rng = np.random.default_rng(k)
     x = rng.choice([-1.0, 1.0], size=(8, rm.n)) * rng.uniform(9.5, 10.5, size=(8, rm.n))
-    gv = section_gauge_values(basis, x, rng.uniform(-10.0, 10.0, size=(8, rm.n)), dlog=True)
-    for a in (gv.log_scale, gv.values, gv.dlog, gv.log_mag, gv.phase, gv.complex_values()):
+    gv = section_gauge_values(basis, x, rng.uniform(-10.0, 10.0, size=(8, rm.n)), grad=True)
+    for a in (gv.log_scale, gv.values, gv.grad, gv.log_mag, gv.phase, gv.complex_values()):
         assert np.all(np.isfinite(a))
     np.testing.assert_allclose(gv.norm_sq(), np.exp(2.0 * gv.log_mag), rtol=1e-13)
 
@@ -568,8 +564,15 @@ def test_distortion_mean_is_total_sections():
     assert f.mean() == pytest.approx(8.0, rel=1e-6)
 
 
+def gauge_grad(gv):
+    """The gradients of gv times each point's gauge factor, as
+    complex_values scales the values."""
+    return np.exp(gv.log_scale + 1j * gv.base_phase)[None, :, None] * gv.grad
+
+
 def stacked_dlog(basis, x, y):
-    """Oracle: d_z log Theta_k(z; b_i) by one brute lattice sum per section."""
+    """Oracle: d_z log Theta_k(z; b_i), and Theta_k(z; b_i) times the gauge
+    magnitude, by one brute lattice sum per section."""
     om, k, n = basis.om, basis.k, basis.om.n
     om_k = om.omega / k
     r = int(np.ceil(np.sqrt(50.0 / (np.pi * np.linalg.eigvalsh(om_k.imag)[0])))) + 2
@@ -579,9 +582,12 @@ def stacked_dlog(basis, x, y):
     e = 2j * np.pi * (
         0.5 * np.einsum("mja,ab,mjb->mj", la, om_k, la) + np.einsum("mja,ma->mj", la, zs)
     )
-    w = np.exp(e - e.real.max(axis=1, keepdims=True))
+    shift = e.real.max(axis=1)
+    w = np.exp(e - shift[:, None])
     d = 2j * np.pi * np.einsum("mj,mja->ma", w, la) / w.sum(axis=1)[:, None]
-    return d.reshape(basis.n_sections, x.shape[0], n)
+    _, base_lm, _ = _gauge(basis, x, y)
+    values = np.exp(shift + np.tile(base_lm, basis.n_sections)) * w.sum(axis=1)
+    return d.reshape(basis.n_sections, x.shape[0], n), values.reshape(basis.n_sections, -1)
 
 
 @pytest.mark.parametrize(
@@ -597,21 +603,20 @@ def stacked_dlog(basis, x, y):
     ],
 )
 def test_one_sum_route_matches_per_section_route(rm, k):
-    # contract: |s_i|_h to roundoff of max_j |s_j|_h at each point, and
-    # d log Theta_k to roundoff where its weight p_i = |s_i|^2 / f_k counts
+    # contract: |s_i|_h to roundoff of max_j |s_j|_h at each point, and the
+    # gradients d Theta_k, in gauge magnitude, to roundoff of their largest
     basis = theta_basis(rm, k)
     rng = np.random.default_rng(k)
     x = rng.uniform(-0.5, 1.5, size=(30, rm.n))
     y = rng.uniform(-0.5, 1.5, size=(30, rm.n))
-    gv = section_gauge_values(basis, x, y, dlog=True)
+    gv = section_gauge_values(basis, x, y, grad=True)
     ref = np.exp(_stacked_log_mag(basis, x, y))
     peak = ref.max(axis=0)
     assert np.all(np.abs(np.exp(gv.log_mag) - ref) <= 1e-12 * peak)
-    p = ref**2 / (ref**2).sum(axis=0)
-    d_ref = stacked_dlog(basis, x, y)
-    err = (p[:, :, None] * np.abs(gv.dlog - d_ref)).max(axis=(0, 2))
-    scale = (p[:, :, None] * np.abs(d_ref)).max(axis=(0, 2))
-    assert np.all(err <= 1e-12 * scale)
+    d_ref, v_ref = stacked_dlog(basis, x, y)
+    g_ref = d_ref * v_ref[:, :, None]
+    err = np.abs(np.exp(gv.log_scale)[None, :, None] * gv.grad - g_ref).max(axis=(0, 2))
+    assert np.all(err <= 1e-12 * np.abs(g_ref).max(axis=(0, 2)))
 
 
 @st.composite
@@ -635,19 +640,20 @@ def largest_term(basis, x, y):
 @given(grid_problems())
 def test_grid_route_matches_scattered_route(problem):
     # the shared contract at every compared node: |s_i|_h to 1e-13 of
-    # max_j |s_j|_h, and d log Theta_k as in the one-sum route test, with
-    # its scale floored at 2 pi: d log Theta_k vanishes at the half-period
-    # nodes, where both routes read roundoff of terms 2 pi i l, |l| >= 1
+    # max_j |s_j|_h, and the gradients as in the one-sum route test, with
+    # their scale floored at 2 pi times the value scale: d Theta_k vanishes
+    # at the half-period nodes, where both routes read roundoff of terms
+    # 2 pi i l, |l| >= 1
     basis, m, seed = problem
     grid = quadrature_grid(basis.om.n, m)
-    gv = grid_gauge_values(basis, m, dlog=True)
+    gv = grid_gauge_values(basis, m, grad=True)
     assert gv.log_mag.shape == (basis.n_sections, grid.size)
     # the oracle costs a full lattice sum per node: at most 4096 of them
     nodes = np.arange(grid.size)
     if grid.size > 4096:
         nodes = np.sort(np.random.default_rng(seed).choice(grid.size, 4096, replace=False))
     x, y = grid.x[nodes], grid.y[nodes]
-    ref = section_gauge_values(basis, x, y, dlog=True)
+    ref = section_gauge_values(basis, x, y, grad=True)
     v, v_ref = gv.complex_values()[:, nodes], ref.complex_values()
     peak = np.abs(v_ref).max(axis=0)
     # roundoff is relative to a sum's largest term, which at k >= 2 stays
@@ -656,19 +662,12 @@ def test_grid_route_matches_scattered_route(problem):
     # theta divisor, so there the term is the scale
     scale = peak if basis.k > 1 else np.maximum(peak, largest_term(basis, x, y))
     assert np.all(np.abs(v - v_ref) <= 1e-13 * scale)
-    # d log Theta_k is undefined at a common zero of the sections (k = 1,
-    # where half-period nodes meet the theta divisor)
-    keep = peak >= np.exp(ZERO_FLOOR_LOG)
-    p = (np.abs(v_ref[:, keep]) / peak[keep]) ** 2
-    p = (p / p.sum(axis=0))[:, :, None]
-    d, d_ref = gv.dlog[:, nodes[keep]], ref.dlog[:, keep]
-    # a section at roundoff of the largest carries no weight and no d log:
-    # either route may read it as an exact zero, with d log inf or nan
-    live = p > np.finfo(float).eps
-    err = np.where(live, p * np.abs(d - d_ref), 0.0).max(axis=(0, 2))
-    d_scale = np.where(live, p * np.abs(d_ref), 0.0).max(axis=(0, 2))
-    cond = scale[keep] / peak[keep]
-    assert np.all(err <= 1e-12 * np.maximum(d_scale, 2.0 * np.pi) * cond)
+    # no section is divided out, so the gradients are compared at every
+    # node, exact zeros and the k = 1 common zeros included
+    d, d_ref = gauge_grad(gv)[:, nodes], gauge_grad(ref)
+    err = np.abs(d - d_ref).max(axis=(0, 2))
+    d_scale = np.maximum(np.abs(d_ref).max(axis=(0, 2)), 2.0 * np.pi * scale)
+    assert np.all(err <= 1e-12 * d_scale)
 
 
 @pytest.mark.parametrize(
