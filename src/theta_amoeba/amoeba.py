@@ -55,7 +55,9 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     k^n m shifted rows themselves. They are the groups of
     bitwise-equal rows, and the distinct points are formed by the same
     subtraction and summed in the same order, so every xi is bit for bit
-    that of summing every shifted point.
+    that of summing every shifted point. The sums run on theta.THREADS
+    threads, each over its own rows; a row's sum does not depend on which
+    thread or chunk takes it, so xi is the same bits on any thread count.
     """
     # in place: the (k^n, m) softmax holds no temporaries of its size
     w = _stacked_log_mag(basis, x, y)
@@ -64,6 +66,35 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     np.exp(w, out=w)
     w /= w.sum(axis=0)
     return w.T
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One 64-bit key per row of np.round(a, 12), built a column at a time:
+    bit-equal rounded rows get equal keys, and unequal ones collide rarely."""
+    key = np.zeros(a.shape[0], dtype=np.uint64)
+    for col in a.T:
+        key ^= np.round(col, 12).view(np.uint64)
+        # wrapping multiply and xor-shift: each column moves every key bit
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= key >> np.uint64(29)
+    return key
+
+
+def _rounded_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unique_rows(np.round(a, 12)) without the rounded copy or a row sort.
+
+    Rows are grouped by their _row_keys, one column for _unique_rows to
+    sort, and each row's rounded bits are then checked against its group's
+    first row; on any key collision the rounded rows themselves are
+    grouped instead.
+    """
+    first, inverse = _unique_rows(_row_keys(a)[:, None])
+    rep = first[inverse]
+    for col in a.T:
+        bits = np.round(col, 12).view(np.int64)
+        if not np.array_equal(bits, bits[rep]):
+            return _unique_rows(np.round(a, 12))
+    return first, inverse
 
 
 def simplex_distances(k, xi_a, xi_b) -> np.ndarray:
@@ -90,7 +121,7 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     """
     check_grid_resolution(basis, grid)
     xi_all = moment_points(basis, grid.x, grid.y)
-    nodes, node_sample = _unique_rows(np.round(xi_all, 12))
+    nodes, node_sample = _rounded_groups(xi_all)
     xi = xi_all[nodes]
 
     m = xi.shape[0]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, theta
 from .abelian import RiemannMatrix, riemann_matrix_from_json
 from .amoeba import amoeba_sample
 from .errors import ConfigError, ThetaAmoebaError
@@ -152,7 +152,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _cap_threads() -> int | None:
-    """Cap BLAS threads at THETA_AMOEBA_THREADS; return the cap in effect.
+    """Cap BLAS threads, and the threads the lattice sums run on
+    (theta.THREADS), at THETA_AMOEBA_THREADS; return the cap in effect.
 
     numpy has loaded its BLAS before this runs, so setting the thread
     environment variables here would change nothing: without threadpoolctl
@@ -175,6 +176,7 @@ def _cap_threads() -> int | None:
             "so its thread count can no longer be set through the environment"
         ) from None
     threadpool_limits(limits=limit)
+    theta.THREADS = min(theta.THREADS, limit)
     return limit
 
 
@@ -364,6 +366,7 @@ def main(argv=None) -> int:
                 },
                 "wall_time_seconds": elapsed,
                 "thread_cap": thread_cap,
+                "lattice_threads": theta.THREADS,
                 "files": sorted([*tables, "summary.json", "manifest.json"]),
             },
         )

@@ -102,8 +102,9 @@ def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
     h = np.einsum("sma,smb->mab", c, c.conj()) / (np.pi * basis.k * total[:, None, None])
     h = 0.5 * (h + np.swapaxes(h, 1, 2).conj())
     lams = np.linalg.eigvalsh(h)
-    # exact zeros are allowed (g_2 vanishes at 2-torsion points)
-    if not lams[:, 0].min() >= -1e-12 * lams[:, -1].max():
+    # exact zeros are allowed (g_2 vanishes at 2-torsion points); no points
+    # give an empty (0, n, n) field
+    if lams.size and not lams[:, 0].min() >= -1e-12 * lams[:, -1].max():
         raise NonPositive("pulled-back metric is not positive semidefinite")
     return h
 

@@ -8,7 +8,10 @@ complex sums of modulus at most the term count, so large k never overflows.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,18 @@ ZERO_FLOOR_LOG = np.log(1e-12)
 # complex terms per lattice chunk (512 KB): in cache and at the memory floor,
 # yet amortising each chunk's Python work (swept from 8192 to 4 000 000)
 _CHUNK_TERMS = 32_768
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# threads _theta_sums runs on: the CPUs this process may use, which the CLI
+# caps at THETA_AMOEBA_THREADS
+THREADS = _usable_cpus()
 
 
 def _truncation_radii(t_eff: np.ndarray) -> tuple[float, np.ndarray]:
@@ -61,29 +76,44 @@ def _offsets(t_eff: np.ndarray) -> np.ndarray:
     return ellipsoid_points(t_eff, radius, np.zeros(radii.size), radii).astype(float)
 
 
-def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
+def _lattice_terms(
+    om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, threads: int = 1, depth: int | None = None
+):
     """Truncated terms of theta[a; 0](om_eff, z), built once per point.
 
     Returns the offsets off of _offsets (shape (J, n)), one set for every
-    point, and a generator over chunks of points yielding (rows, l_star, w,
+    point, and a list of at most `threads` generators, each over one
+    contiguous run of whole chunks of points, yielding (rows, l_star, w,
     shift). Point p's terms run over l = c_p + off_j, c_p = l*_p + a, with
     l*_p the rounded centre of its Gaussian, and are stored as
     w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where shift_p
     is the row's largest real exponent, so |w| <= 1. The exponent is factored
     (Deconinck et al. 2004) as P_p + Q_j + t(om c_p + z_p) off_j, with
     P_p = 1/2 t(c_p) om c_p + t(c_p) z_p and Q_j = 1/2 t(off_j) om off_j.
+    Every step is elementwise, so a row's terms are the same bits in any
+    chunk and any run. Each of the threads gets chunks of _CHUNK_TERMS //
+    threads of the caller's terms, so their live chunks together stay
+    within _CHUNK_TERMS; the caller holds `depth` terms per lattice term,
+    n by default for the gradient contraction's (rows, n, J) terms, 1 for
+    a plain sum. With fewer than two chunks per thread there is one run
+    of full chunks.
     """
     t_eff = om_eff.imag
     off = _offsets(t_eff)
     l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
     m, n = z.shape
     q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
-    # sized so that the gradient contraction's (rows, n, J) terms fit in a chunk
-    chunk = max(1, _CHUNK_TERMS // off.size)
+    row = len(off) * (n if depth is None else depth)
+    chunk = max(1, _CHUNK_TERMS // threads // row)
+    if -(-m // chunk) < 2 * threads:
+        # too few chunks to share: one run of full chunks
+        threads, chunk = 1, max(1, _CHUNK_TERMS // row)
+    n_chunks = -(-m // chunk)
+    ends = [min(m, t * n_chunks // threads * chunk) for t in range(threads + 1)]
 
-    def chunks():
-        for s in range(0, m, chunk):
-            rows = slice(s, min(m, s + chunk))
+    def chunks(start, stop):
+        for s in range(start, stop, chunk):
+            rows = slice(s, min(stop, s + chunk))
             c = l_star[rows] + a
             # elementwise, not BLAS: a row's bits must not depend on its chunk's shape
             zeta = z[rows] + sum(c[:, d, None] * om_eff[d] for d in range(n))
@@ -99,22 +129,59 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray):
             np.exp(w, out=w)
             yield rows, l_star[rows], w, shift
 
-    return off, chunks()
+    return off, [chunks(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _in_threads(work, runs) -> None:
+    """work(run) for every run: the first on this thread, each other on a
+    worker thread started in a copy of this thread's context, which carries
+    numpy 2's errstate. An exception raised in any run, a warning turned
+    into an error included, is raised here once every run has ended."""
+    errors = []
+
+    def guarded(run):
+        try:
+            work(run)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    workers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(guarded, run))
+        for run in runs[1:]
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        work(runs[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _theta_sums(om_eff, z, a, b):
-    """theta[a; b](om_eff, z) = exp(shift) * vals, as arrays over the points."""
+    """theta[a; b](om_eff, z) = exp(shift) * vals, as arrays over the points.
+
+    The points' runs of chunks are summed on THREADS threads, each writing
+    its own rows; a row's sum does not depend on its run, so the result is
+    bit for bit the one-thread result.
+    """
     om_eff = np.atleast_2d(np.asarray(om_eff, dtype=complex))
     n = om_eff.shape[0]
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    _, chunks = _lattice_terms(om_eff, z + b, a)
+    _, runs = _lattice_terms(om_eff, z + b, a, THREADS, depth=1)
     shift = np.empty(z.shape[0])
     vals = np.empty(z.shape[0], dtype=complex)
-    for rows, _, w, s in chunks:
-        shift[rows] = s
-        vals[rows] = w.sum(axis=1)
+
+    def total(run):
+        for rows, _, w, s in run:
+            shift[rows] = s
+            vals[rows] = w.sum(axis=1)
+
+    _in_threads(total, runs)
     return shift, vals
 
 
@@ -218,12 +285,19 @@ def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
 
 
 def _as_points(x, y, n):
-    """x and y as matching (m, n) arrays of finite coordinates."""
+    """x and y as matching (m, n) arrays of finite coordinates.
+
+    Each is a batch of n-vectors along its last axis, or at n = 1 also a
+    scalar or a flat batch of shape (m,).
+    """
     try:
-        x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, n)
-        y = np.atleast_2d(np.asarray(y, dtype=float)).reshape(-1, n)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidPoints(f"coordinates are not real {n}-vectors: {exc}") from None
+    for a in (x, y):
+        if a.shape[-1:] != (n,) and not (n == 1 and a.ndim < 2):
+            raise InvalidPoints(f"coordinates are not real {n}-vectors: shape {a.shape}")
+    x, y = x.reshape(-1, n), y.reshape(-1, n)
     if x.shape != y.shape:
         raise InvalidPoints(f"x and y shapes differ: {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -291,7 +365,7 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
     k, n = basis.k, basis.om.n
     z, log_scale, base_ph = _gauge(basis, x, y)
     m = z.shape[0]
-    off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
+    off, (chunks,) = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     unit = np.exp(-2j * np.pi * np.arange(k) / k)
     idx = basis.indices.T
     table = unit[(off.astype(int) @ idx) % k]
@@ -331,7 +405,7 @@ def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeVal
     nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
     x = nodes / m
     z, log_scale, base_ph = _gauge(basis, x, np.zeros_like(x))
-    off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
+    off, (chunks,) = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     off_int = off.astype(int)
     unit_k = np.exp(-2j * np.pi * np.arange(k) / k)
     unit_m = np.exp(2j * np.pi * np.arange(m) / m)

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import ConfigError
+from theta_amoeba import ConfigError, amoeba, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
+    _rounded_groups,
     amoeba_sample,
     bk_distances,
     moment_points,
     simplex_distances,
 )
 from theta_amoeba.metrics import quadrature_grid
-from theta_amoeba.theta import theta_basis
+from theta_amoeba.theta import _unique_rows, theta_basis
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
@@ -116,7 +117,9 @@ def test_sample_size_at_benchmark_grid():
 def test_sample_memory_at_level_32():
     # the benchmark's largest level; with 4 000 000-term lattice chunks and
     # one sort of packed keys over the 2 097 152 shifted rows it peaked at
-    # 122 MB, cache-sized chunks and the first-row table bring it to 70 MB
+    # 122 MB, cache-sized chunks and the first-row table brought it to 70 MB,
+    # and merging by per-row keys, without a rounded copy, to the moment
+    # map's own 54 MB
     basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
     tracemalloc.start()
     try:
@@ -124,7 +127,7 @@ def test_sample_memory_at_level_32():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 80e6
+    assert peak <= 60e6
 
 
 def test_sample_size_bounded_by_grid():
@@ -215,3 +218,76 @@ def test_node_map_inverts_and_matches_nearest_sample(om, k):
     assert np.array_equal(
         nearest_sample_oracle(sample, phi), sample.node_sample[: 8 * k]
     )
+
+
+@pytest.mark.parametrize("om, k", [(SQUARE, 8), (GENERIC, 5)], ids=["square-8", "generic-5"])
+def test_sample_is_the_same_on_any_thread_count(monkeypatch, om, k):
+    # 1-row lattice chunks, so 2 and 3 threads split the distinct shifted
+    # points into runs of unequal length
+    basis, grid = theta_basis(om, k), quadrature_grid(1, 8 * k + 2)
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    samples = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(theta, "THREADS", threads)
+        samples.append(amoeba_sample(basis, grid))
+    for sample in samples[1:]:
+        assert np.array_equal(sample.xi, samples[0].xi)
+        assert np.array_equal(sample.nodes, samples[0].nodes)
+        assert np.array_equal(sample.node_sample, samples[0].node_sample)
+
+
+def merge_cases():
+    """Images of a grid, and rows built to round together or apart: equal
+    to 12 digits, a hair on either side of a rounding boundary, and -0.0
+    next to 0.0 (different bits, so different groups)."""
+    grid = quadrature_grid(1, 32)
+    xi = moment_points(theta_basis(GENERIC, 4), grid.x, grid.y)
+    built = np.array(
+        [
+            [0.25, 0.75],
+            [0.25 + 1e-14, 0.75 - 1e-14],
+            [0.1234567890125 + 1e-15, 0.5],
+            [0.1234567890125 - 1e-15, 0.5],
+            [0.0, 0.5],
+            [-0.0, 0.5],
+            [-1e-14, 0.5],
+            [0.25, 0.75],
+        ]
+    )
+    return [xi, built, xi[:0]]
+
+
+def count_fallbacks(monkeypatch) -> list:
+    """The row counts of the rounded images amoeba's merge passes to
+    _unique_rows, call by call; the keys it passes are integers."""
+    fallbacks = []
+
+    def counted(rows):
+        if rows.dtype == float:
+            fallbacks.append(len(rows))
+        return _unique_rows(rows)
+
+    monkeypatch.setattr(amoeba, "_unique_rows", counted)
+    return fallbacks
+
+
+@pytest.mark.parametrize("a", merge_cases(), ids=["grid", "built", "empty"])
+def test_rounded_groups_are_unique_rows_of_the_rounded_images(monkeypatch, a):
+    fallbacks = count_fallbacks(monkeypatch)
+    first, inverse = _rounded_groups(a)
+    ref_first, ref_inverse = _unique_rows(np.round(a, 12))
+    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+    assert fallbacks == []
+
+
+def test_rounded_groups_fall_back_on_a_key_collision(monkeypatch):
+    # keys from the first column alone put rows that differ only in the
+    # second into one group; the bit check sees it and sorts the rows
+    a = merge_cases()[0]
+    fallbacks = count_fallbacks(monkeypatch)
+    monkeypatch.setattr(amoeba, "_row_keys", lambda a: np.round(a[:, 0], 12).view(np.uint64))
+    first, inverse = _rounded_groups(a)
+    ref_first, ref_inverse = _unique_rows(np.round(a, 12))
+    assert fallbacks == [len(a)]
+    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+    assert len(np.unique(np.round(a[:, 0], 12))) < len(ref_first)

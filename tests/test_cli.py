@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from theta_amoeba import theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import amoeba_sample
 from theta_amoeba.cli import ExperimentConfig, main, run_amoeba, run_theta_eval, write_csv
@@ -208,7 +209,9 @@ def test_amoeba_export(capsys, tmp_path):
 
 
 def fake_threadpoolctl(monkeypatch):
-    """Install a stand-in threadpoolctl that records the limits it is given."""
+    """Install a stand-in threadpoolctl that records the limits it is given;
+    the lattice sums' thread count the CLI caps is restored afterwards."""
+    monkeypatch.setattr(theta, "THREADS", theta.THREADS)
     calls = []
     module = types.ModuleType("threadpoolctl")
     module.threadpool_limits = lambda limits: calls.append(limits)
@@ -243,16 +246,22 @@ def test_thread_cap_without_threadpoolctl_is_config_error(capsys, tmp_path, monk
 
 
 def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
+    # the cap in effect, and the thread count the lattice sums run on
     monkeypatch.delenv("THETA_AMOEBA_THREADS", raising=False)
     code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path / "a"))
     assert code == 0
-    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["thread_cap"] is None
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["thread_cap"] is None
+    assert manifest["lattice_threads"] == theta._usable_cpus()
     limits = fake_threadpoolctl(monkeypatch)
-    monkeypatch.setenv("THETA_AMOEBA_THREADS", "2")
-    code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path / "b"))
-    assert code == 0
-    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["thread_cap"] == 2
-    assert limits == [2]
+    for cap in (2, 1):
+        monkeypatch.setenv("THETA_AMOEBA_THREADS", str(cap))
+        code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path / str(cap)))
+        assert code == 0
+        manifest = json.loads((tmp_path / str(cap) / "manifest.json").read_text())
+        assert manifest["thread_cap"] == cap
+        assert manifest["lattice_threads"] == min(cap, theta._usable_cpus())
+    assert limits == [2, 1]
 
 
 def test_runner_tables_match_row_loops():

@@ -355,6 +355,13 @@ def test_omega_k_rejects_common_zero_at_level_one():
         balanced_matrix(basis, grid_for(1))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_omega_k_field_of_no_points_is_empty(n):
+    rm = SQUARE if n == 1 else COUPLED
+    h = omega_k_field(theta_basis(rm, 2), np.zeros((0, n)), np.zeros((0, n)))
+    assert h.shape == (0, n, n)
+
+
 def test_omega_k_rejects_bad_coordinates_as_such():
     # a NaN point is not a common zero of the sections
     basis = theta_basis(SQUARE, 2)

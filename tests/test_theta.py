@@ -1,4 +1,6 @@
 import itertools
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -210,7 +212,8 @@ def test_row_terms_are_the_same_bits_in_any_chunk(rm, k):
     z = xy_to_z(x, y, rm)
 
     def terms(zs):
-        (_, _, w, shift), = list(_lattice_terms(rm.omega / k, zs, np.zeros(rm.n))[1])
+        _, (chunks,) = _lattice_terms(rm.omega / k, zs, np.zeros(rm.n))
+        (_, _, w, shift), = list(chunks)
         return w, shift
 
     w_all, s_all = terms(z)
@@ -258,7 +261,7 @@ def test_factored_terms_match_einsum_oracle(problem):
     # both kernels round that exponent, in different orders, and far points
     # carry exponents in the thousands at n = 2, k = 32
     om_eff, z, a = problem
-    off, new = _lattice_terms(om_eff, z, a)
+    off, (new,) = _lattice_terms(om_eff, z, a)
     off_ref, ref = einsum_lattice_terms(om_eff, z, a)
     np.testing.assert_array_equal(off, off_ref)
     for (rows, l_star, w, shift), (rows_ref, l_ref, w_ref, s_ref) in zip(new, ref, strict=True):
@@ -287,7 +290,7 @@ def test_chunk_holds_terms_not_offset_vectors(monkeypatch):
     z = xy_to_z(grid.x, grid.y, COUPLED)
 
     def first_chunk():
-        off, chunks = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
+        off, (chunks,) = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
         tracemalloc.start()
         try:
             _, _, w, _ = next(chunks)
@@ -328,6 +331,150 @@ def test_moment_map_is_the_same_bits_at_any_chunk_size(monkeypatch, rm, k, m):
         runs.append((_stacked_log_mag(basis, x, y), moment_points(basis, x, y)))
     for lm, xi in runs[1:]:
         assert np.array_equal(lm, runs[0][0]) and np.array_equal(xi, runs[0][1])
+
+
+THREAD_COUNTS = [1, 2, 3]
+
+
+def run_rows(om_eff, z, threads):
+    """The rows of each chunk of each run _theta_sums sums at a thread count."""
+    _, runs = _lattice_terms(om_eff, z, np.zeros(z.shape[1]), threads, depth=1)
+    return [[(rows.start, rows.stop) for rows, *_ in run] for run in runs]
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 8, 1001, id="square-8"),
+        pytest.param(GENERIC, 32, 997, id="generic-32"),
+        pytest.param(COUPLED, 2, 389, id="coupled-2"),
+    ],
+)
+def test_theta_sums_are_the_same_bits_on_any_thread_count(monkeypatch, rm, k, m):
+    # chunks of 12 rows on one thread, 12 / threads on more, so every
+    # thread count splits the m points into runs of unequal length, the
+    # last chunk partial; the sums are the one-thread bits all the same
+    x, y = np.random.default_rng(m).uniform(-0.5, 1.5, size=(2, m, rm.n))
+    z = xy_to_z(x, y, rm)
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 12 * len(_offsets((rm.omega / k).imag)))
+    runs = {}
+    for threads in THREAD_COUNTS:
+        monkeypatch.setattr(theta, "THREADS", threads)
+        runs[threads] = theta._theta_sums(rm.omega / k, z, None, None)
+        chunks = run_rows(rm.omega / k, z, threads)
+        flat = [r for run in chunks for r in run]
+        assert len(chunks) == threads and flat[-1][1] == m
+        assert flat[0] == (0, 12 // threads) and flat[-1][1] - flat[-1][0] < 12 // threads
+        if threads > 1:
+            assert len({len(run) for run in chunks}) > 1
+    for shift, vals in runs.values():
+        assert np.array_equal(shift, runs[1][0]) and np.array_equal(vals, runs[1][1])
+
+
+def test_theta_sums_thread_count_past_the_cores_with_short_switches(monkeypatch):
+    # more threads than cores, switched every microsecond: a lost or
+    # misplaced row would change the sums
+    x, y = np.random.default_rng(5).uniform(-0.5, 1.5, size=(2, 3001, 1))
+    z = xy_to_z(x, y, GENERIC)
+    om_eff = GENERIC.omega / 16
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 16 * len(_offsets(om_eff.imag)))
+    monkeypatch.setattr(theta, "THREADS", 1)
+    ref = theta._theta_sums(om_eff, z, None, None)
+    monkeypatch.setattr(theta, "THREADS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [theta._theta_sums(om_eff, z, None, None) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(run_rows(om_eff, z, 8)) == 8
+    for shift, vals in runs:
+        assert np.array_equal(shift, ref[0]) and np.array_equal(vals, ref[1])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
+@pytest.mark.parametrize("rows_per_chunk", [1, 5, 1000])
+def test_runs_cover_the_points_once_in_order(monkeypatch, threads, rows_per_chunk):
+    # contiguous runs of whole chunks of 1 / threads of the terms, and one
+    # run of full chunks when there are fewer than two chunks per thread
+    z = xy_to_z(*np.random.default_rng(1).uniform(size=(2, 50, 1)), SQUARE)
+    om_eff = SQUARE.omega / 4
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", rows_per_chunk * len(_offsets(om_eff.imag)))
+    runs = run_rows(om_eff, z, threads)
+    flat = [r for run in runs for r in run]
+    assert [a for a, _ in flat] == [0] + [b for _, b in flat[:-1]]
+    assert flat[-1][1] == 50
+    chunk = max(1, rows_per_chunk // threads)
+    if -(-50 // chunk) >= 2 * threads:
+        assert len(runs) == threads and all(b - a <= chunk for a, b in flat)
+    else:
+        assert len(runs) == 1 and flat[0][1] == min(50, rows_per_chunk)
+
+
+def test_plain_sums_take_chunks_of_lattice_terms(monkeypatch):
+    # at n = 2 a sum's chunk holds n times the rows of a gradient chunk:
+    # both hold _CHUNK_TERMS of the caller's terms
+    z = xy_to_z(*np.random.default_rng(2).uniform(size=(2, 100, 2)), COUPLED)
+    om_eff = COUPLED.omega / 2
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 6 * len(_offsets(om_eff.imag)))
+    _, (chunks,) = _lattice_terms(om_eff, z, np.zeros(2))
+    rows, *_ = next(chunks)
+    assert rows == slice(0, 3)
+    assert run_rows(om_eff, z, 1)[0][0] == (0, 6)
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 8, 72, id="square-8"),
+        pytest.param(GENERIC, 5, 46, id="generic-5"),
+    ],
+)
+def test_moment_map_is_the_same_bits_on_any_thread_count(monkeypatch, rm, k, m):
+    # 1-row chunks: the grid's distinct shifted points split into runs of
+    # unequal length on 2 and 3 threads
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    runs = []
+    for threads in THREAD_COUNTS:
+        monkeypatch.setattr(theta, "THREADS", threads)
+        runs.append(moment_points(basis, grid.x, grid.y))
+    for xi in runs[1:]:
+        assert np.array_equal(xi, runs[0])
+
+
+def test_worker_errors_reach_the_caller(monkeypatch):
+    # a point at infinity in the last thread's run: its invalid multiply
+    # is a RuntimeWarning, an error under this suite's filters
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    monkeypatch.setattr(theta, "THREADS", 3)
+    z = np.full((30, 1), 0.3 + 0.2j)
+    assert run_rows(SQUARE.omega, z, 3)[-1][-1] == (29, 30)
+    z[-1] = np.inf
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        theta._theta_sums(SQUARE.omega, z, None, None)
+    # the caller's errstate reaches the workers
+    with np.errstate(invalid="ignore"):
+        _, vals = theta._theta_sums(SQUARE.omega, z, None, None)
+    assert np.isnan(vals[-1]) and np.isfinite(vals[:-1]).all()
+
+    done = []
+
+    def work(run):
+        if run == "bad":
+            raise KeyError(run)
+        done.append(run)
+
+    with pytest.raises(KeyError, match="bad"):
+        theta._in_threads(work, ["first", "bad", "last"])
+    # the other runs finished before the error was raised here
+    assert sorted(done) == ["first", "last"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_threads_default_to_the_usable_cpus():
+    # os.cpu_count() would count CPUs a taskset mask keeps this process off
+    assert theta.THREADS == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize(
@@ -632,7 +779,7 @@ def grid_problems(draw):
 def largest_term(basis, x, y):
     """The largest term of each point's lattice sum, in gauge units."""
     z, base_lm, _ = _gauge(basis, x, y)
-    _, chunks = _lattice_terms(basis.om.omega / basis.k, z, np.zeros(basis.om.n))
+    _, (chunks,) = _lattice_terms(basis.om.omega / basis.k, z, np.zeros(basis.om.n))
     return np.exp(base_lm + np.concatenate([shift for *_, shift in chunks]))
 
 
@@ -678,9 +825,14 @@ def test_grid_route_matches_scattered_route(problem):
         (SQUARE, [[0.25], [-np.inf]], [[0.5], [0.5]]),
         (SQUARE, [[0.25], [0.5]], [[0.5]]),
         (COUPLED, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]),
+        (COUPLED, [[0.1], [0.2]], [[0.3], [0.4]]),
+        (SQUARE, [[0.1, 0.2]], [[0.3, 0.4]]),
         (SQUARE, [["a"]], [[0.5]]),
     ],
-    ids=["nan-x", "inf-y", "-inf-x", "shape", "not-n-vectors", "not-numbers"],
+    ids=[
+        "nan-x", "inf-y", "-inf-x", "shape", "not-n-vectors", "last-axis-1-at-n-2",
+        "last-axis-2-at-n-1", "not-numbers",
+    ],
 )
 def test_bad_coordinates_raise_typed_error(rm, x, y):
     # raised before any arithmetic: no NaN output, no RuntimeWarning
@@ -690,6 +842,15 @@ def test_bad_coordinates_raise_typed_error(rm, x, y):
         for evaluate in (section_gauge_values, distortion_fk):
             with pytest.raises(InvalidPoints):
                 evaluate(basis, x, y)
+
+
+def test_points_at_n1_may_be_scalars_or_flat_batches():
+    basis = theta_basis(SQUARE, 3)
+    x, y = [0.1, 0.2, 0.3], [0.4, 0.5, 0.6]
+    ref = section_gauge_values(basis, np.c_[x], np.c_[y]).values
+    assert np.array_equal(section_gauge_values(basis, x, y).values, ref)
+    one = section_gauge_values(basis, [[0.1]], [[0.4]]).values
+    assert np.array_equal(section_gauge_values(basis, 0.1, 0.4).values, one)
 
 
 def mp_section_log_mag(basis, x, y):
