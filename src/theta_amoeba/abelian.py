@@ -10,8 +10,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Voronoi
 
-from .errors import InvalidPoints, NotPositive, NotSymmetric
+from .errors import InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError
 
 SYMMETRY_TOL = 1e-12
 
@@ -185,3 +186,28 @@ def base_distance(y1, y2, om: RiemannMatrix):
         raise InvalidPoints("base point coordinates must be finite")
     dist = _torus_quadratic_distance(reduce_mod1(y1) - reduce_mod1(y2), base_metric(om))
     return float(dist) if dist.ndim == 0 else dist
+
+
+def flat_diameter(om: RiemannMatrix) -> float:
+    """diam(X, g_0): the largest distance from 0 over the vertices of the
+    Voronoi cell of 0 in Z^{2n} under real_metric_tensor(om).
+
+    The nearest-plane bound R^2 <= sum_i L_ii^2 / 4 (G = L t(L)) caps the
+    covering radius, so the lattice points within 2R of 0, which include
+    every Voronoi-relevant vector, fix the cell. Each vertex must then be
+    as close to 0 as to any lattice point, checked by
+    _torus_quadratic_distance, so a patch that is too small fails loudly.
+    """
+    g = real_metric_tensor(om)
+    low = np.linalg.cholesky(g)
+    reach = np.sqrt(np.sum(np.diag(low) ** 2))
+    half_widths = reach * np.sqrt(np.diag(np.linalg.inv(g)))
+    patch = ellipsoid_points(g, reach, np.zeros(len(g)), half_widths)
+    cells = Voronoi(patch @ low)
+    region = cells.regions[cells.point_region[np.flatnonzero(~patch.any(axis=1))[0]]]
+    vertices = np.linalg.solve(low.T, cells.vertices[region].T).T
+    own = np.sqrt(np.einsum("vi,ij,vj->v", vertices, g, vertices))
+    nearest = _torus_quadratic_distance(vertices, g)
+    if -1 in region or not np.allclose(nearest, own, rtol=1e-12, atol=0.0):
+        raise ThetaAmoebaError("the lattice patch is too small for the Voronoi cell of 0")
+    return float(own.max())

@@ -24,8 +24,9 @@ class MixedLevels(ThetaAmoebaError):
 class NonPositive(ThetaAmoebaError):
     """A quantity that must be positive is not.
 
-    A level k that is not an integer >= 1, a tau with Im tau <= 0, or a
-    metric tensor that is not positive (semi)definite.
+    A level k that is not an integer >= 1, a tau that is not finite or has
+    Im tau <= 0, a metric tensor that is not positive (semi)definite, or a
+    slope-fit value that is not finite and positive.
     """
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedLevels, NonPositive
-from .theta import ThetaBasis, _as_points, section_gauge_values
+from .errors import MixedLevels
+from .theta import ThetaBasis, _as_points, _level, section_gauge_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +40,7 @@ class GroupElement:
         return hash((self.k, self.c, self.alpha.tobytes(), self.beta.tobytes()))
 
     def __post_init__(self):
-        if self.k < 1:
-            raise NonPositive(f"level k must be positive, got {self.k}")
+        object.__setattr__(self, "k", _level(self.k))
         object.__setattr__(self, "c", int(self.c) % self.k)
         object.__setattr__(
             self, "alpha", np.mod(np.asarray(self.alpha, dtype=int), self.k)
@@ -171,6 +170,7 @@ def commutant_dimension(k: int, n: int, trials: int = 20, seed: int = 0) -> int:
     with trivial center projects onto the commutant; a one-dimensional
     span certifies the representation is irreducible.
     """
+    k = _level(k)
     dim = k**n
     rng = np.random.default_rng(seed)
     mats = []

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonPositive, ParallelLagrangians, SameLagrangian
-from .theta import theta_char
+from .errors import InvalidPoints, NonPositive, ParallelLagrangians, SameLagrangian
+from .theta import _level, theta_char
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def triangle_coefficient(tau: complex, target: str) -> complex:
     truncation rule.
     """
     tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise NonPositive("tau must have positive imaginary part")
+    if not (np.isfinite(tau) and tau.imag > 0.0):
+        raise NonPositive(f"tau must be finite with positive imaginary part, got {tau!r}")
     if target == "b0":
         delta = 0.0
     elif target == "b1":
@@ -86,12 +86,14 @@ def addition_formula_residual(tau: complex, z) -> float:
                     + b1(tau) theta[1/2](2 tau, 2 z)
     where b0 and b1 are the two triangle coefficients.  Returns the largest
     absolute residual over the supplied z values, relative to the largest
-    magnitude of theta(z)^2.
+    magnitude of theta(z)^2. A z that is not finite raises InvalidPoints.
     """
+    b0, b1 = triangle_coefficient(tau, "b0"), triangle_coefficient(tau, "b1")
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise InvalidPoints("z must be finite")
     lhs = _theta_series(tau, z, 0.0) ** 2
-    rhs = triangle_coefficient(tau, "b0") * _theta_series(2.0 * tau, 2.0 * z, 0.0)
-    rhs = rhs + triangle_coefficient(tau, "b1") * _theta_series(2.0 * tau, 2.0 * z, 0.5)
+    rhs = b0 * _theta_series(2.0 * tau, 2.0 * z, 0.0) + b1 * _theta_series(2.0 * tau, 2.0 * z, 0.5)
     scale = max(float(np.max(np.abs(lhs))), 1.0)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
@@ -102,7 +104,6 @@ def intersection_count_vs_dimension(k: int) -> tuple[int, int]:
     The two numbers agree for every positive k: the lines meet in k points and
     the degree k bundle on the torus has a k-dimensional space of sections.
     """
-    if k < 1:
-        raise NonPositive("level must be a positive integer")
+    k = _level(k)
     pts = intersections(AffineLagrangian(0, Fraction(0)), AffineLagrangian(k, Fraction(0)))
     return len(pts), k

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import InvalidPoints, NotPositive, NotSymmetric
+from theta_amoeba import InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError, abelian
 from theta_amoeba.abelian import (
     _torus_quadratic_distance,
     base_distance,
     base_metric,
     fiber_volume,
+    flat_diameter,
     real_metric_tensor,
     reduce_mod1,
     riemann_matrix_from_json,
@@ -294,3 +295,46 @@ def test_base_distance_rejects_non_finite_points(bad):
         base_distance([0.1, bad], [0.2, 0.3], rm)
     with pytest.raises(InvalidPoints, match="finite"):
         base_distance(np.zeros((3, 2)), [[0.0, 0.0], [0.1, 0.2], [bad, 0.0]], rm)
+
+
+@pytest.mark.parametrize(
+    "raw, diameter",
+    [([[1j]], np.sqrt(2.0) / 2.0), ([[5.0 + 1j]], np.sqrt(2.0) / 2.0), (np.diag([1j, 1j]), 1.0)],
+    ids=["square", "square-skewed-basis", "square-n2"],
+)
+def test_flat_diameter_of_square_tori_is_the_half_diagonal(raw, diameter):
+    # Omega = 5 + i spans the same lattice as i in a skewed basis
+    assert flat_diameter(validate_riemann_matrix(raw)) == pytest.approx(diameter, rel=1e-14)
+
+
+def test_flat_diameter_against_brute_grid():
+    # oracle: the farthest node of a 400^2 grid from 0 is a lower bound, and
+    # every point lies within half a grid cell's diagonal of a node
+    rm = validate_riemann_matrix([[0.3 + 1.2j]])
+    g = real_metric_tensor(rm)
+    m = 400
+    nodes = np.stack(np.meshgrid(np.arange(m) / m, np.arange(m) / m), axis=-1).reshape(-1, 2)
+    brute = _torus_quadratic_distance(nodes, g).max()
+    diagonals = np.array([[1.0, 1.0], [1.0, -1.0]])
+    half_cell = np.sqrt(np.einsum("di,ij,dj->d", diagonals, g, diagonals)).max() / (2 * m)
+    diameter = flat_diameter(rm)
+    assert brute == pytest.approx(0.6533692, abs=1e-7)
+    assert diameter == pytest.approx(0.6536157, abs=1e-7)
+    assert brute <= diameter <= brute + half_cell
+
+
+def test_flat_diameter_bounds_random_distances_at_n2():
+    rng = np.random.default_rng(5)
+    rm = random_riemann(2, rng)
+    g = real_metric_tensor(rm)
+    farthest = _torus_quadratic_distance(rng.uniform(size=(4000, 4)), g).max()
+    assert farthest <= flat_diameter(rm) <= 1.2 * farthest
+
+
+def test_flat_diameter_fails_loudly_on_a_small_patch(monkeypatch):
+    # the 3 x 3 patch misses the Voronoi-relevant vectors of the skewed basis
+    # Omega = 5 + i, so some vertex of its cell lies nearer another lattice point
+    patch = np.indices((3, 3)).reshape(2, -1).T - 1
+    monkeypatch.setattr(abelian, "ellipsoid_points", lambda *args: patch)
+    with pytest.raises(ThetaAmoebaError, match="too small"):
+        flat_diameter(validate_riemann_matrix([[5.0 + 1j]]))

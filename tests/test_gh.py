@@ -9,8 +9,16 @@ import pytest
 from scipy import stats
 
 import theta_amoeba
-from theta_amoeba import ConfigError, EmptySet, NotACorrespondence, abelian, gh, metrics
-from theta_amoeba.abelian import validate_riemann_matrix
+from theta_amoeba import (
+    ConfigError,
+    EmptySet,
+    NonPositive,
+    NotACorrespondence,
+    abelian,
+    gh,
+    metrics,
+)
+from theta_amoeba.abelian import flat_diameter, validate_riemann_matrix
 from theta_amoeba.gh import (
     convergence_suite,
     finite_metric_space,
@@ -19,8 +27,11 @@ from theta_amoeba.gh import (
     hausdorff_distance,
     map_distortion,
 )
+from theta_amoeba.theta import theta_basis
 
 RNG = np.random.default_rng(31)
+SQUARE = validate_riemann_matrix([[1j]])
+GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
 
 
 def line_space(points):
@@ -155,6 +166,16 @@ def test_slope_fit_matches_linregress():
         assert ci == pytest.approx(1.96 * ref.stderr, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "bad", [0.0, -0.01, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"]
+)
+def test_slope_fit_rejects_values_without_a_logarithm(bad):
+    # 0 was clamped to 1e-300 and fitted a slope of -114.6 +- 2222; NaN gave
+    # (nan, nan), which the strict JSON writer then refused untyped
+    with pytest.raises(NonPositive):
+        fit_loglog_slope([2.0, 4.0, 8.0], [0.1, bad, 0.01])
+
+
 def test_slope_fit_rejects_degenerate_levels():
     with pytest.raises(ConfigError):
         fit_loglog_slope([2.0, 4.0], [1.0, 0.5])
@@ -225,10 +246,83 @@ def test_suite_small_sweep(monkeypatch):
     monkeypatch.setattr(metrics, "grid_gauge_values", counted)
     rm = validate_riemann_matrix([[1j]])
     rep = convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
-    # one metric field per level serves both the C0 deviation and geodesics
+    # one metric field per level, read once for the C0 deviation and the GH bound
     assert levels == [2, 3, 4]
     assert np.all(rep.rows["c0_deviation"] > 0.0)
     assert np.all(np.diff(rep.rows["c0_deviation"]) < 0.0)
     assert np.allclose(rep.rows["base_diameter"], rep.rows["base_diameter"][0])
     slope, _ = rep.slopes["c0_deviation"]
     assert slope < -1.0
+
+
+def lipschitz_bound(eps, diameter):
+    """(1/2) max(1 - sqrt(max(1 - eps, 0)), sqrt(1 + eps) - 1) diam."""
+    stretch = np.maximum(1.0 - np.sqrt(np.maximum(1.0 - eps, 0.0)), np.sqrt(1.0 + eps) - 1.0)
+    return 0.5 * stretch * diameter
+
+
+def test_suite_gh_column_is_the_lipschitz_bound_of_each_row():
+    rep = convergence_suite(SQUARE, [2, 3, 4], grid_resolution=32, seed=0)
+    eps = rep.rows["c0_deviation"]
+    # eps >= 1 at k = 2, where 1 - sqrt(1 - eps) would be NaN
+    assert eps[0] > 1.0 and np.all(np.isfinite(rep.rows["gh_ub_metric"]))
+    expected = lipschitz_bound(eps, np.sqrt(2.0) / 2.0)
+    assert rep.rows["gh_ub_metric"] == pytest.approx(expected, rel=1e-15)
+
+
+def test_suite_runs_no_metric_grid_geodesics(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(metrics, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("geodesic_distances", "_graph_edges"):
+        monkeypatch.setattr(metrics, name, counting(name))
+    convergence_suite(SQUARE, [2, 3, 4], grid_resolution=32, seed=0)
+    assert calls == []
+    assert not hasattr(metrics, "flat_metric_field")
+
+
+@pytest.mark.parametrize(
+    "levels, error",
+    [([2.5, 3, 4], NonPositive), ([4, 4, 6], ConfigError), ([True, 3, 4], NonPositive)],
+    ids=["fraction", "repeat", "bool"],
+)
+def test_suite_refuses_levels_the_cli_refuses(levels, error):
+    # int() truncated 2.5 to level 2, and a repeated level entered the slope
+    # fit twice
+    with pytest.raises(error):
+        convergence_suite(SQUARE, levels, grid_resolution=48)
+
+
+def test_gh_column_ignores_seed_and_grid():
+    ks = [4, 6, 8, 10]
+    base = convergence_suite(GENERIC, ks, grid_resolution=80, seed=1).rows
+    for grid, seed in ((80, 7), (160, 1)):
+        rows = convergence_suite(GENERIC, ks, grid_resolution=grid, seed=seed).rows
+        assert np.array_equal(rows["gh_ub_metric"], base["gh_ub_metric"])
+    assert np.all(np.isfinite(base["gh_ub_metric"]))
+    assert base["gh_ub_metric"] == pytest.approx(
+        lipschitz_bound(base["c0_deviation"], flat_diameter(GENERIC)), rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("rm", [SQUARE, GENERIC], ids=["square", "generic"])
+def test_off_node_points_stay_below_the_node_deviation(rm):
+    # the suite's eps is a supremum over grid nodes; random points between
+    # the nodes of the 80^2 grid must not exceed it
+    rng = np.random.default_rng(20)
+    grid = metrics.quadrature_grid(1, 80)
+    c = rm.im_chol
+    for k in range(4, 11):
+        basis = theta_basis(rm, k)
+        eps = metrics.c0_metric_deviation(metrics.omega_k_metric_field(basis, grid))
+        h = metrics.omega_k_field(basis, rng.uniform(size=10_000), rng.uniform(size=10_000))
+        off = np.max(np.abs(np.linalg.eigvalsh(c.T @ (rm.im_inv - h) @ c)))
+        assert off <= eps * (1.0 + 1e-12)

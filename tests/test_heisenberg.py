@@ -36,6 +36,24 @@ def test_rejects_nonpositive_level():
         elem(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("k", [2.5, True, np.nan, np.inf], ids=["fraction", "bool", "nan", "inf"])
+def test_rejects_levels_that_are_not_positive_integers(k):
+    # k = 2.5 built float exponents, and True and NaN were accepted
+    with pytest.raises(NonPositive):
+        elem(k, 0, 0, 0)
+
+
+def test_integral_level_is_stored_as_int():
+    g = elem(np.int64(3), 4, [5], [1])
+    assert type(g.k) is int and g == elem(3, 1, [2], [1])
+
+
+def test_commutant_rejects_nonpositive_level():
+    # k = 0 raised a bare ZeroDivisionError
+    with pytest.raises(NonPositive):
+        commutant_dimension(0, 1)
+
+
 def test_identity_and_inverse():
     g = elem(5, 3, [2], [4])
     e = elem(5, 0, [0], [0])

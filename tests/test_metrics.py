@@ -7,10 +7,10 @@ import pytest
 from theta_amoeba import ConfigError, DegenerateSample, InvalidPoints
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.metrics import (
+    MetricField,
     _metric_field,
     balanced_matrix,
     c0_metric_deviation,
-    flat_metric_field,
     geodesic_distances,
     gram_matrix,
     omega_k_field,
@@ -35,6 +35,11 @@ COUPLED = validate_riemann_matrix(
 
 def grid_for(k, n=1):
     return quadrature_grid(n, max(8 * k, 16))
+
+
+def flat_metric_field(om, grid):
+    """The flat metric h0 = (Im om)^{-1} at every node of the grid."""
+    return MetricField(grid=grid, om=om, h=np.broadcast_to(om.im_inv, (grid.size, om.n, om.n)))
 
 
 @pytest.mark.parametrize("rm", [SQUARE, GENERIC])

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from theta_amoeba import NonPositive, ParallelLagrangians, SameLagrangian
+from theta_amoeba import InvalidPoints, NonPositive, ParallelLagrangians, SameLagrangian
 from theta_amoeba.mirror import (
     AffineLagrangian,
     addition_formula_residual,
@@ -104,6 +104,20 @@ def test_triangle_coefficient_rejects_bad_tau():
         triangle_coefficient(1j, "b2")
 
 
+@pytest.mark.parametrize("tau", [complex(np.nan, 1.0), complex(np.inf, 1.0), complex(0.0, np.inf)])
+def test_triangle_coefficient_rejects_non_finite_tau(tau):
+    # nan + 1j raised a bare ZeroDivisionError
+    with pytest.raises(NonPositive):
+        triangle_coefficient(tau, "b0")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_addition_formula_rejects_non_finite_z(bad):
+    # a NaN z gave a NaN residual
+    with pytest.raises(InvalidPoints):
+        addition_formula_residual(1j, [0.25, bad])
+
+
 @pytest.mark.parametrize("tau", [1j, 0.5 + 1j, 2j])
 def test_addition_formula_on_grid(tau):
     u, v = np.meshgrid(np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10))
@@ -121,3 +135,10 @@ def test_addition_formula_random_tau():
 def test_count_rejects_nonpositive_level():
     with pytest.raises(NonPositive):
         intersection_count_vs_dimension(0)
+
+
+@pytest.mark.parametrize("k", [True, 2.5, np.nan], ids=["bool", "fraction", "nan"])
+def test_count_rejects_levels_that_are_not_positive_integers(k):
+    # True returned (1, True)
+    with pytest.raises(NonPositive):
+        intersection_count_vs_dimension(k)
