@@ -14,6 +14,7 @@ from .errors import (
     MixedLevels,
     NonPositive,
     NotACorrespondence,
+    NotIntegral,
     NotPositive,
     NotSymmetric,
     ParallelLagrangians,

@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 from .errors import InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError
 
@@ -198,6 +197,10 @@ def flat_diameter(om: RiemannMatrix) -> float:
     as close to 0 as to any lattice point, checked by
     _torus_quadratic_distance, so a patch that is too small fails loudly.
     """
+    # here, not at module level: scipy.spatial would load with every import
+    # of theta, which needs nothing else from it
+    from scipy.spatial import Voronoi
+
     g = real_metric_tensor(om)
     low = np.linalg.cholesky(g)
     reach = np.sqrt(np.sum(np.diag(low) ** 2))

@@ -112,7 +112,7 @@ def load_config(path: str | None, args) -> ExperimentConfig:
     flags = {
         "riemann_matrix": args.omega_file,
         "k_list": args.k,
-        "grid_per_dim": getattr(args, "grid", None),
+        "grid_per_dim": args.grid,
         "seed": args.seed,
         "output_dir": args.out,
     }
@@ -151,33 +151,31 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _cap_threads() -> int | None:
-    """Cap BLAS threads, and the threads the lattice sums run on
-    (theta.THREADS), at THETA_AMOEBA_THREADS; return the cap in effect.
+def _cap_threads() -> tuple[int | None, list]:
+    """Cap the threads the lattice sums run on (theta.THREADS), and BLAS
+    threads, at THETA_AMOEBA_THREADS; return the cap and the pools it took
+    effect on.
 
     numpy has loaded its BLAS before this runs, so setting the thread
-    environment variables here would change nothing: without threadpoolctl
-    a requested cap cannot be applied, and that is a ConfigError.
+    environment variables here would change nothing: the BLAS cap needs
+    threadpoolctl, and without it only the lattice sums are capped.
     """
     raw = os.environ.get("THETA_AMOEBA_THREADS")
     if raw is None:
-        return None
+        return None, []
     try:
         limit = int(raw)
     except ValueError:
         limit = 0  # refused below with the same message
     if limit < 1:
         raise ConfigError(f"THETA_AMOEBA_THREADS must be a positive integer, got {raw!r}")
+    theta.THREADS = min(theta.THREADS, limit)
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        raise ConfigError(
-            "THETA_AMOEBA_THREADS needs threadpoolctl: BLAS is already loaded, "
-            "so its thread count can no longer be set through the environment"
-        ) from None
+        return limit, ["lattice"]
     threadpool_limits(limits=limit)
-    theta.THREADS = min(theta.THREADS, limit)
-    return limit
+    return limit, ["blas", "lattice"]
 
 
 def run_theta_eval(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -207,9 +205,9 @@ def run_theta_eval(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def run_gram(cfg: ExperimentConfig) -> tuple[dict, dict]:
     om = cfg.riemann_matrix
     blocks, summary = [], {}
+    grid = quadrature_grid(om.n, cfg.grid_per_dim)
     for k in cfg.k_list:
         basis = theta_basis(om, k)
-        grid = quadrature_grid(om.n, cfg.grid_per_dim)
         gram = gram_matrix(basis, grid)
         bal = balanced_matrix(basis, grid)
         gram_dev = float(np.max(np.abs(gram - np.eye(basis.n_sections))))
@@ -318,36 +316,38 @@ GRID_COMMANDS = ("gram", "amoeba", "converge")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the subcommand, the flags every subcommand takes,
+    and --grid and --cp1, which main refuses where they are not read."""
     parser = argparse.ArgumentParser(
         prog="theta-amoeba",
         description="experiment harness for theta section bases on abelian varieties",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--k", type=int, nargs="+", default=None)
-        p.add_argument("--omega-file", default=None)
-        if name in GRID_COMMANDS:
-            p.add_argument("--grid", type=int, default=None)
-        if name == "bs-count":
-            p.add_argument("--cp1", action="store_true")
+    parser.add_argument("subcommand", choices=RUNNERS)
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--k", type=int, nargs="+", default=None)
+    parser.add_argument("--omega-file", default=None)
+    parser.add_argument("--grid", type=int, default=None, help=f"{', '.join(GRID_COMMANDS)} only")
+    parser.add_argument("--cp1", action="store_true", help="bs-count only")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.grid is not None and args.subcommand not in GRID_COMMANDS:
+        parser.error(f"argument --grid: {args.subcommand} does not read it")
+    if args.cp1 and args.subcommand != "bs-count":
+        parser.error(f"argument --cp1: {args.subcommand} does not read it")
     try:
-        thread_cap = _cap_threads()
+        thread_cap, capped = _cap_threads()
         cfg = load_config(args.config, args)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
         runner = RUNNERS[args.subcommand]
-        cp1 = getattr(args, "cp1", False)
-        summary, tables = runner(cfg, cp1) if runner is run_bs_count else runner(cfg)
+        summary, tables = runner(cfg, args.cp1) if runner is run_bs_count else runner(cfg)
         for name, (header, table) in tables.items():
             write_csv(out / name, header, table)
         elapsed = time.monotonic() - start
@@ -366,11 +366,12 @@ def main(argv=None) -> int:
                 },
                 "wall_time_seconds": elapsed,
                 "thread_cap": thread_cap,
+                "thread_cap_applied_to": capped,
                 "lattice_threads": theta.THREADS,
                 "files": sorted([*tables, "summary.json", "manifest.json"]),
             },
         )
-        if cp1:
+        if args.cp1:
             _, table = tables["bs_count.csv"]
             for k in cfg.k_list:
                 pts = ", ".join(str(b) for b in table[table[:, 0] == k, 2])

@@ -30,6 +30,13 @@ class NonPositive(ThetaAmoebaError):
     """
 
 
+class NotIntegral(ThetaAmoebaError, ValueError):
+    """A value that must be an integer is not: a Heisenberg group label
+    (c, alpha, beta) or the slope of a line on the two-torus. A bool is
+    refused too, though Python counts it as an int. Also a ValueError,
+    which a bad slope raised before this type existed."""
+
+
 class DisconnectedSample(ThetaAmoebaError):
     """Neighbor graph of an amoeba sample is not connected."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedLevels
+from .errors import MixedLevels, NotIntegral
 from .theta import ThetaBasis, _as_points, _level, section_gauge_values
 
 
@@ -41,13 +41,21 @@ class GroupElement:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _level(self.k))
-        object.__setattr__(self, "c", int(self.c) % self.k)
-        object.__setattr__(
-            self, "alpha", np.mod(np.asarray(self.alpha, dtype=int), self.k)
-        )
-        object.__setattr__(
-            self, "beta", np.mod(np.asarray(self.beta, dtype=int), self.k)
-        )
+        object.__setattr__(self, "c", int(_labels("c", self.c)) % self.k)
+        object.__setattr__(self, "alpha", np.mod(_labels("alpha", self.alpha), self.k))
+        object.__setattr__(self, "beta", np.mod(_labels("beta", self.beta), self.k))
+
+
+def _labels(name: str, value) -> np.ndarray:
+    """value as an int array, or NotIntegral unless every entry is an
+    integer: a cast to int would truncate 2.5 to 2 and 0.9 to 0."""
+    a = np.asarray(value)
+    integral = np.issubdtype(a.dtype, np.integer) or (
+        np.issubdtype(a.dtype, np.floating) and np.all(np.isfinite(a)) and np.all(a == np.round(a))
+    )
+    if not integral:
+        raise NotIntegral(f"group label {name} must be integral, got {value!r}")
+    return a.astype(int)
 
 
 def group_mul(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -170,7 +178,7 @@ def commutant_dimension(k: int, n: int, trials: int = 20, seed: int = 0) -> int:
     with trivial center projects onto the commutant; a one-dimensional
     span certifies the representation is irreducible.
     """
-    k = _level(k)
+    k, n = _level(k), _level(n, "dimension n")
     dim = k**n
     rng = np.random.default_rng(seed)
     mats = []

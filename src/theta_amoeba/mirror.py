@@ -15,7 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidPoints, NonPositive, ParallelLagrangians, SameLagrangian
+from .errors import (
+    InvalidPoints,
+    NonPositive,
+    NotIntegral,
+    ParallelLagrangians,
+    SameLagrangian,
+)
 from .theta import _level, theta_char
 
 
@@ -32,7 +38,9 @@ class AffineLagrangian:
     offset: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.slope, int) or self.slope < 0:
+        if isinstance(self.slope, bool) or not isinstance(self.slope, int):
+            raise NotIntegral(f"slope must be a nonnegative integer, got {self.slope!r}")
+        if self.slope < 0:
             raise ValueError("slope must be a nonnegative integer")
         object.__setattr__(self, "offset", Fraction(self.offset) % 1)
 

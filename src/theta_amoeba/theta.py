@@ -57,12 +57,19 @@ def _truncation_radii(t_eff: np.ndarray) -> tuple[float, np.ndarray]:
     corners = 0.5 * np.array(list(itertools.product((-1.0, 1.0), repeat=t_eff.shape[0])))
     rho = np.sqrt(np.einsum("ji,ik,jk->j", corners, t_eff, corners).max())
     radius = float(np.sqrt(TAIL_LOG / np.pi) + rho)
-    r = np.ceil(radius * np.sqrt(np.diag(np.linalg.inv(t_eff)))).astype(int)
+    return radius, _half_widths(t_eff, radius)
+
+
+def _half_widths(q: np.ndarray, radius: float) -> np.ndarray:
+    """Integer half-widths of the box about 0 that holds the ellipsoid
+    t(v) q v <= radius^2: its reach radius sqrt((q^{-1})_ii) along axis i,
+    rounded up. TruncationOverflow past MAX_RADIUS."""
+    r = np.ceil(radius * np.sqrt(np.diag(np.linalg.inv(q)))).astype(int)
     if r.max() > MAX_RADIUS:
         raise TruncationOverflow(
             f"lattice truncation radius {r.max()} exceeds cap {MAX_RADIUS}"
         )
-    return radius, r
+    return r
 
 
 def _offsets(t_eff: np.ndarray) -> np.ndarray:
@@ -269,12 +276,12 @@ class ThetaBasis:
         return 0.25 * (n * np.log(2.0) + logdet)
 
 
-def _level(k) -> int:
+def _level(k, name: str = "level k") -> int:
     """k as an int, or NonPositive unless it is a positive integer."""
     # bool is an int subclass, and NaN and +-inf fail the chained comparison
     # before int() could raise on them
     if isinstance(k, (bool, np.bool_)) or not (1 <= k < np.inf and k == int(k)):
-        raise NonPositive(f"level k must be a positive integer, got {k!r}")
+        raise NonPositive(f"{name} must be a positive integer, got {k!r}")
     return int(k)
 
 
@@ -552,15 +559,25 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):
     """Density f_k = sum_i |s_i|_h^2 of the coherent-state distortion.
 
     mode "direct" sums the gauge norms section by section. mode "closed"
-    sums the basis in closed form: the b-sum forces the lattice indices
-    l, l' of Theta_k and its conjugate to agree mod k, so with
-    l' = l - k q, L = (l, q) in Z^{2n},
-      f_k = C^2 k^{n/2} e^{-2 pi k tx T x} Re theta(Omega_2, zeta),
-      Omega_2 = [[0, 1], [1, -k]] (x) S + i [[2/k, -1], [-1, k]] (x) T,
-      zeta = (z - zbar, k zbar),
-    one genus-2n theta series whose cost does not grow with k^n. f_k is
-    invariant under (1/k)-lattice translations; reducing (x, y) mod 1/k
-    first keeps the series centred.
+    sums f_k's Fourier series over the dual lattice, the Poisson dual of
+    the section sums (Mumford, Tata Lectures on Theta I, ch. II):
+      f_k / k^n = sum over nu = (a, b) in Z^{2n} of
+                  (-1)^{k ta b} exp(-(pi k / 2) |a - Omega b|^2) cos(2 pi k (ta x + tb y)),
+    with |w|^2 = w* T^{-1} w, S = Re Omega and T = Im Omega. The exponent is
+    t(nu) Q nu with Q = (pi k / 2) [[T^{-1}, -T^{-1} S], [-S T^{-1}, S T^{-1} S + T]],
+    so the kept terms are the nu with t(nu) Q nu <= TAIL_LOG, enumerated
+    from their bounding box: every dropped coefficient lies below
+    exp(-TAIL_LOG) ~ 1e-16 e^-5, and a box past MAX_RADIUS raises
+    TruncationOverflow. The terms fall as k grows: at Omega = 0.3 + 1.2i
+    the series keeps 83 terms at k = 1 and nu = 0 alone at k = 32. The
+    phase is periodic in (x, y), so points need no reduction.
+
+    Accuracy contract: f_k is accurate to roundoff relative to k^n, its
+    mean over X. The dropped terms of a box twice as wide weigh at most
+    1e-15 k^n together, and the sum agrees with the genus-2n theta series
+    of f_k to 1e-14 k^n at points in [-3, 4]. Where f_k << k^n, as at k = 1
+    near the theta divisor, where f_k vanishes, that is no bound relative
+    to f_k.
     """
     om, k, n = basis.om, basis.k, basis.om.n
     x, y = _as_points(x, y, n)
@@ -568,14 +585,21 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):
         return section_gauge_values(basis, x, y).norm_sq().sum(axis=0)
     if mode != "closed":
         raise ValueError(f"unknown distortion mode {mode!r}")
-    x = x - np.round(k * x) / k
-    y = y - np.round(k * y) / k
-    z = xy_to_z(x, y, om)
-    zeta = np.hstack([z - z.conj(), k * z.conj()])
-    om2 = np.kron([[0.0, 1.0], [1.0, -k]], om.re) + 1j * np.kron(
-        [[2.0 / k, -1.0], [-1.0, k]], om.im
-    )
-    lm, ph = theta_char_log(om2, zeta)
-    xtx = np.einsum("mi,ij,mj->m", x, om.im, x)
-    const = 2.0 * basis.log_c_omega + 0.5 * n * np.log(k)
-    return np.exp(const - 2.0 * np.pi * k * xtx + lm) * np.cos(ph)
+    s, t, t_inv = om.re, om.im, om.im_inv
+    q = 0.5 * np.pi * k * np.block([[t_inv, -t_inv @ s], [-s @ t_inv, s @ t_inv @ s + t]])
+    radius = np.sqrt(TAIL_LOG)
+    nu = ellipsoid_points(q, radius, np.zeros(2 * n), _half_widths(q, radius))
+    # -nu carries the same term as nu, and in lexicographic order the set
+    # mirrors about nu = 0 in its middle: sum the second half, nu = 0 once
+    # and every other term twice
+    nu = nu[len(nu) // 2 :].astype(float)
+    sign = 1 - 2 * (k * np.einsum("ji,ji->j", nu[:, :n], nu[:, n:]) % 2)
+    coef = 2 * k**n * sign * np.exp(-np.einsum("ji,ik,jk->j", nu, q, nu))
+    coef[0] /= 2
+    xy = np.hstack([x, y])
+    f = np.empty(len(xy))
+    step = max(1, _CHUNK_TERMS // len(nu))
+    for start in range(0, len(xy), step):
+        rows = slice(start, start + step)
+        f[rows] = np.cos(2.0 * np.pi * k * (xy[rows] @ nu.T)) @ coef
+    return f

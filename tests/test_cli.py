@@ -147,6 +147,14 @@ def test_grid_flag_only_where_read(capsys, tmp_path, name):
     assert "--grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["theta-eval", "gram", "amoeba", "converge", "peak", "mirror"])
+def test_cp1_flag_only_on_bs_count(capsys, tmp_path, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--k", "2", "--cp1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cp1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["theta-eval", "bs-count", "peak", "mirror"])
 def test_grid_config_key_only_where_read(capsys, tmp_path, name):
     cfg = tmp_path / "cfg.json"
@@ -233,16 +241,20 @@ def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
     assert limits == [1]
 
 
-def test_thread_cap_without_threadpoolctl_is_config_error(capsys, tmp_path, monkeypatch):
-    # numpy's BLAS is loaded by then, so the cap cannot go through the environment
+def test_thread_cap_without_threadpoolctl_caps_the_lattice_sums(capsys, tmp_path, monkeypatch):
+    # numpy's BLAS is loaded by then, so its cap cannot go through the
+    # environment; the lattice sums are capped all the same, and the
+    # manifest says which pools the cap reached
+    monkeypatch.setattr(theta, "THREADS", theta.THREADS)
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setenv("THETA_AMOEBA_THREADS", "2")
-    code, _, err = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
-    assert code == 1
-    payload = json.loads(err)
-    assert payload["error"] == "ConfigError"
-    assert "threadpoolctl" in payload["message"]
-    assert not (tmp_path / "manifest.json").exists()
+    monkeypatch.setenv("THETA_AMOEBA_THREADS", "1")
+    code, _, _ = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
+    assert code == 0
+    assert theta.THREADS == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["thread_cap"] == 1
+    assert manifest["thread_cap_applied_to"] == ["lattice"]
+    assert manifest["lattice_threads"] == 1
 
 
 def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
@@ -252,6 +264,7 @@ def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["thread_cap"] is None
+    assert manifest["thread_cap_applied_to"] == []
     assert manifest["lattice_threads"] == theta._usable_cpus()
     limits = fake_threadpoolctl(monkeypatch)
     for cap in (2, 1):
@@ -260,6 +273,7 @@ def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
         assert code == 0
         manifest = json.loads((tmp_path / str(cap) / "manifest.json").read_text())
         assert manifest["thread_cap"] == cap
+        assert manifest["thread_cap_applied_to"] == ["blas", "lattice"]
         assert manifest["lattice_threads"] == min(cap, theta._usable_cpus())
     assert limits == [2, 1]
 

@@ -195,6 +195,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_theta_import_leaves_scipy_spatial_and_sparse_unloaded():
+    # only flat_diameter needs scipy.spatial, and it imports it itself
+    code = (
+        "import sys, theta_amoeba.theta; "
+        "print([m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(theta_amoeba.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_suite_rejects_short_sweeps():
     rm = validate_riemann_matrix([[1j]])
     with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import MixedLevels, NonPositive
+from theta_amoeba import MixedLevels, NonPositive, NotIntegral
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.heisenberg import (
     GroupElement,
@@ -46,6 +46,23 @@ def test_rejects_levels_that_are_not_positive_integers(k):
 def test_integral_level_is_stored_as_int():
     g = elem(np.int64(3), 4, [5], [1])
     assert type(g.k) is int and g == elem(3, 1, [2], [1])
+
+
+@pytest.mark.parametrize(
+    "c, alpha, beta",
+    [(2.5, [1], [0]), (2, [1.7], [0]), (2, [1], [0.9]), (True, [1], [0]), (2, [np.nan], [0])],
+    ids=["c", "alpha", "beta", "bool", "nan"],
+)
+def test_rejects_labels_that_are_not_integers(c, alpha, beta):
+    # (2.5, [1.7], [0.9]) was stored as (2, [1], [0])
+    with pytest.raises(NotIntegral):
+        GroupElement(k=3, c=c, alpha=alpha, beta=beta)
+
+
+def test_commutant_rejects_nonpositive_dimension():
+    # n = 0 returned 1
+    with pytest.raises(NonPositive):
+        commutant_dimension(2, 0)
 
 
 def test_commutant_rejects_nonpositive_level():

@@ -4,7 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from theta_amoeba import InvalidPoints, NonPositive, ParallelLagrangians, SameLagrangian
+from theta_amoeba import (
+    InvalidPoints,
+    NonPositive,
+    NotIntegral,
+    ParallelLagrangians,
+    SameLagrangian,
+)
 from theta_amoeba.mirror import (
     AffineLagrangian,
     addition_formula_residual,
@@ -36,6 +42,13 @@ def test_lagrangian_offset_reduced():
 def test_lagrangian_rejects_negative_slope():
     with pytest.raises(ValueError):
         AffineLagrangian(-1, Fraction(0))
+
+
+@pytest.mark.parametrize("slope", [True, 1.5], ids=["bool", "fraction"])
+def test_lagrangian_rejects_slopes_that_are_not_integers(slope):
+    # AffineLagrangian(True, 0.5) kept slope=True
+    with pytest.raises(NotIntegral):
+        AffineLagrangian(slope, Fraction(1, 2))
 
 
 def test_intersections_slope_gap_two():

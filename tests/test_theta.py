@@ -19,6 +19,7 @@ from theta_amoeba.theta import (
     TAIL_LOG,
     _as_points,
     _gauge,
+    _half_widths,
     _lattice_terms,
     _offsets,
     _shifted_groups,
@@ -175,6 +176,9 @@ def test_truncation_overflow_for_thin_lattice():
     om = np.array([[1e-7j]])
     with pytest.raises(TruncationOverflow):
         theta_char_log(om, np.array([[0.0 + 0.0j]]))
+    # f_k's dual series needs |b| up to ~1.6e4 here
+    with pytest.raises(TruncationOverflow):
+        distortion_fk(theta_basis(validate_riemann_matrix(om), 1), 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -505,8 +509,28 @@ def test_gauge_values_keep_their_contract_at_any_chunk_size(monkeypatch, rm, k, 
 
 
 def closed_form_im(t, k):
-    """Im of the genus-2n matrix of distortion_fk's closed form at level k."""
+    """Im of the genus-2n matrix of genus_2n_fk at level k."""
     return np.kron([[2.0 / k, -1.0], [-1.0, k]], t)
+
+
+def genus_2n_fk(basis, x, y):
+    """Oracle: f_k as one genus-2n theta series, whose box does not shrink
+    with k. The b-sum forces the lattice indices l, l' of Theta_k and its
+    conjugate to agree mod k, so with l' = l - k q, L = (l, q) in Z^{2n},
+      f_k = C^2 k^{n/2} e^{-2 pi k tx T x} Re theta(Omega_2, zeta),
+      Omega_2 = [[0, 1], [1, -k]] (x) S + i [[2/k, -1], [-1, k]] (x) T,
+      zeta = (z - zbar, k zbar),
+    at (x, y) reduced mod 1/k, which leaves f_k unchanged and keeps the
+    series centred."""
+    om, k, n = basis.om, basis.k, basis.om.n
+    x, y = _as_points(x, y, n)
+    x, y = x - np.round(k * x) / k, y - np.round(k * y) / k
+    z = xy_to_z(x, y, om)
+    om2 = np.kron([[0.0, 1.0], [1.0, -k]], om.re) + 1j * closed_form_im(om.im, k)
+    lm, ph = theta_char_log(om2, np.hstack([z - z.conj(), k * z.conj()]))
+    xtx = np.einsum("mi,ij,mj->m", x, om.im, x)
+    log_c = 2.0 * basis.log_c_omega + 0.5 * n * np.log(k) - 2.0 * np.pi * k * xtx
+    return np.exp(log_c + lm) * np.cos(ph)
 
 
 @st.composite
@@ -552,7 +576,7 @@ def test_offsets_contain_every_tail_term(problem):
 
 
 def test_offset_counts():
-    # the n = 2 series of the Gram workload and the genus-4 closed-form f_k
+    # the n = 2 series of the Gram workload and the genus-4 oracle genus_2n_fk
     assert len(_offsets(COUPLED.im / 2)) == 103
     assert len(_offsets(closed_form_im(COUPLED.im, 2))) == 3585
 
@@ -695,6 +719,92 @@ def test_distortion_closed_matches_direct_n2():
         direct = distortion_fk(basis, x, y, mode="direct")
         closed = distortion_fk(basis, x, y, mode="closed")
         assert np.allclose(closed, direct, rtol=1e-9), k
+
+
+def dual_terms(basis, half_widths, signed=True):
+    """Oracle: every nu = (a, b) of the box |nu_i| <= half_widths_i, with
+    k^n (-1)^{k ta b} exp(-(pi k / 2) |a - Omega b|^2) and its exponent,
+    the norm taken from a - Omega b itself."""
+    om, k, n = basis.om, basis.k, basis.om.n
+    nu = np.indices(2 * half_widths + 1).reshape(2 * n, -1).T - half_widths
+    a, b = nu[:, :n], nu[:, n:]
+    w = a - b @ om.omega.T
+    expo = 0.5 * np.pi * k * np.einsum("ji,ik,jk->j", w.conj(), om.im_inv, w).real
+    coef = k**n * np.exp(-expo)
+    if signed:
+        coef *= (-1.0) ** (k * (a * b).sum(axis=1))
+    return nu, coef, expo
+
+
+def dual_fk(nu, coef, x, y, k):
+    return np.cos(2.0 * np.pi * k * (np.hstack([x, y]) @ nu.T)) @ coef
+
+
+def dual_half_widths(basis):
+    """The half-widths of distortion_fk's box, from its form Q."""
+    om, k = basis.om, basis.k
+    s, t, t_inv = om.re, om.im, om.im_inv
+    q = 0.5 * np.pi * k * np.block([[t_inv, -t_inv @ s], [-s @ t_inv, s @ t_inv @ s + t]])
+    return _half_widths(q, np.sqrt(TAIL_LOG))
+
+
+FK_OMEGAS = {
+    "square": SQUARE,
+    "generic": GENERIC,
+    "tilted": validate_riemann_matrix([[0.4 + 1.1j]]),
+    "coupled": COUPLED,
+    "coupled-2": validate_riemann_matrix(
+        np.array([[0.1 + 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, 1.4j]])
+    ),
+}
+
+
+def unreduced_points(rm, k):
+    rng = np.random.default_rng(k)
+    return rng.uniform(-3.0, 4.0, size=(2, 8, rm.n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 16, 32])
+@pytest.mark.parametrize("name", list(FK_OMEGAS))
+def test_distortion_series_matches_genus_2n_oracle_and_direct(name, k):
+    # absolute in units of k^n, the mean of f_k: the accuracy contract
+    rm = FK_OMEGAS[name]
+    basis = theta_basis(rm, k)
+    x, y = unreduced_points(rm, k)
+    closed = distortion_fk(basis, x, y)
+    assert np.abs(closed - genus_2n_fk(basis, x, y)).max() <= 1e-14 * k**rm.n
+    direct = distortion_fk(basis, x, y, mode="direct")
+    assert np.abs(closed - direct).max() <= 1e-11 * k**rm.n
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", ["generic", "coupled"])
+def test_distortion_series_needs_the_sign_at_odd_level(name, k):
+    # the sign (-1)^{k ta b} is 1 at even k; at odd k, without it the
+    # series is off by ~1e-3 k^n on the coupled matrix at k = 3
+    rm = FK_OMEGAS[name]
+    basis = theta_basis(rm, k)
+    x, y = unreduced_points(rm, k)
+    direct = distortion_fk(basis, x, y, mode="direct")
+    half = dual_half_widths(basis)
+    signed = dual_fk(*dual_terms(basis, half)[:2], x, y, k)
+    unsigned = dual_fk(*dual_terms(basis, half, signed=False)[:2], x, y, k)
+    assert np.abs(signed - direct).max() <= 1e-11 * k**rm.n
+    assert np.abs(unsigned - direct).max() > 1e-4 * k**rm.n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 16, 32])
+@pytest.mark.parametrize("name", list(FK_OMEGAS))
+def test_distortion_series_tail_against_a_box_twice_as_wide(name, k):
+    rm = FK_OMEGAS[name]
+    basis = theta_basis(rm, k)
+    x, y = unreduced_points(rm, k)
+    nu, coef, expo = dual_terms(basis, 2 * dual_half_widths(basis))
+    # the terms past TAIL_LOG change f_k by at most their mass, at any point
+    assert np.abs(coef[expo > TAIL_LOG]).sum() <= 1e-15 * k**rm.n
+    # the sums differ also by their order of summation, ~1e-15 k^n
+    wide = dual_fk(nu, coef, x, y, k)
+    assert np.abs(distortion_fk(basis, x, y) - wide).max() <= 1e-14 * k**rm.n
 
 
 def test_distortion_mean_is_total_sections():
