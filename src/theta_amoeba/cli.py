@@ -39,7 +39,7 @@ from .quantization import (
     bsz_comparison,
     peak_section_suite,
 )
-from .theta import grid_gauge_values, theta_basis
+from .theta import _seed, grid_gauge_values, theta_basis
 
 
 def _integer(name: str, value) -> int:
@@ -76,9 +76,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"grid_per_dim {self.grid_per_dim} is below 8*max(k_list)"
                 )
-        self.seed = _integer("seed", self.seed)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        self.seed = _seed(_integer("seed", self.seed))
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
 
@@ -140,11 +138,12 @@ def load_config(path: str | None, args) -> ExperimentConfig:
 
 def write_csv(path: Path, header: list, table: np.ndarray) -> None:
     """The header, then each row of table: numbers as %.17g, which reads
-    back to the same double, and objects (bs-count's Fractions) as str."""
+    back to the same double, and objects (bs-count's Fractions) as str.
+    The whole table is formatted by one % over one format string."""
     cell = "%.17g" if np.issubdtype(table.dtype, np.number) else "%s"
-    row = ",".join([cell] * table.shape[1])
-    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    rows, cols = table.shape
+    body = "".join([",".join([cell] * cols) + "\n"] * rows)
+    path.write_text(",".join(header) + "\n" + body % tuple(table.ravel().tolist()))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -30,7 +30,7 @@ from .abelian import RiemannMatrix, base_distance, flat_diameter
 from .amoeba import amoeba_sample, bk_distances
 from .errors import ConfigError, EmptySet, NonPositive, NotACorrespondence
 from .metrics import c0_metric_deviation, omega_k_metric_field, quadrature_grid
-from .theta import _level, theta_basis
+from .theta import _level, _seed, theta_basis
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,7 @@ def convergence_suite(
     """
     if om.n != 1:
         raise ConfigError("convergence suite is implemented for n = 1")
+    seed = _seed(seed)
     k_list = sorted(_level(k) for k in k_list)
     if len(k_list) < 3:
         raise ConfigError("need at least 3 ascending levels")

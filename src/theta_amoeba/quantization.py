@@ -23,6 +23,7 @@ from .theta import (
     ThetaBasis,
     _as_points,
     _level,
+    _seed,
     grid_gauge_values,
     section_gauge_values,
     theta_basis,
@@ -116,7 +117,7 @@ class ReconstructionResult:
 def printed_reconstruction_constant(om: RiemannMatrix, k: int) -> float:
     """|C'_Omega| k^{n/4} as printed: 2^{1/4} det(Im om)^{n/4} /
     |det conj(om)|^{n/2} times k^{n/4}."""
-    n = om.n
+    n, k = om.n, _level(k)
     det_t = float(np.linalg.det(om.im))
     det_om = abs(np.linalg.det(np.conj(om.omega)))
     return 2.0**0.25 * det_t ** (n / 4.0) / det_om ** (n / 2.0) * k ** (n / 4.0)
@@ -171,15 +172,29 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     measure, V the fiber volume. On a flat torus each s~_i is exactly
     proportional to s_i, so all the asymptotic statements can be checked
     against that oracle.
+
+    c is a circulant, c_ij = c_{0, j-i} with indices mod k, so only the
+    fiber over b = 0 is integrated. Shifting y by beta/k (the finite
+    Heisenberg group) sends s_j(x, y) to e^{i pi x.beta} s_{j-beta}(x, y),
+    and sigma_i = e^{i pi x.i} sigma_0 on the fiber y = i/k; the phase
+    cancels in conj(s_j) sigma_i, so c_ij = c_{0, j-i}. The grid Gram and
+    band are still summed node by node: they do not follow from the symmetry.
     """
     basis = theta_basis(om, k)
-    n = om.n
+    # shift[i, j] numbers the section whose index is idx_j - idx_i mod k
+    idx = basis.indices
+    diff = np.moveaxis((idx[None] - idx[:, None]) % k, -1, 0)
+    shift = np.ravel_multi_index(tuple(diff), (k,) * om.n)
+    c0 = np.sqrt(fiber_volume(om)) * fiber_coefficients(basis, 0)
+    return _peak_diagnostics(basis, c0[shift])
+
+
+def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostics:
+    """The suite's measurements of the peak sections kappa c s."""
+    om, k, n = basis.om, basis.k, basis.om.n
     # the analogue of (k/2pi)^{-n/4} in this curvature normalization: the
     # reciprocal of the limiting fiber-projection coefficient |c_ii| = (2k)^{n/4}
     kappa = (2.0 * k) ** (-0.25 * n)
-    c = np.sqrt(fiber_volume(om)) * np.stack(
-        [fiber_coefficients(basis, i) for i in range(basis.n_sections)]
-    )
 
     # (a) proportionality: mass of row i away from entry i, summed directly
     # (1 - |c_ii|^2/|c_i|^2 cannot read below sqrt(eps) ~ 1.5e-8)
@@ -230,6 +245,10 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
 def bsz_model_kernel(g: np.ndarray, k: int, u, v):
     """(k/2pi)^n exp(-1/2 tu G ubar - 1/2 tv G vbar + tu G vbar), one value per
     broadcast pair of (..., n) batches u, v; a single pair gives a complex."""
+    k = _level(k)
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise InvalidPoints("model kernel offsets u and v must be finite")
     g = np.atleast_2d(np.asarray(g, dtype=complex))
     lam = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     if lam[0] <= 0.0:
@@ -254,7 +273,7 @@ def bsz_comparison(om: RiemannMatrix, k: int, seed: int = 0) -> float:
     """
     n = om.n
     basis = theta_basis(om, k)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     g = np.pi * om.im_inv
     z0 = (rng.uniform(size=n) + 1j * rng.uniform(size=n)) @ om.im_chol.T
     # per pair, in draw order: Re u, Im u, Re v, Im v

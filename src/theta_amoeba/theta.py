@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import RiemannMatrix, ellipsoid_points, xy_to_z
-from .errors import InvalidPoints, NonPositive, NotPositive, TruncationOverflow
+from .errors import ConfigError, InvalidPoints, NonPositive, NotPositive, TruncationOverflow
 
 # tail budget: every dropped term lies below exp(-TAIL_LOG) ~ 1e-16 * e^-5
 # of the Gaussian peak (see _offsets)
@@ -283,6 +284,13 @@ def _level(k, name: str = "level k") -> int:
     if isinstance(k, (bool, np.bool_)) or not (1 <= k < np.inf and k == int(k)):
         raise NonPositive(f"{name} must be a positive integer, got {k!r}")
     return int(k)
+
+
+def _seed(seed) -> int:
+    """seed as an int, or ConfigError unless it is a non-negative integer."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:

@@ -316,6 +316,16 @@ def test_write_csv_exact_text(tmp_path):
     text = np.array([[3, 0, Fraction(-1, 3)], [3, 1, Fraction(1)]], dtype=object)
     write_csv(tmp_path / "text.csv", ["k", "index", "b0"], text)
     assert (tmp_path / "text.csv").read_text() == "k,index,b0\n3,0,-1/3\n3,1,1\n"
+    # a table with no rows writes only its header line
+    write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    # the one-pass format writes what formatting row by row writes
+    rng = np.random.default_rng(3)
+    scales = 10.0 ** rng.integers(-300, 300, (500, 3))
+    table = np.column_stack([np.arange(500), rng.normal(size=(500, 3)) * scales])
+    write_csv(tmp_path / "wide.csv", ["a", "b", "c", "d"], table)
+    rows = ["%.17g,%.17g,%.17g,%.17g" % tuple(r) for r in table.tolist()]
+    assert (tmp_path / "wide.csv").read_text() == "a,b,c,d\n" + "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize(

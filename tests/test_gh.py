@@ -221,6 +221,15 @@ def test_suite_rejects_zero_grid_resolution():
         convergence_suite(rm, [2, 3, 4], grid_resolution=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "0"])
+def test_suite_refuses_bad_seeds(seed):
+    # -1 used to raise a bare ValueError from numpy's seeding, after the
+    # levels were checked
+    rm = validate_riemann_matrix([[1j]])
+    with pytest.raises(ConfigError, match="seed"):
+        convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=seed)
+
+
 def test_suite_measures_base_distances_through_base_distance(monkeypatch):
     # the 8 x 8 block of base distances between the points j/8 comes from
     # one call of the one public route, and equals it pair by pair

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,80 @@ def test_bergman_kernel_refuses_unmatched_batches(m1, m2):
         bergman_kernel(basis, x1, y1, x2, y2)
 
 
+def per_fiber_coefficients(basis):
+    """Oracle: the fiber-projection matrix c_ij of peak_section_suite, one
+    fiber integral per Bohr-Sommerfeld fiber."""
+    rows = [fiber_coefficients(basis, i) for i in range(basis.n_sections)]
+    return np.sqrt(fiber_volume(basis.om)) * np.stack(rows)
+
+
+PEAK_CASES = [
+    pytest.param(om, k, id=f"{name}-{k}")
+    for name, om, ks in (
+        ("square", SQUARE, (1, 2, 3, 5, 8)),
+        ("generic", validate_riemann_matrix([[0.3 + 1.2j]]), (1, 2, 3, 5, 8)),
+        ("coupled", COUPLED, (1, 2, 3)),
+    )
+    for k in ks
+]
+
+
+def suite_and_matrix(monkeypatch, om, k):
+    """peak_section_suite's diagnostics and the matrix c it measured."""
+    seen = []
+
+    def recorded(basis, c):
+        seen.append(c)
+        return measure(basis, c)
+
+    measure = quantization._peak_diagnostics
+    monkeypatch.setattr(quantization, "_peak_diagnostics", recorded)
+    d = peak_section_suite(om, k)
+    monkeypatch.undo()
+    (c,) = seen
+    return d, c
+
+
+@pytest.mark.parametrize("om, k", PEAK_CASES)
+def test_peak_matrix_is_the_per_fiber_circulant(monkeypatch, om, k):
+    # c_ij = c_{0, j-i}: one fiber integral gives every row through the
+    # Heisenberg shift of y by b_i
+    _, c = suite_and_matrix(monkeypatch, om, k)
+    oracle = per_fiber_coefficients(theta_basis(om, k))
+    assert c.shape == oracle.shape == (k**om.n, k**om.n)
+    assert np.max(np.abs(c - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    np.testing.assert_array_equal(c[0], oracle[0])
+
+
+@pytest.mark.parametrize("om, k", PEAK_CASES)
+def test_peak_diagnostics_match_the_per_fiber_suite(monkeypatch, om, k):
+    # every field against the suite built from the per-fiber matrix; the
+    # proportionality residual and Gram off-diagonal sit at roundoff, so
+    # they are held to 1e-14 absolute
+    d, _ = suite_and_matrix(monkeypatch, om, k)
+    basis = theta_basis(om, k)
+    oracle = quantization._peak_diagnostics(basis, per_fiber_coefficients(basis))
+    assert d.k == oracle.k == k
+    for field in dataclasses.fields(d)[1:]:
+        ours, ref = getattr(d, field.name), getattr(oracle, field.name)
+        assert np.isclose(ours, ref, rtol=1e-13, atol=1e-14), (field.name, ours, ref)
+    assert d.decay_slope == oracle.decay_slope and d.decay_r2 == oracle.decay_r2
+
+
+def test_peak_suite_integrates_one_fiber(monkeypatch):
+    calls = []
+
+    def counted(basis, i):
+        calls.append(i)
+        return fiber_coefficients(basis, i)
+
+    monkeypatch.setattr(quantization, "fiber_coefficients", counted)
+    for om, k in ((SQUARE, 4), (COUPLED, 3)):
+        calls.clear()
+        peak_section_suite(om, k)
+        assert calls == [0]
+
+
 def test_peak_sections_proportional_to_basis():
     d = peak_section_suite(SQUARE, 4)
     assert d.proportionality_residual < 1e-6
@@ -396,6 +471,37 @@ def test_bsz_model_batch_matches_single_pairs(n):
 def test_bsz_model_rejects_indefinite_metric():
     with pytest.raises(NonPositive):
         bsz_model_kernel(np.array([[-1.0]]), 4, [0.0], [0.0])
+
+
+@pytest.mark.parametrize("k", [-2, 0, 2.5, True])
+def test_printed_constant_refuses_bad_levels(k):
+    # -2 used to give the complex (1+1j), and 0 gave 0.0
+    with pytest.raises(NonPositive):
+        printed_reconstruction_constant(SQUARE, k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, np.nan])
+def test_bsz_model_refuses_bad_levels(k):
+    # 0 used to give 0j
+    with pytest.raises(NonPositive):
+        bsz_model_kernel(np.array([[np.pi]]), k, [0.1], [0.2])
+
+
+@pytest.mark.parametrize(
+    "u, v", [([np.nan], [0.2]), ([0.1], [np.inf * 1j]), ([[0.1], [complex(np.nan, 0)]], [0.2])]
+)
+def test_bsz_model_refuses_points_that_are_not_finite(u, v):
+    # NaN in u used to give nan+nanj
+    with pytest.raises(InvalidPoints):
+        bsz_model_kernel(np.array([[np.pi]]), 4, u, v)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "0"])
+def test_bsz_comparison_refuses_bad_seeds(seed):
+    # -1 used to raise a bare ValueError, and 2.5 a bare TypeError
+    with pytest.raises(ConfigError, match="seed"):
+        bsz_comparison(SQUARE, 4, seed=seed)
+    assert bsz_comparison(SQUARE, 4, seed=np.int64(5)) == bsz_comparison(SQUARE, 4, seed=5)
 
 
 def test_bsz_error_decays_in_level():
