@@ -50,14 +50,18 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     the individual magnitudes underflow. Evaluated one lattice sum per
     section (see theta._stacked_log_mag), whose roundoff the amoeba
     sample's point count depends on. Each distinct shifted point z - b_i
-    is summed once; the groups come from per-coordinate tables of Im z and
-    of the differences Re z - j / k, indexed without a sort, never from the
-    k^n m shifted rows themselves. They are the groups of
-    bitwise-equal rows, and the distinct points are formed by the same
-    subtraction and summed in the same order, so every xi is bit for bit
-    that of summing every shifted point. The sums run on theta.THREADS
+    is summed once; the repeats are found by integer keys built from
+    per-coordinate tables of Im z and of the differences Re z - j / k, in
+    blocks of (section, point) pairs, never from the k^n m shifted rows
+    themselves. Equal keys mean bit-equal points, and the distinct points
+    are rebuilt with the bits of the subtraction, so every xi is bit for
+    bit that of summing every shifted point. The sums run on theta.THREADS
     threads, each over its own rows; a row's sum does not depend on which
     thread or chunk takes it, so xi is the same bits on any thread count.
+
+    Memory: beyond the (k^n, m) result, which the softmax reuses in place,
+    the extra memory is bounded by one block of pairs plus arrays over the
+    distinct shifted points and over the m points' coordinate tables.
     """
     # in place: the (k^n, m) softmax holds no temporaries of its size
     w = _stacked_log_mag(basis, x, y)

@@ -208,13 +208,19 @@ def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostic
     # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n, from one
     # evaluation of the sections on the max(8k, 16)^{2n} quadrature grid
     v = grid_gauge_values(basis, max(8 * k, 16)).complex_values()
-    tilde = kappa * (c @ v)
-    gram_peak = (tilde @ tilde.conj().T) / v.shape[1]
+    nodes = v.shape[1]
+    # in place, and v freed first: at most two (k^n, nodes) arrays live
+    tilde = c @ v
+    del v
+    tilde *= kappa
+    tilde_bar = tilde.conj()
+    gram_peak = (tilde @ tilde_bar.T) / nodes
     dg = np.sqrt(np.abs(np.diag(gram_peak)))
     normalized = gram_peak / np.outer(dg, dg)
     off = np.abs(normalized - np.diag(np.diag(normalized)))
     gram_off = float(off.max())
-    band = np.einsum("im,im->m", tilde, np.conj(tilde)).real / k**n
+    band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
+    del tilde, tilde_bar
 
     # (e) decay of s~_0 along the base, against squared base distance
     ys = np.linspace(-0.35, 0.35, 57)

@@ -30,6 +30,12 @@ ZERO_FLOOR_LOG = np.log(1e-12)
 # complex terms per lattice chunk (512 KB): in cache and at the memory floor,
 # yet amortising each chunk's Python work (swept from 8192 to 4 000 000)
 _CHUNK_TERMS = 32_768
+# (section, point) pairs per block of the moment map's grouping passes: a
+# block's int64 keys and gathers take 256 KB each
+_CHUNK_PAIRS = 32_768
+# tables over the key span hold at most this many entries per distinct
+# shifted point
+_DENSE_SPAN = 4
 
 
 def _usable_cpus() -> int:
@@ -491,22 +497,75 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], inverse
 
 
-def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_unique_rows of the shifted points z_p - b_i (row i m + p), unbuilt.
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending, flattened: one
+    sort and a neighbour compare, without np.unique's extra passes."""
+    keys = np.sort(keys, axis=None)
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new]
 
-    b_i is real, so row (i, p) holds the bits of Im z_p and, per coordinate
-    d, of the IEEE difference Re z_pd - b_id: two rows are bit-equal
-    exactly when their Im z rows are and each coordinate's differences
-    are. Tables far smaller than the k^n m rows code these: the distinct
-    Im z rows, and per d the distinct differences u - j / k over the
-    distinct values u of Re z[:, d] and j < k, grouped by their bits. The
-    codes combine into one mixed-radix key per row, below span, indexing a
-    table of each key's first row; only a renumbered key is sorted.
+
+def _pair_blocks(n_sections: int, m: int):
+    """(sections, points) slices tiling the n_sections x m pairs in blocks
+    of at most _CHUNK_PAIRS pairs, point-major."""
+    p_step = max(1, _CHUNK_PAIRS // n_sections)
+    s_step = min(n_sections, _CHUNK_PAIRS)
+    for p0 in range(0, m, p_step):
+        for s0 in range(0, n_sections, s_step):
+            yield slice(s0, s0 + s_step), slice(p0, p0 + p_step)
+
+
+def _distinct_keys(block_keys, n_sections: int, m: int) -> np.ndarray:
+    """Sorted distinct values of block_keys(sections, points) over the
+    blocks of _pair_blocks(n_sections, m).
+
+    Each block's distinct keys wait in a list that is merged into the
+    sorted result once it outgrows both that result and a chunk, so the
+    merges cost a sort of each key amortised a bounded number of times,
+    and the list never holds more than the result plus two chunks.
+    """
+    merged = np.empty(0, dtype=np.int64)
+    waiting, size = [], 0
+    for block in _pair_blocks(n_sections, m):
+        waiting.append(_sorted_distinct(block_keys(*block)))
+        size += waiting[-1].size
+        if size > max(merged.size, _CHUNK_PAIRS):
+            merged = _sorted_distinct(np.concatenate([merged, *waiting]))
+            waiting, size = [], 0
+    return _sorted_distinct(np.concatenate([merged, *waiting]))
+
+
+def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
+    """Integer keys of the shifted points z_p - b_i, and the points back.
+
+    b_i is real, so the pair (i, p) gives the point with the bits of Im z_p
+    and, per coordinate d, of the IEEE difference Re z_pd - b_id: two pairs
+    give bit-equal points exactly when their Im z rows are and each
+    coordinate's differences are. Tables over the distinct Im z rows, and
+    per d over the distinct values u of Re z[:, d] times j < k, code these;
+    the codes combine into one mixed-radix key per pair, below span. Where
+    the next radix would pass 2^63, the partial keys are first renumbered
+    by their sorted distinct values.
+
+    Returns (keys, span, points): keys(sections, points) gives a block's
+    (sections, points) keys, and points(keys) the shifted points of keys,
+    with the bits z_p - b_i has.
     """
     k, (m, n) = basis.k, z.shape
-    n_rows = basis.n_sections * m
     im_first, im_code = _unique_rows(z.imag)
-    key, span = np.broadcast_to(im_code, (basis.n_sections, m)), im_first.size
+
+    def partial_keys(axes):
+        def keys(sections, points):
+            key = im_code[points][None, :]
+            for renumber, diffs, re_code, diff_code, index in axes:
+                if renumber is not None:
+                    key = np.searchsorted(renumber, key)
+                key = key * diffs.size + diff_code[re_code[points]].T[index[sections]]
+            return key
+        return keys
+
+    axes, span = [], im_first.size
     for d in range(n):
         re, re_code = np.unique(
             np.ascontiguousarray(z.real[:, d]).view(np.int64), return_inverse=True
@@ -514,21 +573,27 @@ def _shifted_groups(basis: ThetaBasis, z: np.ndarray) -> tuple[np.ndarray, np.nd
         # j / k has the bits of b_points = indices / k
         diffs = re.view(float)[:, None] - np.arange(k) / k
         codes, diff_code = np.unique(diffs.view(np.int64).ravel(), return_inverse=True)
-        key = key * codes.size + diff_code[re_code * k + basis.indices[:, d, None]]
+        renumber = None
+        if span * codes.size > 2**63:
+            renumber = _distinct_keys(partial_keys(tuple(axes)), basis.n_sections, m)
+            span = renumber.size
+        axes.append((renumber, codes.view(float), re_code, diff_code.reshape(re.size, k),
+                     basis.indices[:, d]))
         span *= codes.size
-        if span > 2 * n_rows:
-            # up to 2 n_rows, the span-long tables cost less than np.unique's
-            # sort; codes.size <= n_rows, so the next product fits in int64
-            distinct, flat = np.unique(key.ravel(), return_inverse=True)
-            key, span = flat.reshape(key.shape), distinct.size
-    key = key.ravel()
-    # ufunc.at applies every index in turn, unlike a repeated-index store
-    first_row = np.full(span, n_rows)
-    np.minimum.at(first_row, key, np.arange(n_rows))
-    first = np.sort(first_row[first_row < n_rows])
-    rank = np.empty(span, dtype=np.intp)
-    rank[key[first]] = np.arange(first.size)
-    return first, rank[key]
+
+    def points(keys):
+        zs = np.empty((keys.size, n), dtype=complex)
+        for d in reversed(range(n)):
+            renumber, diffs = axes[d][:2]
+            keys, code = np.divmod(keys, diffs.size)
+            zs.real[:, d] = diffs[code]
+            if renumber is not None:
+                keys = renumber[keys]
+        # Im z_p - 0.0 keeps every bit of Im z_p, signed zeros included
+        zs.imag = z.imag[im_first[keys]]
+        return zs
+
+    return partial_keys(axes), span, points
 
 
 def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
@@ -537,30 +602,60 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     The route section_gauge_values replaced, with the same values and
     accuracy contract. amoeba.moment_points keeps it, because
     amoeba_sample merges images that agree to 12 digits, so its point
-    count depends on last-bit roundoff; the tests use it as oracle. Each
-    distinct shifted point z - b_i is summed once: on a grid that the
-    shifts b_i map to itself most of them repeat. _shifted_groups finds
-    them from per-coordinate tables and a table of first rows, without
-    building or sorting the k^n m rows, and gives the groups _unique_rows
-    gives on those rows. The distinct points are then formed by the same
-    complex-minus-real subtraction, so they reach the lattice sum with the
-    same bits and in the same order; a row's sum does not depend on the
-    other rows or on the chunk size, so the values are those of summing
-    every shifted point, bit for bit.
+    count depends on last-bit roundoff; the tests use it as oracle.
+
+    Each distinct shifted point z - b_i is summed once: on a grid that the
+    shifts b_i map to itself most of them repeat. Two passes over blocks
+    of at most _CHUNK_PAIRS (section, point) pairs find them by integer
+    keys (_shifted_keys). The first collects the sorted distinct keys:
+    where the key span is at most _DENSE_SPAN times the distinct points
+    of one section, a lower bound on the distinct count, by marking a
+    table over the span (square grids); else by sorting each block's keys
+    and merging (skewed grids, n = 2). One lattice-sum call sums their
+    points, rebuilt with the bits z - b_i has. The second pass recomputes
+    each block's keys and gathers the sums into the result, through a
+    table over the span or by binary search in the sorted keys. A row's
+    sum does not depend on the other rows, their order or the chunk size,
+    so the values are those of summing every shifted point, bit for bit.
+
+    Memory contract: beyond the (k^n, m) result, the extra memory is
+    bounded by the chunk budget (one block's keys and gathers) plus the
+    distinct points (their keys, points, sums and, when dense, the tables
+    of at most _DENSE_SPAN entries each), and the coordinate tables over
+    the m points, their distinct Im z rows and, per coordinate, their
+    distinct Re z values times k. No array over the k^n m pairs is built.
     """
     z, base_lm, _ = _gauge(basis, x, y)
-    m = z.shape[0]
-    first, inverse = _shifted_groups(basis, z)
+    m, n_s = z.shape[0], basis.n_sections
+    keys, span, points = _shifted_keys(basis, z)
+    # one section's distinct points are a lower bound on all of them
+    dense = span <= _DENSE_SPAN * _sorted_distinct(keys(slice(1), slice(None))).size
+    if dense:
+        seen = np.zeros(span, dtype=bool)
+        for block in _pair_blocks(n_s, m):
+            seen[keys(*block)] = True
+        distinct = np.flatnonzero(seen)
+        del seen
+    else:
+        distinct = _distinct_keys(keys, n_s, m)
     # one lattice-sum call: section b enters only as a z-shift
-    section, point = np.divmod(first, m)
-    zs = z[point] - basis.b_points[section]
-    shift, vals = _theta_sums(basis.om.omega / basis.k, zs, None, None)
+    shift, vals = _theta_sums(basis.om.omega / basis.k, points(distinct), None, None)
     with np.errstate(divide="ignore"):
         lm = shift + np.log(np.abs(vals))
-    # in place: the only (k^n, m) array is the result
-    lm = lm[inverse].reshape(basis.n_sections, m)
-    lm += base_lm
-    return lm
+    del shift, vals
+    if dense:
+        # a table over the key span: a block costs one gather, and the
+        # sorted keys can go
+        table = np.empty(span)
+        table[distinct] = lm
+        distinct, lm = None, table
+    out = np.empty((n_s, m))
+    for sections, pts in _pair_blocks(n_s, m):
+        key = keys(sections, pts)
+        block = out[sections, pts]
+        block[...] = lm[key if distinct is None else np.searchsorted(distinct, key)]
+        block += base_lm[pts]
+    return out
 
 
 def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):

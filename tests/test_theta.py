@@ -22,7 +22,6 @@ from theta_amoeba.theta import (
     _half_widths,
     _lattice_terms,
     _offsets,
-    _shifted_groups,
     _stacked_log_mag,
     _unique_rows,
     distortion_fk,
@@ -1040,6 +1039,13 @@ def stacked_rows(basis, z):
     return (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, basis.om.n)
 
 
+def stacked_log_mag_every_row(basis, x, y):
+    """Oracle: one lattice sum for every shifted point z - b_i, repeats included."""
+    z, base_lm, _ = theta._gauge(basis, x, y)
+    lm, _ = theta_char_log(basis.om.omega / basis.k, stacked_rows(basis, z))
+    return base_lm[None, :] + lm.reshape(basis.n_sections, z.shape[0])
+
+
 def grid_z(rm, k, m):
     grid = quadrature_grid(rm.n, m)
     return _gauge(theta_basis(rm, k), grid.x, grid.y)[0]
@@ -1059,6 +1065,33 @@ def signed_zero_z():
     return z
 
 
+def summed_at(monkeypatch, z):
+    """Make z the chart points of every (x, y), with gauge factor 1, and
+    record the points each _theta_sums call receives."""
+    monkeypatch.setattr(theta, "_gauge", lambda basis, x, y: (z, np.zeros(len(z)), None))
+    sent = []
+    original = theta._theta_sums
+
+    def recording(om_eff, zs, a, b):
+        sent.append(zs.copy())
+        return original(om_eff, zs, a, b)
+
+    monkeypatch.setattr(theta, "_theta_sums", recording)
+    return sent
+
+
+def assert_sums_unique_rows(basis, z, sent):
+    """The stacked log-magnitudes are the every-row oracle's bits, and the
+    points summed for them are the distinct rows of the stack, each once."""
+    lm = _stacked_log_mag(basis, None, None)
+    (distinct,) = sent
+    assert np.array_equal(lm, stacked_log_mag_every_row(basis, None, None))
+    stack = stacked_rows(basis, z)
+    want = stack[_unique_rows(stack)[0]]
+    assert len(distinct) == len(want)
+    assert len(_unique_rows(np.vstack([distinct, want]))[0]) == len(want)
+
+
 @pytest.mark.parametrize(
     "rm, k, z",
     [
@@ -1072,41 +1105,29 @@ def signed_zero_z():
         pytest.param(COUPLED, 3, np.zeros((0, 2), dtype=complex), id="no-points-coupled"),
     ],
 )
-def test_shifted_groups_are_unique_rows_of_the_stack(rm, k, z):
+def test_shifted_groups_are_unique_rows_of_the_stack(monkeypatch, rm, k, z):
     basis = theta_basis(rm, k)
-    first, inverse = _shifted_groups(basis, z)
-    want_first, want_inverse = _unique_rows(stacked_rows(basis, z))
-    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+    sent = summed_at(monkeypatch, z)
+    assert_sums_unique_rows(basis, z, sent)
 
 
-def test_shifted_groups_renumber_keys_past_the_row_count():
-    # 2^11 Re rows (r, r, r, r) / 2^13, each with Im rows A, B and A again:
-    # 16 sections give 98 304 rows and 2^12 distinct differences per axis.
-    # A mixed-radix key of the Im code and four such codes reaches 2^49,
-    # and its product with the row count passes 2^63; renumbered after
-    # each axis, the first-row table stays within twice the rows
-    basis = theta_basis(validate_riemann_matrix(1j * np.eye(4)), 2)
-    re = np.repeat(np.arange(2**11) / 2**13, 3)[:, None] * np.ones(4)
+def test_shifted_keys_renumber_past_2_63(monkeypatch):
+    # 2^12 Re rows (r, ..., r) / 2^14, each with Im rows A, B and A again:
+    # 32 sections give 393 216 rows and 2^13 distinct differences per axis,
+    # so the mixed-radix key of the Im code and five such codes spans
+    # 2^66. The partial keys are renumbered before the last axis; a large
+    # Im Omega keeps the lattice sums to 11 terms
+    basis = theta_basis(validate_riemann_matrix(1000j * np.eye(5)), 2)
+    re = np.repeat(np.arange(2**12) / 2**14, 3)[:, None] * np.ones(5)
     z = re.astype(complex)
-    z.imag = np.tile([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]], (2**11, 1))
-    stack = stacked_rows(basis, z)
-    span = len(_unique_rows(stack.imag)[0])
-    for d in range(4):
-        span *= len(np.unique(stack.real[:, d].view(np.int64)))
-    assert span * len(stack) >= 2**63
-    first, inverse = _shifted_groups(basis, z)
-    want_first, want_inverse = _unique_rows(stack)
-    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
-    assert first.size == 2 * len(stack) // 3
-
-
-def stacked_log_mag_every_row(basis, x, y):
-    """Oracle: one lattice sum for every shifted point z - b_i, repeats included."""
-    n = basis.om.n
-    z, base_lm, _ = _gauge(basis, x, y)
-    zs = (z[None, :, :] - basis.b_points[:, None, :]).reshape(-1, n)
-    lm, _ = theta_char_log(basis.om.omega / basis.k, zs)
-    return base_lm[None, :] + lm.reshape(basis.n_sections, z.shape[0])
+    z.imag = np.tile([[0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.4, 0.3, 0.2, 0.1],
+                      [0.1, 0.2, 0.3, 0.4, 0.5]], (2**12, 1))
+    codes = [np.unique(stacked_rows(basis, z).real[:, d]).size for d in range(5)]
+    _, span, _ = theta._shifted_keys(basis, z)
+    assert codes == [2**13] * 5 and span < 2**63
+    sent = summed_at(monkeypatch, z)
+    assert_sums_unique_rows(basis, z, sent)
+    assert len(sent[0]) == 2 * len(z) * basis.n_sections // 3
 
 
 @pytest.mark.parametrize(
@@ -1126,6 +1147,42 @@ def test_stacked_log_mag_sums_distinct_points_bitwise(rm, k, grid_m):
         x, y = grid.x, grid.y
     basis = theta_basis(rm, k)
     assert np.array_equal(_stacked_log_mag(basis, x, y), stacked_log_mag_every_row(basis, x, y))
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 8, 16, id="square-8"),
+        pytest.param(GENERIC, 5, 12, id="generic-5"),
+        pytest.param(COUPLED, 2, 4, id="coupled-2"),
+    ],
+)
+def test_moment_map_is_the_same_bits_at_any_pair_budget(monkeypatch, rm, k, m):
+    # blocks of 1, 3 and 7 pairs split the sections and merge the distinct
+    # keys many times over; square takes the table over the key span,
+    # generic and coupled the binary search
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    runs = []
+    for pairs in (1, 3, 7, theta._CHUNK_PAIRS):
+        monkeypatch.setattr(theta, "_CHUNK_PAIRS", pairs)
+        runs.append((_stacked_log_mag(basis, grid.x, grid.y), moment_points(basis, grid.x, grid.y)))
+    for lm, xi in runs[:-1]:
+        assert np.array_equal(lm, runs[-1][0]) and np.array_equal(xi, runs[-1][1])
+    assert np.array_equal(runs[-1][0], stacked_log_mag_every_row(basis, grid.x, grid.y))
+
+
+def test_stacked_log_mag_memory_is_the_result_and_a_margin():
+    # Omega = i, k = 32 on 256^2: a 16 MB result from 129 024 distinct
+    # points; building key, index or inverse arrays over the 2 097 152
+    # pairs, as a whole-stack grouping would, peaks past 3x the result
+    basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
+    tracemalloc.start()
+    try:
+        lm = _stacked_log_mag(basis, grid.x, grid.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * lm.nbytes
 
 
 @pytest.mark.parametrize("rm", [SQUARE, COUPLED], ids=["square", "coupled"])
