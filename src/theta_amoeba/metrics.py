@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -22,7 +23,7 @@ from .theta import (
     ZERO_FLOOR_LOG,
     GaugeValue,
     ThetaBasis,
-    grid_gauge_values,
+    grid_gauge_blocks,
     section_gauge_values,
 )
 
@@ -55,7 +56,7 @@ def quadrature_grid(n: int, m: int) -> QuadratureGrid:
     """The m^{2n} nodes (x, y) in ((1/m) Z / Z)^{2n}, x-major.
 
     n must be an integer >= 1 and m an integer >= 2: a fractional m would
-    not give a periodic grid, and grid_gauge_values reads node indices.
+    not give a periodic grid, and grid_gauge_blocks reads node indices.
     """
     for name, value, least in (("dimension", n, 1), ("nodes per axis", m, 2)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
@@ -75,37 +76,60 @@ def check_grid_resolution(basis: ThetaBasis, grid: QuadratureGrid):
 
 
 def gram_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
-    """L^2 Gram matrix (s_i, s_j) by grid-mean quadrature of gauge values."""
+    """L^2 Gram matrix (s_i, s_j) by grid-mean quadrature of gauge values.
+
+    Memory contract: the grid is summed block by block (grid_gauge_blocks),
+    so beyond the (k^n, k^n) result the extra memory is a few blocks and
+    the route's tables, never the whole grid.
+    """
     check_grid_resolution(basis, grid)
-    v = grid_gauge_values(basis, grid.m).complex_values()
-    g = (v @ v.conj().T) / grid.size
+    blocks = (gv.complex_values() for gv in grid_gauge_blocks(basis, grid.m))
+    # the first block starts the sum, so a one-block grid keeps its bits
+    g = reduce(np.add, (v @ v.conj().T for v in blocks)) / grid.size
     return 0.5 * (g + g.conj().T)
 
 
-def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
-    """Pulled-back Fubini-Study metric as Hermitian forms, shape (points, n, n).
+def _metric_blocks(basis: ThetaBasis, blocks):
+    """(gv, h) for each GaugeValue gv with grad in blocks: the pulled-back
+    Fubini-Study metric at gv's points as Hermitian forms, shape (points, n, n).
 
     With F = sum_j |Theta_j|^2 and u = sum_j conj(Theta_j) d Theta_j / F,
     h = sum_i (d Theta_i - Theta_i u)(d Theta_i - Theta_i u)^* / (pi k F) is
     (Im om)^{-1} + Hess log f_k / (pi k), positive semidefinite by construction.
     No section is divided out, so an exact zero keeps its term
     |d Theta_i|^2 / (pi k F); the per-point scale of values and grad cancels.
+    DegenerateSample is raised at a block with a common zero of the
+    sections. NonPositive is raised once the blocks are spent: the test
+    compares the lowest eigenvalue over every block with -1e-12 times the
+    highest over every block, so it does not depend on the blocking.
     """
-    v, d = gv.values, gv.grad
-    total = (np.abs(v) ** 2).sum(axis=0)
-    with np.errstate(divide="ignore"):
-        log_fk = 2.0 * gv.log_scale + np.log(total)
-    if not np.all(log_fk >= 2.0 * ZERO_FLOOR_LOG):
-        raise DegenerateSample("f_k vanishes at a sample point: common zero of the sections")
-    u = np.einsum("sm,sma->ma", v.conj(), d) / total[:, None]
-    c = d - v[:, :, None] * u
-    h = np.einsum("sma,smb->mab", c, c.conj()) / (np.pi * basis.k * total[:, None, None])
-    h = 0.5 * (h + np.swapaxes(h, 1, 2).conj())
-    lams = np.linalg.eigvalsh(h)
-    # exact zeros are allowed (g_2 vanishes at 2-torsion points); no points
-    # give an empty (0, n, n) field
-    if lams.size and not lams[:, 0].min() >= -1e-12 * lams[:, -1].max():
+    low, high = np.inf, -np.inf
+    for gv in blocks:
+        v, d = gv.values, gv.grad
+        total = (np.abs(v) ** 2).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            log_fk = 2.0 * gv.log_scale + np.log(total)
+        if not np.all(log_fk >= 2.0 * ZERO_FLOOR_LOG):
+            raise DegenerateSample("f_k vanishes at a sample point: common zero of the sections")
+        u = np.einsum("sm,sma->ma", v.conj(), d) / total[:, None]
+        c = d - v[:, :, None] * u
+        h = np.einsum("sma,smb->mab", c, c.conj()) / (np.pi * basis.k * total[:, None, None])
+        h = 0.5 * (h + np.swapaxes(h, 1, 2).conj())
+        lams = np.linalg.eigvalsh(h)
+        # no points give an empty (0, n, n) block; np.minimum and np.maximum
+        # carry a NaN through to the test
+        if lams.size:
+            low = np.minimum(low, lams[:, 0].min())
+            high = np.maximum(high, lams[:, -1].max())
+        yield gv, h
+    # exact zeros are allowed (g_2 vanishes at 2-torsion points)
+    if not low >= -1e-12 * high:
         raise NonPositive("pulled-back metric is not positive semidefinite")
+
+
+def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
+    """The forms h of _metric_blocks at the points of one GaugeValue."""
+    ((_, h),) = _metric_blocks(basis, [gv])
     return h
 
 
@@ -117,14 +141,26 @@ def omega_k_field(basis: ThetaBasis, x, y):
 
 def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     """Embedding mass matrix M_ij = int (s_i, s_j)_h / f against the
-    pulled-back volume form."""
+    pulled-back volume form.
+
+    Memory contract: the grid is summed block by block (grid_gauge_blocks),
+    so beyond the (k^n, k^n) result the extra memory is a few blocks with
+    their gradients and metric forms, and the route's tables, never the
+    whole grid.
+    """
     check_grid_resolution(basis, grid)
-    gv = grid_gauge_values(basis, grid.m, grad=True)
-    v = gv.complex_values()
-    f = np.einsum("im,im->m", v, v.conj()).real
     # sqrt det of the real form in (x, y): dz = Omega dx + dy has Jacobian det(Im om)
-    vol = np.linalg.det(basis.om.im) * np.abs(np.linalg.det(_metric_field(basis, gv)))
-    m = np.einsum("im,jm,m->ij", v, v.conj(), vol / f) / grid.size
+    det_im = np.linalg.det(basis.om.im)
+
+    def weighted(gv, h):
+        v = gv.complex_values()
+        f = np.einsum("im,im->m", v, v.conj()).real
+        vol = det_im * np.abs(np.linalg.det(h))
+        return np.einsum("im,jm,m->ij", v, v.conj(), vol / f)
+
+    blocks = _metric_blocks(basis, grid_gauge_blocks(basis, grid.m, grad=True))
+    # the first block starts the sum, so a one-block grid keeps its bits
+    m = reduce(np.add, (weighted(gv, h) for gv, h in blocks)) / grid.size
     return 0.5 * (m + m.conj().T)
 
 
@@ -137,9 +173,21 @@ def c0_metric_deviation(field: MetricField) -> float:
 
 
 def omega_k_metric_field(basis: ThetaBasis, grid: QuadratureGrid) -> MetricField:
+    """The pulled-back metric g_k at every node of the grid.
+
+    Memory contract: the forms are built block by block (grid_gauge_blocks)
+    into the (nodes, n, n) field, the one whole-grid array, so beyond it
+    the extra memory is a few blocks with their gradients and forms, and
+    the route's tables.
+    """
     check_grid_resolution(basis, grid)
-    gv = grid_gauge_values(basis, grid.m, grad=True)
-    return MetricField(grid=grid, om=basis.om, h=_metric_field(basis, gv))
+    n = basis.om.n
+    h = np.empty((grid.size, n, n), dtype=complex)
+    start = 0
+    for _, part in _metric_blocks(basis, grid_gauge_blocks(basis, grid.m, grad=True)):
+        h[start : start + len(part)] = part
+        start += len(part)
+    return MetricField(grid=grid, om=basis.om, h=h)
 
 
 def _graph_edges(field: MetricField):

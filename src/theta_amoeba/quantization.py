@@ -24,7 +24,7 @@ from .theta import (
     _as_points,
     _level,
     _seed,
-    grid_gauge_values,
+    grid_gauge_blocks,
     section_gauge_values,
     theta_basis,
 )
@@ -190,7 +190,13 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
 
 
 def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostics:
-    """The suite's measurements of the peak sections kappa c s."""
+    """The suite's measurements of the peak sections kappa c s.
+
+    Memory contract: the grid's Gram and band are reduced block by block
+    (grid_gauge_blocks), so beyond c and the (k^n, k^n) Gram the extra
+    memory is a few blocks of sections and peak sections, and the route's
+    tables, never the whole grid.
+    """
     om, k, n = basis.om, basis.k, basis.om.n
     # the analogue of (k/2pi)^{-n/4} in this curvature normalization: the
     # reciprocal of the limiting fiber-projection coefficient |c_ii| = (2k)^{n/4}
@@ -206,21 +212,24 @@ def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostic
     cond = float(sv[0] / sv[-1])
 
     # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n, from one
-    # evaluation of the sections on the max(8k, 16)^{2n} quadrature grid
-    v = grid_gauge_values(basis, max(8 * k, 16)).complex_values()
-    nodes = v.shape[1]
-    # in place, and v freed first: at most two (k^n, nodes) arrays live
-    tilde = c @ v
-    del v
-    tilde *= kappa
-    tilde_bar = tilde.conj()
-    gram_peak = (tilde @ tilde_bar.T) / nodes
+    # evaluation of the sections on the max(8k, 16)^{2n} quadrature grid,
+    # reduced block by block
+    m = max(8 * k, 16)
+    gram_peak, band_min, band_max = None, np.inf, -np.inf
+    for gv in grid_gauge_blocks(basis, m):
+        tilde = c @ gv.complex_values()
+        tilde *= kappa
+        tilde_bar = tilde.conj()
+        part = tilde @ tilde_bar.T
+        # the first block starts the sum, so a one-block grid keeps its bits
+        gram_peak = part if gram_peak is None else gram_peak + part
+        band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
+        band_min, band_max = np.minimum(band_min, band.min()), np.maximum(band_max, band.max())
+    gram_peak /= m ** (2 * n)
     dg = np.sqrt(np.abs(np.diag(gram_peak)))
     normalized = gram_peak / np.outer(dg, dg)
     off = np.abs(normalized - np.diag(np.diag(normalized)))
     gram_off = float(off.max())
-    band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
-    del tilde, tilde_bar
 
     # (e) decay of s~_0 along the base, against squared base distance
     ys = np.linspace(-0.35, 0.35, 57)
@@ -239,8 +248,8 @@ def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostic
         k=k,
         proportionality_residual=prop_res,
         gram_offdiag_max=gram_off,
-        band_min=float(band.min()),
-        band_max=float(band.max()),
+        band_min=float(band_min),
+        band_max=float(band_max),
         decay_slope=float(a[0]),
         decay_r2=float(r2),
         decay_slope_model=-2.0 * np.pi * k,

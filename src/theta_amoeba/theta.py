@@ -185,8 +185,9 @@ def _theta_sums(om_eff, z, a, b):
     n = om_eff.shape[0]
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
-    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    _, runs = _lattice_terms(om_eff, z + b, a, THREADS, depth=1)
+    # z itself without b: z + zeros would copy every point
+    zb = z if b is None else z + np.asarray(b, dtype=float)
+    _, runs = _lattice_terms(om_eff, zb, a, THREADS, depth=1)
     shift = np.empty(z.shape[0])
     vals = np.empty(z.shape[0], dtype=complex)
 
@@ -360,7 +361,7 @@ def _gradient(vals, l_star, w_off, phase):
 def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeValue:
     """Evaluate every basis section at unreduced coordinates z = Omega x + y.
 
-    This is the route for scattered points. grid_gauge_values serves the
+    This is the route for scattered points. grid_gauge_blocks serves the
     nodes of a quadrature grid, with the same values and accuracy contract:
     it factors each node's terms exactly instead of summing them afresh,
     so every node keeps its own sum and gram_matrix = I still checks the
@@ -373,7 +374,7 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
     grad, the same contraction of (l* + off) times the terms gives the
     gradient d_z Theta_k(z; b_i), scaled like the values.
 
-    Accuracy contract, shared with _stacked_log_mag and grid_gauge_values:
+    Accuracy contract, shared with _stacked_log_mag and grid_gauge_blocks:
     |s_i|_h is accurate to roundoff times max_j |s_j|_h at each point, not
     relative to |s_i|_h: every section sums the same terms up to phase.
     The roundoff grows with k and |x|; for k <= 32 and coordinates in
@@ -405,22 +406,34 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
     return GaugeValue(log_scale=log_scale, base_phase=base_ph, values=values, grad=grads)
 
 
-def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeValue:
-    """Every basis section on every node of quadrature_grid(n, m), x-major.
+def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
+    """Every basis section on the nodes of quadrature_grid(n, m), in blocks.
 
     The grid route: section_gauge_values at the grid's nodes, with the
-    same values and accuracy contract. At z = Omega x + y with real y the
-    centre l* and the row shift depend on x alone, and y enters term l
-    only as the phase e(tl y). So one lattice sum per x-node, at
-    z = Omega x, serves its m^n nodes y = q / m: their sums are
+    same values and accuracy contract. Yields one GaugeValue per block of
+    whole x-nodes, each with the m^n y-nodes of its x-nodes, in the grid's
+    x-major node order, so the blocks' nodes run over the grid once.
+    At z = Omega x + y with real y the centre l* and the row shift depend
+    on x alone, and y enters term l only as the phase e(tl y). So one
+    lattice sum per x-node, at z = Omega x, serves its m^n nodes y = q / m:
+    their sums are
       sum_j w(x, j) e(-t(off_j) s / k) e(t(off_j) q / m),
     times the point phases e(-t(l*) s / k) e(t(l*) q / m), all read from
-    roots of unity by integer indices mod k and mod m. A chunk of x-nodes
+    roots of unity by integer indices mod k and mod m. A step of x-nodes
     then costs one (m^n x J)(J x rows k^n) product, the multiply-adds of
     section_gauge_values' contraction without its per-node exponentials;
-    grad widens it by n more blocks of the offset-weighted terms. Each
+    grad widens it by n more tables of the offset-weighted terms. Each
     node still gets its own sum: every term is factored exactly, and no
     node's values are copied from another by a Heisenberg translation.
+
+    Memory contract: a block is the longest run of whole steps whose
+    values and, with grad, gradients fill at most _CHUNK_TERMS entries,
+    and at least one step. Beyond the blocks a caller keeps, the route
+    holds the block it builds, four buffers of one step's arrays, one
+    lattice chunk, and tables over the offsets times the y-nodes, the
+    x-nodes and the sections: none over the whole grid. The blocks leave
+    the steps as they were, so a node's values have the same bits as in
+    one whole-grid array.
     """
     k, n = basis.k, basis.om.n
     nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
@@ -433,43 +446,86 @@ def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeVal
     idx = basis.indices.T
     y_table = unit_m[(nodes @ off_int.T) % m]
     # the section table, then with grad each offset coordinate times it:
-    # (J, blocks, S)
-    blocks = unit_k[(off_int @ idx) % k][:, None, :]
+    # (J, tables, S)
+    tables = unit_k[(off_int @ idx) % k][:, None, :]
     if grad:
-        blocks = np.concatenate([blocks, off[:, :, None] * blocks], axis=1)
-    n_s, n_y, n_b = basis.n_sections, len(nodes), blocks.shape[1]
-    # the x-nodes' (J, blocks, S) operands and (m^n, blocks, S) sums fill a chunk
-    step = max(1, _CHUNK_TERMS // (n_b * n_s * (n_y + len(off))))
-    values = np.empty((n_s, n_y * n_y), dtype=complex)
-    grads = np.empty((n_s, n_y * n_y, n), dtype=complex) if grad else None
-    for rows, l_star, w, shift in chunks:
-        l_star = l_star.astype(int)
-        log_scale[rows] += shift
-        for start in range(0, w.shape[0], step):
-            part = slice(start, start + step)
-            wx, lx = w[part], l_star[part]
+        tables = np.concatenate([tables, off[:, :, None] * tables], axis=1)
+    n_s, n_y, n_t = basis.n_sections, len(nodes), tables.shape[1]
+    # the x-nodes' (J, tables, S) operands and (m^n, tables, S) sums fill a chunk
+    step = max(1, _CHUNK_TERMS // (n_t * n_s * (n_y + len(off))))
+    # x-nodes per block: whole steps, so each step keeps its shape and bits
+    per_block = step * max(1, _CHUNK_TERMS // (n_t * n_s * n_y * step))
+    # flat buffers for a whole step's terms, sums, values and phases, which
+    # every step rewrites: allocated afresh per step, their pages went back
+    # to the system after each block and were faulted in again
+    work = [
+        np.empty(size * n_s * step, dtype=complex)
+        for size in (len(off) * n_t, n_y * n_t, n_y, n_y)
+    ]
+
+    def into(i, *shape):
+        """The first entries of work buffer i, as an array of shape."""
+        return work[i][: np.prod(shape)].reshape(shape)
+
+    def block(w, l_star, xs):
+        """The GaugeValue of the x-nodes xs from their terms w and centres
+        l_star, one step at a time."""
+        values = np.empty((n_s, len(w) * n_y), dtype=complex)
+        grads = np.empty((n_s, len(w) * n_y, n), dtype=complex) if grad else None
+        for start in range(0, len(w), step):
+            wx, lx = w[start : start + step], l_star[start : start + step]
             r = len(wx)
-            terms = wx.T[:, None, :, None] * blocks[:, :, None, :]
-            sums = (y_table @ terms.reshape(len(off), -1)).reshape(n_y, n_b, r, n_s)
+            terms = into(0, len(off), n_t, r, n_s)
+            np.multiply(wx.T[:, None, :, None], tables[:, :, None, :], out=terms)
+            sums = into(1, n_y, n_t * r * n_s)
+            np.matmul(y_table, terms.reshape(len(off), -1), out=sums)
+            sums = sums.reshape(n_y, n_t, r, n_s)
             # node order is x-major: rows of (x-node, y-node)
-            vals = sums[:, 0].transpose(1, 0, 2).reshape(r * n_y, n_s)
-            cols = slice((rows.start + start) * n_y, (rows.start + start + r) * n_y)
-            phase = (
-                unit_k[(lx @ idx) % k][:, None, :] * unit_m[(lx @ nodes.T) % m][:, :, None]
-            ).reshape(r * n_y, n_s)
+            vals = into(2, r, n_y, n_s)
+            vals[...] = sums[:, 0].transpose(1, 0, 2)
+            vals = vals.reshape(r * n_y, n_s)
+            cols = slice(start * n_y, (start + r) * n_y)
+            phase = into(3, r, n_y, n_s)
+            s_phase, y_phase = unit_k[(lx @ idx) % k], unit_m[(lx @ nodes.T) % m]
+            np.multiply(s_phase[:, None, :], y_phase[:, :, None], out=phase)
+            phase = phase.reshape(r * n_y, n_s)
             if grad:
                 w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
                 grads[:, cols] = _gradient(vals, np.repeat(lx, n_y, axis=0), w_off, phase)
             vals *= phase
             values[:, cols] = vals.T
-    # the gauge phase pi k (tx S x + tx y) at every node; y runs over the
-    # same points nodes / m as x
-    base_ph = base_ph[:, None] + np.pi * k * (x @ x.T)
+        # the gauge phase pi k (tx S x + tx y) at the block's nodes; y runs
+        # over the same points nodes / m as x. Elementwise, not BLAS: a
+        # node's bits must not depend on its block's shape
+        xy = sum(x[xs, d, None] * x[:, d] for d in range(n))
+        base_phase = base_ph[xs, None] + np.pi * k * xy
+        return GaugeValue(
+            log_scale=np.repeat(log_scale[xs], n_y),
+            base_phase=base_phase.ravel(),
+            values=values,
+            grad=grads,
+        )
+
+    for rows, l_star, w, shift in chunks:
+        l_star = l_star.astype(int)
+        log_scale[rows] += shift
+        # blocks start at whole steps from the chunk's start, as the steps did
+        for b0 in range(0, len(w), per_block):
+            part = slice(b0, b0 + per_block)
+            xs = slice(rows.start + b0, rows.start + b0 + len(w[part]))
+            yield block(w[part], l_star[part], xs)
+
+
+def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeValue:
+    """Every basis section on every node of quadrature_grid(n, m), x-major:
+    the blocks of grid_gauge_blocks joined, for callers that want the
+    whole grid at once. The grid's reductions go through the blocks."""
+    parts = list(grid_gauge_blocks(basis, m, grad=grad))
     return GaugeValue(
-        log_scale=np.repeat(log_scale, n_y),
-        base_phase=base_ph.ravel(),
-        values=values,
-        grad=grads,
+        log_scale=np.concatenate([p.log_scale for p in parts]),
+        base_phase=np.concatenate([p.base_phase for p in parts]),
+        values=np.concatenate([p.values for p in parts], axis=1),
+        grad=np.concatenate([p.grad for p in parts], axis=1) if grad else None,
     )
 
 

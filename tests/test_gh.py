@@ -259,13 +259,13 @@ def test_suite_rejects_higher_dimension():
 
 def test_suite_small_sweep(monkeypatch):
     levels = []
-    evaluate = metrics.grid_gauge_values
+    evaluate = metrics.grid_gauge_blocks
 
     def counted(basis, m, grad=False):
         levels.append(basis.k)
         return evaluate(basis, m, grad=grad)
 
-    monkeypatch.setattr(metrics, "grid_gauge_values", counted)
+    monkeypatch.setattr(metrics, "grid_gauge_blocks", counted)
     rm = validate_riemann_matrix([[1j]])
     rep = convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
     # one metric field per level, read once for the C0 deviation and the GH bound

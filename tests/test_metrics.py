@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from theta_amoeba import ConfigError, DegenerateSample, InvalidPoints
+from theta_amoeba import ConfigError, DegenerateSample, InvalidPoints, NonPositive, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.metrics import (
     MetricField,
@@ -21,6 +22,7 @@ from theta_amoeba.theta import (
     GaugeValue,
     ThetaBasis,
     distortion_fk,
+    grid_gauge_blocks,
     grid_gauge_values,
     section_gauge_values,
     theta_basis,
@@ -358,6 +360,120 @@ def test_omega_k_rejects_common_zero_at_level_one():
         omega_k_field(basis, [[0.5]], [[0.5]])
     with pytest.raises(DegenerateSample):
         balanced_matrix(basis, grid_for(1))
+
+
+CHUNK_SIZES = [1, theta._CHUNK_TERMS, 4_000_000]
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 3, 24, id="square-3"),
+        pytest.param(GENERIC, 4, 32, id="generic-4"),
+        pytest.param(COUPLED, 2, 16, id="coupled-2"),
+    ],
+)
+def test_grid_reductions_keep_their_contract_at_any_block_size(monkeypatch, rm, k, m):
+    # one x-node per block, the shipped blocks and the whole grid in one:
+    # the chunk budget moves the steps, so the values keep only their
+    # accuracy contract (1e-13 of the node's largest section, gradients
+    # 1e-12), and so do the node means built on them: a Gram entry to
+    # 2e-13 of the mean of f_k, k^n; the balanced matrix and the metric
+    # forms to 1e-12 of their largest entry
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    runs = []
+    for terms, blocks in zip(CHUNK_SIZES, (m**rm.n, None, 1)):
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
+        if blocks is not None:
+            assert sum(1 for _ in grid_gauge_blocks(basis, m, grad=True)) == blocks
+        field = omega_k_metric_field(basis, grid)
+        runs.append((gram_matrix(basis, grid), balanced_matrix(basis, grid), field.h))
+    gram_ref, bal_ref, h_ref = runs[-1]
+    for gram, bal, h in runs:
+        assert np.abs(gram - gram_ref).max() <= 2e-13 * k**rm.n
+        assert np.abs(bal - bal_ref).max() <= 1e-12 * np.abs(bal_ref).max()
+        assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+
+
+def test_grid_refusals_hold_with_one_x_node_per_block(monkeypatch):
+    # the level-1 common zero (1/2, 1/2) sits in the block of x-node 1/2 alone
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    basis = theta_basis(SQUARE, 1)
+    for reduce_grid in (omega_k_metric_field, balanced_matrix):
+        with pytest.raises(DegenerateSample):
+            reduce_grid(basis, grid_for(1))
+
+
+def test_metric_positivity_test_is_global_with_one_x_node_per_block(monkeypatch):
+    # NonPositive compares the lowest eigenvalue over every node with
+    # -1e-12 times the highest over every node. Every node's lowest of its
+    # two is set to -depth times the field's highest: 2e-12 fails at any
+    # blocking, 0.5e-12 passes, though a block whose own highest is below
+    # half the field's would fail it if judged alone
+    basis, grid = theta_basis(COUPLED, 2), quadrature_grid(2, 16)
+    top = np.linalg.eigvalsh(omega_k_metric_field(basis, grid).h)[:, -1].reshape(256, 256)
+    assert top.max(axis=1).min() < 0.5 * top.max()
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    eigvalsh = np.linalg.eigvalsh
+    for depth, refused in ((2e-12, True), (0.5e-12, False)):
+
+        def shifted(h, depth=depth):
+            # only the batched call of the metric forms, not the lattice's
+            lams = eigvalsh(h)
+            if lams.ndim == 2:
+                lams[:, 0] = -depth * top.max()
+            return lams
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        for reduce_grid in (omega_k_metric_field, balanced_matrix):
+            if refused:
+                with pytest.raises(NonPositive):
+                    reduce_grid(basis, grid)
+            else:
+                reduce_grid(basis, grid)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def block_bytes(basis, m, grad):
+    """Bytes of the first grid block: values, scales, phases and gradients."""
+    gv = next(grid_gauge_blocks(basis, m, grad=grad))
+    parts = (gv.log_scale, gv.base_phase, gv.values) + ((gv.grad,) if grad else ())
+    return sum(a.nbytes for a in parts)
+
+
+@pytest.mark.parametrize(
+    "reduce_grid, k, m, grad",
+    [
+        pytest.param(gram_matrix, 3, 24, False, id="gram-3"),
+        pytest.param(balanced_matrix, 2, 16, True, id="balanced-2"),
+    ],
+)
+def test_grid_reductions_hold_blocks_not_the_grid(reduce_grid, k, m, grad):
+    # the coupled n = 2 grids of the benchmark's scale: holding the whole
+    # grid, the Gram peaked at 101.3 MiB on 24^4 nodes and the balanced
+    # matrix at 41.3 MiB on 16^4. Block by block they hold the route's
+    # steps and tables and the reduction's temporaries, about ten blocks
+    basis = theta_basis(COUPLED, k)
+    out, peak = traced_peak(reduce_grid, basis, quadrature_grid(2, m))
+    assert peak <= 16 * block_bytes(basis, m, grad) + out.nbytes
+
+
+def test_metric_field_holds_the_forms_and_blocks():
+    # the forms h are the one whole-grid array: 4 MiB of them on 16^4
+    # nodes, where the field peaked at 36.3 MiB holding the grid's values
+    basis, grid = theta_basis(COUPLED, 2), quadrature_grid(2, 16)
+    field, peak = traced_peak(omega_k_metric_field, basis, grid)
+    assert peak <= field.h.nbytes + 16 * block_bytes(basis, grid.m, True)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from theta_amoeba.quantization import (
 )
 from theta_amoeba.theta import (
     distortion_fk,
-    grid_gauge_values,
+    grid_gauge_blocks,
     section_gauge_values,
     theta_basis,
 )
@@ -392,21 +393,62 @@ def test_peak_band_tends_to_one_off_unit_determinant(tau):
 
 
 def test_peak_suite_evaluates_grid_once(monkeypatch):
-    # the Gram and the band of the peak sections come from one evaluation
-    # of the sections on the max(8k, 16)^{2n} quadrature grid
+    # the Gram and the band of the peak sections come from one pass over
+    # the blocks of the sections on the max(8k, 16)^{2n} quadrature grid
     sizes = []
 
     def counted(basis, m, grad=False):
         sizes.append(m ** (2 * basis.om.n))
-        return grid_gauge_values(basis, m, grad=grad)
+        return grid_gauge_blocks(basis, m, grad=grad)
 
-    # every module binding, so a second route through metrics counts too
+    # every module binding, so a second route through metrics or through
+    # grid_gauge_values counts too
     for module in (theta, metrics, quantization):
-        monkeypatch.setattr(module, "grid_gauge_values", counted)
+        monkeypatch.setattr(module, "grid_gauge_blocks", counted)
     for k in (2, 4):
         sizes.clear()
         peak_section_suite(SQUARE, k)
         assert sizes.count(max(8 * k, 16) ** 2) == 1
+
+
+@pytest.mark.parametrize(
+    "rm, k",
+    [
+        pytest.param(SQUARE, 3, id="square-3"),
+        pytest.param(GENERIC, 4, id="generic-4"),
+        pytest.param(COUPLED, 2, id="coupled-2"),
+    ],
+)
+def test_peak_suite_keeps_its_contract_at_any_block_size(monkeypatch, rm, k):
+    # one x-node per block, the shipped blocks and the whole grid in one:
+    # the sections keep their accuracy contract, 1e-13 of the node's
+    # largest, and the normalized Gram and the band (about 1) keep it too
+    runs = []
+    for terms in (1, theta._CHUNK_TERMS, 4_000_000):
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
+        runs.append(peak_section_suite(rm, k))
+    ref = runs[-1]
+    for d in runs:
+        for name in ("gram_offdiag_max", "band_min", "band_max", "proportionality_residual"):
+            assert abs(getattr(d, name) - getattr(ref, name)) <= 1e-13
+        assert d.decay_slope == pytest.approx(ref.decay_slope, rel=1e-12)
+
+
+def test_peak_suite_holds_blocks_not_the_grid():
+    # the benchmark's largest level: holding the whole 192^2 grid of 24
+    # sections three times over, the suite peaked at 28.2 MiB; block by
+    # block it holds the route's steps and the reduction's temporaries,
+    # about ten blocks, beyond the 24 x 24 Gram
+    basis = theta_basis(SQUARE, 24)
+    gv = next(grid_gauge_blocks(basis, 192))
+    block = gv.values.nbytes + gv.log_scale.nbytes + gv.base_phase.nbytes
+    tracemalloc.start()
+    try:
+        peak_section_suite(SQUARE, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * block
 
 
 def test_peak_suite_measures_base_distances_through_base_distance(monkeypatch):

@@ -25,6 +25,7 @@ from theta_amoeba.theta import (
     _stacked_log_mag,
     _unique_rows,
     distortion_fk,
+    grid_gauge_blocks,
     grid_gauge_values,
     section_gauge_values,
     theta_basis,
@@ -505,6 +506,41 @@ def test_gauge_values_keep_their_contract_at_any_chunk_size(monkeypatch, rm, k, 
         assert np.all(np.abs(gv.complex_values() - v_ref) <= 1e-13 * peak)
         err = np.abs(gauge_grad(gv) - d_ref).max(axis=(0, 2))
         assert np.all(err <= 1e-12 * d_scale)
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 24, 192, id="square-24"),
+        pytest.param(GENERIC, 5, 40, id="generic-5"),
+        pytest.param(COUPLED, 2, 10, id="coupled-2"),
+    ],
+)
+def test_grid_blocks_are_whole_x_nodes_that_join_to_the_grid(monkeypatch, rm, k, m):
+    # each block holds whole x-nodes, within the chunk budget unless it is
+    # one step, and the blocks joined are grid_gauge_values bit for bit.
+    # The scales and gauge phases are elementwise, so they keep their bits
+    # at any budget: x @ x.T through BLAS moved the last bit of the n = 2
+    # phase with the block's shape on 10^4 nodes
+    n, basis = rm.n, theta_basis(rm, k)
+    scales, phases = [], []
+    for terms in CHUNK_SIZES:
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
+        for grad in (False, True):
+            blocks = list(grid_gauge_blocks(basis, m, grad=grad))
+            nodes = [b.values.shape[1] for b in blocks]
+            assert sum(nodes) == m ** (2 * n) and all(p % m**n == 0 for p in nodes)
+            width = basis.n_sections * (1 + n * grad)
+            assert all(p * width <= terms for p in nodes) or len(blocks) == m**n
+            whole = grid_gauge_values(basis, m, grad=grad)
+            for name, axis in (("log_scale", 0), ("base_phase", 0), ("values", 1), ("grad", 1)):
+                if name != "grad" or grad:
+                    joined = np.concatenate([getattr(b, name) for b in blocks], axis=axis)
+                    assert np.array_equal(joined, getattr(whole, name))
+            scales.append(whole.log_scale)
+            phases.append(whole.base_phase)
+    for scale, phase in zip(scales, phases):
+        assert np.array_equal(scale, scales[0]) and np.array_equal(phase, phases[0])
 
 
 def closed_form_im(t, k):
