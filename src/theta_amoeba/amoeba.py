@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample
 from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
-from .theta import ThetaBasis, _stacked_log_mag, _unique_rows
+from .theta import ThetaBasis, _level, _stacked_log_mag, _unique_rows
 
 SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
@@ -106,8 +106,10 @@ def simplex_distances(k, xi_a, xi_b) -> np.ndarray:
 
     The arccos of the Bhattacharyya coefficient is the great-circle
     distance between sqrt(xi) and sqrt(eta) on the unit sphere, which is
-    the submersion metric on the simplex.
+    the submersion metric on the simplex. A level k that is not a positive
+    integer raises NonPositive.
     """
+    k = _level(k)
     dots = np.clip(np.einsum("mi,mi->m", np.sqrt(xi_a), np.sqrt(xi_b)), -1.0, 1.0)
     return SIMPLEX_CONSTANT / np.sqrt(k) * np.arccos(dots)
 

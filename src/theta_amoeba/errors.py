@@ -41,14 +41,6 @@ class DisconnectedSample(ThetaAmoebaError):
     """Neighbor graph of an amoeba sample is not connected."""
 
 
-class EmptySet(ThetaAmoebaError):
-    """Empty point set where a nonempty one is required."""
-
-
-class NotACorrespondence(ThetaAmoebaError):
-    """Relation is not total and surjective on both sides."""
-
-
 class InvalidPoints(ThetaAmoebaError):
     """Point coordinates that are not finite or do not pair up as (x, y)."""
 

@@ -1,5 +1,5 @@
-"""Finite metric spaces, Hausdorff and Gromov-Hausdorff estimates, and the
-level sweep measuring convergence of the embedded torus to its base.
+"""The level sweep measuring convergence of the embedded torus to its
+base, and the log-log slope fit of its columns.
 
 Exact GH is combinatorial, but the convergence statements under test are
 themselves proved through explicit epsilon-approximations, so upper bounds
@@ -28,77 +28,9 @@ import numpy as np
 
 from .abelian import RiemannMatrix, base_distance, flat_diameter
 from .amoeba import amoeba_sample, bk_distances
-from .errors import ConfigError, EmptySet, NonPositive, NotACorrespondence
+from .errors import ConfigError, NonPositive
 from .metrics import c0_metric_deviation, omega_k_metric_field, quadrature_grid
 from .theta import _level, _seed, theta_basis
-
-
-@dataclass(frozen=True)
-class FiniteMetricSpace:
-    labels: list
-    d: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.d.shape[0]
-
-
-def finite_metric_space(labels, d) -> FiniteMetricSpace:
-    """Validated metric space: symmetric, zero diagonal, nonnegative, and
-    the triangle inequality on every triple (on 4000 seeded random triples
-    above 200 points)."""
-    d = np.asarray(d, dtype=float)
-    if not np.isfinite(d).all():
-        raise ValueError("distance matrix must have finite entries")
-    if not np.allclose(d, d.T, atol=1e-12):
-        raise ValueError("distance matrix must be symmetric")
-    if np.any(np.diag(d) != 0.0) or np.any(d < 0.0):
-        raise ValueError("need zero diagonal and nonnegative entries")
-    m = d.shape[0]
-    if m <= 200:
-        triples = d[:, :, None] + d[None, :, :] - d[:, None, :]
-        if triples.min() < -1e-9:
-            raise ValueError("triangle inequality violated")
-    else:
-        i, j, l = np.random.default_rng(0).integers(m, size=(3, 4000))
-        if np.min(d[i, j] + d[j, l] - d[i, l]) < -1e-9:
-            raise ValueError("triangle inequality violated (sampled)")
-    return FiniteMetricSpace(labels=list(labels), d=d)
-
-
-def hausdorff_distance(space: FiniteMetricSpace, a_idx, b_idx) -> float:
-    a = np.asarray(a_idx, dtype=int)
-    b = np.asarray(b_idx, dtype=int)
-    if a.size == 0 or b.size == 0:
-        raise EmptySet("Hausdorff distance needs nonempty subsets")
-    sub = space.d[np.ix_(a, b)]
-    return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-
-
-def map_distortion(src: FiniteMetricSpace, dst: FiniteMetricSpace, phi):
-    """(distortion, covering_radius) of a map given as dst indices per src
-    point; the map is an eps-Hausdorff approximation iff both are < eps."""
-    phi = np.asarray(phi, dtype=int)
-    if phi.size != src.size:
-        raise NotACorrespondence("phi must assign a target to every source point")
-    dist = float(np.max(np.abs(src.d - dst.d[np.ix_(phi, phi)])))
-    covering = float(dst.d[:, phi].min(axis=1).max())
-    return dist, covering
-
-
-def gh_upper_bound(a: FiniteMetricSpace, b: FiniteMetricSpace, corr) -> float:
-    """Half the distortion of a correspondence (pairs of indices)."""
-    corr = np.asarray(corr, dtype=int)
-    if corr.ndim != 2 or corr.shape[1] != 2:
-        raise NotACorrespondence("correspondence must be a list of index pairs")
-    if (
-        np.unique(corr[:, 0]).size != a.size
-        or np.unique(corr[:, 1]).size != b.size
-    ):
-        raise NotACorrespondence("correspondence must cover both spaces")
-    da = a.d[np.ix_(corr[:, 0], corr[:, 0])]
-    db = b.d[np.ix_(corr[:, 1], corr[:, 1])]
-    return 0.5 * float(np.max(np.abs(da - db)))
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,8 @@ def sigma_section(om: RiemannMatrix, k: int, i: int, x) -> GaugeValue:
     basis = theta_basis(om, k)
     _check_fiber(basis, i)
     b = basis.b_points[i]
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[-1] != om.n or not np.isfinite(x).all():
-        raise InvalidPoints(f"x must be finite {om.n}-vectors, got shape {x.shape}")
-    x = x.reshape(-1, om.n)
+    # sigma depends on x alone; _as_points checks it as both coordinates
+    x, _ = _as_points(x, x, om.n)
     phase = np.pi * k * (x @ b)
     ones = np.ones((1, phase.size), dtype=complex)
     return GaugeValue(log_scale=np.zeros(phase.size), base_phase=phase, values=ones)
@@ -265,9 +263,9 @@ def bsz_model_kernel(g: np.ndarray, k: int, u, v):
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise InvalidPoints("model kernel offsets u and v must be finite")
     g = np.atleast_2d(np.asarray(g, dtype=complex))
-    lam = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-    if lam[0] <= 0.0:
-        raise NonPositive("model metric matrix must be positive definite")
+    # a NaN eigenvalue fails every comparison, so a non-finite g goes first
+    if not np.isfinite(g).all() or np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0] <= 0.0:
+        raise NonPositive("model metric matrix must be finite and positive definite")
 
     def form(a, b):
         return np.einsum("...i,ij,...j->...", a, g, np.conj(b))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import RiemannMatrix, ellipsoid_points, xy_to_z
+from .abelian import RiemannMatrix, ellipsoid_points, validate_riemann_matrix, xy_to_z
 from .errors import ConfigError, InvalidPoints, NonPositive, NotPositive, TruncationOverflow
 
 # tail budget: every dropped term lies below exp(-TAIL_LOG) ~ 1e-16 * e^-5
@@ -200,6 +200,21 @@ def _theta_sums(om_eff, z, a, b):
     return shift, vals
 
 
+def _characteristic_args(om_eff, z, a, b):
+    """The arguments of theta_char and theta_char_log, checked as they state."""
+    om_eff = validate_riemann_matrix(om_eff).omega
+    n = om_eff.shape[0]
+    try:
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        a, b = (None if c is None else np.asarray(c, dtype=float) for c in (a, b))
+    except (TypeError, ValueError) as exc:
+        raise InvalidPoints(f"z, a and b must be numeric: {exc}") from None
+    for name, c, shape in (("z", z, (len(z), n)), ("a", a, (n,)), ("b", b, (n,))):
+        if c is not None and (c.shape != shape or not np.isfinite(c).all()):
+            raise InvalidPoints(f"{name} must be finite with shape {shape}, got {c.shape}")
+    return om_eff, z, a, b
+
+
 def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
     """Log-form theta sum with characteristics.
 
@@ -207,8 +222,10 @@ def theta_char_log(om_eff: np.ndarray, z: np.ndarray, a=None, b=None):
     with e(t) = exp(2 pi i t). Returns (log_mag, phase) arrays over the
     leading axis of z (shape (m, n)). The sum is accurate to roundoff of its
     largest term, which grows with the exponents, not relative to its size.
+    om_eff must pass validate_riemann_matrix, z must be finite (m, n) points
+    and a and b finite n-vectors, or InvalidPoints.
     """
-    shift, vals = _theta_sums(om_eff, z, a, b)
+    shift, vals = _theta_sums(*_characteristic_args(om_eff, z, a, b))
     # theta has honest zeros: log_mag = -inf there, phase arbitrary 0
     with np.errstate(divide="ignore"):
         return shift + np.log(np.abs(vals)), np.angle(vals)
@@ -219,9 +236,9 @@ def theta_char(om_eff, z, a=None, b=None) -> np.ndarray:
 
     Scales the sums by exp(shift) directly, as GaugeValue.complex_values
     scales its sums by exp(log_scale): no round trip through log|.| and
-    arg, which would lose digits at large magnitude.
+    arg, which would lose digits at large magnitude. Checks as theta_char_log.
     """
-    shift, vals = _theta_sums(om_eff, z, a, b)
+    shift, vals = _theta_sums(*_characteristic_args(om_eff, z, a, b))
     return np.exp(shift) * vals
 
 

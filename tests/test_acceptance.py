@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from theta_amoeba.abelian import validate_riemann_matrix
-from theta_amoeba.gh import (
-    convergence_suite,
-    finite_metric_space,
-    gh_upper_bound,
-    hausdorff_distance,
-)
+from theta_amoeba.gh import convergence_suite
 from theta_amoeba.heisenberg import (
     GroupElement,
     commutant_dimension,
@@ -191,29 +186,3 @@ def test_accept_11_bsz_model():
     slope = np.polyfit(np.log([4.0, 16.0, 64.0]), np.log(errs), 1)[0]
     assert slope <= -0.4
 
-
-def test_accept_12_gh_oracles():
-    d1, d2 = 1.0, 2.0
-    a = finite_metric_space(["a0", "a1"], np.array([[0.0, d1], [d1, 0.0]]))
-    b = finite_metric_space(["b0", "b1"], np.array([[0.0, d2], [d2, 0.0]]))
-    pairs = [
-        [[0, 0], [1, 1]],
-        [[0, 1], [1, 0]],
-        [[0, 0], [0, 1], [1, 0], [1, 1]],
-        [[0, 0], [1, 0], [1, 1]],
-        [[0, 0], [0, 1], [1, 1]],
-    ]
-    best = min(gh_upper_bound(a, b, c) for c in pairs)
-    assert best == abs(d1 - d2) / 2.0
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        pts = rng.uniform(size=(10, 2))
-        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        space = finite_metric_space(list(range(10)), d)
-        a_idx = rng.choice(10, size=4, replace=False)
-        b_idx = rng.choice(10, size=5, replace=False)
-        brute = max(
-            max(min(d[i, j] for j in b_idx) for i in a_idx),
-            max(min(d[i, j] for i in a_idx) for j in b_idx),
-        )
-        assert hausdorff_distance(space, a_idx, b_idx) == pytest.approx(brute, abs=0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import ConfigError, amoeba, theta
+from theta_amoeba import ConfigError, NonPositive, amoeba, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
     _rounded_groups,
@@ -88,6 +88,14 @@ def test_simplex_distance_matches_great_circle_oracle():
     u, v = np.sqrt(p), np.sqrt(q)
     arc = np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), (u * v).sum(axis=1))
     assert np.allclose(simplex_distances(k, p, q), arc / np.sqrt(np.pi * k), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True, np.nan])
+def test_simplex_distance_refuses_bad_levels(k):
+    # k = 0 gave inf and k = -1 NaN
+    p, q = random_simplex(3, RNG), random_simplex(3, RNG)
+    with pytest.raises(NonPositive):
+        simplex_distances(k, p, q)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,5 @@
-import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,132 +9,14 @@ import pytest
 from scipy import stats
 
 import theta_amoeba
-from theta_amoeba import (
-    ConfigError,
-    EmptySet,
-    NonPositive,
-    NotACorrespondence,
-    abelian,
-    gh,
-    metrics,
-)
-from theta_amoeba.abelian import flat_diameter, validate_riemann_matrix
-from theta_amoeba.gh import (
-    convergence_suite,
-    finite_metric_space,
-    fit_loglog_slope,
-    gh_upper_bound,
-    hausdorff_distance,
-    map_distortion,
-)
+from theta_amoeba import ConfigError, NonPositive, abelian, gh, metrics
+from theta_amoeba.abelian import base_distance, flat_diameter, validate_riemann_matrix
+from theta_amoeba.amoeba import amoeba_sample, bk_distances
+from theta_amoeba.gh import convergence_suite, fit_loglog_slope
 from theta_amoeba.theta import theta_basis
 
-RNG = np.random.default_rng(31)
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
-
-
-def line_space(points):
-    pts = np.asarray(points, dtype=float)
-    d = np.abs(pts[:, None] - pts[None, :])
-    return finite_metric_space([str(p) for p in pts], d)
-
-
-def random_euclidean_space(m, rng, dim=3, scale=1.0):
-    pts = rng.normal(size=(m, dim)) * scale
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    return finite_metric_space(list(range(m)), d), pts
-
-
-def test_construction_rejects_triangle_violation():
-    d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
-        finite_metric_space(["a", "b", "c"], d)
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-def test_construction_rejects_non_finite_entries(bad):
-    # a disconnected graph's shortest-path matrix has +inf entries; both
-    # they and NaN are named as such, not passed on or called asymmetric
-    d = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="finite entries"):
-        finite_metric_space(["a", "b", "c"], d)
-
-
-def test_hausdorff_identical_subsets():
-    space = line_space([0.0, 1.0, 2.5])
-    assert hausdorff_distance(space, [0, 1, 2], [0, 1, 2]) == 0.0
-
-
-def test_hausdorff_line_example():
-    space = line_space([0.0, 1.0])
-    assert hausdorff_distance(space, [0], [0, 1]) == 1.0
-
-
-def test_hausdorff_empty_subset():
-    space = line_space([0.0, 1.0])
-    with pytest.raises(EmptySet):
-        hausdorff_distance(space, [], [0])
-
-
-def test_hausdorff_matches_brute_force():
-    for _ in range(10):
-        space, _ = random_euclidean_space(10, RNG)
-        a = RNG.choice(10, size=4, replace=False)
-        b = RNG.choice(10, size=5, replace=False)
-        # oracle: exhaustive double loop over the definition
-        d_ab = max(min(space.d[i, j] for j in b) for i in a)
-        d_ba = max(min(space.d[i, j] for i in a) for j in b)
-        assert hausdorff_distance(space, a, b) == pytest.approx(
-            max(d_ab, d_ba), abs=1e-14
-        )
-
-
-def test_map_distortion_isometric_inclusion():
-    space = line_space([0.0, 0.3, 1.0])
-    dist, cov = map_distortion(space, space, [0, 1, 2])
-    assert dist == 0.0
-    assert cov == 0.0
-
-
-def test_map_distortion_of_scaling():
-    delta = 0.25
-    src = line_space([0.0, 1.0, 2.0])
-    dst = line_space([0.0, 1.0 + delta / 2.0, 2.0 + delta])
-    dist, cov = map_distortion(src, dst, [0, 1, 2])
-    # diameter-2 source scaled by 1 + delta/2
-    assert dist == pytest.approx(delta, abs=1e-14)
-    assert cov == 0.0
-
-
-def test_gh_identity_correspondence_is_zero():
-    space, _ = random_euclidean_space(8, RNG)
-    corr = np.stack([np.arange(8), np.arange(8)], axis=1)
-    assert gh_upper_bound(space, space, corr) == 0.0
-
-
-def test_gh_two_point_spaces_matches_exhaustive_optimum():
-    a = line_space([0.0, 1.0])
-    b = line_space([0.0, 2.0])
-    full = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # the all-pairs relation is a valid but loose correspondence
-    assert gh_upper_bound(a, b, full) == pytest.approx(1.0)
-    # oracle: enumerate every correspondence (subsets covering both sides)
-    best = np.inf
-    for size in range(2, 5):
-        for sub in itertools.combinations(full, size):
-            sub = np.asarray(sub)
-            if {0, 1} != set(sub[:, 0]) or {0, 1} != set(sub[:, 1]):
-                continue
-            best = min(best, gh_upper_bound(a, b, sub))
-    assert best == pytest.approx(abs(2.0 - 1.0) / 2.0, abs=1e-14)
-
-
-def test_gh_rejects_partial_relation():
-    a = line_space([0.0, 1.0])
-    b = line_space([0.0, 2.0])
-    with pytest.raises(NotACorrespondence):
-        gh_upper_bound(a, b, [(0, 0)])
 
 
 def test_slope_fit_recovers_power_law():
@@ -208,6 +90,18 @@ def test_theta_import_leaves_scipy_spatial_and_sparse_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_exported_error_has_a_raise_site():
+    # a deleted layer must not leave a public error type that nothing raises
+    source = "".join(p.read_text() for p in Path(theta_amoeba.__file__).parent.glob("*.py"))
+    exported = [
+        name for name, obj in vars(theta_amoeba).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    ]
+    assert "ThetaAmoebaError" in exported and "InvalidPoints" in exported
+    unraised = [name for name in exported if not re.search(rf"raise {name}\(", source)]
+    assert unraised == []
+
+
 def test_suite_rejects_short_sweeps():
     rm = validate_riemann_matrix([[1j]])
     with pytest.raises(ConfigError):
@@ -275,6 +169,33 @@ def test_suite_small_sweep(monkeypatch):
     assert np.allclose(rep.rows["base_diameter"], rep.rows["base_diameter"][0])
     slope, _ = rep.slopes["c0_deviation"]
     assert slope < -1.0
+
+
+def test_suite_phi_columns_match_plain_loops():
+    # the distortion, covering radius and coupled defect of phi_k, from
+    # the sample's graph distances and base_distance, one pair at a time
+    ks, seed = [4, 6, 8], 3
+    rows = convergence_suite(GENERIC, ks, seed=seed).rows
+    rng = np.random.default_rng(seed)
+    for level, k in enumerate(ks):
+        sample = amoeba_sample(theta_basis(GENERIC, k), metrics.quadrature_grid(1, 8 * k))
+        # sources: the 8k zero-section nodes, phi_k at the base points j/(8k)
+        phi = sample.node_sample[: 8 * k]
+        d = bk_distances(sample, phi)
+        distortion = 0.0
+        for a in range(8):
+            for b in range(8):
+                base = base_distance([a / 8], [b / 8], GENERIC)
+                distortion = max(distortion, abs(base - d[a * k, phi[b * k]]))
+        covering = 0.0
+        for p in range(sample.size):
+            covering = max(covering, min(d[s, p] for s in range(8 * k)))
+        defect = 0.0
+        for p in rng.choice(sample.size, size=min(50, sample.size), replace=False):
+            defect = max(defect, d[sample.nodes[p] % (8 * k), p])
+        assert rows["phi_distortion"][level] == distortion
+        assert rows["phi_covering_radius"][level] == covering
+        assert rows["coupled_defect"][level] == defect + distortion
 
 
 def lipschitz_bound(eps, diameter):

@@ -264,11 +264,12 @@ def test_fiber_index_out_of_range_is_refused(om, k):
 @pytest.mark.parametrize(
     "om, x",
     [(SQUARE, [np.nan]), (SQUARE, [[0.2], [np.inf]]), (COUPLED, [[0.1], [0.2]]),
-     (COUPLED, [0.1, 0.2, 0.3])],
-    ids=["nan", "inf", "last-axis-1", "last-axis-3"],
+     (COUPLED, [0.1, 0.2, 0.3]), (SQUARE, ["a"]), (SQUARE, [[0.1], [None, 0.2]])],
+    ids=["nan", "inf", "last-axis-1", "last-axis-3", "text", "ragged"],
 )
 def test_sigma_section_refuses_bad_points(om, x):
-    # NaN used to give nan+nanj, and (2, 1) was read as one 2-vector
+    # NaN used to give nan+nanj, (2, 1) was read as one 2-vector, and text
+    # or a ragged batch raised a bare ValueError
     with pytest.raises(InvalidPoints):
         sigma_section(om, 2, 0, x)
 
@@ -513,6 +514,17 @@ def test_bsz_model_batch_matches_single_pairs(n):
 def test_bsz_model_rejects_indefinite_metric():
     with pytest.raises(NonPositive):
         bsz_model_kernel(np.array([[-1.0]]), 4, [0.0], [0.0])
+
+
+@pytest.mark.parametrize(
+    "g", [[[np.nan]], [[np.inf]], [[np.pi, np.nan], [np.nan, np.pi]]], ids=["nan", "inf", "n2-nan"]
+)
+def test_bsz_model_refuses_metric_that_is_not_finite(g):
+    # a NaN eigenvalue failed the positivity test's comparison, and the
+    # kernel came out nan+nanj
+    u = np.full(np.shape(g)[0], 0.1)
+    with pytest.raises(NonPositive):
+        bsz_model_kernel(np.array(g), 4, u, u)
 
 
 @pytest.mark.parametrize("k", [-2, 0, 2.5, True])

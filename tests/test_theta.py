@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import InvalidPoints, NonPositive, TruncationOverflow, theta
+from theta_amoeba import (
+    InvalidPoints,
+    NonPositive,
+    NotSymmetric,
+    TruncationOverflow,
+    theta,
+)
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
 from theta_amoeba.amoeba import moment_points
 from theta_amoeba.metrics import quadrature_grid
@@ -119,6 +125,33 @@ def test_theta_with_characteristics_matches_oracle():
     for a, b in [(0.5, 0.0), (0.0, 0.5), (0.25, -0.5), (1.0 / 3.0, 0.125)]:
         val = theta_char(np.array([[tau]]), np.array([[z]]), a=[a], b=[b])[0]
         assert val == pytest.approx(mp_theta_char(tau, z, a, b), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "om, z, a, b, error",
+    [
+        (1j, [[0.1]], [0.1, 0.2], None, InvalidPoints),
+        (1j, [[0.1]], [np.nan], None, InvalidPoints),
+        (1j, [[0.1]], None, [0.0, 0.5], InvalidPoints),
+        (1j, [[0.1, 0.2]], None, None, InvalidPoints),
+        (1j, [[[0.1]]], None, None, InvalidPoints),
+        (1j, np.inf, None, None, InvalidPoints),
+        (1j, [[0.1]], None, [np.inf], InvalidPoints),
+        (1j, [["x"]], None, None, InvalidPoints),
+        (np.nan, [[0.1]], None, None, NotSymmetric),
+        ([[1j, 0.1], [0.2, 1j]], [[0.1, 0.2]], None, None, NotSymmetric),
+    ],
+    ids=["a-length-2", "a-nan", "b-length-2", "z-length-2", "z-3d", "z-inf", "b-inf",
+         "z-text", "omega-nan", "omega-asymmetric"],
+)
+def test_theta_char_refuses_bad_arguments(om, z, a, b, error):
+    # a length-2 a at n = 1 returned 0.975+0.154i, NaN and inf inputs gave
+    # NaN, a length-2 b or z raised a bare ValueError, and an asymmetric
+    # omega was summed
+    with pytest.raises(error):
+        theta_char(om, z, a=a, b=b)
+    with pytest.raises(error):
+        theta_char_log(om, z, a=a, b=b)
 
 
 def test_theta_diagonal_period_matrix_factorizes():
