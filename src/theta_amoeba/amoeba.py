@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .errors import DisconnectedSample
+from .errors import DisconnectedSample, InvalidPoints
 from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
 from .theta import ThetaBasis, _level, _stacked_log_mag, _unique_rows
 
@@ -52,12 +52,13 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     sample's point count depends on. Each distinct shifted point z - b_i
     is summed once; the repeats are found by integer keys built from
     per-coordinate tables of Im z and of the differences Re z - j / k, in
-    blocks of (section, point) pairs, never from the k^n m shifted rows
-    themselves. Equal keys mean bit-equal points, and the distinct points
-    are rebuilt with the bits of the subtraction, so every xi is bit for
-    bit that of summing every shifted point. The sums run on theta.THREADS
-    threads, each over its own rows; a row's sum does not depend on which
-    thread or chunk takes it, so xi is the same bits on any thread count.
+    blocks of at most theta._CHUNK_TERMS (section, point) pairs, never
+    from the k^n m shifted rows themselves. Equal keys mean bit-equal
+    points, and the distinct points are rebuilt with the bits of the
+    subtraction, so every xi is bit for bit that of summing every shifted
+    point. theta._theta_sums sums them in runs on theta.THREADS threads,
+    each over its own rows; a row's sum does not depend on which run or
+    chunk takes it, so xi is the same bits on any thread count and budget.
 
     Memory: beyond the (k^n, m) result, which the softmax reuses in place,
     the extra memory is bounded by one block of pairs plus arrays over the
@@ -107,9 +108,15 @@ def simplex_distances(k, xi_a, xi_b) -> np.ndarray:
     The arccos of the Bhattacharyya coefficient is the great-circle
     distance between sqrt(xi) and sqrt(eta) on the unit sphere, which is
     the submersion metric on the simplex. A level k that is not a positive
-    integer raises NonPositive.
+    integer raises NonPositive, and xi_a and xi_b that are not finite,
+    nonnegative and of one (m, N) shape raise InvalidPoints.
     """
     k = _level(k)
+    xi_a, xi_b = np.asarray(xi_a, dtype=float), np.asarray(xi_b, dtype=float)
+    # min is NaN if any entry is, which fails 0 <= min as -inf does
+    bounded = [0 <= xi.min() <= xi.max() < np.inf for xi in (xi_a, xi_b) if xi.size]
+    if xi_a.ndim != 2 or xi_a.shape != xi_b.shape or not all(bounded):
+        raise InvalidPoints("xi_a and xi_b must be finite, nonnegative (m, N) arrays of one shape")
     dots = np.clip(np.einsum("mi,mi->m", np.sqrt(xi_a), np.sqrt(xi_b)), -1.0, 1.0)
     return SIMPLEX_CONSTANT / np.sqrt(k) * np.arccos(dots)
 

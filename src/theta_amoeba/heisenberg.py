@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedLevels, NotIntegral
-from .theta import ThetaBasis, _as_points, _level, section_gauge_values
+from .errors import InvalidPoints, MixedLevels, NotIntegral
+from .theta import ThetaBasis, _as_points, _level, _seed, section_gauge_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +163,10 @@ def verify_equivariance(basis: ThetaBasis, g: GroupElement, x, y) -> float:
     """Max absolute defect between U_g on sections and the monomial matrix.
 
     Checks, columnwise, U_g s_i = sum_j rho(g)_{ji} s_j at the given
-    points.
+    points; no points raise InvalidPoints, as there is no defect to take.
     """
+    if not len(_as_points(x, y, basis.om.n)[0]):
+        raise InvalidPoints("verify_equivariance needs at least one point")
     analytic = translate_sections(basis, g, x, y)
     base = section_gauge_values(basis, x, y).complex_values()
     algebraic = rho_matrix(g, basis.om.n).to_dense().T @ base
@@ -176,9 +178,10 @@ def commutant_dimension(k: int, n: int, trials: int = 20, seed: int = 0) -> int:
 
     Averaging X -> mean_g rho(g) X rho(g)^{-1} over the k^{2n} elements
     with trivial center projects onto the commutant; a one-dimensional
-    span certifies the representation is irreducible.
+    span certifies the representation is irreducible. trials must be a
+    positive integer (NonPositive) and seed a non-negative one (ConfigError).
     """
-    k, n = _level(k), _level(n, "dimension n")
+    k, n, trials, seed = _level(k), _level(n, "dimension n"), _level(trials, "trials"), _seed(seed)
     dim = k**n
     rng = np.random.default_rng(seed)
     mats = []

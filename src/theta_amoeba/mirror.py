@@ -94,12 +94,12 @@ def addition_formula_residual(tau: complex, z) -> float:
                     + b1(tau) theta[1/2](2 tau, 2 z)
     where b0 and b1 are the two triangle coefficients.  Returns the largest
     absolute residual over the supplied z values, relative to the largest
-    magnitude of theta(z)^2. A z that is not finite raises InvalidPoints.
+    magnitude of theta(z)^2. An empty or non-finite z raises InvalidPoints.
     """
     b0, b1 = triangle_coefficient(tau, "b0"), triangle_coefficient(tau, "b1")
     z = np.asarray(z, dtype=complex)
-    if not np.isfinite(z).all():
-        raise InvalidPoints("z must be finite")
+    if not (z.size and np.isfinite(z).all()):
+        raise InvalidPoints("z must be a nonempty batch of finite values")
     lhs = _theta_series(tau, z, 0.0) ** 2
     rhs = b0 * _theta_series(2.0 * tau, 2.0 * z, 0.0) + b1 * _theta_series(2.0 * tau, 2.0 * z, 0.5)
     scale = max(float(np.max(np.abs(lhs))), 1.0)

@@ -128,10 +128,13 @@ def berg_reconstruct(
 
     Computes int over the BS fiber of Pi_k(z, x) sigma_i(x) dx at each
     sample z (the coefficients of fiber_coefficients) and divides by
-    s_i(z); the proposition predicts a z-independent constant.
+    s_i(z); the proposition predicts a z-independent constant. An empty
+    sample raises InvalidPoints: it has no mean.
     """
-    c = fiber_coefficients(basis, i)
     x, y = _as_points(sample_x, sample_y, basis.om.n)
+    if not len(x):
+        raise InvalidPoints("berg_reconstruct needs at least one sample point")
+    c = fiber_coefficients(basis, i)
     vals = section_gauge_values(basis, x, y)
     if np.any(vals.log_mag[i] < ZERO_FLOOR_LOG):
         raise DegenerateSample("sample point too close to a section zero")

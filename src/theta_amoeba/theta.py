@@ -12,7 +12,7 @@ import contextvars
 import itertools
 import numbers
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +28,10 @@ MAX_RADIUS = 200
 # degeneracy cutoff on |s|_h must sit well above that cancellation floor
 ZERO_FLOOR_LOG = np.log(1e-12)
 # complex terms per lattice chunk (512 KB): in cache and at the memory floor,
-# yet amortising each chunk's Python work (swept from 8192 to 4 000 000)
+# yet amortising each chunk's Python work (swept from 8192 to 4 000 000);
+# also the (section, point) pairs per block of the moment map's grouping
+# passes, whose int64 keys and gathers then take 256 KB each
 _CHUNK_TERMS = 32_768
-# (section, point) pairs per block of the moment map's grouping passes: a
-# block's int64 keys and gathers take 256 KB each
-_CHUNK_PAIRS = 32_768
 # tables over the key span hold at most this many entries per distinct
 # shifted point
 _DENSE_SPAN = 4
@@ -90,27 +89,22 @@ def _offsets(t_eff: np.ndarray) -> np.ndarray:
     return ellipsoid_points(t_eff, radius, np.zeros(radii.size), radii).astype(float)
 
 
-def _lattice_terms(
-    om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, threads: int = 1, depth: int | None = None
-):
+def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int | None = None):
     """Truncated terms of theta[a; 0](om_eff, z), built once per point.
 
     Returns the offsets off of _offsets (shape (J, n)), one set for every
-    point, and a list of at most `threads` generators, each over one
-    contiguous run of whole chunks of points, yielding (rows, l_star, w,
-    shift). Point p's terms run over l = c_p + off_j, c_p = l*_p + a, with
-    l*_p the rounded centre of its Gaussian, and are stored as
+    point, and a generator function chunks(start=0, stop=m,
+    budget=_CHUNK_TERMS) over the points start to stop in whole chunks,
+    yielding (rows, l_star, w, shift). Point p's terms run over l = c_p +
+    off_j, c_p = l*_p + a, with l*_p the rounded centre of its Gaussian:
     w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where shift_p
     is the row's largest real exponent, so |w| <= 1. The exponent is factored
     (Deconinck et al. 2004) as P_p + Q_j + t(om c_p + z_p) off_j, with
     P_p = 1/2 t(c_p) om c_p + t(c_p) z_p and Q_j = 1/2 t(off_j) om off_j.
     Every step is elementwise, so a row's terms are the same bits in any
-    chunk and any run. Each of the threads gets chunks of _CHUNK_TERMS //
-    threads of the caller's terms, so their live chunks together stay
-    within _CHUNK_TERMS; the caller holds `depth` terms per lattice term,
-    n by default for the gradient contraction's (rows, n, J) terms, 1 for
-    a plain sum. With fewer than two chunks per thread there is one run
-    of full chunks.
+    chunk. A chunk holds `budget` of the caller's terms: `depth` per
+    lattice term, n by default for the gradient contraction's (rows, n, J)
+    terms, 1 for a plain sum.
     """
     t_eff = om_eff.imag
     off = _offsets(t_eff)
@@ -118,14 +112,9 @@ def _lattice_terms(
     m, n = z.shape
     q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
     row = len(off) * (n if depth is None else depth)
-    chunk = max(1, _CHUNK_TERMS // threads // row)
-    if -(-m // chunk) < 2 * threads:
-        # too few chunks to share: one run of full chunks
-        threads, chunk = 1, max(1, _CHUNK_TERMS // row)
-    n_chunks = -(-m // chunk)
-    ends = [min(m, t * n_chunks // threads * chunk) for t in range(threads + 1)]
 
-    def chunks(start, stop):
+    def chunks(start=0, stop=m, budget=_CHUNK_TERMS):
+        chunk = max(1, budget // row)
         for s in range(start, stop, chunk):
             rows = slice(s, min(stop, s + chunk))
             c = l_star[rows] + a
@@ -143,43 +132,21 @@ def _lattice_terms(
             np.exp(w, out=w)
             yield rows, l_star[rows], w, shift
 
-    return off, [chunks(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-
-
-def _in_threads(work, runs) -> None:
-    """work(run) for every run: the first on this thread, each other on a
-    worker thread started in a copy of this thread's context, which carries
-    numpy 2's errstate. An exception raised in any run, a warning turned
-    into an error included, is raised here once every run has ended."""
-    errors = []
-
-    def guarded(run):
-        try:
-            work(run)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    workers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(guarded, run))
-        for run in runs[1:]
-    ]
-    for worker in workers:
-        worker.start()
-    try:
-        work(runs[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+    return off, chunks
 
 
 def _theta_sums(om_eff, z, a, b):
     """theta[a; b](om_eff, z) = exp(shift) * vals, as arrays over the points.
 
-    The points' runs of chunks are summed on THREADS threads, each writing
-    its own rows; a row's sum does not depend on its run, so the result is
-    bit for bit the one-thread result.
+    The points are summed in THREADS contiguous runs of whole chunks of
+    _CHUNK_TERMS // THREADS lattice terms, so the live chunks together stay
+    within _CHUNK_TERMS; with fewer than two chunks a run there is one run
+    of full chunks. The first run stays on this thread, each other goes to
+    a worker in a copy of this thread's context, which carries numpy 2's
+    errstate. Each run writes its own rows, and a row's sum does not
+    depend on its run, so the result is bit for bit the one-thread result.
+    An error in any run, a warning turned into an error included, is
+    raised here once every run has ended.
     """
     om_eff = np.atleast_2d(np.asarray(om_eff, dtype=complex))
     n = om_eff.shape[0]
@@ -187,16 +154,26 @@ def _theta_sums(om_eff, z, a, b):
     a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
     # z itself without b: z + zeros would copy every point
     zb = z if b is None else z + np.asarray(b, dtype=float)
-    _, runs = _lattice_terms(om_eff, zb, a, THREADS, depth=1)
-    shift = np.empty(z.shape[0])
-    vals = np.empty(z.shape[0], dtype=complex)
+    off, chunks = _lattice_terms(om_eff, zb, a, depth=1)
+    m, threads = z.shape[0], THREADS
+    chunk = max(1, _CHUNK_TERMS // threads // len(off))
+    if -(-m // chunk) < 2 * threads:
+        # too few chunks to share: one run of full chunks
+        threads, chunk = 1, max(1, _CHUNK_TERMS // len(off))
+    n_chunks = -(-m // chunk)
+    ends = [min(m, t * n_chunks // threads * chunk) for t in range(threads + 1)]
+    shift, vals = np.empty(m), np.empty(m, dtype=complex)
 
     def total(run):
-        for rows, _, w, s in run:
+        for rows, _, w, s in chunks(ends[run], ends[run + 1], chunk * len(off)):
             shift[rows] = s
             vals[rows] = w.sum(axis=1)
 
-    _in_threads(total, runs)
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, total, t) for t in range(1, threads)]
+        total(0)
+    for future in futures:
+        future.result()
     return shift, vals
 
 
@@ -404,13 +381,13 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
     k, n = basis.k, basis.om.n
     z, log_scale, base_ph = _gauge(basis, x, y)
     m = z.shape[0]
-    off, (chunks,) = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
+    off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     unit = np.exp(-2j * np.pi * np.arange(k) / k)
     idx = basis.indices.T
     table = unit[(off.astype(int) @ idx) % k]
     values = np.empty((basis.n_sections, m), dtype=complex)
     grads = np.empty((basis.n_sections, m, n), dtype=complex) if grad else None
-    for rows, l_star, w, shift in chunks:
+    for rows, l_star, w, shift in chunks():
         l_star = l_star.astype(int)
         vals = w @ table
         phase = unit[(l_star @ idx) % k]
@@ -443,20 +420,20 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
     node still gets its own sum: every term is factored exactly, and no
     node's values are copied from another by a Heisenberg translation.
 
-    Memory contract: a block is the longest run of whole steps whose
-    values and, with grad, gradients fill at most _CHUNK_TERMS entries,
-    and at least one step. Beyond the blocks a caller keeps, the route
-    holds the block it builds, four buffers of one step's arrays, one
-    lattice chunk, and tables over the offsets times the y-nodes, the
-    x-nodes and the sections: none over the whole grid. The blocks leave
-    the steps as they were, so a node's values have the same bits as in
-    one whole-grid array.
+    Memory contract: a block is one step, the longest run of whole x-nodes
+    whose (J, tables, S) operands and (m^n, tables, S) sums fill at most
+    _CHUNK_TERMS entries, and at least one x-node. Beyond the blocks a
+    caller keeps, the route holds the block it builds, four buffers of one
+    step's arrays, one lattice chunk, and tables over the offsets times
+    the y-nodes, the x-nodes and the sections: none over the whole grid.
+    Steps are counted from each lattice chunk's start, and a node's
+    values have the same bits as in one whole-grid array.
     """
     k, n = basis.k, basis.om.n
     nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
     x = nodes / m
     z, log_scale, base_ph = _gauge(basis, x, np.zeros_like(x))
-    off, (chunks,) = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
+    off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     off_int = off.astype(int)
     unit_k = np.exp(-2j * np.pi * np.arange(k) / k)
     unit_m = np.exp(2j * np.pi * np.arange(m) / m)
@@ -468,13 +445,10 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
     if grad:
         tables = np.concatenate([tables, off[:, :, None] * tables], axis=1)
     n_s, n_y, n_t = basis.n_sections, len(nodes), tables.shape[1]
-    # the x-nodes' (J, tables, S) operands and (m^n, tables, S) sums fill a chunk
     step = max(1, _CHUNK_TERMS // (n_t * n_s * (n_y + len(off))))
-    # x-nodes per block: whole steps, so each step keeps its shape and bits
-    per_block = step * max(1, _CHUNK_TERMS // (n_t * n_s * n_y * step))
     # flat buffers for a whole step's terms, sums, values and phases, which
     # every step rewrites: allocated afresh per step, their pages went back
-    # to the system after each block and were faulted in again
+    # to the system after each step and were faulted in again
     work = [
         np.empty(size * n_s * step, dtype=complex)
         for size in (len(off) * n_t, n_y * n_t, n_y, n_y)
@@ -484,53 +458,41 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
         """The first entries of work buffer i, as an array of shape."""
         return work[i][: np.prod(shape)].reshape(shape)
 
-    def block(w, l_star, xs):
-        """The GaugeValue of the x-nodes xs from their terms w and centres
-        l_star, one step at a time."""
-        values = np.empty((n_s, len(w) * n_y), dtype=complex)
-        grads = np.empty((n_s, len(w) * n_y, n), dtype=complex) if grad else None
-        for start in range(0, len(w), step):
-            wx, lx = w[start : start + step], l_star[start : start + step]
-            r = len(wx)
-            terms = into(0, len(off), n_t, r, n_s)
-            np.multiply(wx.T[:, None, :, None], tables[:, :, None, :], out=terms)
-            sums = into(1, n_y, n_t * r * n_s)
-            np.matmul(y_table, terms.reshape(len(off), -1), out=sums)
-            sums = sums.reshape(n_y, n_t, r, n_s)
-            # node order is x-major: rows of (x-node, y-node)
-            vals = into(2, r, n_y, n_s)
-            vals[...] = sums[:, 0].transpose(1, 0, 2)
-            vals = vals.reshape(r * n_y, n_s)
-            cols = slice(start * n_y, (start + r) * n_y)
-            phase = into(3, r, n_y, n_s)
-            s_phase, y_phase = unit_k[(lx @ idx) % k], unit_m[(lx @ nodes.T) % m]
-            np.multiply(s_phase[:, None, :], y_phase[:, :, None], out=phase)
-            phase = phase.reshape(r * n_y, n_s)
-            if grad:
-                w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
-                grads[:, cols] = _gradient(vals, np.repeat(lx, n_y, axis=0), w_off, phase)
-            vals *= phase
-            values[:, cols] = vals.T
+    def block(wx, lx, xs):
+        """The GaugeValue of the x-nodes xs from their terms wx and centres lx."""
+        r = len(wx)
+        terms = into(0, len(off), n_t, r, n_s)
+        np.multiply(wx.T[:, None, :, None], tables[:, :, None, :], out=terms)
+        sums = into(1, n_y, n_t * r * n_s)
+        np.matmul(y_table, terms.reshape(len(off), -1), out=sums)
+        sums = sums.reshape(n_y, n_t, r, n_s)
+        # node order is x-major: rows of (x-node, y-node)
+        vals = into(2, r, n_y, n_s)
+        vals[...] = sums[:, 0].transpose(1, 0, 2)
+        vals = vals.reshape(r * n_y, n_s)
+        phase = into(3, r, n_y, n_s)
+        s_phase, y_phase = unit_k[(lx @ idx) % k], unit_m[(lx @ nodes.T) % m]
+        np.multiply(s_phase[:, None, :], y_phase[:, :, None], out=phase)
+        phase = phase.reshape(r * n_y, n_s)
+        grads = None
+        if grad:
+            w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
+            # a C-order copy of _gradient's transposed view: the metric's products read it
+            grads = np.ascontiguousarray(_gradient(vals, np.repeat(lx, n_y, axis=0), w_off, phase))
+        vals *= phase
         # the gauge phase pi k (tx S x + tx y) at the block's nodes; y runs
         # over the same points nodes / m as x. Elementwise, not BLAS: a
         # node's bits must not depend on its block's shape
         xy = sum(x[xs, d, None] * x[:, d] for d in range(n))
         base_phase = base_ph[xs, None] + np.pi * k * xy
-        return GaugeValue(
-            log_scale=np.repeat(log_scale[xs], n_y),
-            base_phase=base_phase.ravel(),
-            values=values,
-            grad=grads,
-        )
+        return GaugeValue(np.repeat(log_scale[xs], n_y), base_phase.ravel(), vals.T.copy(), grads)
 
-    for rows, l_star, w, shift in chunks:
+    for rows, l_star, w, shift in chunks():
         l_star = l_star.astype(int)
         log_scale[rows] += shift
-        # blocks start at whole steps from the chunk's start, as the steps did
-        for b0 in range(0, len(w), per_block):
-            part = slice(b0, b0 + per_block)
-            xs = slice(rows.start + b0, rows.start + b0 + len(w[part]))
-            yield block(w[part], l_star[part], xs)
+        for start in range(0, len(w), step):
+            wx, lx = w[start : start + step], l_star[start : start + step]
+            yield block(wx, lx, slice(rows.start + start, rows.start + start + len(wx)))
 
 
 def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeValue:
@@ -581,9 +543,9 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
 
 def _pair_blocks(n_sections: int, m: int):
     """(sections, points) slices tiling the n_sections x m pairs in blocks
-    of at most _CHUNK_PAIRS pairs, point-major."""
-    p_step = max(1, _CHUNK_PAIRS // n_sections)
-    s_step = min(n_sections, _CHUNK_PAIRS)
+    of at most _CHUNK_TERMS pairs, point-major."""
+    p_step = max(1, _CHUNK_TERMS // n_sections)
+    s_step = min(n_sections, _CHUNK_TERMS)
     for p0 in range(0, m, p_step):
         for s0 in range(0, n_sections, s_step):
             yield slice(s0, s0 + s_step), slice(p0, p0 + p_step)
@@ -603,7 +565,7 @@ def _distinct_keys(block_keys, n_sections: int, m: int) -> np.ndarray:
     for block in _pair_blocks(n_sections, m):
         waiting.append(_sorted_distinct(block_keys(*block)))
         size += waiting[-1].size
-        if size > max(merged.size, _CHUNK_PAIRS):
+        if size > max(merged.size, _CHUNK_TERMS):
             merged = _sorted_distinct(np.concatenate([merged, *waiting]))
             waiting, size = [], 0
     return _sorted_distinct(np.concatenate([merged, *waiting]))
@@ -679,7 +641,7 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
 
     Each distinct shifted point z - b_i is summed once: on a grid that the
     shifts b_i map to itself most of them repeat. Two passes over blocks
-    of at most _CHUNK_PAIRS (section, point) pairs find them by integer
+    of at most _CHUNK_TERMS (section, point) pairs find them by integer
     keys (_shifted_keys). The first collects the sorted distinct keys:
     where the key span is at most _DENSE_SPAN times the distinct points
     of one section, a lower bound on the distinct count, by marking a

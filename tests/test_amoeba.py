@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import ConfigError, NonPositive, amoeba, theta
+from theta_amoeba import ConfigError, InvalidPoints, NonPositive, amoeba, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
     _rounded_groups,
@@ -88,6 +88,24 @@ def test_simplex_distance_matches_great_circle_oracle():
     u, v = np.sqrt(p), np.sqrt(q)
     arc = np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), (u * v).sum(axis=1))
     assert np.allclose(simplex_distances(k, p, q), arc / np.sqrt(np.pi * k), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(lambda p, q: (np.where([[True, False, False]], np.nan, p), q), id="nan"),
+        pytest.param(lambda p, q: (p, np.where([[False, True, False]], -0.25, q)), id="negative"),
+        pytest.param(lambda p, q: (np.where([[False, False, True]], np.inf, p), q), id="inf"),
+        pytest.param(lambda p, q: (np.vstack([p, p]), q), id="rows-differ"),
+        pytest.param(lambda p, q: (p, q[:, :2]), id="columns-differ"),
+        pytest.param(lambda p, q: (p[0], q[0]), id="flat"),
+    ],
+)
+def test_simplex_distance_refuses_bad_moment_coordinates(bad):
+    # a NaN or negative entry gave a NaN distance
+    p, q = random_simplex(3, RNG), random_simplex(3, RNG)
+    with pytest.raises(InvalidPoints):
+        simplex_distances(2, *bad(p, q))
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, True, np.nan])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import MixedLevels, NonPositive, NotIntegral
+from theta_amoeba import ConfigError, InvalidPoints, MixedLevels, NonPositive, NotIntegral
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.heisenberg import (
     GroupElement,
@@ -69,6 +69,28 @@ def test_commutant_rejects_nonpositive_level():
     # k = 0 raised a bare ZeroDivisionError
     with pytest.raises(NonPositive):
         commutant_dimension(0, 1)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True, np.nan])
+def test_commutant_rejects_trials_that_are_not_positive_integers(trials):
+    # trials = 0 raised LinAlgError, 2.5 a TypeError
+    with pytest.raises(NonPositive):
+        commutant_dimension(2, 1, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_commutant_rejects_seeds_that_are_not_non_negative_integers(seed):
+    # seed = -1 raised a bare ValueError from default_rng
+    with pytest.raises(ConfigError):
+        commutant_dimension(2, 1, trials=2, seed=seed)
+
+
+def test_equivariance_rejects_no_points():
+    # the max over no points raised a bare ValueError
+    basis = theta_basis(validate_riemann_matrix([[1j]]), 3)
+    for empty in ([], np.zeros((0, 1))):
+        with pytest.raises(InvalidPoints):
+            verify_equivariance(basis, elem(3, 0, [1], [2]), empty, empty)
 
 
 def test_identity_and_inverse():

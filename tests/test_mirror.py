@@ -131,6 +131,13 @@ def test_addition_formula_rejects_non_finite_z(bad):
         addition_formula_residual(1j, [0.25, bad])
 
 
+def test_addition_formula_rejects_no_z():
+    # the max over no z raised a bare ValueError
+    for empty in ([], np.zeros((0, 3))):
+        with pytest.raises(InvalidPoints):
+            addition_formula_residual(1j, empty)
+
+
 @pytest.mark.parametrize("tau", [1j, 0.5 + 1j, 2j])
 def test_addition_formula_on_grid(tau):
     u, v = np.meshgrid(np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10))

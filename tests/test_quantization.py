@@ -241,6 +241,14 @@ def test_reconstruction_rejects_zero_locus():
 COUPLED = validate_riemann_matrix([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
 
 
+@pytest.mark.parametrize("om", [SQUARE, COUPLED], ids=["n1", "n2"])
+def test_reconstruction_rejects_an_empty_sample(om):
+    # no points gave ratio_mean nan+nanj and ratio_rel_std nan
+    empty = np.zeros((0, om.n))
+    with pytest.raises(InvalidPoints):
+        berg_reconstruct(theta_basis(om, 2), 0, empty, empty)
+
+
 @pytest.mark.parametrize("om, k", [(SQUARE, 3), (COUPLED, 2)], ids=["n1", "n2"])
 def test_fiber_index_out_of_range_is_refused(om, k):
     # a negative index used to wrap to the last fiber, one past the end to

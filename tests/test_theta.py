@@ -1,6 +1,8 @@
 import itertools
 import os
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -249,8 +251,8 @@ def test_row_terms_are_the_same_bits_in_any_chunk(rm, k):
     z = xy_to_z(x, y, rm)
 
     def terms(zs):
-        _, (chunks,) = _lattice_terms(rm.omega / k, zs, np.zeros(rm.n))
-        (_, _, w, shift), = list(chunks)
+        _, chunks = _lattice_terms(rm.omega / k, zs, np.zeros(rm.n))
+        (_, _, w, shift), = list(chunks())
         return w, shift
 
     w_all, s_all = terms(z)
@@ -298,10 +300,10 @@ def test_factored_terms_match_einsum_oracle(problem):
     # both kernels round that exponent, in different orders, and far points
     # carry exponents in the thousands at n = 2, k = 32
     om_eff, z, a = problem
-    off, (new,) = _lattice_terms(om_eff, z, a)
+    off, new = _lattice_terms(om_eff, z, a)
     off_ref, ref = einsum_lattice_terms(om_eff, z, a)
     np.testing.assert_array_equal(off, off_ref)
-    for (rows, l_star, w, shift), (rows_ref, l_ref, w_ref, s_ref) in zip(new, ref, strict=True):
+    for (rows, l_star, w, shift), (rows_ref, l_ref, w_ref, s_ref) in zip(new(), ref, strict=True):
         assert rows == rows_ref
         np.testing.assert_array_equal(l_star, l_ref)
         # the row's largest real exponent is 0, and |e^(i phi)| may round
@@ -327,10 +329,10 @@ def test_chunk_holds_terms_not_offset_vectors(monkeypatch):
     z = xy_to_z(grid.x, grid.y, COUPLED)
 
     def first_chunk():
-        off, (chunks,) = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
+        off, chunks = _lattice_terms(COUPLED.omega / 2, z, np.zeros(2))
         tracemalloc.start()
         try:
-            _, _, w, _ = next(chunks)
+            _, _, w, _ = next(chunks())
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -373,10 +375,31 @@ def test_moment_map_is_the_same_bits_at_any_chunk_size(monkeypatch, rm, k, m):
 THREAD_COUNTS = [1, 2, 3]
 
 
-def run_rows(om_eff, z, threads):
-    """The rows of each chunk of each run _theta_sums sums at a thread count."""
-    _, runs = _lattice_terms(om_eff, z, np.zeros(z.shape[1]), threads, depth=1)
-    return [[(rows.start, rows.stop) for rows, *_ in run] for run in runs]
+def run_rows(monkeypatch, om_eff, z, threads):
+    """_theta_sums on `threads` threads: the rows of each chunk of each run
+    it sums, the runs in order of their first row, and the sums."""
+    monkeypatch.setattr(theta, "THREADS", threads)
+    runs = []
+    lattice_terms = theta._lattice_terms
+
+    def recording(*args, **kwargs):
+        off, chunks = lattice_terms(*args, **kwargs)
+
+        def recorded(*bounds):
+            run = []
+            runs.append(run)
+            for terms in chunks(*bounds):
+                run.append((terms[0].start, terms[0].stop))
+                yield terms
+
+        return off, recorded
+
+    monkeypatch.setattr(theta, "_lattice_terms", recording)
+    try:
+        sums = theta._theta_sums(om_eff, z, None, None)
+    finally:
+        monkeypatch.setattr(theta, "_lattice_terms", lattice_terms)
+    return sorted(runs), sums
 
 
 @pytest.mark.parametrize(
@@ -396,9 +419,7 @@ def test_theta_sums_are_the_same_bits_on_any_thread_count(monkeypatch, rm, k, m)
     monkeypatch.setattr(theta, "_CHUNK_TERMS", 12 * len(_offsets((rm.omega / k).imag)))
     runs = {}
     for threads in THREAD_COUNTS:
-        monkeypatch.setattr(theta, "THREADS", threads)
-        runs[threads] = theta._theta_sums(rm.omega / k, z, None, None)
-        chunks = run_rows(rm.omega / k, z, threads)
+        chunks, runs[threads] = run_rows(monkeypatch, rm.omega / k, z, threads)
         flat = [r for run in chunks for r in run]
         assert len(chunks) == threads and flat[-1][1] == m
         assert flat[0] == (0, 12 // threads) and flat[-1][1] - flat[-1][0] < 12 // threads
@@ -424,7 +445,7 @@ def test_theta_sums_thread_count_past_the_cores_with_short_switches(monkeypatch)
         runs = [theta._theta_sums(om_eff, z, None, None) for _ in range(5)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(run_rows(om_eff, z, 8)) == 8
+    assert len(run_rows(monkeypatch, om_eff, z, 8)[0]) == 8
     for shift, vals in runs:
         assert np.array_equal(shift, ref[0]) and np.array_equal(vals, ref[1])
 
@@ -437,7 +458,7 @@ def test_runs_cover_the_points_once_in_order(monkeypatch, threads, rows_per_chun
     z = xy_to_z(*np.random.default_rng(1).uniform(size=(2, 50, 1)), SQUARE)
     om_eff = SQUARE.omega / 4
     monkeypatch.setattr(theta, "_CHUNK_TERMS", rows_per_chunk * len(_offsets(om_eff.imag)))
-    runs = run_rows(om_eff, z, threads)
+    runs, _ = run_rows(monkeypatch, om_eff, z, threads)
     flat = [r for run in runs for r in run]
     assert [a for a, _ in flat] == [0] + [b for _, b in flat[:-1]]
     assert flat[-1][1] == 50
@@ -448,16 +469,34 @@ def test_runs_cover_the_points_once_in_order(monkeypatch, threads, rows_per_chun
         assert len(runs) == 1 and flat[0][1] == min(50, rows_per_chunk)
 
 
+def test_one_run_starts_no_thread_at_any_thread_count(monkeypatch):
+    # fewer than two chunks a run: one run, summed on the calling thread
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    z = np.full((30, 1), 0.3 + 0.2j)
+    ref = theta._theta_sums(SQUARE.omega, z, None, None)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for threads in (1, 8):
+        runs, (shift, vals) = run_rows(monkeypatch, SQUARE.omega, z, threads)
+        assert len(runs) == 1
+        assert np.array_equal(shift, ref[0]) and np.array_equal(vals, ref[1])
+    # with 1-term chunks the 8 runs do start threads, which the patch refuses
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        theta._theta_sums(SQUARE.omega, z, None, None)
+
+
 def test_plain_sums_take_chunks_of_lattice_terms(monkeypatch):
     # at n = 2 a sum's chunk holds n times the rows of a gradient chunk:
     # both hold _CHUNK_TERMS of the caller's terms
     z = xy_to_z(*np.random.default_rng(2).uniform(size=(2, 100, 2)), COUPLED)
     om_eff = COUPLED.omega / 2
     monkeypatch.setattr(theta, "_CHUNK_TERMS", 6 * len(_offsets(om_eff.imag)))
-    _, (chunks,) = _lattice_terms(om_eff, z, np.zeros(2))
-    rows, *_ = next(chunks)
+    _, chunks = _lattice_terms(om_eff, z, np.zeros(2))
+    rows, *_ = next(chunks())
     assert rows == slice(0, 3)
-    assert run_rows(om_eff, z, 1)[0][0] == (0, 6)
+    assert run_rows(monkeypatch, om_eff, z, 1)[0][0][0] == (0, 6)
 
 
 @pytest.mark.parametrize(
@@ -484,9 +523,8 @@ def test_worker_errors_reach_the_caller(monkeypatch):
     # a point at infinity in the last thread's run: its invalid multiply
     # is a RuntimeWarning, an error under this suite's filters
     monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
-    monkeypatch.setattr(theta, "THREADS", 3)
     z = np.full((30, 1), 0.3 + 0.2j)
-    assert run_rows(SQUARE.omega, z, 3)[-1][-1] == (29, 30)
+    assert run_rows(monkeypatch, SQUARE.omega, z, 3)[0][-1][-1] == (29, 30)
     z[-1] = np.inf
     with pytest.raises(RuntimeWarning, match="invalid value"):
         theta._theta_sums(SQUARE.omega, z, None, None)
@@ -495,17 +533,28 @@ def test_worker_errors_reach_the_caller(monkeypatch):
         _, vals = theta._theta_sums(SQUARE.omega, z, None, None)
     assert np.isnan(vals[-1]) and np.isfinite(vals[:-1]).all()
 
-    done = []
+    # the middle run fails at once, and the last takes its time: the
+    # error is raised here only after the other runs ended
+    ended = []
+    lattice_terms = theta._lattice_terms
 
-    def work(run):
-        if run == "bad":
-            raise KeyError(run)
-        done.append(run)
+    def failing(*args, **kwargs):
+        off, chunks = lattice_terms(*args, **kwargs)
 
+        def run(start, stop, budget):
+            if start == 10:
+                raise KeyError("bad")
+            yield from chunks(start, stop, budget)
+            if start == 20:
+                time.sleep(0.05)
+            ended.append(start)
+
+        return off, run
+
+    monkeypatch.setattr(theta, "_lattice_terms", failing)
     with pytest.raises(KeyError, match="bad"):
-        theta._in_threads(work, ["first", "bad", "last"])
-    # the other runs finished before the error was raised here
-    assert sorted(done) == ["first", "last"]
+        theta._theta_sums(SQUARE.omega, np.full((30, 1), 0.3j), None, None)
+    assert sorted(ended) == [0, 20]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
@@ -550,12 +599,14 @@ def test_gauge_values_keep_their_contract_at_any_chunk_size(monkeypatch, rm, k, 
     ],
 )
 def test_grid_blocks_are_whole_x_nodes_that_join_to_the_grid(monkeypatch, rm, k, m):
-    # each block holds whole x-nodes, within the chunk budget unless it is
-    # one step, and the blocks joined are grid_gauge_values bit for bit.
+    # each block is one step of whole x-nodes, whose operands over the
+    # offsets and sums over the y-nodes fill the chunk budget unless it is
+    # one x-node, and the blocks joined are grid_gauge_values bit for bit.
     # The scales and gauge phases are elementwise, so they keep their bits
     # at any budget: x @ x.T through BLAS moved the last bit of the n = 2
     # phase with the block's shape on 10^4 nodes
     n, basis = rm.n, theta_basis(rm, k)
+    n_off = len(_offsets((rm.omega / k).imag))
     scales, phases = [], []
     for terms in CHUNK_SIZES:
         monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
@@ -563,8 +614,8 @@ def test_grid_blocks_are_whole_x_nodes_that_join_to_the_grid(monkeypatch, rm, k,
             blocks = list(grid_gauge_blocks(basis, m, grad=grad))
             nodes = [b.values.shape[1] for b in blocks]
             assert sum(nodes) == m ** (2 * n) and all(p % m**n == 0 for p in nodes)
-            width = basis.n_sections * (1 + n * grad)
-            assert all(p * width <= terms for p in nodes) or len(blocks) == m**n
+            width = basis.n_sections * (1 + n * grad) * (m**n + n_off)
+            assert all(p == m**n or p // m**n * width <= terms for p in nodes)
             whole = grid_gauge_values(basis, m, grad=grad)
             for name, axis in (("log_scale", 0), ("base_phase", 0), ("values", 1), ("grad", 1)):
                 if name != "grad" or grad:
@@ -957,8 +1008,8 @@ def grid_problems(draw):
 def largest_term(basis, x, y):
     """The largest term of each point's lattice sum, in gauge units."""
     z, base_lm, _ = _gauge(basis, x, y)
-    _, (chunks,) = _lattice_terms(basis.om.omega / basis.k, z, np.zeros(basis.om.n))
-    return np.exp(base_lm + np.concatenate([shift for *_, shift in chunks]))
+    _, chunks = _lattice_terms(basis.om.omega / basis.k, z, np.zeros(basis.om.n))
+    return np.exp(base_lm + np.concatenate([shift for *_, shift in chunks()]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1227,13 +1278,14 @@ def test_stacked_log_mag_sums_distinct_points_bitwise(rm, k, grid_m):
     ],
 )
 def test_moment_map_is_the_same_bits_at_any_pair_budget(monkeypatch, rm, k, m):
-    # blocks of 1, 3 and 7 pairs split the sections and merge the distinct
-    # keys many times over; square takes the table over the key span,
-    # generic and coupled the binary search
+    # blocks of 1, 3 and 7 pairs, with lattice chunks of as few terms,
+    # split the sections and merge the distinct keys many times over;
+    # square takes the table over the key span, generic and coupled the
+    # binary search
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
     runs = []
-    for pairs in (1, 3, 7, theta._CHUNK_PAIRS):
-        monkeypatch.setattr(theta, "_CHUNK_PAIRS", pairs)
+    for pairs in (1, 3, 7, theta._CHUNK_TERMS):
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
         runs.append((_stacked_log_mag(basis, grid.x, grid.y), moment_points(basis, grid.x, grid.y)))
     for lm, xi in runs[:-1]:
         assert np.array_equal(lm, runs[-1][0]) and np.array_equal(xi, runs[-1][1])
