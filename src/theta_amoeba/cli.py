@@ -12,6 +12,7 @@ the one file allowed to differ between runs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -150,10 +151,12 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _cap_threads() -> tuple[int | None, list]:
+@contextlib.contextmanager
+def _cap_threads():
     """Cap the threads the lattice sums run on (theta.THREADS), and BLAS
-    threads, at THETA_AMOEBA_THREADS; return the cap and the pools it took
-    effect on.
+    threads, at THETA_AMOEBA_THREADS for the run inside the with block;
+    yield the cap and the pools it took effect on. Both caps are lifted on
+    leaving the block, so a later run in the same process starts uncapped.
 
     numpy has loaded its BLAS before this runs, so setting the thread
     environment variables here would change nothing: the BLAS cap needs
@@ -161,20 +164,26 @@ def _cap_threads() -> tuple[int | None, list]:
     """
     raw = os.environ.get("THETA_AMOEBA_THREADS")
     if raw is None:
-        return None, []
+        yield None, []
+        return
     try:
         limit = int(raw)
     except ValueError:
         limit = 0  # refused below with the same message
     if limit < 1:
         raise ConfigError(f"THETA_AMOEBA_THREADS must be a positive integer, got {raw!r}")
-    theta.THREADS = min(theta.THREADS, limit)
+    threads = theta.THREADS
+    theta.THREADS = min(threads, limit)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return limit, ["lattice"]
-    threadpool_limits(limits=limit)
-    return limit, ["blas", "lattice"]
+        try:
+            from threadpoolctl import threadpool_limits
+        except ImportError:
+            yield limit, ["lattice"]
+        else:
+            with threadpool_limits(limits=limit):
+                yield limit, ["blas", "lattice"]
+    finally:
+        theta.THREADS = threads
 
 
 def run_theta_eval(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -340,44 +349,44 @@ def main(argv=None) -> int:
     if args.cp1 and args.subcommand != "bs-count":
         parser.error(f"argument --cp1: {args.subcommand} does not read it")
     try:
-        thread_cap, capped = _cap_threads()
-        cfg = load_config(args.config, args)
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        start = time.monotonic()
-        runner = RUNNERS[args.subcommand]
-        summary, tables = runner(cfg, args.cp1) if runner is run_bs_count else runner(cfg)
-        for name, (header, table) in tables.items():
-            write_csv(out / name, header, table)
-        elapsed = time.monotonic() - start
-        results = {"subcommand": args.subcommand, "results": summary}
-        write_json(out / "summary.json", results)
-        write_json(
-            out / "manifest.json",
-            {
-                "subcommand": args.subcommand,
-                "config": cfg.echo(),
-                "versions": {
-                    "theta_amoeba": __version__,
-                    "numpy": np.__version__,
-                    "scipy": scipy.__version__,
-                    "python": sys.version.split()[0],
+        with _cap_threads() as (thread_cap, capped):
+            cfg = load_config(args.config, args)
+            out = Path(cfg.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            start = time.monotonic()
+            runner = RUNNERS[args.subcommand]
+            summary, tables = runner(cfg, args.cp1) if runner is run_bs_count else runner(cfg)
+            for name, (header, table) in tables.items():
+                write_csv(out / name, header, table)
+            elapsed = time.monotonic() - start
+            results = {"subcommand": args.subcommand, "results": summary}
+            write_json(out / "summary.json", results)
+            write_json(
+                out / "manifest.json",
+                {
+                    "subcommand": args.subcommand,
+                    "config": cfg.echo(),
+                    "versions": {
+                        "theta_amoeba": __version__,
+                        "numpy": np.__version__,
+                        "scipy": scipy.__version__,
+                        "python": sys.version.split()[0],
+                    },
+                    "wall_time_seconds": elapsed,
+                    "thread_cap": thread_cap,
+                    "thread_cap_applied_to": capped,
+                    "lattice_threads": theta.THREADS,
+                    "files": sorted([*tables, "summary.json", "manifest.json"]),
                 },
-                "wall_time_seconds": elapsed,
-                "thread_cap": thread_cap,
-                "thread_cap_applied_to": capped,
-                "lattice_threads": theta.THREADS,
-                "files": sorted([*tables, "summary.json", "manifest.json"]),
-            },
-        )
-        if args.cp1:
-            _, table = tables["bs_count.csv"]
-            for k in cfg.k_list:
-                pts = ", ".join(str(b) for b in table[table[:, 0] == k, 2])
-                print(f"k={k}: {pts}")
-        else:
-            print(json.dumps(results, sort_keys=True))
-        return 0
+            )
+            if args.cp1:
+                _, table = tables["bs_count.csv"]
+                for k in cfg.k_list:
+                    pts = ", ".join(str(b) for b in table[table[:, 0] == k, 2])
+                    print(f"k={k}: {pts}")
+            else:
+                print(json.dumps(results, sort_keys=True))
+            return 0
     except ThetaAmoebaError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),

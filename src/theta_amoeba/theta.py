@@ -29,8 +29,8 @@ MAX_RADIUS = 200
 ZERO_FLOOR_LOG = np.log(1e-12)
 # complex terms per lattice chunk (512 KB): in cache and at the memory floor,
 # yet amortising each chunk's Python work (swept from 8192 to 4 000 000);
-# also the (section, point) pairs per block of the moment map's grouping
-# passes, whose int64 keys and gathers then take 256 KB each
+# also the (section, point) pairs per block of the moment map's passes,
+# whose int64 keys and gathers then take 256 KB each
 _CHUNK_TERMS = 32_768
 # tables over the key span hold at most this many entries per distinct
 # shifted point
@@ -541,19 +541,21 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[new]
 
 
-def _pair_blocks(n_sections: int, m: int):
-    """(sections, points) slices tiling the n_sections x m pairs in blocks
-    of at most _CHUNK_TERMS pairs, point-major."""
-    p_step = max(1, _CHUNK_TERMS // n_sections)
-    s_step = min(n_sections, _CHUNK_TERMS)
-    for p0 in range(0, m, p_step):
-        for s0 in range(0, n_sections, s_step):
-            yield slice(s0, s0 + s_step), slice(p0, p0 + p_step)
+def _point_blocks(n_sections: int, m: int):
+    """Slices of the m points in blocks of every section, each of at most
+    _CHUNK_TERMS (section, point) pairs and at least two points; the last
+    block takes a lone remaining point. numpy adds a one-point block's
+    sections pairwise but a wider block's in order, as it does the whole
+    (sections, m) array's, so a lone point would change the softmax's bits."""
+    step = max(2, _CHUNK_TERMS // n_sections)
+    starts = list(range(0, m - 1, step)) or list(range(m))
+    for p0, p1 in zip(starts, [*starts[1:], m]):
+        yield slice(p0, p1)
 
 
 def _distinct_keys(block_keys, n_sections: int, m: int) -> np.ndarray:
-    """Sorted distinct values of block_keys(sections, points) over the
-    blocks of _pair_blocks(n_sections, m).
+    """Sorted distinct values of block_keys(sections, points) over every
+    section of the blocks of _point_blocks(n_sections, m).
 
     Each block's distinct keys wait in a list that is merged into the
     sorted result once it outgrows both that result and a chunk, so the
@@ -562,8 +564,8 @@ def _distinct_keys(block_keys, n_sections: int, m: int) -> np.ndarray:
     """
     merged = np.empty(0, dtype=np.int64)
     waiting, size = [], 0
-    for block in _pair_blocks(n_sections, m):
-        waiting.append(_sorted_distinct(block_keys(*block)))
+    for pts in _point_blocks(n_sections, m):
+        waiting.append(_sorted_distinct(block_keys(slice(None), pts)))
         size += waiting[-1].size
         if size > max(merged.size, _CHUNK_TERMS):
             merged = _sorted_distinct(np.concatenate([merged, *waiting]))
@@ -584,8 +586,10 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
     by their sorted distinct values.
 
     Returns (keys, span, points): keys(sections, points) gives a block's
-    (sections, points) keys, and points(keys) the shifted points of keys,
-    with the bits z_p - b_i has.
+    C-ordered (sections, points) keys, and points(keys) the shifted points
+    of keys, with the bits z_p - b_i has. Each axis's codes are kept flat,
+    u-major, and a block gathers only its own (section, point) codes, so
+    one section's keys over every point take no (points x k) table.
     """
     k, (m, n) = basis.k, z.shape
     im_first, im_code = _unique_rows(z.imag)
@@ -593,10 +597,10 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
     def partial_keys(axes):
         def keys(sections, points):
             key = im_code[points][None, :]
-            for renumber, diffs, re_code, diff_code, index in axes:
+            for renumber, diffs, row, diff_code, index in axes:
                 if renumber is not None:
                     key = np.searchsorted(renumber, key)
-                key = key * diffs.size + diff_code[re_code[points]].T[index[sections]]
+                key = key * diffs.size + diff_code[index[sections][:, None] + row[points]]
             return key
         return keys
 
@@ -612,7 +616,8 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
         if span * codes.size > 2**63:
             renumber = _distinct_keys(partial_keys(tuple(axes)), basis.n_sections, m)
             span = renumber.size
-        axes.append((renumber, codes.view(float), re_code, diff_code.reshape(re.size, k),
+        # row[p] is where z_p's k differences start in the flat diff_code
+        axes.append((renumber, codes.view(float), re_code * k, diff_code.ravel(),
                      basis.indices[:, d]))
         span *= codes.size
 
@@ -631,34 +636,42 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
     return partial_keys(axes), span, points
 
 
-def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
-    """log|s_i|_h through one lattice sum per section, at z - b_i.
+def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
+    """log|s_i|_h through one lattice sum per section, at z - b_i, in
+    blocks of points.
 
     The route section_gauge_values replaced, with the same values and
-    accuracy contract. amoeba.moment_points keeps it, because
+    accuracy contract. amoeba's moment map keeps it, because
     amoeba_sample merges images that agree to 12 digits, so its point
-    count depends on last-bit roundoff; the tests use it as oracle.
+    count depends on last-bit roundoff; the tests use it, joined by
+    _stacked_log_mag, as oracle.
+
+    Returns (m, blocks): the point count, and a generator of (points,
+    block) over the slices of _point_blocks, in order, where block is the
+    C-ordered (k^n, points) array of log|s_i|_h, every section of those
+    points. Each block is a new array the caller may change in place.
 
     Each distinct shifted point z - b_i is summed once: on a grid that the
-    shifts b_i map to itself most of them repeat. Two passes over blocks
-    of at most _CHUNK_TERMS (section, point) pairs find them by integer
-    keys (_shifted_keys). The first collects the sorted distinct keys:
-    where the key span is at most _DENSE_SPAN times the distinct points
-    of one section, a lower bound on the distinct count, by marking a
-    table over the span (square grids); else by sorting each block's keys
-    and merging (skewed grids, n = 2). One lattice-sum call sums their
-    points, rebuilt with the bits z - b_i has. The second pass recomputes
-    each block's keys and gathers the sums into the result, through a
-    table over the span or by binary search in the sorted keys. A row's
-    sum does not depend on the other rows, their order or the chunk size,
-    so the values are those of summing every shifted point, bit for bit.
+    shifts b_i map to itself most of them repeat. Two passes over the
+    blocks find them by integer keys (_shifted_keys). The first, before
+    this returns, collects the sorted distinct keys: where the key span is
+    at most _DENSE_SPAN times the distinct points of one section, a lower
+    bound on the distinct count, by marking a table over the span (square
+    grids); else by sorting each block's keys and merging (skewed grids,
+    n = 2). One lattice-sum call sums their points, rebuilt with the bits
+    z - b_i has. The second pass, as the generator runs, recomputes each
+    block's keys and gathers the sums, through a table over the span or by
+    binary search in the sorted keys. A row's sum does not depend on the
+    other rows, their order or the chunk size, so the values are those of
+    summing every shifted point, bit for bit.
 
-    Memory contract: beyond the (k^n, m) result, the extra memory is
-    bounded by the chunk budget (one block's keys and gathers) plus the
+    Memory contract: the extra memory is bounded by one block (its keys,
+    gathers and values, at most _CHUNK_TERMS pairs or two points) plus the
     distinct points (their keys, points, sums and, when dense, the tables
     of at most _DENSE_SPAN entries each), and the coordinate tables over
     the m points, their distinct Im z rows and, per coordinate, their
-    distinct Re z values times k. No array over the k^n m pairs is built.
+    distinct Re z values times k. No array over the k^n m pairs is built;
+    a caller that keeps no block holds no (k^n, m) array either.
     """
     z, base_lm, _ = _gauge(basis, x, y)
     m, n_s = z.shape[0], basis.n_sections
@@ -667,8 +680,8 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
     dense = span <= _DENSE_SPAN * _sorted_distinct(keys(slice(1), slice(None))).size
     if dense:
         seen = np.zeros(span, dtype=bool)
-        for block in _pair_blocks(n_s, m):
-            seen[keys(*block)] = True
+        for pts in _point_blocks(n_s, m):
+            seen[keys(slice(None), pts)] = True
         distinct = np.flatnonzero(seen)
         del seen
     else:
@@ -684,12 +697,27 @@ def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
         table = np.empty(span)
         table[distinct] = lm
         distinct, lm = None, table
-    out = np.empty((n_s, m))
-    for sections, pts in _pair_blocks(n_s, m):
-        key = keys(sections, pts)
-        block = out[sections, pts]
-        block[...] = lm[key if distinct is None else np.searchsorted(distinct, key)]
-        block += base_lm[pts]
+
+    def blocks():
+        for pts in _point_blocks(n_s, m):
+            key = keys(slice(None), pts)
+            block = lm[key if distinct is None else np.searchsorted(distinct, key)]
+            block += base_lm[pts]
+            yield pts, block
+
+    return m, blocks()
+
+
+def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
+    """The blocks of _stacked_log_mag_blocks joined into one (k^n, m) array.
+
+    Memory contract: the (k^n, m) result plus what _stacked_log_mag_blocks
+    holds besides its blocks, and one block.
+    """
+    m, blocks = _stacked_log_mag_blocks(basis, x, y)
+    out = np.empty((basis.n_sections, m))
+    for pts, block in blocks:
+        out[:, pts] = block
     return out
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from theta_amoeba import ConfigError, InvalidPoints, NonPositive, amoeba, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
-    _rounded_groups,
     amoeba_sample,
     bk_distances,
     moment_points,
@@ -19,6 +18,7 @@ from theta_amoeba.theta import _unique_rows, theta_basis
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
+COUPLED = validate_riemann_matrix([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
 RNG = np.random.default_rng(23)
 
 
@@ -144,8 +144,9 @@ def test_sample_memory_at_level_32():
     # the benchmark's largest level; with 4 000 000-term lattice chunks and
     # one sort of packed keys over the 2 097 152 shifted rows it peaked at
     # 122 MB, cache-sized chunks and the first-row table brought it to 70 MB,
-    # and merging by per-row keys, without a rounded copy, to the moment
-    # map's own 54 MB
+    # merging by per-row keys, without a rounded copy, to the moment map's
+    # own 54 MB, and blocked key passes to 21 MiB; streaming the image block
+    # by block keeps it below the (65 536 x 32) image it no longer holds
     basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
     tracemalloc.start()
     try:
@@ -153,7 +154,7 @@ def test_sample_memory_at_level_32():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 60e6
+    assert peak < grid.size * basis.n_sections * 8
 
 
 def test_sample_size_bounded_by_grid():
@@ -262,6 +263,36 @@ def test_sample_is_the_same_on_any_thread_count(monkeypatch, om, k):
         assert np.array_equal(sample.node_sample, samples[0].node_sample)
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One 64-bit key per row of np.round(a, 12), built a column at a time:
+    bit-equal rounded rows get equal keys, and unequal ones collide rarely."""
+    key = np.zeros(a.shape[0], dtype=np.uint64)
+    for col in a.T:
+        key ^= np.round(col, 12).view(np.uint64)
+        # wrapping multiply and xor-shift: each column moves every key bit
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= key >> np.uint64(29)
+    return key
+
+
+def _rounded_groups(a: np.ndarray, row_keys=_row_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle of the sample's merge over the whole image:
+    _unique_rows(np.round(a, 12)) without the rounded copy or a row sort.
+
+    Rows are grouped by their row_keys, one column for _unique_rows to
+    sort, and each row's rounded bits are then checked against its group's
+    first row; on any key collision the rounded rows themselves are
+    grouped instead.
+    """
+    first, inverse = theta._unique_rows(row_keys(a)[:, None])
+    rep = first[inverse]
+    for col in a.T:
+        bits = np.round(col, 12).view(np.int64)
+        if not np.array_equal(bits, bits[rep]):
+            return theta._unique_rows(np.round(a, 12))
+    return first, inverse
+
+
 def merge_cases():
     """Images of a grid, and rows built to round together or apart: equal
     to 12 digits, a hair on either side of a rounding boundary, and -0.0
@@ -283,23 +314,23 @@ def merge_cases():
     return [xi, built, xi[:0]]
 
 
-def count_fallbacks(monkeypatch) -> list:
-    """The row counts of the rounded images amoeba's merge passes to
+def count_fallbacks(monkeypatch, module) -> list:
+    """The row counts of the rounded images a merge in module passes to
     _unique_rows, call by call; the keys it passes are integers."""
-    fallbacks = []
+    fallbacks, original = [], module._unique_rows
 
     def counted(rows):
         if rows.dtype == float:
             fallbacks.append(len(rows))
-        return _unique_rows(rows)
+        return original(rows)
 
-    monkeypatch.setattr(amoeba, "_unique_rows", counted)
+    monkeypatch.setattr(module, "_unique_rows", counted)
     return fallbacks
 
 
 @pytest.mark.parametrize("a", merge_cases(), ids=["grid", "built", "empty"])
 def test_rounded_groups_are_unique_rows_of_the_rounded_images(monkeypatch, a):
-    fallbacks = count_fallbacks(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch, theta)
     first, inverse = _rounded_groups(a)
     ref_first, ref_inverse = _unique_rows(np.round(a, 12))
     assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
@@ -310,10 +341,75 @@ def test_rounded_groups_fall_back_on_a_key_collision(monkeypatch):
     # keys from the first column alone put rows that differ only in the
     # second into one group; the bit check sees it and sorts the rows
     a = merge_cases()[0]
-    fallbacks = count_fallbacks(monkeypatch)
-    monkeypatch.setattr(amoeba, "_row_keys", lambda a: np.round(a[:, 0], 12).view(np.uint64))
-    first, inverse = _rounded_groups(a)
+    fallbacks = count_fallbacks(monkeypatch, theta)
+    first, inverse = _rounded_groups(a, lambda a: np.round(a[:, 0], 12).view(np.uint64))
     ref_first, ref_inverse = _unique_rows(np.round(a, 12))
     assert fallbacks == [len(a)]
     assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
     assert len(np.unique(np.round(a[:, 0], 12))) < len(ref_first)
+
+
+def whole_image_groups(basis, x, y):
+    """Oracle of amoeba._merged_image: the whole (m, k^n) image from
+    moment_points, merged by _rounded_groups."""
+    xi = moment_points(basis, x, y)
+    first, inverse = _rounded_groups(xi)
+    return xi[first], first, inverse
+
+
+def assert_same_sample(got, want):
+    assert np.array_equal(got.xi, want.xi)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.node_sample, want.node_sample)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.graph, part), getattr(want.graph, part))
+
+
+@pytest.mark.parametrize(
+    "om, k, m",
+    [(SQUARE, 8, 64), (GENERIC, 5, 42), (COUPLED, 2, 16)],
+    ids=["square-8", "generic-5", "coupled-2"],
+)
+def test_streamed_sample_is_the_whole_image_sample_at_any_pair_budget(monkeypatch, om, k, m):
+    # blocks of 2 points (budgets 1, 3 and 7 pairs) merge into the running
+    # sample many times over, against the whole image grouped at once, and
+    # no key collides; the coupled grid's 65 536 nodes take the default
+    # budget only, as the smaller budgets split its lattice sums into
+    # single points
+    basis, grid = theta_basis(om, k), quadrature_grid(om.n, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(amoeba, "_merged_image", whole_image_groups)
+        want = amoeba_sample(basis, grid)
+    fallbacks = count_fallbacks(monkeypatch, amoeba)
+    budgets = (1, 3, 7, theta._CHUNK_TERMS) if om.n == 1 else (theta._CHUNK_TERMS,)
+    for pairs in budgets:
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
+        assert_same_sample(amoeba_sample(basis, grid), want)
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("pairs", [1, 7, theta._CHUNK_TERMS])
+def test_streamed_merge_of_coupled_points_at_any_pair_budget(monkeypatch, pairs):
+    # the coupled Omega's n = 2 image on a 6^4 grid, below the sample's
+    # resolution floor, merged block by block and as a whole
+    basis, grid = theta_basis(COUPLED, 2), quadrature_grid(2, 6)
+    want = whole_image_groups(basis, grid.x, grid.y)
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
+    for got, ref in zip(amoeba._merged_image(basis, grid.x, grid.y), want):
+        assert np.array_equal(got, ref)
+
+
+def test_streamed_merge_falls_back_on_a_key_collision(monkeypatch):
+    # keys from the first section alone put nodes whose images differ only
+    # in the others into one group; the check against the group's first
+    # rounded image sees it, and the whole image is grouped exactly
+    basis, grid = theta_basis(GENERIC, 4), quadrature_grid(1, 32)
+    with monkeypatch.context() as patch:
+        patch.setattr(amoeba, "_merged_image", whole_image_groups)
+        want = amoeba_sample(basis, grid)
+    fallbacks = count_fallbacks(monkeypatch, amoeba)
+    monkeypatch.setattr(amoeba, "_block_keys", lambda rounded: rounded[0].view(np.uint64).copy())
+    got = amoeba_sample(basis, grid)
+    assert fallbacks == [grid.size]
+    assert_same_sample(got, want)
+    assert len(np.unique(np.round(want.xi[:, 0], 12))) < want.size

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import sys
@@ -217,18 +218,30 @@ def test_amoeba_export(capsys, tmp_path):
 
 
 def fake_threadpoolctl(monkeypatch):
-    """Install a stand-in threadpoolctl that records the limits it is given;
-    the lattice sums' thread count the CLI caps is restored afterwards."""
+    """Install a stand-in threadpoolctl whose threadpool_limits, a context
+    manager, records the limits it enters with in calls and holds each in
+    active until it exits; the lattice sums' thread count the CLI caps is
+    restored after the test."""
     monkeypatch.setattr(theta, "THREADS", theta.THREADS)
-    calls = []
+    calls, active = [], []
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits):
+        calls.append(limits)
+        active.append(limits)
+        try:
+            yield
+        finally:
+            active.pop()
+
     module = types.ModuleType("threadpoolctl")
-    module.threadpool_limits = lambda limits: calls.append(limits)
+    module.threadpool_limits = threadpool_limits
     monkeypatch.setitem(sys.modules, "threadpoolctl", module)
-    return calls
+    return calls, active
 
 
 def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
-    limits = fake_threadpoolctl(monkeypatch)
+    limits, _ = fake_threadpoolctl(monkeypatch)
     for raw in ("many", "0", "-2"):
         monkeypatch.setenv("THETA_AMOEBA_THREADS", raw)
         code, _, err = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
@@ -243,14 +256,15 @@ def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
 
 def test_thread_cap_without_threadpoolctl_caps_the_lattice_sums(capsys, tmp_path, monkeypatch):
     # numpy's BLAS is loaded by then, so its cap cannot go through the
-    # environment; the lattice sums are capped all the same, and the
-    # manifest says which pools the cap reached
-    monkeypatch.setattr(theta, "THREADS", theta.THREADS)
+    # environment; the lattice sums are capped all the same for the run,
+    # and the manifest says which pools the cap reached
+    threads = theta.THREADS
+    monkeypatch.setattr(theta, "THREADS", threads)
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setenv("THETA_AMOEBA_THREADS", "1")
     code, _, _ = run(capsys, "gram", "--k", "2", "--out", str(tmp_path))
     assert code == 0
-    assert theta.THREADS == 1
+    assert theta.THREADS == threads
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["thread_cap"] == 1
     assert manifest["thread_cap_applied_to"] == ["lattice"]
@@ -266,7 +280,7 @@ def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
     assert manifest["thread_cap"] is None
     assert manifest["thread_cap_applied_to"] == []
     assert manifest["lattice_threads"] == theta._usable_cpus()
-    limits = fake_threadpoolctl(monkeypatch)
+    limits, _ = fake_threadpoolctl(monkeypatch)
     for cap in (2, 1):
         monkeypatch.setenv("THETA_AMOEBA_THREADS", str(cap))
         code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(tmp_path / str(cap)))
@@ -276,6 +290,29 @@ def test_manifest_records_thread_cap(capsys, tmp_path, monkeypatch):
         assert manifest["thread_cap_applied_to"] == ["blas", "lattice"]
         assert manifest["lattice_threads"] == min(cap, theta._usable_cpus())
     assert limits == [2, 1]
+
+
+def test_thread_cap_lasts_one_run(capsys, tmp_path, monkeypatch):
+    # a capped run, then an uncapped one in the same process: the second
+    # runs on every usable CPU with BLAS unlimited, and says so
+    limits, active = fake_threadpoolctl(monkeypatch)
+    threads = theta.THREADS
+    for cap in ("1", None):
+        if cap is None:
+            monkeypatch.delenv("THETA_AMOEBA_THREADS")
+        else:
+            monkeypatch.setenv("THETA_AMOEBA_THREADS", cap)
+        out = tmp_path / str(cap)
+        code, _, _ = run(capsys, "theta-eval", "--k", "2", "--out", str(out))
+        assert code == 0
+        assert theta.THREADS == threads and active == []
+    capped = json.loads((tmp_path / "1" / "manifest.json").read_text())
+    assert (capped["thread_cap"], capped["lattice_threads"]) == (1, 1)
+    manifest = json.loads((tmp_path / "None" / "manifest.json").read_text())
+    assert manifest["thread_cap"] is None
+    assert manifest["thread_cap_applied_to"] == []
+    assert manifest["lattice_threads"] == threads
+    assert limits == [1]
 
 
 def test_runner_tables_match_row_loops():

@@ -1278,10 +1278,10 @@ def test_stacked_log_mag_sums_distinct_points_bitwise(rm, k, grid_m):
     ],
 )
 def test_moment_map_is_the_same_bits_at_any_pair_budget(monkeypatch, rm, k, m):
-    # blocks of 1, 3 and 7 pairs, with lattice chunks of as few terms,
-    # split the sections and merge the distinct keys many times over;
-    # square takes the table over the key span, generic and coupled the
-    # binary search
+    # budgets of 1, 3 and 7 pairs, with lattice chunks of as few terms,
+    # give blocks of every section of two or three points and merge the
+    # distinct keys many times over; square takes the table over the key
+    # span, generic and coupled the binary search
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
     runs = []
     for pairs in (1, 3, 7, theta._CHUNK_TERMS):
@@ -1304,6 +1304,36 @@ def test_stacked_log_mag_memory_is_the_result_and_a_margin():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * lm.nbytes
+
+
+def test_one_section_keys_take_no_table_of_every_section():
+    # the dense-span check's keys of one section at every point, Omega = i,
+    # k = 32 on 256^2: a few (1, m) rows, not the 16 MiB (m, k) table of
+    # every point's codes that gathering points before sections builds
+    basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
+    keys, _, _ = theta._shifted_keys(basis, _gauge(basis, grid.x, grid.y)[0])
+    tracemalloc.start()
+    try:
+        key = keys(slice(1), slice(None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key.shape == (1, grid.size) and key.flags.c_contiguous
+    assert peak <= 4 * key.nbytes < grid.size * basis.k * 8
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 6, 17])
+def test_point_blocks_tile_the_points_with_two_or_more_each(monkeypatch, k, m):
+    # whole-section blocks of at most the budget's points and at least two
+    # (one when there is one point): numpy sums one point's sections
+    # pairwise but two or more points' sections in order
+    for pairs in (1, 3, 7, 12):
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
+        blocks = list(theta._point_blocks(k, m))
+        assert [p for b in blocks for p in range(m)[b]] == list(range(m))
+        assert all(b.stop - b.start >= min(2, m) for b in blocks)
+        assert all(b.stop - b.start <= max(2, pairs // k) + 1 for b in blocks)
 
 
 @pytest.mark.parametrize("rm", [SQUARE, COUPLED], ids=["square", "coupled"])
