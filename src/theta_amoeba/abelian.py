@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError
+from .errors import ConfigError, InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError
 
 SYMMETRY_TOL = 1e-12
 
@@ -51,7 +51,7 @@ def validate_riemann_matrix(raw) -> RiemannMatrix:
     """Check finiteness, symmetry and positivity of Im(omega); derive
     Cholesky data."""
     om = np.atleast_2d(np.asarray(raw, dtype=complex))
-    if om.shape[0] != om.shape[1]:
+    if om.ndim != 2 or om.shape[0] != om.shape[1]:
         raise NotSymmetric(f"matrix is {om.shape}, expected square")
     # NaN fails every comparison, so the checks below would let it through
     if not np.all(np.isfinite(om)):
@@ -70,19 +70,45 @@ def validate_riemann_matrix(raw) -> RiemannMatrix:
     return RiemannMatrix(n=om.shape[0], omega=om, im_chol=chol, lambda_min=lam)
 
 
+def _real_matrix(data: dict, key: str) -> np.ndarray:
+    """data[key] as a float array; ConfigError unless every entry is a
+    number (ragged lists, strings, null and bools are refused)."""
+    try:
+        a = np.asarray(data[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key!r} is not a matrix: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise ConfigError(f"{key!r} must hold numbers only")
+    return a.astype(float)
+
+
 def riemann_matrix_from_json(source) -> RiemannMatrix:
-    """Load {"n": int, "re": [[...]], "im": [[...]]} from a path or dict."""
+    """Load {"n": int, "re": [[...]], "im": [[...]]} from a path or dict.
+
+    re and im must be number arrays of one shape, and n an integer (not a
+    bool) equal to the matrix size; anything else raises ConfigError, and
+    a matrix that is not a Riemann matrix raises as
+    validate_riemann_matrix does.
+    """
     if isinstance(source, dict):
         data = source
     else:
         with open(source) as fh:
             data = json.load(fh)
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    om = re + 1j * im
-    rm = validate_riemann_matrix(om)
-    if rm.n != int(data["n"]):
-        raise NotSymmetric(f"declared n={data['n']} but matrix is {rm.n} x {rm.n}")
+    if not isinstance(data, dict):
+        raise ConfigError("riemann_matrix must be a JSON object")
+    missing = {"n", "re", "im"} - set(data)
+    if missing:
+        raise ConfigError(f"riemann_matrix lacks {sorted(missing)}")
+    re, im = _real_matrix(data, "re"), _real_matrix(data, "im")
+    if re.shape != im.shape:
+        raise ConfigError(f"re is {re.shape} but im is {im.shape}")
+    n = data["n"]
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ConfigError(f"n must be an integer, got {n!r}")
+    rm = validate_riemann_matrix(re + 1j * im)
+    if rm.n != n:
+        raise NotSymmetric(f"declared n={n} but matrix is {rm.n} x {rm.n}")
     return rm
 
 

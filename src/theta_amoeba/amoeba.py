@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample, InvalidPoints
 from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
-from .theta import ThetaBasis, _level, _stacked_log_mag_blocks, _unique_rows
+from .theta import ThetaBasis, _level, _stacked_log_mag_blocks
 
 SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
@@ -88,7 +88,9 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     Memory: the (k^n, m) result, returned transposed, plus one block and
     what the lattice-sum route holds besides its blocks: arrays over the
     distinct shifted points and over the m points' coordinate tables.
-    amoeba_sample does not call this, and holds no (k^n, m) array.
+    Nothing in the package calls this (amoeba_sample streams the blocks
+    and holds no (k^n, m) array); it stays public for callers that want
+    the whole image.
     """
     m, blocks = _moment_blocks(basis, x, y)
     out = np.empty((basis.n_sections, m))
@@ -97,66 +99,31 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     return out.T
 
 
-def _block_keys(rounded: np.ndarray) -> np.ndarray:
-    """One 64-bit key per point of a rounded (k^n, points) block: bit-equal
-    columns get equal keys, and unequal ones collide rarely. Section i's
-    bits are multiplied by its own odd constant, a bijection that mixes low
-    bits upward, and the sections are folded by xor, whose result takes no
-    order; so images whose sections are permuted, as the Heisenberg shifts
-    permute them, do not share a key by that alone."""
-    odd = np.arange(1, 2 * rounded.shape[0], 2, dtype=np.uint64)[:, None]
-    key = rounded.view(np.uint64) * (odd * np.uint64(0x9E3779B97F4A7C15))
-    return np.bitwise_xor.reduce(key, axis=0)
-
-
 def _merged_image(basis: ThetaBasis, x, y):
     """(xi, nodes, node_sample): the moment map's images merged where
     np.round(xi, 12) is bit-equal, groups numbered by first appearance.
 
-    The images stream in _moment_blocks' blocks. Each block's rounded
-    columns get _block_keys; a node whose key the sorted keys of the
-    groups so far lack opens a group with the block's other nodes of that
-    key, and the group's image is its first node's. Every node's rounded
-    image is checked against its group's first; on any key collision the
-    whole image is grouped by its rounded rows instead. Memory: the
-    sample, its rounded images and one block.
+    The images stream in _moment_blocks' blocks. Each node's rounded image
+    is looked up by its raw bytes in a dict of the groups so far, which
+    numbers a new group by insertion order; equal bytes are equal bits, so
+    -0.0 and 0.0 stay apart. A group's image is its first node's,
+    unrounded. Memory: the sample, one bytes key per sample point, and
+    one block.
     """
     m, blocks = _moment_blocks(basis, x, y)
+    row = np.dtype((np.void, 8 * basis.n_sections))
     node_sample = np.empty(m, dtype=np.intp)
     xi, nodes = [np.empty((0, basis.n_sections))], [np.empty(0, dtype=np.intp)]
-    # the groups' first rounded images, in room that doubles as it fills
-    rounded_xi, size = np.empty((0, basis.n_sections)), 0
-    keys, key_group = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp)
+    groups = {}
     for pts, w in blocks:
-        rounded = np.round(w, 12)
-        key = _block_keys(rounded)
-        at = np.searchsorted(keys, key)
-        old = at < keys.size
-        old[old] = keys[at[old]] == key[old]
-        group = np.empty(key.size, dtype=np.intp)
-        group[old] = key_group[at[old]]
-        new = np.flatnonzero(~old)
-        if new.size:
-            first, inverse = _unique_rows(key[new][:, None])
-            group[new] = size + inverse
-            first = new[first]
-            xi.append(w.T[first])
-            nodes.append(pts.start + first)
-            if size + first.size > len(rounded_xi):
-                grown = np.empty((2 * (size + first.size), basis.n_sections))
-                grown[:size] = rounded_xi[:size]
-                rounded_xi = grown
-            rounded_xi[size:size + first.size] = rounded.T[first]
-            order = np.argsort(key[first])
-            where = np.searchsorted(keys, key[first][order])
-            keys = np.insert(keys, where, key[first][order])
-            key_group = np.insert(key_group, where, size + order)
-            size += first.size
+        size = len(groups)
+        keys = np.ascontiguousarray(np.round(w, 12).T).view(row).ravel().tolist()
+        group = np.array([groups.setdefault(key, len(groups)) for key in keys], dtype=np.intp)
+        # a new group's first node is where the running maximum id rises
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(np.append(size - 1, group))))
+        xi.append(w.T[first])
+        nodes.append(pts.start + first)
         node_sample[pts] = group
-        if not np.array_equal(rounded_xi[group].view(np.int64), rounded.T.view(np.int64)):
-            xi_all = moment_points(basis, x, y)
-            first, inverse = _unique_rows(np.round(xi_all, 12))
-            return xi_all[first], first, inverse
     return np.concatenate(xi), np.concatenate(nodes), node_sample
 
 
@@ -191,11 +158,11 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     and have at least 8k nodes per axis.
 
     The merge rule is the one over the whole image, but the image streams
-    block by block (_merged_image). Memory: the sample (its images and
-    node maps), one block of _moment_blocks, and what the lattice-sum
-    route holds besides its blocks (arrays over the distinct shifted
-    points and the grid's coordinate tables); no (grid.size, k^n) image,
-    unless a key collision sends the merge to its exact fallback.
+    block by block (_merged_image). Memory: the sample (its images, node
+    maps and one bytes key per point), one block of _moment_blocks, and
+    what the lattice-sum route holds besides its blocks (arrays over the
+    distinct shifted points and the grid's coordinate tables); never a
+    (grid.size, k^n) image.
     """
     check_grid_resolution(basis, grid)
     xi, nodes, node_sample = _merged_image(basis, grid.x, grid.y)

@@ -123,7 +123,7 @@ def load_config(path: str | None, args) -> ExperimentConfig:
         raise ConfigError("riemann_matrix must be a path or a JSON object")
     try:
         om = riemann_matrix_from_json(source)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"bad riemann_matrix: {exc}") from exc
     cfg = ExperimentConfig(
         riemann_matrix=om,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_amoeba import InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError, abelian
+from theta_amoeba import ConfigError, InvalidPoints, NotPositive, NotSymmetric, ThetaAmoebaError, abelian
 from theta_amoeba.abelian import (
     _torus_quadratic_distance,
     base_distance,
@@ -54,6 +54,14 @@ def test_validate_rejects_asymmetric():
         validate_riemann_matrix([[1j, 0.5], [0.0, 1j]])
 
 
+def test_validate_rejects_a_three_axis_array():
+    # equal to its full transpose, with lower triangles that numpy's
+    # stacked Cholesky accepts slice by slice
+    t = np.array([[[1, 1], [0, 1]], [[1, 0], [1, 2]]], dtype=float)
+    with pytest.raises(NotSymmetric, match="expected square"):
+        validate_riemann_matrix(1j * t)
+
+
 def test_validate_rejects_negative_imaginary_part():
     with pytest.raises(NotPositive):
         validate_riemann_matrix([[-1j]])
@@ -86,6 +94,39 @@ def test_json_loader_roundtrip(tmp_path):
     rm = riemann_matrix_from_json(path)
     assert rm.n == 2
     assert rm.omega[0, 0] == pytest.approx(0.1 + 2.0j)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "re": [[0.3]], "im": [[1, 0.2], [0.2, 1.3]]},
+        {"n": 2.5, "re": [[0, 0], [0, 0]], "im": [[1, 0], [0, 1]]},
+        {"n": True, "re": [[0.3]], "im": [[1.2]]},
+        {"n": "1", "re": [[0.3]], "im": [[1.2]]},
+        {"re": [[0.3]], "im": [[1.2]]},
+        {"n": 1, "im": [[1.2]]},
+        {"n": 1, "re": [["x"]], "im": [[1.2]]},
+        {"n": 1, "re": [[None]], "im": [[1.2]]},
+        {"n": 1, "re": [[False]], "im": [[1.2]]},
+        {"n": 2, "re": [[0, 0], [0]], "im": [[1, 0], [0, 1]]},
+        [[1.2]],
+    ],
+    ids=[
+        "broadcast", "fractional-n", "bool-n", "string-n", "no-n", "no-re",
+        "string-entry", "null-entry", "bool-entry", "ragged", "not-an-object",
+    ],
+)
+def test_json_loader_refuses_malformed_matrices(tmp_path, data):
+    path = tmp_path / "om.json"
+    path.write_text(json.dumps(data))
+    for source in (data, path) if isinstance(data, dict) else (path,):
+        with pytest.raises(ConfigError):
+            riemann_matrix_from_json(source)
+
+
+def test_json_loader_refuses_a_wrong_declared_size():
+    with pytest.raises(NotSymmetric, match="declared n=2"):
+        riemann_matrix_from_json({"n": 2, "re": [[0.3]], "im": [[1.2]]})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -263,43 +263,20 @@ def test_sample_is_the_same_on_any_thread_count(monkeypatch, om, k):
         assert np.array_equal(sample.node_sample, samples[0].node_sample)
 
 
-def _row_keys(a: np.ndarray) -> np.ndarray:
-    """One 64-bit key per row of np.round(a, 12), built a column at a time:
-    bit-equal rounded rows get equal keys, and unequal ones collide rarely."""
-    key = np.zeros(a.shape[0], dtype=np.uint64)
-    for col in a.T:
-        key ^= np.round(col, 12).view(np.uint64)
-        # wrapping multiply and xor-shift: each column moves every key bit
-        key *= np.uint64(0x9E3779B97F4A7C15)
-        key ^= key >> np.uint64(29)
-    return key
+def whole_image_groups(basis, x, y):
+    """Oracle of amoeba._merged_image: the whole (m, k^n) image from
+    moment_points, grouped by the bits of its rounded rows."""
+    xi = moment_points(basis, x, y)
+    first, inverse = _unique_rows(np.round(xi, 12))
+    return xi[first], first, inverse
 
 
-def _rounded_groups(a: np.ndarray, row_keys=_row_keys) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle of the sample's merge over the whole image:
-    _unique_rows(np.round(a, 12)) without the rounded copy or a row sort.
-
-    Rows are grouped by their row_keys, one column for _unique_rows to
-    sort, and each row's rounded bits are then checked against its group's
-    first row; on any key collision the rounded rows themselves are
-    grouped instead.
-    """
-    first, inverse = theta._unique_rows(row_keys(a)[:, None])
-    rep = first[inverse]
-    for col in a.T:
-        bits = np.round(col, 12).view(np.int64)
-        if not np.array_equal(bits, bits[rep]):
-            return theta._unique_rows(np.round(a, 12))
-    return first, inverse
-
-
-def merge_cases():
-    """Images of a grid, and rows built to round together or apart: equal
-    to 12 digits, a hair on either side of a rounding boundary, and -0.0
-    next to 0.0 (different bits, so different groups)."""
-    grid = quadrature_grid(1, 32)
-    xi = moment_points(theta_basis(GENERIC, 4), grid.x, grid.y)
-    built = np.array(
+@pytest.mark.parametrize("empty", [False, True], ids=["built", "empty"])
+def test_merge_groups_rounded_images_by_their_bits(monkeypatch, empty):
+    # rows fed to the merge two points a block: equal to 12 digits, a hair
+    # on either side of a rounding boundary, -0.0 next to 0.0 (different
+    # bits, so different points), and groups that reappear in later blocks
+    rows = np.array(
         [
             [0.25, 0.75],
             [0.25 + 1e-14, 0.75 - 1e-14],
@@ -308,53 +285,25 @@ def merge_cases():
             [0.0, 0.5],
             [-0.0, 0.5],
             [-1e-14, 0.5],
-            [0.25, 0.75],
+            [0.25 - 1e-14, 0.75 + 1e-14],
         ]
     )
-    return [xi, built, xi[:0]]
+    if empty:
+        rows = rows[:0]
 
+    def blocks(basis, x, y):
+        pairs = range(0, len(rows), 2)
+        return len(rows), ((slice(i, i + 2), rows[i : i + 2].T.copy()) for i in pairs)
 
-def count_fallbacks(monkeypatch, module) -> list:
-    """The row counts of the rounded images a merge in module passes to
-    _unique_rows, call by call; the keys it passes are integers."""
-    fallbacks, original = [], module._unique_rows
-
-    def counted(rows):
-        if rows.dtype == float:
-            fallbacks.append(len(rows))
-        return original(rows)
-
-    monkeypatch.setattr(module, "_unique_rows", counted)
-    return fallbacks
-
-
-@pytest.mark.parametrize("a", merge_cases(), ids=["grid", "built", "empty"])
-def test_rounded_groups_are_unique_rows_of_the_rounded_images(monkeypatch, a):
-    fallbacks = count_fallbacks(monkeypatch, theta)
-    first, inverse = _rounded_groups(a)
-    ref_first, ref_inverse = _unique_rows(np.round(a, 12))
-    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
-    assert fallbacks == []
-
-
-def test_rounded_groups_fall_back_on_a_key_collision(monkeypatch):
-    # keys from the first column alone put rows that differ only in the
-    # second into one group; the bit check sees it and sorts the rows
-    a = merge_cases()[0]
-    fallbacks = count_fallbacks(monkeypatch, theta)
-    first, inverse = _rounded_groups(a, lambda a: np.round(a[:, 0], 12).view(np.uint64))
-    ref_first, ref_inverse = _unique_rows(np.round(a, 12))
-    assert fallbacks == [len(a)]
-    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
-    assert len(np.unique(np.round(a[:, 0], 12))) < len(ref_first)
-
-
-def whole_image_groups(basis, x, y):
-    """Oracle of amoeba._merged_image: the whole (m, k^n) image from
-    moment_points, merged by _rounded_groups."""
-    xi = moment_points(basis, x, y)
-    first, inverse = _rounded_groups(xi)
-    return xi[first], first, inverse
+    monkeypatch.setattr(amoeba, "_moment_blocks", blocks)
+    xi, nodes, node_sample = amoeba._merged_image(theta_basis(SQUARE, 2), None, None)
+    want = [0, 0, 1, 2, 3, 4, 4, 0][: len(rows)]
+    assert np.array_equal(node_sample, want) and node_sample.dtype == np.intp
+    assert np.array_equal(nodes, [0, 2, 3, 4, 5][: len(rows)])
+    assert xi.shape == (len(nodes), 2)
+    assert np.array_equal(xi.view(np.int64), rows[nodes].view(np.int64))
+    first, inverse = _unique_rows(np.round(rows, 12))
+    assert np.array_equal(nodes, first) and np.array_equal(node_sample, inverse)
 
 
 def assert_same_sample(got, want):
@@ -372,20 +321,17 @@ def assert_same_sample(got, want):
 )
 def test_streamed_sample_is_the_whole_image_sample_at_any_pair_budget(monkeypatch, om, k, m):
     # blocks of 2 points (budgets 1, 3 and 7 pairs) merge into the running
-    # sample many times over, against the whole image grouped at once, and
-    # no key collides; the coupled grid's 65 536 nodes take the default
-    # budget only, as the smaller budgets split its lattice sums into
-    # single points
+    # sample many times over, against the whole image grouped at once; the
+    # coupled grid's 65 536 nodes take the default budget only, as the
+    # smaller budgets split its lattice sums into single points
     basis, grid = theta_basis(om, k), quadrature_grid(om.n, m)
     with monkeypatch.context() as patch:
         patch.setattr(amoeba, "_merged_image", whole_image_groups)
         want = amoeba_sample(basis, grid)
-    fallbacks = count_fallbacks(monkeypatch, amoeba)
     budgets = (1, 3, 7, theta._CHUNK_TERMS) if om.n == 1 else (theta._CHUNK_TERMS,)
     for pairs in budgets:
         monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
         assert_same_sample(amoeba_sample(basis, grid), want)
-    assert fallbacks == []
 
 
 @pytest.mark.parametrize("pairs", [1, 7, theta._CHUNK_TERMS])
@@ -397,19 +343,3 @@ def test_streamed_merge_of_coupled_points_at_any_pair_budget(monkeypatch, pairs)
     monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
     for got, ref in zip(amoeba._merged_image(basis, grid.x, grid.y), want):
         assert np.array_equal(got, ref)
-
-
-def test_streamed_merge_falls_back_on_a_key_collision(monkeypatch):
-    # keys from the first section alone put nodes whose images differ only
-    # in the others into one group; the check against the group's first
-    # rounded image sees it, and the whole image is grouped exactly
-    basis, grid = theta_basis(GENERIC, 4), quadrature_grid(1, 32)
-    with monkeypatch.context() as patch:
-        patch.setattr(amoeba, "_merged_image", whole_image_groups)
-        want = amoeba_sample(basis, grid)
-    fallbacks = count_fallbacks(monkeypatch, amoeba)
-    monkeypatch.setattr(amoeba, "_block_keys", lambda rounded: rounded[0].view(np.uint64).copy())
-    got = amoeba_sample(basis, grid)
-    assert fallbacks == [grid.size]
-    assert_same_sample(got, want)
-    assert len(np.unique(np.round(want.xi[:, 0], 12))) < want.size

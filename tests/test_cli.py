@@ -129,6 +129,19 @@ def test_omega_file_flag(capsys, tmp_path):
     assert json.loads(out)["results"]["2"]["gram_max_dev"] < 1e-8
 
 
+def test_malformed_omega_file_is_config_error(capsys, tmp_path):
+    # re broadcast against a 2 x 2 im used to load as Re Omega = 0.3 ones
+    om = tmp_path / "omega.json"
+    om.write_text(json.dumps({"n": 2, "re": [[0.3]], "im": [[1, 0.2], [0.2, 1.3]]}))
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "gram", "--k", "2", "--omega-file", str(om), "--out", str(out))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("bad riemann_matrix: ")
+    assert not out.exists()
+
+
 def test_non_finite_omega_is_typed_error(capsys, tmp_path):
     om = tmp_path / "omega.json"
     om.write_text('{"n": 1, "re": [[NaN]], "im": [[1.0]]}')
