@@ -10,6 +10,7 @@ graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -25,22 +26,68 @@ SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
 @dataclass(frozen=True)
 class AmoebaSample:
-    """Sampled moment-map image with its intrinsic neighbor graph.
+    """Sampled moment-map image; its intrinsic neighbor graph is built on
+    first read.
 
     nodes[p] is the grid node sample point p was taken from, and
     node_sample[g] the sample point grid node g merged into, so
-    node_sample[nodes] is arange(size).
+    node_sample[nodes] is arange(size). grid_shape is the shape (m,) * 2n
+    of the grid's nodes in their x-major order, which the graph's
+    grid-adjacent pairs are read from.
     """
 
     k: int
     xi: np.ndarray
     nodes: np.ndarray
     node_sample: np.ndarray
-    graph: object
+    grid_shape: tuple
 
     @property
     def size(self) -> int:
         return self.xi.shape[0]
+
+    @cached_property
+    def graph(self):
+        """The sample's neighbor graph, a CSR matrix of simplex-distance
+        edge lengths, built on first read and kept.
+
+        It joins each sample to its r = 2(2n)+1 nearest neighbors in the
+        sphere chord metric, and the images of every pair of grid-adjacent
+        nodes (the grid wraps around). A graph of more than one component
+        raises DisconnectedSample here, so a caller that reads only the
+        image never builds the graph or meets that error.
+        """
+        xi, m = self.xi, self.size
+        if m == 1:
+            return coo_matrix((1, 1)).tocsr()
+        dim = len(self.grid_shape)
+        r = min(2 * dim + 1, m - 1)
+        tree = cKDTree(np.sqrt(xi))
+        _, nbr = tree.query(np.sqrt(xi), k=r + 1)
+        rows = [np.repeat(np.arange(m), r)]
+        cols = [nbr[:, 1:].ravel()]
+        # add images of grid-adjacent preimage pairs: chords of curves inside
+        # the image, guaranteeing connectivity for grid-sourced samples
+        node = self.node_sample.reshape(self.grid_shape)
+        for ax in range(dim):
+            a = node.ravel()
+            b = np.roll(node, -1, axis=ax).ravel()
+            mask = a != b
+            rows.append(a[mask])
+            cols.append(b[mask])
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        # lo * m + hi sorts as the pair (lo, hi) does, since hi < m
+        rows, cols = np.divmod(np.unique(lo * m + hi), m)
+        vals = simplex_distances(self.k, xi[rows], xi[cols])
+        graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+        n_comp, _ = connected_components(graph, directed=False)
+        if n_comp > 1:
+            raise DisconnectedSample(
+                f"amoeba neighbor graph split into {n_comp} components"
+            )
+        return graph
 
 
 def _moment_blocks(basis: ThetaBasis, x, y):
@@ -80,14 +127,17 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     (section, point) pairs, never from the k^n m shifted rows themselves.
     Equal keys mean bit-equal points, and the distinct points are rebuilt
     with the bits of the subtraction, so every xi is bit for bit that of
-    summing every shifted point. theta._theta_sums sums them in runs on
-    theta.THREADS threads, each over its own rows; a row's sum does not
-    depend on which run or chunk takes it, so xi is the same bits on any
-    thread count and budget.
+    summing every shifted point. theta._theta_sums sums them in slices of
+    at most theta._CHUNK_TERMS points, each in runs on theta.THREADS
+    threads over its own rows; a row's sum does not depend on which slice,
+    run or chunk takes it, and its Gaussian's centre is computed once per
+    distinct Im z row, so xi is the same bits on any thread count and
+    budget.
 
     Memory: the (k^n, m) result, returned transposed, plus one block and
-    what the lattice-sum route holds besides its blocks: arrays over the
-    distinct shifted points and over the m points' coordinate tables.
+    what the lattice-sum route holds besides its blocks: the lookup table
+    of the distinct shifted points' sums, one slice of those points, and
+    the m points' coordinate tables.
     Nothing in the package calls this (amoeba_sample streams the blocks
     and holds no (k^n, m) array); it stays public for callers that want
     the whole image.
@@ -147,7 +197,8 @@ def simplex_distances(k, xi_a, xi_b) -> np.ndarray:
 
 
 def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
-    """Image of the grid under the moment map with an r-NN graph.
+    """Image of the grid under the moment map, with an r-NN graph built on
+    first read (AmoebaSample.graph).
 
     Nodes whose images are equal after np.round(xi, 12) are merged into
     one sample point, the image of the first such node. This is not a
@@ -160,49 +211,18 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     The merge rule is the one over the whole image, but the image streams
     block by block (_merged_image). Memory: the sample (its images, node
     maps and one bytes key per point), one block of _moment_blocks, and
-    what the lattice-sum route holds besides its blocks (arrays over the
-    distinct shifted points and the grid's coordinate tables); never a
-    (grid.size, k^n) image.
+    what the lattice-sum route holds besides its blocks (its lookup table
+    of the distinct shifted points' sums, one slice of those points and
+    the grid's coordinate tables); never a (grid.size, k^n) image. The
+    graph, once read, adds its edges and the k-d tree it was built from.
     """
     check_grid_resolution(basis, grid)
     xi, nodes, node_sample = _merged_image(basis, grid.x, grid.y)
-
-    m = xi.shape[0]
-    if m == 1:
-        graph = coo_matrix((1, 1)).tocsr()
-        return AmoebaSample(basis.k, xi, nodes, node_sample, graph)
-    r = 2 * (2 * basis.om.n) + 1
-    r = min(r, m - 1)
-    tree = cKDTree(np.sqrt(xi))
-    _, nbr = tree.query(np.sqrt(xi), k=r + 1)
-    rows = [np.repeat(np.arange(m), r)]
-    cols = [nbr[:, 1:].ravel()]
-    # add images of grid-adjacent preimage pairs: chords of curves inside
-    # the image, guaranteeing connectivity for grid-sourced samples
-    dim = 2 * grid.n
-    node = node_sample.reshape((grid.m,) * dim)
-    for ax in range(dim):
-        a = node.ravel()
-        b = np.roll(node, -1, axis=ax).ravel()
-        mask = a != b
-        rows.append(a[mask])
-        cols.append(b[mask])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    # lo * m + hi sorts as the pair (lo, hi) does, since hi < m
-    rows, cols = np.divmod(np.unique(lo * m + hi), m)
-    vals = simplex_distances(basis.k, xi[rows], xi[cols])
-    graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
-    n_comp, _ = connected_components(graph, directed=False)
-    if n_comp > 1:
-        raise DisconnectedSample(
-            f"amoeba neighbor graph split into {n_comp} components"
-        )
-    return AmoebaSample(basis.k, xi, nodes, node_sample, graph)
+    return AmoebaSample(basis.k, xi, nodes, node_sample, (grid.m,) * (2 * grid.n))
 
 
 def bk_distances(sample: AmoebaSample, sources) -> np.ndarray:
-    """Intrinsic shortest-path distances from sample indices to all samples."""
+    """Intrinsic shortest-path distances from sample indices to all
+    samples, along sample.graph, which this builds on first use."""
     indices = _source_indices(sources, sample.size)
     return dijkstra(sample.graph, directed=False, indices=indices)

@@ -140,11 +140,20 @@ def load_config(path: str | None, args) -> ExperimentConfig:
 def write_csv(path: Path, header: list, table: np.ndarray) -> None:
     """The header, then each row of table: numbers as %.17g, which reads
     back to the same double, and objects (bs-count's Fractions) as str.
-    The whole table is formatted by one % over one format string."""
+    Rows are formatted and written in blocks of at most theta._CHUNK_TERMS
+    cells and at least one row, each by one % over one format string, so
+    the text of the whole table is never held at once. A cell's text does
+    not depend on its block, so the file has the same bytes as the whole
+    table formatted at once."""
     cell = "%.17g" if np.issubdtype(table.dtype, np.number) else "%s"
     rows, cols = table.shape
-    body = "".join([",".join([cell] * cols) + "\n"] * rows)
-    path.write_text(",".join(header) + "\n" + body % tuple(table.ravel().tolist()))
+    line = ",".join([cell] * cols) + "\n"
+    step = max(1, theta._CHUNK_TERMS // max(1, cols))
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, step):
+            block = table[start : start + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_json(path: Path, payload: dict) -> None:

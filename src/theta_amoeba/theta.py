@@ -89,7 +89,19 @@ def _offsets(t_eff: np.ndarray) -> np.ndarray:
     return ellipsoid_points(t_eff, radius, np.zeros(radii.size), radii).astype(float)
 
 
-def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int | None = None):
+def _centres(t_eff: np.ndarray, im: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Rounded centres l* = round(-a - Im z t_eff^{-1}) of the Gaussians of
+    points with imaginary parts im (rows), by one product over the rows.
+
+    At n >= 2 the product's bits depend on how many rows it takes, and
+    rounding shows that at exact ties, so a caller that sums one set of
+    points in slices computes their centres once, before slicing.
+    """
+    return np.round(-a - im @ np.linalg.inv(t_eff).T)
+
+
+def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int | None = None,
+                   l_star: np.ndarray | None = None):
     """Truncated terms of theta[a; 0](om_eff, z), built once per point.
 
     Returns the offsets off of _offsets (shape (J, n)), one set for every
@@ -104,11 +116,13 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int 
     Every step is elementwise, so a row's terms are the same bits in any
     chunk. A chunk holds `budget` of the caller's terms: `depth` per
     lattice term, n by default for the gradient contraction's (rows, n, J)
-    terms, 1 for a plain sum.
+    terms, 1 for a plain sum. The centres l*, if not given, are _centres of
+    the batch.
     """
     t_eff = om_eff.imag
     off = _offsets(t_eff)
-    l_star = np.round(-a - z.imag @ np.linalg.inv(t_eff).T)
+    if l_star is None:
+        l_star = _centres(t_eff, z.imag, a)
     m, n = z.shape
     q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
     row = len(off) * (n if depth is None else depth)
@@ -135,8 +149,9 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int 
     return off, chunks
 
 
-def _theta_sums(om_eff, z, a, b):
-    """theta[a; b](om_eff, z) = exp(shift) * vals, as arrays over the points.
+def _theta_sums(om_eff, z, a, b, l_star=None):
+    """theta[a; b](om_eff, z) = exp(shift) * vals, as arrays over the points,
+    about the centres l_star if given (see _lattice_terms).
 
     The points are summed in THREADS contiguous runs of whole chunks of
     _CHUNK_TERMS // THREADS lattice terms, so the live chunks together stay
@@ -154,7 +169,7 @@ def _theta_sums(om_eff, z, a, b):
     a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
     # z itself without b: z + zeros would copy every point
     zb = z if b is None else z + np.asarray(b, dtype=float)
-    off, chunks = _lattice_terms(om_eff, zb, a, depth=1)
+    off, chunks = _lattice_terms(om_eff, zb, a, depth=1, l_star=l_star)
     m, threads = z.shape[0], THREADS
     chunk = max(1, _CHUNK_TERMS // threads // len(off))
     if -(-m // chunk) < 2 * threads:
@@ -321,8 +336,9 @@ def _as_points(x, y, n):
     return x, y
 
 
-def _gauge(basis: ThetaBasis, x, y):
-    """Points z = Omega x + y and the gauge factor's log-magnitude and phase.
+def _gauge(basis: ThetaBasis, x, y, phase: bool = True):
+    """Points z = Omega x + y and the gauge factor's log-magnitude and phase
+    (None without phase, for callers that read magnitudes only).
 
     The unitary gauge multiplies the holomorphic section by
     exp(i pi k (tx Omega x + tx y)) times the Gaussian h-weight, giving
@@ -333,23 +349,31 @@ def _gauge(basis: ThetaBasis, x, y):
     om, k, n = basis.om, basis.k, basis.om.n
     x, y = _as_points(x, y, n)
     xtx = np.einsum("mi,ij,mj->m", x, om.im, x)
+    base_lm = basis.log_c_omega - 0.25 * n * np.log(k) - np.pi * k * xtx
+    if not phase:
+        return xy_to_z(x, y, om), base_lm, None
     xsx = np.einsum("mi,ij,mj->m", x, om.re, x)
     xy = np.einsum("mi,mi->m", x, y)
-    base_lm = basis.log_c_omega - 0.25 * n * np.log(k) - np.pi * k * xtx
     base_ph = np.pi * k * (xsx + xy)
     return xy_to_z(x, y, om), base_lm, base_ph
 
 
-def _gradient(vals, l_star, w_off, phase):
-    """d_z of one chunk's section sums times their point phases: (S, p, n).
+def _gradient(vals, l_star, w_off, phase, out):
+    """d_z of section sums times their point phases, written into out and
+    returned: shape (..., n, S) over the points' leading axes.
 
-    vals (p, S) are a chunk's section sums before the point phase, scaled
-    by exp(-shift); w_off (p, n, S) the same sums with each term times its
-    offset. Term l = l* + off carries 2 pi i l, so d_z is 2 pi i (l* vals +
-    w_off): nothing is divided, and an exact zero keeps its gradient.
+    vals (..., S) are the sums before the point phase, scaled by
+    exp(-shift); w_off (..., n, S) the same sums with each term times its
+    offset, and l_star (..., n) the centres. Term l = l* + off carries
+    2 pi i l, so d_z is 2 pi i (l* vals + w_off): nothing is divided, and
+    an exact zero keeps its gradient. The products and the sum run in the
+    order of that expression, in place in out, so no temporary of the
+    gradient's size is built.
     """
-    grad = 2j * np.pi * phase[:, None, :] * (l_star[:, :, None] * vals[:, None, :] + w_off)
-    return grad.transpose(2, 0, 1)
+    np.multiply(l_star[..., :, None], vals[..., None, :], out=out)
+    out += w_off
+    np.multiply(2j * np.pi * phase[..., None, :], out, out=out)
+    return out
 
 
 def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeValue:
@@ -393,7 +417,8 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
         phase = unit[(l_star @ idx) % k]
         if grad:
             w_off = (w[:, None, :] * off.T[None, :, :]) @ table
-            grads[:, rows] = _gradient(vals, l_star, w_off, phase)
+            g = _gradient(vals, l_star, w_off, phase, np.empty_like(w_off))
+            grads[:, rows] = g.transpose(2, 0, 1)
         vals *= phase
         values[:, rows] = vals.T
         log_scale[rows] += shift
@@ -426,6 +451,9 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
     caller keeps, the route holds the block it builds, four buffers of one
     step's arrays, one lattice chunk, and tables over the offsets times
     the y-nodes, the x-nodes and the sections: none over the whole grid.
+    With grad, a step's gradients are made in its terms' buffer, whose
+    terms are spent once summed, so the gradient half of a step allocates
+    only the copy its block returns.
     Steps are counted from each lattice chunk's start, and a node's
     values have the same bits as in one whole-grid array.
     """
@@ -446,12 +474,13 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
         tables = np.concatenate([tables, off[:, :, None] * tables], axis=1)
     n_s, n_y, n_t = basis.n_sections, len(nodes), tables.shape[1]
     step = max(1, _CHUNK_TERMS // (n_t * n_s * (n_y + len(off))))
-    # flat buffers for a whole step's terms, sums, values and phases, which
-    # every step rewrites: allocated afresh per step, their pages went back
-    # to the system after each step and were faulted in again
+    # flat buffers for a whole step's terms (then, with grad, its
+    # gradients), sums, values and phases, which every step rewrites:
+    # allocated afresh per step, their pages went back to the system after
+    # each step and were faulted in again
     work = [
         np.empty(size * n_s * step, dtype=complex)
-        for size in (len(off) * n_t, n_y * n_t, n_y, n_y)
+        for size in (max(len(off) * n_t, n_y * n if grad else 0), n_y * n_t, n_y, n_y)
     ]
 
     def into(i, *shape):
@@ -469,17 +498,18 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False):
         # node order is x-major: rows of (x-node, y-node)
         vals = into(2, r, n_y, n_s)
         vals[...] = sums[:, 0].transpose(1, 0, 2)
-        vals = vals.reshape(r * n_y, n_s)
         phase = into(3, r, n_y, n_s)
         s_phase, y_phase = unit_k[(lx @ idx) % k], unit_m[(lx @ nodes.T) % m]
         np.multiply(s_phase[:, None, :], y_phase[:, :, None], out=phase)
-        phase = phase.reshape(r * n_y, n_s)
         grads = None
         if grad:
-            w_off = sums[:, 1:].transpose(2, 0, 1, 3).reshape(r * n_y, n, n_s)
-            # a C-order copy of _gradient's transposed view: the metric's products read it
-            grads = np.ascontiguousarray(_gradient(vals, np.repeat(lx, n_y, axis=0), w_off, phase))
-        vals *= phase
+            # (x-node, y-node, n, S), into the spent terms' buffer
+            w_off = sums[:, 1:].transpose(2, 0, 1, 3)
+            g = _gradient(vals, lx[:, None, :], w_off, phase, into(0, r, n_y, n, n_s))
+            # a C-order (S, nodes, n) copy: the metric's products read it
+            grads = g.transpose(3, 0, 1, 2).copy().reshape(n_s, r * n_y, n)
+        vals = vals.reshape(r * n_y, n_s)
+        vals *= phase.reshape(r * n_y, n_s)
         # the gauge phase pi k (tx S x + tx y) at the block's nodes; y runs
         # over the same points nodes / m as x. Elementwise, not BLAS: a
         # node's bits must not depend on its block's shape
@@ -586,13 +616,19 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
     by their sorted distinct values.
 
     Returns (keys, span, points): keys(sections, points) gives a block's
-    C-ordered (sections, points) keys, and points(keys) the shifted points
-    of keys, with the bits z_p - b_i has. Each axis's codes are kept flat,
-    u-major, and a block gathers only its own (section, point) codes, so
-    one section's keys over every point take no (points x k) table.
+    C-ordered (sections, points) keys, and points(keys) the pair (zs,
+    l_star) of the shifted points of keys, with the bits z_p - b_i has, and
+    their centres for the lattice sum over Omega / k. A centre depends on
+    Im z alone, so it is read from _centres of the distinct Im z rows,
+    computed once: a point's centre is the same in any slice of keys.
+    Each axis's codes are kept flat, u-major, and a block gathers only its
+    own (section, point) codes, so one section's keys over every point
+    take no (points x k) table. Of z, only the distinct Im rows are kept.
     """
     k, (m, n) = basis.k, z.shape
     im_first, im_code = _unique_rows(z.imag)
+    im_rows = z.imag[im_first]
+    centres = _centres((basis.om.omega / k).imag, im_rows, np.zeros(n))
 
     def partial_keys(axes):
         def keys(sections, points):
@@ -630,8 +666,8 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
             if renumber is not None:
                 keys = renumber[keys]
         # Im z_p - 0.0 keeps every bit of Im z_p, signed zeros included
-        zs.imag = z.imag[im_first[keys]]
-        return zs
+        zs.imag = im_rows[keys]
+        return zs, centres[keys]
 
     return partial_keys(axes), span, points
 
@@ -654,49 +690,73 @@ def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
     Each distinct shifted point z - b_i is summed once: on a grid that the
     shifts b_i map to itself most of them repeat. Two passes over the
     blocks find them by integer keys (_shifted_keys). The first, before
-    this returns, collects the sorted distinct keys: where the key span is
-    at most _DENSE_SPAN times the distinct points of one section, a lower
-    bound on the distinct count, by marking a table over the span (square
-    grids); else by sorting each block's keys and merging (skewed grids,
-    n = 2). One lattice-sum call sums their points, rebuilt with the bits
-    z - b_i has. The second pass, as the generator runs, recomputes each
-    block's keys and gathers the sums, through a table over the span or by
-    binary search in the sorted keys. A row's sum does not depend on the
-    other rows, their order or the chunk size, so the values are those of
-    summing every shifted point, bit for bit.
+    this returns, builds a lookup table of their sums. Where the key span
+    is at most _DENSE_SPAN times the distinct points of one section, a
+    lower bound on the distinct count, it marks a table over the span
+    (square grids) and walks it in spans of _CHUNK_TERMS keys; else it
+    sorts each block's keys and merges them (skewed grids, n = 2) and
+    walks the sorted keys in slices of _CHUNK_TERMS. Each span's or
+    slice's points, rebuilt with the bits z - b_i has and centred by their
+    distinct Im z rows, go to one lattice-sum call, whose shift +
+    log|vals| is written straight into the table over the span, or joined
+    with the other slices' into the array beside the sorted keys once all
+    are summed. The second pass, as the generator runs, recomputes each
+    block's keys and gathers the sums, through the span table or by binary
+    search in the sorted keys. A row's sum does not depend on the other
+    rows, their order, the slice or the chunk size, and its centre is the
+    same in any slice, so the values are those of summing every shifted
+    point, bit for bit.
 
     Memory contract: the extra memory is bounded by one block (its keys,
-    gathers and values, at most _CHUNK_TERMS pairs or two points) plus the
-    distinct points (their keys, points, sums and, when dense, the tables
-    of at most _DENSE_SPAN entries each), and the coordinate tables over
-    the m points, their distinct Im z rows and, per coordinate, their
-    distinct Re z values times k. No array over the k^n m pairs is built;
-    a caller that keeps no block holds no (k^n, m) array either.
+    gathers and values, at most _CHUNK_TERMS pairs or two points), one
+    slice of at most _CHUNK_TERMS distinct points (their points, centres
+    and sums), the lookup table (when dense, one mark and one sum for each
+    of at most _DENSE_SPAN keys per distinct point; else a sorted key and
+    a sum per distinct point, the sums twice while their slices are
+    joined), and the coordinate tables: the m points' codes and gauge
+    magnitudes, their distinct Im z rows with their centres and, per
+    coordinate, their distinct Re z values times k. No array over the
+    k^n m pairs is built, nor any other over every distinct point; a
+    caller that keeps no block holds no (k^n, m) array either.
     """
-    z, base_lm, _ = _gauge(basis, x, y)
+    z, base_lm, _ = _gauge(basis, x, y, phase=False)
     m, n_s = z.shape[0], basis.n_sections
     keys, span, points = _shifted_keys(basis, z)
+    # points() keeps the distinct Im z rows, so z itself can go
+    del z
+    om_eff = basis.om.omega / basis.k
+
+    def log_mags(distinct):
+        """shift + log|vals| of the lattice sums at the points of keys distinct."""
+        zs, l_star = points(distinct)
+        # section b enters only as a z-shift
+        shift, vals = _theta_sums(om_eff, zs, None, None, l_star)
+        # log|vals| + shift in place, which has the bits of shift + log|vals|
+        lm = np.abs(vals)
+        with np.errstate(divide="ignore"):
+            np.log(lm, out=lm)
+        lm += shift
+        return lm
+
     # one section's distinct points are a lower bound on all of them
-    dense = span <= _DENSE_SPAN * _sorted_distinct(keys(slice(1), slice(None))).size
-    if dense:
+    if span <= _DENSE_SPAN * _sorted_distinct(keys(slice(1), slice(None))).size:
         seen = np.zeros(span, dtype=bool)
         for pts in _point_blocks(n_s, m):
             seen[keys(slice(None), pts)] = True
-        distinct = np.flatnonzero(seen)
-        del seen
+        # a table over the key span: a block costs one gather
+        lm, distinct = np.empty(span), None
+        for start in range(0, span, _CHUNK_TERMS):
+            marked = start + np.flatnonzero(seen[start : start + _CHUNK_TERMS])
+            lm[marked] = log_mags(marked)
     else:
         distinct = _distinct_keys(keys, n_s, m)
-    # one lattice-sum call: section b enters only as a z-shift
-    shift, vals = _theta_sums(basis.om.omega / basis.k, points(distinct), None, None)
-    with np.errstate(divide="ignore"):
-        lm = shift + np.log(np.abs(vals))
-    del shift, vals
-    if dense:
-        # a table over the key span: a block costs one gather, and the
-        # sorted keys can go
-        table = np.empty(span)
-        table[distinct] = lm
-        distinct, lm = None, table
+        # joined once summed: a table made first would sit beside the first
+        # slice's sums. A span past the dense bound is positive, so there
+        # are points and at least one slice
+        lm = np.concatenate([
+            log_mags(distinct[start : start + _CHUNK_TERMS])
+            for start in range(0, distinct.size, _CHUNK_TERMS)
+        ])
 
     def blocks():
         for pts in _point_blocks(n_s, m):

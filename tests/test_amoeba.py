@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.spatial import cKDTree
 
-from theta_amoeba import ConfigError, InvalidPoints, NonPositive, amoeba, theta
+from theta_amoeba import ConfigError, DisconnectedSample, InvalidPoints, NonPositive, amoeba, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import (
     amoeba_sample,
@@ -146,7 +148,9 @@ def test_sample_memory_at_level_32():
     # 122 MB, cache-sized chunks and the first-row table brought it to 70 MB,
     # merging by per-row keys, without a rounded copy, to the moment map's
     # own 54 MB, and blocked key passes to 21 MiB; streaming the image block
-    # by block keeps it below the (65 536 x 32) image it no longer holds
+    # by block took it to 11.5 MiB, below the (65 536 x 32) image it no
+    # longer holds, and summing the distinct shifted points in slices, with
+    # no graph until one is read, to 6.0 MiB
     basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
     tracemalloc.start()
     try:
@@ -154,7 +158,7 @@ def test_sample_memory_at_level_32():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < grid.size * basis.n_sections * 8
+    assert peak <= 8 * 2**20 < grid.size * basis.n_sections * 8
 
 
 def test_sample_size_bounded_by_grid():
@@ -196,6 +200,61 @@ def test_graph_connects_whole_sample():
     sample = amoeba_sample(basis, quadrature_grid(1, 64))
     d = bk_distances(sample, [0])
     assert np.all(np.isfinite(d))
+
+
+def eager_graph(basis, grid, sample):
+    """Oracle: the r-NN graph as amoeba_sample built it up front, before
+    the graph was built on first read."""
+    xi, m = sample.xi, sample.size
+    r = min(2 * (2 * basis.om.n) + 1, m - 1)
+    _, nbr = cKDTree(np.sqrt(xi)).query(np.sqrt(xi), k=r + 1)
+    rows, cols = [np.repeat(np.arange(m), r)], [nbr[:, 1:].ravel()]
+    node = sample.node_sample.reshape((grid.m,) * (2 * grid.n))
+    for ax in range(2 * grid.n):
+        a, b = node.ravel(), np.roll(node, -1, axis=ax).ravel()
+        rows.append(a[a != b])
+        cols.append(b[a != b])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    rows, cols = np.divmod(np.unique(np.minimum(rows, cols) * m + np.maximum(rows, cols)), m)
+    vals = simplex_distances(basis.k, xi[rows], xi[cols])
+    return coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+
+
+@pytest.mark.parametrize(
+    "om, k, m",
+    [(SQUARE, 4, 32), (GENERIC, 5, 40), (COUPLED, 2, 16)],
+    ids=["square-4", "generic-5", "coupled-2"],
+)
+def test_graph_is_built_once_on_first_read(monkeypatch, om, k, m):
+    # amoeba_sample builds no k-d tree; the first read of .graph builds
+    # one, and later reads return the same graph, whose CSR parts are those
+    # of the graph amoeba_sample used to build up front
+    basis, grid = theta_basis(om, k), quadrature_grid(om.n, m)
+    trees = []
+
+    def counting(points):
+        trees.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr(amoeba, "cKDTree", counting)
+    sample = amoeba_sample(basis, grid)
+    assert trees == []
+    graph = sample.graph
+    assert sample.graph is graph and trees == [sample.size]
+    want = eager_graph(basis, grid, sample)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(graph, part), getattr(want, part))
+
+
+def test_disconnected_graph_raises_where_it_is_read(monkeypatch):
+    # a graph in two components: amoeba_sample returns the image, and the
+    # graph's readers meet the typed error, each time they read it
+    monkeypatch.setattr(amoeba, "connected_components", lambda graph, directed: (2, None))
+    sample = amoeba_sample(theta_basis(SQUARE, 4), quadrature_grid(1, 32))
+    assert sample.size > 1
+    for read in (lambda: sample.graph, lambda: bk_distances(sample, [0])):
+        with pytest.raises(DisconnectedSample, match="2 components"):
+            read()
 
 
 def test_covering_by_base_image_shrinks():
@@ -249,10 +308,11 @@ def test_node_map_inverts_and_matches_nearest_sample(om, k):
 
 @pytest.mark.parametrize("om, k", [(SQUARE, 8), (GENERIC, 5)], ids=["square-8", "generic-5"])
 def test_sample_is_the_same_on_any_thread_count(monkeypatch, om, k):
-    # 1-row lattice chunks, so 2 and 3 threads split the distinct shifted
-    # points into runs of unequal length
+    # slices of 12 J distinct shifted points (J lattice terms a point) in
+    # chunks of 12 / threads rows, so 2 and 3 threads split each slice into
+    # runs, the last slice's of unequal length
     basis, grid = theta_basis(om, k), quadrature_grid(1, 8 * k + 2)
-    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 12 * len(theta._offsets((om.omega / k).imag)))
     samples = []
     for threads in (1, 2, 3):
         monkeypatch.setattr(theta, "THREADS", threads)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from theta_amoeba import theta
+from theta_amoeba import amoeba, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import amoeba_sample
 from theta_amoeba.cli import ExperimentConfig, main, run_amoeba, run_theta_eval, write_csv
@@ -230,6 +230,41 @@ def test_amoeba_export(capsys, tmp_path):
     assert len(lines) > 1
 
 
+def test_amoeba_export_builds_no_graph(capsys, tmp_path, monkeypatch):
+    # the subcommand writes only xi: with the graph unreadable it exits 0
+    # and writes the same bytes
+    code, _, _ = run(capsys, "amoeba", "--k", "2", "3", "--out", str(tmp_path / "a"))
+    assert code == 0
+
+    def unreadable(sample):
+        raise AssertionError("the amoeba subcommand read the neighbor graph")
+
+    monkeypatch.setattr(amoeba.AmoebaSample, "graph", property(unreadable))
+    code, _, _ = run(capsys, "amoeba", "--k", "2", "3", "--out", str(tmp_path / "b"))
+    assert code == 0
+    for name in ("amoeba.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_converge_builds_one_graph_per_level(capsys, tmp_path, monkeypatch):
+    built = []
+    components = amoeba.connected_components
+
+    def counting(graph, directed):
+        built.append(graph.shape[0])
+        return components(graph, directed=directed)
+
+    monkeypatch.setattr(amoeba, "connected_components", counting)
+    code, _, _ = run(capsys, "converge", "--k", "2", "3", "4", "--out", str(tmp_path))
+    assert code == 0 and len(built) == 3
+    # a disconnected sample reaches the CLI as the typed JSON error
+    monkeypatch.setattr(amoeba, "connected_components", lambda graph, directed: (2, None))
+    code, out, err = run(capsys, "converge", "--k", "2", "3", "4", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "DisconnectedSample" and "2 components" in error["message"]
+
+
 def fake_threadpoolctl(monkeypatch):
     """Install a stand-in threadpoolctl whose threadpool_limits, a context
     manager, records the limits it enters with in calls and holds each in
@@ -376,6 +411,32 @@ def test_write_csv_exact_text(tmp_path):
     write_csv(tmp_path / "wide.csv", ["a", "b", "c", "d"], table)
     rows = ["%.17g,%.17g,%.17g,%.17g" % tuple(r) for r in table.tolist()]
     assert (tmp_path / "wide.csv").read_text() == "a,b,c,d\n" + "\n".join(rows) + "\n"
+
+
+def one_shot_csv(header, table):
+    """Oracle: the whole table formatted by one % over one format string."""
+    cell = "%.17g" if np.issubdtype(table.dtype, np.number) else "%s"
+    rows, cols = table.shape
+    body = "".join([",".join([cell] * cols) + "\n"] * rows)
+    return ",".join(header) + "\n" + body % tuple(table.ravel().tolist())
+
+
+@pytest.mark.parametrize("cells", [1, 7, 12, theta._CHUNK_TERMS])
+def test_write_csv_in_row_blocks_writes_the_one_shot_bytes(tmp_path, monkeypatch, cells):
+    # budgets of 1, 7 and 12 cells give blocks of one to four rows, and the
+    # shipped size one block, over a numeric table and a table of Fractions
+    rng = np.random.default_rng(5)
+    scales = 10.0 ** rng.integers(-300, 300, (301, 3))
+    numbers = np.column_stack([np.arange(301), rng.normal(size=(301, 3)) * scales])
+    numbers[::50, 1] = [np.inf, -np.inf, -0.0, 0.0, 2.0**53, 1e-320, 0.1]
+    fractions = np.array(
+        [[3, i, Fraction(int(i) - 40, 7)] for i in rng.integers(0, 99, 73)], dtype=object
+    )
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", cells)
+    for name, header, table in (("numbers.csv", list("abcd"), numbers),
+                                ("fractions.csv", ["k", "index", "b0"], fractions)):
+        write_csv(tmp_path / name, header, table)
+        assert (tmp_path / name).read_bytes() == one_shot_csv(header, table).encode()
 
 
 @pytest.mark.parametrize(

@@ -507,10 +507,11 @@ def test_plain_sums_take_chunks_of_lattice_terms(monkeypatch):
     ],
 )
 def test_moment_map_is_the_same_bits_on_any_thread_count(monkeypatch, rm, k, m):
-    # 1-row chunks: the grid's distinct shifted points split into runs of
-    # unequal length on 2 and 3 threads
+    # the grid's distinct shifted points in slices of 12 J points (J lattice
+    # terms a point), summed in chunks of 12 / threads rows: 2 and 3
+    # threads split each slice into runs, the last slice's of unequal length
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
-    monkeypatch.setattr(theta, "_CHUNK_TERMS", 1)
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", 12 * len(_offsets((rm.omega / k).imag)))
     runs = []
     for threads in THREAD_COUNTS:
         monkeypatch.setattr(theta, "THREADS", threads)
@@ -1188,28 +1189,43 @@ def signed_zero_z():
 def summed_at(monkeypatch, z):
     """Make z the chart points of every (x, y), with gauge factor 1, and
     record the points each _theta_sums call receives."""
-    monkeypatch.setattr(theta, "_gauge", lambda basis, x, y: (z, np.zeros(len(z)), None))
+    monkeypatch.setattr(theta, "_gauge", lambda basis, x, y, phase=True: (z, np.zeros(len(z)), None))
+    return recorded_sums(monkeypatch)
+
+
+def recorded_sums(monkeypatch):
+    """The list the points of each later _theta_sums call are appended to."""
     sent = []
     original = theta._theta_sums
 
-    def recording(om_eff, zs, a, b):
+    def recording(om_eff, zs, a, b, l_star=None):
         sent.append(zs.copy())
-        return original(om_eff, zs, a, b)
+        return original(om_eff, zs, a, b, l_star)
 
     monkeypatch.setattr(theta, "_theta_sums", recording)
     return sent
 
 
+def assert_each_sent_once(sent, want):
+    """The calls together sent the rows of want, each exactly once, and
+    none sent more than a slice of _CHUNK_TERMS points; returns how many."""
+    got = np.concatenate([np.zeros((0, want.shape[1]), dtype=complex), *sent])
+    assert all(len(zs) <= theta._CHUNK_TERMS for zs in sent)
+    assert len(got) == len(want) == len(_unique_rows(got)[0])
+    assert len(_unique_rows(np.vstack([got, want]))[0]) == len(want)
+    return len(got)
+
+
 def assert_sums_unique_rows(basis, z, sent):
     """The stacked log-magnitudes are the every-row oracle's bits, and the
-    points summed for them are the distinct rows of the stack, each once."""
+    points summed for them are the distinct rows of the stack, each once
+    over all the lattice-sum calls; returns how many were sent."""
     lm = _stacked_log_mag(basis, None, None)
-    (distinct,) = sent
-    assert np.array_equal(lm, stacked_log_mag_every_row(basis, None, None))
     stack = stacked_rows(basis, z)
-    want = stack[_unique_rows(stack)[0]]
-    assert len(distinct) == len(want)
-    assert len(_unique_rows(np.vstack([distinct, want]))[0]) == len(want)
+    # before the oracle, whose lattice sums are recorded too
+    count = assert_each_sent_once(sent, stack[_unique_rows(stack)[0]])
+    assert np.array_equal(lm, stacked_log_mag_every_row(basis, None, None))
+    return count
 
 
 @pytest.mark.parametrize(
@@ -1246,8 +1262,7 @@ def test_shifted_keys_renumber_past_2_63(monkeypatch):
     _, span, _ = theta._shifted_keys(basis, z)
     assert codes == [2**13] * 5 and span < 2**63
     sent = summed_at(monkeypatch, z)
-    assert_sums_unique_rows(basis, z, sent)
-    assert len(sent[0]) == 2 * len(z) * basis.n_sections // 3
+    assert assert_sums_unique_rows(basis, z, sent) == 2 * len(z) * basis.n_sections // 3
 
 
 @pytest.mark.parametrize(
@@ -1345,15 +1360,52 @@ def test_stacked_log_mag_of_no_points(rm):
 
 @pytest.mark.parametrize("k, m, rows", [(16, 128, 31_744), (32, 256, 129_024)])
 def test_stacked_log_mag_sums_each_distinct_point_once(monkeypatch, k, m, rows):
-    # of the k * m^2 shifted points of a grid with k | m, only these differ
-    sent = []
-    original = theta._theta_sums
-
-    def counting(om_eff, z, a, b):
-        sent.append(z.shape[0])
-        return original(om_eff, z, a, b)
-
-    monkeypatch.setattr(theta, "_theta_sums", counting)
+    # of the k * m^2 shifted points of a grid with k | m, only these differ;
+    # the calls together take each once, in slices of _CHUNK_TERMS points
+    sent = recorded_sums(monkeypatch)
     grid = quadrature_grid(1, m)
     _stacked_log_mag(theta_basis(SQUARE, k), grid.x, grid.y)
-    assert sent == [rows]
+    got = np.concatenate(sent)
+    assert len(got) == len(_unique_rows(got)[0]) == rows
+    assert max(map(len, sent)) <= theta._CHUNK_TERMS
+
+
+@pytest.mark.parametrize("pairs", [1, 5, _CHUNK_TERMS])
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [
+        pytest.param(SQUARE, 8, 16, id="square-8"),
+        pytest.param(GENERIC, 5, 10, id="generic-5"),
+        pytest.param(COUPLED, 2, 4, id="coupled-2"),
+    ],
+)
+def test_distinct_points_are_summed_once_in_slices_at_any_pair_budget(monkeypatch, rm, k, m, pairs):
+    # slices of 1 and 5 points and the shipped size, walked over the span
+    # table (square) or the sorted keys (generic, coupled): every distinct
+    # shifted point goes to exactly one call, and the values keep the
+    # every-row oracle's bits
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    z = _gauge(basis, grid.x, grid.y)[0]
+    monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
+    sent = recorded_sums(monkeypatch)
+    lm = _stacked_log_mag(basis, grid.x, grid.y)
+    stack = stacked_rows(basis, z)
+    assert_each_sent_once(sent, stack[_unique_rows(stack)[0]])
+    assert np.array_equal(lm, stacked_log_mag_every_row(basis, grid.x, grid.y))
+
+
+@pytest.mark.parametrize("rm, k, m", [(SQUARE, 4, 32), (COUPLED, 2, 16), (COUPLED, 3, 8)],
+                         ids=["square-4", "coupled-2", "coupled-3"])
+def test_centres_are_the_whole_batch_centres_in_any_slice(rm, k, m):
+    # points() reads each point's centre from its distinct Im z row, so a
+    # slice of one point gets the centre that one product over every
+    # distinct point gives it: at n = 2 the product's own bits depend on
+    # its row count, and a centre moved at a rounding tie changes the sum
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    z = _gauge(basis, grid.x, grid.y)[0]
+    keys, _, points = theta._shifted_keys(basis, z)
+    distinct = theta._distinct_keys(keys, basis.n_sections, len(z))
+    zs, l_star = points(distinct)
+    assert np.array_equal(l_star, theta._centres((rm.omega / k).imag, zs.imag, np.zeros(rm.n)))
+    singles = [points(distinct[i : i + 1])[1] for i in range(0, len(distinct), 97)]
+    assert np.array_equal(np.concatenate(singles), l_star[::97])
