@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DisconnectedSample, InvalidPoints
 from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
-from .theta import ThetaBasis, _level, _stacked_log_mag_blocks
+from .theta import ThetaBasis, _level, _stacked_log_mag_blocks, grid_gauge_blocks
 
 SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
@@ -90,29 +90,50 @@ class AmoebaSample:
         return graph
 
 
-def _moment_blocks(basis: ThetaBasis, x, y):
-    """Moment coordinates in blocks of points: (m, blocks), where blocks
-    yields (points, w) over theta._point_blocks' slices, in order, and w is
-    the C-ordered (k^n, points) array of xi for those points.
+def _softmax(blocks):
+    """xi from (points, w) blocks of log|s_i|_h, in place: each block's w
+    becomes the softmax of 2 w over its sections (axis 0), so the ratio is
+    exact even when the individual magnitudes underflow, and no temporary
+    of a block's size is made."""
+    for pts, w in blocks:
+        w *= 2.0
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w /= w.sum(axis=0)
+        yield pts, w
 
-    Computed as a softmax of 2 log|s_i|_h over each block's sections, so
-    the ratio is exact even when the individual magnitudes underflow. A
-    block holds every section of at least two points (or the one point),
+
+def _moment_blocks(basis: ThetaBasis, x, y):
+    """Moment coordinates in blocks of points, by the per-section route:
+    (m, blocks), where blocks yields (points, w) over theta._point_blocks'
+    slices, in order, and w is the C-ordered (k^n, points) array of xi for
+    those points, the _softmax of one block of
+    theta._stacked_log_mag_blocks.
+
+    A block holds every section of at least two points (or the one point),
     and numpy reduces its sections in the order it reduces the whole
     (k^n, m) array's, so each xi has the same bits on any block split.
     """
     m, blocks = _stacked_log_mag_blocks(basis, x, y)
+    return m, _softmax(blocks)
 
-    def softmax():
-        for pts, w in blocks:
-            # in place: a block's softmax holds no temporaries of its size
-            w *= 2.0
-            w -= w.max(axis=0)
-            np.exp(w, out=w)
-            w /= w.sum(axis=0)
-            yield pts, w
 
-    return m, softmax()
+def _grid_moment_blocks(basis: ThetaBasis, m: int):
+    """Moment coordinates on the nodes of quadrature_grid(n, m), by the
+    grid route: (m^2n, blocks), where blocks yields (nodes, w) for each
+    block of theta.grid_gauge_blocks, nodes the slice of its node indices
+    in the grid's x-major order and w the _softmax of its log_mag, shape
+    (k^n, nodes). The images agree with the per-section route's to
+    roundoff, not to the bit."""
+
+    def log_mags():
+        start = 0
+        for gv in grid_gauge_blocks(basis, m):
+            w = gv.log_mag
+            yield slice(start, start + w.shape[1]), w
+            start += w.shape[1]
+
+    return m ** (2 * basis.om.n), _softmax(log_mags())
 
 
 def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
@@ -120,11 +141,13 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
 
     The blocks of _moment_blocks joined, as a softmax of 2 log|s_i|_h.
     Evaluated one lattice sum per section (see theta._stacked_log_mag_blocks),
-    whose roundoff the amoeba sample's point count depends on. Each
-    distinct shifted point z - b_i is summed once: the repeats are found
-    by integer keys built from per-coordinate tables of Im z and of the
-    differences Re z - j / k, in blocks of at most theta._CHUNK_TERMS
-    (section, point) pairs, never from the k^n m shifted rows themselves.
+    whose roundoff the amoeba subcommand's point count depends on, so the
+    route stays until the benchmark's pinned counts are restated (ROADMAP
+    items 1 and 2 retire it). Each distinct shifted point z - b_i is
+    summed once: the repeats are found by integer keys built from
+    per-coordinate tables of Im z and of the differences Re z - j / k, in
+    blocks of at most theta._CHUNK_TERMS (section, point) pairs, never
+    from the k^n m shifted rows themselves.
     Equal keys mean bit-equal points, and the distinct points are rebuilt
     with the bits of the subtraction, so every xi is bit for bit that of
     summing every shifted point. theta._theta_sums sums them in slices of
@@ -149,21 +172,21 @@ def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
     return out.T
 
 
-def _merged_image(basis: ThetaBasis, x, y):
-    """(xi, nodes, node_sample): the moment map's images merged where
-    np.round(xi, 12) is bit-equal, groups numbered by first appearance.
+def _merged_image(n_sections: int, m: int, blocks):
+    """(xi, nodes, node_sample): the images of m points, streamed in
+    (points, w) blocks of xi as _moment_blocks and _grid_moment_blocks
+    yield them, merged where np.round(xi, 12) is bit-equal, groups
+    numbered by first appearance.
 
-    The images stream in _moment_blocks' blocks. Each node's rounded image
-    is looked up by its raw bytes in a dict of the groups so far, which
-    numbers a new group by insertion order; equal bytes are equal bits, so
-    -0.0 and 0.0 stay apart. A group's image is its first node's,
-    unrounded. Memory: the sample, one bytes key per sample point, and
-    one block.
+    Each point's rounded image is looked up by its raw bytes in a dict of
+    the groups so far, which numbers a new group by insertion order; equal
+    bytes are equal bits, so -0.0 and 0.0 stay apart. A group's image is
+    its first point's, unrounded. Memory: the sample, one bytes key per
+    sample point, and one block.
     """
-    m, blocks = _moment_blocks(basis, x, y)
-    row = np.dtype((np.void, 8 * basis.n_sections))
+    row = np.dtype((np.void, 8 * n_sections))
     node_sample = np.empty(m, dtype=np.intp)
-    xi, nodes = [np.empty((0, basis.n_sections))], [np.empty(0, dtype=np.intp)]
+    xi, nodes = [np.empty((0, n_sections))], [np.empty(0, dtype=np.intp)]
     groups = {}
     for pts, w in blocks:
         size = len(groups)
@@ -208,6 +231,15 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     simplex-distance edge lengths. The grid must match the basis dimension
     and have at least 8k nodes per axis.
 
+    The images come from the per-section route (_moment_blocks). Because
+    the merge compares rounded bits, the point count depends on that
+    route's last-bit roundoff: at Omega = i, k = 32 on 256^2 it gives 292
+    points where the grid route gives the 256 of the 1e-12 clusters. The
+    amoeba subcommand writes this sample, and the benchmark pins its
+    counts, so it keeps the route until those pins are restated (ROADMAP
+    items 1 and 2 retire it). The convergence suite samples by the grid
+    route instead (_grid_amoeba_sample).
+
     The merge rule is the one over the whole image, but the image streams
     block by block (_merged_image). Memory: the sample (its images, node
     maps and one bytes key per point), one block of _moment_blocks, and
@@ -217,7 +249,28 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     graph, once read, adds its edges and the k-d tree it was built from.
     """
     check_grid_resolution(basis, grid)
-    xi, nodes, node_sample = _merged_image(basis, grid.x, grid.y)
+    return _sample(basis, grid, *_moment_blocks(basis, grid.x, grid.y))
+
+
+def _grid_amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
+    """amoeba_sample with the images from the grid route
+    (_grid_moment_blocks), merged by the same np.round(xi, 12) rule.
+
+    Each node's image agrees with moment_points' to roundoff (<= 3.4e-15
+    at Omega = 0.3+1.2i, k = 4, 6, 8, 10), and the point counts are those
+    of the 1e-12 clusters, on either route: 256/384/512/640 at that Omega
+    on the 8k grids, where the per-section route's rounded bits give
+    256/386/528/640. It is several times faster there. Memory: the
+    sample, one block of grid_gauge_blocks and its step buffers and
+    tables; never a (grid.size, k^n) image.
+    """
+    check_grid_resolution(basis, grid)
+    return _sample(basis, grid, *_grid_moment_blocks(basis, grid.m))
+
+
+def _sample(basis: ThetaBasis, grid: QuadratureGrid, m: int, blocks) -> AmoebaSample:
+    """The AmoebaSample of the grid's m nodes from their streamed images."""
+    xi, nodes, node_sample = _merged_image(basis.n_sections, m, blocks)
     return AmoebaSample(basis.k, xi, nodes, node_sample, (grid.m,) * (2 * grid.n))
 
 

@@ -18,16 +18,21 @@ carry the content. Each column of the sweep names the spaces it measures:
   phi_covering_radius moves by at most 0.5 %.
 - coupled_defect adds to phi_distortion the largest B_k graph distance from
   50 sampled points p to phi_k of their base projections.
+
+B_k is sampled by the grid route (amoeba._grid_amoeba_sample), whose point
+counts are the 1e-12 cluster counts; the amoeba subcommand's sample keeps
+the per-section route, see amoeba.amoeba_sample.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .abelian import RiemannMatrix, base_distance, flat_diameter
-from .amoeba import amoeba_sample, bk_distances
+from .amoeba import _grid_amoeba_sample, bk_distances
 from .errors import ConfigError, NonPositive
 from .metrics import c0_metric_deviation, omega_k_metric_field, quadrature_grid
 from .theta import _level, _seed, theta_basis
@@ -44,12 +49,16 @@ class ConvergenceReport:
 def fit_loglog_slope(ks, values):
     """Least-squares slope of log value vs log k; returns (slope, 95%
     half-width). With more than three levels the smallest k (transient) is
-    left out of the fit. A value that is not finite and positive has no
-    logarithm and raises NonPositive."""
+    left out of the fit. A level or value that is not finite and positive
+    has no logarithm and raises NonPositive; ks and values that do not
+    pair up one value per level raise ConfigError."""
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
-    if not np.all((values > 0.0) & (values < np.inf)):
-        raise NonPositive(f"slope fit needs finite positive values, got {values.tolist()}")
+    if ks.ndim != 1 or ks.shape != values.shape:
+        raise ConfigError(f"slope fit needs one value per level, got {ks.shape} and {values.shape}")
+    for name, a in (("levels", ks), ("values", values)):
+        if not np.all((a > 0.0) & (a < np.inf)):
+            raise NonPositive(f"slope fit needs finite positive {name}, got {a.tolist()}")
     mask = ks > ks.min() if ks.size > 3 else np.ones_like(ks, dtype=bool)
     x = np.log(ks[mask])
     y = np.log(values[mask])
@@ -76,6 +85,15 @@ def convergence_suite(
     base-map distortion and covering radius of the moment-map image, and the
     coupled-space defect d(pi(p), pi_k(p)) over 50 sampled points.
 
+    The base-map columns read each level's amoeba sample B_k of the 8k
+    grid, taken by the grid route (amoeba._grid_amoeba_sample) and merged
+    where np.round(xi, 12) is bit-equal: 256/384/512/640 points at
+    Omega = 0.3+1.2i, k = 4, 6, 8, 10, the 1e-12 cluster counts. The
+    amoeba subcommand's per-section sample holds 386 and 528 points at
+    k = 6 and 8 on the same grids; the images agree to 3.4e-15, and the
+    phi_* columns by 4.1e-11 relative. coupled_defect draws its 50 points
+    from the sample's indices, so a different count draws other points.
+
     eps is the supremum over the nodes of the m0-grid, not over X. The gap
     between nodes was bounded by refinement and sampling: eps is bit-identical
     on 80^2 and 160^2 grids at Omega = i (k = 2..10) and 0.3+1.2i (k = 4, 6,
@@ -92,6 +110,9 @@ def convergence_suite(
     if len(set(k_list)) < len(k_list):
         raise ConfigError(f"levels repeat: {k_list}")
     m0 = max(8 * max(k_list), 32) if grid_resolution is None else grid_resolution
+    # as quadrature_grid checks it, before a string or a bool is compared
+    if isinstance(m0, bool) or not isinstance(m0, numbers.Integral):
+        raise ConfigError(f"grid resolution must be an integer, got {m0!r}")
     if m0 < 8 * max(k_list):
         raise ConfigError(f"grid resolution {m0} below 8*max(k) = {8 * max(k_list)}")
     rng = np.random.default_rng(seed)
@@ -120,7 +141,7 @@ def convergence_suite(
         rows["gh_ub_metric"].append(0.5 * stretch * diameter)
 
         amoeba_grid = quadrature_grid(1, 8 * k)
-        sample = amoeba_sample(basis, amoeba_grid)
+        sample = _grid_amoeba_sample(basis, amoeba_grid)
         # the grid runs x-major, so node g has y index g % 8k and its first
         # 8k nodes are the zero section x = 0: phi_k at every base point
         phi_idx = sample.node_sample[: 8 * k]
@@ -158,6 +179,7 @@ def convergence_suite(
     notes = [
         "smooth-convergence claims are certified only through the C0 proxy",
         "gh_ub_metric bounds GH((X, g_0), (X, g_k)) by the C0 deviation over the grid nodes",
-        "phi_* and coupled_defect are distances in the chord graph of the 8k-grid amoeba sample",
+        "phi_* and coupled_defect are distances in the chord graph of the 8k-grid amoeba sample, "
+        "taken by the grid route and merged where np.round(xi, 12) is bit-equal",
     ]
     return ConvergenceReport(ks=ks, rows=rows, slopes=slopes, notes=notes)

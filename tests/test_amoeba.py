@@ -323,16 +323,25 @@ def test_sample_is_the_same_on_any_thread_count(monkeypatch, om, k):
         assert np.array_equal(sample.node_sample, samples[0].node_sample)
 
 
-def whole_image_groups(basis, x, y):
-    """Oracle of amoeba._merged_image: the whole (m, k^n) image from
-    moment_points, grouped by the bits of its rounded rows."""
-    xi = moment_points(basis, x, y)
+def rounded_groups(xi):
+    """Oracle of the merge rule: the rows of a whole (m, k^n) image
+    grouped by the bits of their rounded values, as (xi, nodes,
+    node_sample)."""
     first, inverse = _unique_rows(np.round(xi, 12))
     return xi[first], first, inverse
 
 
+def whole_image_groups(n_sections, m, blocks):
+    """Oracle of amoeba._merged_image: the streamed blocks joined into the
+    whole (m, k^n) image, then grouped at once."""
+    xi = np.empty((m, n_sections))
+    for pts, w in blocks:
+        xi[pts] = w.T
+    return rounded_groups(xi)
+
+
 @pytest.mark.parametrize("empty", [False, True], ids=["built", "empty"])
-def test_merge_groups_rounded_images_by_their_bits(monkeypatch, empty):
+def test_merge_groups_rounded_images_by_their_bits(empty):
     # rows fed to the merge two points a block: equal to 12 digits, a hair
     # on either side of a rounding boundary, -0.0 next to 0.0 (different
     # bits, so different points), and groups that reappear in later blocks
@@ -351,12 +360,8 @@ def test_merge_groups_rounded_images_by_their_bits(monkeypatch, empty):
     if empty:
         rows = rows[:0]
 
-    def blocks(basis, x, y):
-        pairs = range(0, len(rows), 2)
-        return len(rows), ((slice(i, i + 2), rows[i : i + 2].T.copy()) for i in pairs)
-
-    monkeypatch.setattr(amoeba, "_moment_blocks", blocks)
-    xi, nodes, node_sample = amoeba._merged_image(theta_basis(SQUARE, 2), None, None)
+    blocks = ((slice(i, i + 2), rows[i : i + 2].T.copy()) for i in range(0, len(rows), 2))
+    xi, nodes, node_sample = amoeba._merged_image(2, len(rows), blocks)
     want = [0, 0, 1, 2, 3, 4, 4, 0][: len(rows)]
     assert np.array_equal(node_sample, want) and node_sample.dtype == np.intp
     assert np.array_equal(nodes, [0, 2, 3, 4, 5][: len(rows)])
@@ -399,7 +404,49 @@ def test_streamed_merge_of_coupled_points_at_any_pair_budget(monkeypatch, pairs)
     # the coupled Omega's n = 2 image on a 6^4 grid, below the sample's
     # resolution floor, merged block by block and as a whole
     basis, grid = theta_basis(COUPLED, 2), quadrature_grid(2, 6)
-    want = whole_image_groups(basis, grid.x, grid.y)
+    want = rounded_groups(moment_points(basis, grid.x, grid.y))
     monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
-    for got, ref in zip(amoeba._merged_image(basis, grid.x, grid.y), want):
+    blocks = amoeba._moment_blocks(basis, grid.x, grid.y)
+    for got, ref in zip(amoeba._merged_image(basis.n_sections, *blocks), want):
         assert np.array_equal(got, ref)
+
+
+def grid_image(basis, m):
+    """The grid route's moment map joined into one (m^2n, k^n) image."""
+    size, blocks = amoeba._grid_moment_blocks(basis, m)
+    xi = np.empty((size, basis.n_sections))
+    for pts, w in blocks:
+        xi[pts] = w.T
+    return xi
+
+
+@pytest.mark.parametrize(
+    "om, k, m",
+    [(SQUARE, 16, 256), (SQUARE, 32, 256)]
+    + [(GENERIC, k, 8 * k) for k in range(4, 11)]
+    + [(COUPLED, 2, 16)],
+    ids=["square-16", "square-32"] + [f"generic-{k}" for k in range(4, 11)] + ["coupled-2"],
+)
+def test_grid_route_images_match_moment_points(om, k, m):
+    # the grid route's sums factor each term exactly but add them in
+    # another order, so the images agree to roundoff, node by node
+    basis, grid = theta_basis(om, k), quadrature_grid(om.n, m)
+    xi = grid_image(basis, m)
+    assert xi.shape == (grid.size, basis.n_sections)
+    assert np.max(np.abs(xi - moment_points(basis, grid.x, grid.y))) <= 1e-14
+
+
+def test_grid_sample_points_are_the_cluster_counts():
+    # the suite's sample: the 1e-12 cluster counts at Omega = 0.3+1.2i,
+    # where the per-section route's rounded bits give 256/386/528/640
+    for k, count in ((4, 256), (6, 384), (8, 512), (10, 640)):
+        basis, grid = theta_basis(GENERIC, k), quadrature_grid(1, 8 * k)
+        sample = amoeba._grid_amoeba_sample(basis, grid)
+        assert sample.size == count
+        assert sample.grid_shape == (8 * k, 8 * k)
+        assert np.array_equal(sample.node_sample[sample.nodes], np.arange(sample.size))
+        xi = grid_image(basis, 8 * k)
+        assert np.max(np.abs(xi - sample.xi[sample.node_sample])) <= 1e-12
+        # the streamed merge is the merge of the whole image
+        for got, want in zip((sample.xi, sample.nodes, sample.node_sample), rounded_groups(xi)):
+            assert np.array_equal(got, want)

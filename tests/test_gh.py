@@ -9,9 +9,9 @@ import pytest
 from scipy import stats
 
 import theta_amoeba
-from theta_amoeba import ConfigError, NonPositive, abelian, gh, metrics
+from theta_amoeba import ConfigError, NonPositive, abelian, amoeba, gh, metrics
 from theta_amoeba.abelian import base_distance, flat_diameter, validate_riemann_matrix
-from theta_amoeba.amoeba import amoeba_sample, bk_distances
+from theta_amoeba.amoeba import bk_distances
 from theta_amoeba.gh import convergence_suite, fit_loglog_slope
 from theta_amoeba.theta import theta_basis
 
@@ -56,6 +56,22 @@ def test_slope_fit_rejects_values_without_a_logarithm(bad):
     # (nan, nan), which the strict JSON writer then refused untyped
     with pytest.raises(NonPositive):
         fit_loglog_slope([2.0, 4.0, 8.0], [0.1, bad, 0.01])
+
+
+@pytest.mark.parametrize(
+    "bad", [0.0, -2.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"]
+)
+def test_slope_fit_rejects_levels_without_a_logarithm(bad):
+    # a NaN level returned (nan, nan)
+    with pytest.raises(NonPositive, match="levels"):
+        fit_loglog_slope([2.0, bad, 4.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("ks", [[2.0, 4.0], [2.0, 4.0, 8.0, 16.0]], ids=["short", "long"])
+def test_slope_fit_rejects_levels_and_values_that_do_not_pair_up(ks):
+    # more levels than values reached numpy's bare IndexError
+    with pytest.raises(ConfigError, match="one value per level"):
+        fit_loglog_slope(ks, [1.0, 0.5, 0.25])
 
 
 def test_slope_fit_rejects_degenerate_levels():
@@ -113,6 +129,14 @@ def test_suite_rejects_zero_grid_resolution():
     rm = validate_riemann_matrix([[1j]])
     with pytest.raises(ConfigError, match="below 8"):
         convergence_suite(rm, [2, 3, 4], grid_resolution=0)
+
+
+@pytest.mark.parametrize("resolution", ["40", True, 40.0])
+def test_suite_refuses_resolutions_that_are_not_integers(resolution):
+    # "40" reached a bare TypeError from the comparison with 8*max(k), and
+    # True was refused as a resolution "below 8*max(k)"
+    with pytest.raises(ConfigError, match="must be an integer"):
+        convergence_suite(SQUARE, [2, 3, 4], grid_resolution=resolution)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True, "0"])
@@ -173,12 +197,14 @@ def test_suite_small_sweep(monkeypatch):
 
 def test_suite_phi_columns_match_plain_loops():
     # the distortion, covering radius and coupled defect of phi_k, from
-    # the sample's graph distances and base_distance, one pair at a time
+    # the graph distances of the suite's own sample (the grid route's) and
+    # base_distance, one pair at a time
     ks, seed = [4, 6, 8], 3
     rows = convergence_suite(GENERIC, ks, seed=seed).rows
     rng = np.random.default_rng(seed)
     for level, k in enumerate(ks):
-        sample = amoeba_sample(theta_basis(GENERIC, k), metrics.quadrature_grid(1, 8 * k))
+        basis, grid = theta_basis(GENERIC, k), metrics.quadrature_grid(1, 8 * k)
+        sample = amoeba._grid_amoeba_sample(basis, grid)
         # sources: the 8k zero-section nodes, phi_k at the base points j/(8k)
         phi = sample.node_sample[: 8 * k]
         d = bk_distances(sample, phi)
@@ -196,6 +222,16 @@ def test_suite_phi_columns_match_plain_loops():
         assert rows["phi_distortion"][level] == distortion
         assert rows["phi_covering_radius"][level] == covering
         assert rows["coupled_defect"][level] == defect + distortion
+
+
+def test_suite_samples_by_the_grid_route(monkeypatch):
+    # no level's amoeba sample sums the sections one lattice sum each
+    def refuse(*args):
+        raise AssertionError("the suite called the per-section route")
+
+    monkeypatch.setattr(amoeba, "_stacked_log_mag_blocks", refuse)
+    rows = convergence_suite(GENERIC, [4, 6, 8], seed=0).rows
+    assert np.all(rows["phi_covering_radius"] > 0.0)
 
 
 def lipschitz_bound(eps, diameter):
