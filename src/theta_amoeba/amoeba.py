@@ -17,7 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .errors import DisconnectedSample, InvalidPoints
+from .errors import ConfigError, DisconnectedSample, InvalidPoints
 from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
 from .theta import ThetaBasis, _level, _stacked_log_mag_blocks, grid_gauge_blocks
 
@@ -31,9 +31,11 @@ class AmoebaSample:
 
     nodes[p] is the grid node sample point p was taken from, and
     node_sample[g] the sample point grid node g merged into, so
-    node_sample[nodes] is arange(size). grid_shape is the shape (m,) * 2n
-    of the grid's nodes in their x-major order, which the graph's
-    grid-adjacent pairs are read from.
+    node_sample[nodes] is arange(size). grid_shape is the shape of the
+    sampled nodes in their x-major order, which the graph's grid-adjacent
+    pairs are read from, each axis wrapping around: (m,) * 2n for a whole
+    grid, and (m / k,) + (m,) * (2n - 1) for the one 1/k strip in x_1 that
+    _grid_amoeba_sample takes.
     """
 
     k: int
@@ -118,22 +120,22 @@ def _moment_blocks(basis: ThetaBasis, x, y):
     return m, _softmax(blocks)
 
 
-def _grid_moment_blocks(basis: ThetaBasis, m: int):
-    """Moment coordinates on the nodes of quadrature_grid(n, m), by the
-    grid route: (m^2n, blocks), where blocks yields (nodes, w) for each
-    block of theta.grid_gauge_blocks, nodes the slice of its node indices
-    in the grid's x-major order and w the _softmax of its log_mag, shape
-    (k^n, nodes). The images agree with the per-section route's to
-    roundoff, not to the bit."""
+def _grid_moment_blocks(basis: ThetaBasis, m: int, x_nodes: int | None = None):
+    """Moment coordinates on the nodes of quadrature_grid(n, m), or of its
+    leading x_nodes x-nodes, by the grid route: (nodes, blocks), where
+    blocks yields (nodes, w) for each block of theta.grid_gauge_blocks,
+    nodes the slice of its node indices in the grid's x-major order and w
+    the _softmax of its log_mag, shape (k^n, nodes). The images agree with
+    the per-section route's to roundoff, not to the bit."""
 
     def log_mags():
         start = 0
-        for gv in grid_gauge_blocks(basis, m):
+        for gv in grid_gauge_blocks(basis, m, x_nodes=x_nodes):
             w = gv.log_mag
             yield slice(start, start + w.shape[1]), w
             start += w.shape[1]
 
-    return m ** (2 * basis.om.n), _softmax(log_mags())
+    return (x_nodes or m**basis.om.n) * m**basis.om.n, _softmax(log_mags())
 
 
 def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
@@ -249,33 +251,49 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     graph, once read, adds its edges and the k-d tree it was built from.
     """
     check_grid_resolution(basis, grid)
-    return _sample(basis, grid, *_moment_blocks(basis, grid.x, grid.y))
+    return _sample(basis, (grid.m,) * (2 * grid.n), *_moment_blocks(basis, grid.x, grid.y))
 
 
 def _grid_amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
-    """amoeba_sample with the images from the grid route
-    (_grid_moment_blocks), merged by the same np.round(xi, 12) rule.
+    """amoeba_sample of one 1/k strip of the grid, x_1 in [0, 1/k), with
+    the images from the grid route (_grid_moment_blocks), merged by the
+    same np.round(xi, 12) rule. The grid needs k | m, else ConfigError.
+
+    Every |s_i|_h is 1/k-periodic in x, so xi is too, and the strip's
+    m^2n / k nodes hold the whole image: its grid_shape
+    (m/k,) + (m,) * (2n - 1) wraps the strip's last x-row onto its first,
+    as the whole grid's next x-row would. On the 8k grids at Omega = i
+    and 0.3+1.2i, k = 4..10, the strip's node map tiled k times along x
+    is the whole grid's merge, with the same xi, nodes and graph, except
+    where x-translates round apart in the 12th decimal: the whole grid
+    holds 581 points against the strip's 576 at Omega = 0.3+1.2i, k = 9,
+    and 261 against 256 at Omega = -0.45+0.8i, k = 4.
 
     Each node's image agrees with moment_points' to roundoff (<= 3.4e-15
     at Omega = 0.3+1.2i, k = 4, 6, 8, 10), and the point counts are those
-    of the 1e-12 clusters, on either route: 256/384/512/640 at that Omega
-    on the 8k grids, where the per-section route's rounded bits give
-    256/386/528/640. It is several times faster there. Memory: the
-    sample, one block of grid_gauge_blocks and its step buffers and
-    tables; never a (grid.size, k^n) image.
+    of the 1e-12 clusters: 256/384/512/640 at that Omega on the 8k grids,
+    where the per-section route's rounded bits give 256/386/528/640.
+    Memory: the sample, one block of grid_gauge_blocks and its step
+    buffers and tables; never a (grid.size, k^n) image.
     """
     check_grid_resolution(basis, grid)
-    return _sample(basis, grid, *_grid_moment_blocks(basis, grid.m))
+    k, m, n = basis.k, grid.m, grid.n
+    if m % k:
+        raise ConfigError(f"the 1/k strip needs k | m, got m = {m} at level {k}")
+    shape = (m // k,) + (m,) * (2 * n - 1)
+    return _sample(basis, shape, *_grid_moment_blocks(basis, m, m**n // k))
 
 
-def _sample(basis: ThetaBasis, grid: QuadratureGrid, m: int, blocks) -> AmoebaSample:
-    """The AmoebaSample of the grid's m nodes from their streamed images."""
+def _sample(basis: ThetaBasis, grid_shape: tuple, m: int, blocks) -> AmoebaSample:
+    """The AmoebaSample of m nodes of grid_shape from their streamed images."""
     xi, nodes, node_sample = _merged_image(basis.n_sections, m, blocks)
-    return AmoebaSample(basis.k, xi, nodes, node_sample, (grid.m,) * (2 * grid.n))
+    return AmoebaSample(basis.k, xi, nodes, node_sample, grid_shape)
 
 
-def bk_distances(sample: AmoebaSample, sources) -> np.ndarray:
+def bk_distances(sample: AmoebaSample, sources, min_only: bool = False) -> np.ndarray:
     """Intrinsic shortest-path distances from sample indices to all
-    samples, along sample.graph, which this builds on first use."""
+    samples, along sample.graph, which this builds on first use: shape
+    (sources, size), or with min_only the distance from the nearest
+    source, shape (size,), in one multi-source search."""
     indices = _source_indices(sources, sample.size)
-    return dijkstra(sample.graph, directed=False, indices=indices)
+    return dijkstra(sample.graph, directed=False, indices=indices, min_only=min_only)

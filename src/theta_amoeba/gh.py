@@ -8,7 +8,8 @@ carry the content. Each column of the sweep names the spaces it measures:
 - gh_ub_metric bounds GH((X, g_0), (X, g_k)) through the identity map, by
   the Lipschitz bound on the C0 deviation (Burago, Burago and Ivanov, A
   Course in Metric Geometry, AMS GSM 33, 2001, section 7.3); the deviation
-  is a supremum over the metric grid's nodes, see convergence_suite.
+  is a supremum over the metric grid's nodes, taken at their residues mod
+  1/k, see convergence_suite.
 - phi_distortion and phi_covering_radius are the distortion and covering
   radius of phi_k from the eight base points j/8, with exact base
   distances, into the chord graph of the 8k-grid amoeba sample B_k; they
@@ -19,13 +20,15 @@ carry the content. Each column of the sweep names the spaces it measures:
 - coupled_defect adds to phi_distortion the largest B_k graph distance from
   50 sampled points p to phi_k of their base projections.
 
-B_k is sampled by the grid route (amoeba._grid_amoeba_sample), whose point
-counts are the 1e-12 cluster counts; the amoeba subcommand's sample keeps
-the per-section route, see amoeba.amoeba_sample.
+B_k is sampled by the grid route on one 1/k strip of the 8k grid
+(amoeba._grid_amoeba_sample), whose point counts are the 1e-12 cluster
+counts; the amoeba subcommand's sample keeps the per-section route, see
+amoeba.amoeba_sample.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -34,7 +37,7 @@ import numpy as np
 from .abelian import RiemannMatrix, base_distance, flat_diameter
 from .amoeba import _grid_amoeba_sample, bk_distances
 from .errors import ConfigError, NonPositive
-from .metrics import c0_metric_deviation, omega_k_metric_field, quadrature_grid
+from .metrics import c0_metric_deviation, omega_k_field, quadrature_grid
 from .theta import _level, _seed, theta_basis
 
 
@@ -86,20 +89,31 @@ def convergence_suite(
     coupled-space defect d(pi(p), pi_k(p)) over 50 sampled points.
 
     The base-map columns read each level's amoeba sample B_k of the 8k
-    grid, taken by the grid route (amoeba._grid_amoeba_sample) and merged
-    where np.round(xi, 12) is bit-equal: 256/384/512/640 points at
-    Omega = 0.3+1.2i, k = 4, 6, 8, 10, the 1e-12 cluster counts. The
+    grid, taken by the grid route on its 1/k strip in x, where xi repeats
+    (amoeba._grid_amoeba_sample), and merged where np.round(xi, 12) is
+    bit-equal: 256/384/512/640 points at Omega = 0.3+1.2i, k = 4, 6, 8,
+    10, the 1e-12 cluster counts, and the whole grid's merge there. The
     amoeba subcommand's per-section sample holds 386 and 528 points at
     k = 6 and 8 on the same grids; the images agree to 3.4e-15, and the
     phi_* columns by 4.1e-11 relative. coupled_defect draws its 50 points
     from the sample's indices, so a different count draws other points.
+    Each level runs Dijkstra only from the sources it reads: the 8 base
+    points' images, one multi-source search from all 8k images of phi_k
+    for the covering radius, and the distinct images the 50 points need.
 
-    eps is the supremum over the nodes of the m0-grid, not over X. The gap
-    between nodes was bounded by refinement and sampling: eps is bit-identical
-    on 80^2 and 160^2 grids at Omega = i (k = 2..10) and 0.3+1.2i (k = 4, 6,
-    8, 10), and 200 000 random off-node points never exceed the node
-    supremum there, nor do 100 000 at tau = 1/2+0.866i, 0.1+2i, -0.4+0.7i
-    and 0.45+0.95i (k = 3, 5, 6, 9).
+    eps is the supremum over the nodes of the m0-grid, not over X. g_k is
+    1/k-periodic in x and in y, so it is taken at the nodes' residues mod
+    1/k, the multiples of 1/lcm(m0, k) in [0, 1/k)^2: (m0 / gcd(m0, k))^2
+    points by omega_k_field, 2164 over k = 4, 6, 8, 10 at m0 = 80 against
+    4 x 6400 nodes. Against the supremum over every node it moved by at
+    most 3.2e-15 absolute, 1.5e-11 relative at Omega = 0.3+1.2i, 1.5e-10
+    at Omega = i and 2.0e-10 at -0.45+0.8i (m0 = 80 and 160 with k | m0,
+    80 with k = 6, 7, 9, 90 with k = 4, 6, 9). The gap between nodes was
+    bounded by refinement and sampling, measured again at the residues:
+    eps is bit-identical on 80^2 and 160^2 grids at Omega = i (k = 2..10)
+    and 0.3+1.2i (k = 4, 6, 8, 10), and 200 000 random off-node points
+    never exceed it there, nor do 100 000 at tau = 1/2+0.866i, 0.1+2i,
+    -0.4+0.7i and 0.45+0.95i (k = 3, 5, 6, 9).
     """
     if om.n != 1:
         raise ConfigError("convergence suite is implemented for n = 1")
@@ -116,7 +130,6 @@ def convergence_suite(
     if m0 < 8 * max(k_list):
         raise ConfigError(f"grid resolution {m0} below 8*max(k) = {8 * max(k_list)}")
     rng = np.random.default_rng(seed)
-    metric_grid = quadrature_grid(1, m0)
     diameter = flat_diameter(om)
 
     # the eight base points j/8 exist exactly on every 8k grid (ys[j k] is
@@ -134,22 +147,23 @@ def convergence_suite(
     }
     for k in k_list:
         basis = theta_basis(om, k)
-        dk_field = omega_k_metric_field(basis, metric_grid)
-        eps = c0_metric_deviation(dk_field)
+        # g_k is 1/k-periodic in x and y, so the m0-grid's nodes give eps at
+        # their residues mod 1/k, the multiples of 1/lcm(m0, k) below 1/k
+        res = np.arange(m0 // math.gcd(m0, k)) / math.lcm(m0, k)
+        x, y = np.meshgrid(res, res, indexing="ij")
+        eps = c0_metric_deviation(om, omega_k_field(basis, x.reshape(-1, 1), y.reshape(-1, 1)))
         rows["c0_deviation"].append(eps)
         stretch = max(1.0 - np.sqrt(max(1.0 - eps, 0.0)), np.sqrt(1.0 + eps) - 1.0)
         rows["gh_ub_metric"].append(0.5 * stretch * diameter)
 
-        amoeba_grid = quadrature_grid(1, 8 * k)
-        sample = _grid_amoeba_sample(basis, amoeba_grid)
-        # the grid runs x-major, so node g has y index g % 8k and its first
+        sample = _grid_amoeba_sample(basis, quadrature_grid(1, 8 * k))
+        # the strip runs x-major, so node g has y index g % 8k and its first
         # 8k nodes are the zero section x = 0: phi_k at every base point
         phi_idx = sample.node_sample[: 8 * k]
-        d_phi = bk_distances(sample, phi_idx)
-        base_sub = np.arange(8) * k
-        d_img = d_phi[np.ix_(base_sub, phi_idx[base_sub])]
+        base_phi = phi_idx[np.arange(8) * k]
+        d_img = bk_distances(sample, base_phi)[:, base_phi]
         distortion = float(np.max(np.abs(d_base - d_img)))
-        covering = float(d_phi.min(axis=0).max())
+        covering = float(bk_distances(sample, phi_idx, min_only=True).max())
         rows["phi_distortion"].append(distortion)
         rows["phi_covering_radius"].append(covering)
 
@@ -158,8 +172,8 @@ def convergence_suite(
         # as the gluing padding
         p_idx = rng.choice(sample.size, size=min(50, sample.size), replace=False)
         # the base point nearest p's preimage is its own y node
-        nearest_phi = sample.nodes[p_idx] % (8 * k)
-        defect = d_phi[nearest_phi, p_idx]
+        sources, row = np.unique(phi_idx[sample.nodes[p_idx] % (8 * k)], return_inverse=True)
+        defect = bk_distances(sample, sources)[row, p_idx]
         rows["coupled_defect"].append(float(defect.max()) + distortion)
 
         rows["base_diameter"].append(float(d_base.max()))

@@ -135,7 +135,7 @@ def _metric_field(basis: ThetaBasis, gv: GaugeValue) -> np.ndarray:
 
 def omega_k_field(basis: ThetaBasis, x, y):
     """Pulled-back metric at scattered points as Hermitian forms h, shape
-    (m, n, n); omega_k_metric_field serves the nodes of a quadrature grid."""
+    (m, n, n)."""
     return _metric_field(basis, section_gauge_values(basis, x, y, grad=True))
 
 
@@ -164,30 +164,13 @@ def balanced_matrix(basis: ThetaBasis, grid: QuadratureGrid) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def c0_metric_deviation(field: MetricField) -> float:
-    """sup over the field's nodes of || g0^{-1/2} (g0 - g) g0^{-1/2} ||_2: with
-    Im om = c t(c), the largest |eigenvalue| of t(c) (h0 - h) c."""
-    c = field.om.im_chol
-    rel = c.T @ (field.om.im_inv - field.h) @ c
+def c0_metric_deviation(om: RiemannMatrix, h) -> float:
+    """sup over the forms h, shape (points, n, n), of
+    || g0^{-1/2} (g0 - g) g0^{-1/2} ||_2: with Im om = c t(c), the largest
+    |eigenvalue| of t(c) (h0 - h) c."""
+    c = om.im_chol
+    rel = c.T @ (om.im_inv - h) @ c
     return float(np.max(np.abs(np.linalg.eigvalsh(rel))))
-
-
-def omega_k_metric_field(basis: ThetaBasis, grid: QuadratureGrid) -> MetricField:
-    """The pulled-back metric g_k at every node of the grid.
-
-    Memory contract: the forms are built block by block (grid_gauge_blocks)
-    into the (nodes, n, n) field, the one whole-grid array, so beyond it
-    the extra memory is a few blocks with their gradients and forms, and
-    the route's tables.
-    """
-    check_grid_resolution(basis, grid)
-    n = basis.om.n
-    h = np.empty((grid.size, n, n), dtype=complex)
-    start = 0
-    for _, part in _metric_blocks(basis, grid_gauge_blocks(basis, grid.m, grad=True)):
-        h[start : start + len(part)] = part
-        start += len(part)
-    return MetricField(grid=grid, om=basis.om, h=h)
 
 
 def _graph_edges(field: MetricField):

@@ -438,15 +438,58 @@ def test_grid_route_images_match_moment_points(om, k, m):
 
 def test_grid_sample_points_are_the_cluster_counts():
     # the suite's sample: the 1e-12 cluster counts at Omega = 0.3+1.2i,
-    # where the per-section route's rounded bits give 256/386/528/640
+    # where the per-section route's rounded bits give 256/386/528/640. It
+    # holds the 1/k strip of the 8k grid, 8 x-nodes by 8k y-nodes, whose
+    # node map tiled k times along x serves every node of the grid
     for k, count in ((4, 256), (6, 384), (8, 512), (10, 640)):
         basis, grid = theta_basis(GENERIC, k), quadrature_grid(1, 8 * k)
         sample = amoeba._grid_amoeba_sample(basis, grid)
         assert sample.size == count
-        assert sample.grid_shape == (8 * k, 8 * k)
+        assert sample.grid_shape == (8, 8 * k)
         assert np.array_equal(sample.node_sample[sample.nodes], np.arange(sample.size))
         xi = grid_image(basis, 8 * k)
-        assert np.max(np.abs(xi - sample.xi[sample.node_sample])) <= 1e-12
-        # the streamed merge is the merge of the whole image
-        for got, want in zip((sample.xi, sample.nodes, sample.node_sample), rounded_groups(xi)):
+        assert np.max(np.abs(xi - sample.xi[np.tile(sample.node_sample, k)])) <= 1e-12
+        # the streamed merge is the merge of the strip's image
+        strip = xi[: sample.node_sample.size]
+        for got, want in zip((sample.xi, sample.nodes, sample.node_sample), rounded_groups(strip)):
             assert np.array_equal(got, want)
+
+
+def whole_grid_sample(basis, m):
+    """Oracle of the strip sample: the grid route's image of every node of
+    the m-grid, merged at once."""
+    return amoeba.AmoebaSample(basis.k, *rounded_groups(grid_image(basis, m)), (m,) * (2 * basis.om.n))
+
+
+SKEW = validate_riemann_matrix([[-0.45 + 0.8j]])
+# whole-grid point counts where some nodes round apart from their
+# x-translates in the strip, in the 12th decimal; the strip keeps 8 * 8k
+ROUNDING_SPLITS = {("generic", 9): 581, ("skew", 4): 261}
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+@pytest.mark.parametrize("name, om", [("generic", GENERIC), ("square", SQUARE), ("skew", SKEW)])
+def test_strip_sample_tiled_is_the_whole_grid_sample(name, om, k):
+    # xi is 1/k-periodic in x, so the strip's node map tiled k times along
+    # x is the whole grid's merge, with the same points, first nodes and
+    # graph: the strip's wrapped x-axis joins its last x-row to its first,
+    # as the whole grid joins it to the next strip's. Where translates
+    # round apart, the whole grid has more points, each within 1e-12 of
+    # the strip's
+    basis = theta_basis(om, k)
+    strip = amoeba._grid_amoeba_sample(basis, quadrature_grid(1, 8 * k))
+    whole = whole_grid_sample(basis, 8 * k)
+    tiled = np.tile(strip.node_sample, k)
+    if (name, k) in ROUNDING_SPLITS:
+        assert (strip.size, whole.size) == (64 * k, ROUNDING_SPLITS[name, k])
+        assert np.max(np.abs(grid_image(basis, 8 * k) - strip.xi[tiled])) <= 1e-12
+        return
+    assert np.array_equal(tiled, whole.node_sample)
+    assert np.array_equal(strip.xi, whole.xi) and np.array_equal(strip.nodes, whole.nodes)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(strip.graph, part), getattr(whole.graph, part))
+
+
+def test_strip_sample_needs_k_to_divide_m():
+    with pytest.raises(ConfigError, match="k \\| m"):
+        amoeba._grid_amoeba_sample(theta_basis(GENERIC, 5), quadrature_grid(1, 42))

@@ -15,6 +15,8 @@ from theta_amoeba.amoeba import bk_distances
 from theta_amoeba.gh import convergence_suite, fit_loglog_slope
 from theta_amoeba.theta import theta_basis
 
+from test_metrics import grid_deviation
+
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
 
@@ -177,22 +179,57 @@ def test_suite_rejects_higher_dimension():
 
 def test_suite_small_sweep(monkeypatch):
     levels = []
-    evaluate = metrics.grid_gauge_blocks
+    evaluate = gh.omega_k_field
 
-    def counted(basis, m, grad=False):
-        levels.append(basis.k)
-        return evaluate(basis, m, grad=grad)
+    def counted(basis, x, y):
+        levels.append((basis.k, len(x)))
+        return evaluate(basis, x, y)
 
-    monkeypatch.setattr(metrics, "grid_gauge_blocks", counted)
+    monkeypatch.setattr(gh, "omega_k_field", counted)
     rm = validate_riemann_matrix([[1j]])
     rep = convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
-    # one metric field per level, read once for the C0 deviation and the GH bound
-    assert levels == [2, 3, 4]
+    # one metric evaluation per level, at the 32-grid's residues mod 1/k:
+    # (32 / gcd(32, k))^2 points, read once for the C0 deviation and the GH bound
+    assert levels == [(2, 16**2), (3, 32**2), (4, 8**2)]
     assert np.all(rep.rows["c0_deviation"] > 0.0)
     assert np.all(np.diff(rep.rows["c0_deviation"]) < 0.0)
     assert np.allclose(rep.rows["base_diameter"], rep.rows["base_diameter"][0])
     slope, _ = rep.slopes["c0_deviation"]
     assert slope < -1.0
+
+
+@pytest.mark.parametrize(
+    "rm",
+    [GENERIC, SQUARE, validate_riemann_matrix([[-0.45 + 0.8j]])],
+    ids=["generic", "square", "skew"],
+)
+def test_suite_eps_at_residues_is_the_whole_grid_eps(rm):
+    # the suite takes eps at the grid nodes' residues mod 1/k; over every
+    # node of the m0-grid it is the same up to roundoff, whether k divides
+    # m0 or not (m0 = 80: k = 6, 7, 9; m0 = 90: k = 4, 6, 9)
+    for m0, ks in ((80, [6, 7, 9]), (90, [4, 6, 9])):
+        rows = convergence_suite(rm, ks, grid_resolution=m0, seed=0).rows
+        for k, eps in zip(ks, rows["c0_deviation"]):
+            assert abs(eps - grid_deviation(theta_basis(rm, k), m0)) <= 1e-13
+
+
+def test_suite_runs_dijkstra_only_from_the_sources_it_reads(monkeypatch):
+    # per level: the 8 base points' images, one multi-source search from
+    # all 8k images of phi_k, and the distinct images the defect reads
+    calls = []
+
+    def counted(sample, sources, min_only=False):
+        calls.append((sample.k, np.asarray(sources), min_only))
+        return bk_distances(sample, sources, min_only=min_only)
+
+    monkeypatch.setattr(gh, "bk_distances", counted)
+    convergence_suite(GENERIC, [4, 6, 8], seed=0)
+    searches = [(k, min_only) for k, _, min_only in calls]
+    assert searches == [(k, m) for k in (4, 6, 8) for m in (False, True, False)]
+    for level, k in enumerate([4, 6, 8]):
+        (_, base, _), (_, cover, _), (_, defect, _) = calls[3 * level : 3 * level + 3]
+        assert base.size == 8 and cover.size == 8 * k
+        assert 1 <= defect.size <= 50 and np.array_equal(defect, np.unique(defect))
 
 
 def test_suite_phi_columns_match_plain_loops():
@@ -297,11 +334,10 @@ def test_off_node_points_stay_below_the_node_deviation(rm):
     # the suite's eps is a supremum over grid nodes; random points between
     # the nodes of the 80^2 grid must not exceed it
     rng = np.random.default_rng(20)
-    grid = metrics.quadrature_grid(1, 80)
     c = rm.im_chol
     for k in range(4, 11):
         basis = theta_basis(rm, k)
-        eps = metrics.c0_metric_deviation(metrics.omega_k_metric_field(basis, grid))
+        eps = grid_deviation(basis, 80)
         h = metrics.omega_k_field(basis, rng.uniform(size=10_000), rng.uniform(size=10_000))
         off = np.max(np.abs(np.linalg.eigvalsh(c.T @ (rm.im_inv - h) @ c)))
         assert off <= eps * (1.0 + 1e-12)

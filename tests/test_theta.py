@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_amoeba import (
+    ConfigError,
     InvalidPoints,
     NonPositive,
     NotSymmetric,
@@ -626,6 +627,31 @@ def test_grid_blocks_are_whole_x_nodes_that_join_to_the_grid(monkeypatch, rm, k,
             phases.append(whole.base_phase)
     for scale, phase in zip(scales, phases):
         assert np.array_equal(scale, scales[0]) and np.array_equal(phase, phases[0])
+
+
+@pytest.mark.parametrize("rm", [SQUARE, GENERIC, COUPLED], ids=["square", "generic", "coupled"])
+def test_grid_blocks_of_leading_x_nodes_are_the_grid_prefix(rm):
+    # the leading x-nodes alone are the whole grid's first nodes: scales
+    # and gauge phases bit for bit, values and gradients to the accuracy
+    # contract, since a narrower step's BLAS product may add in another
+    # order (up to 2.7e-15 at one x-node); the 1/k strip, m^n / k x-nodes,
+    # keeps every bit here. A count outside [1, m^n] is refused
+    n = rm.n
+    for k in ((2, 3) if n == 2 else (4, 7, 10)):
+        basis, m = theta_basis(rm, k), (8 * k if n == 1 else 12)
+        whole = grid_gauge_values(basis, m, grad=True)
+        for count in (1, m**n // k, m**n - 1):
+            blocks = list(grid_gauge_blocks(basis, m, grad=True, x_nodes=count))
+            for name, axis, tol in (("log_scale", 0, 0), ("base_phase", 0, 0), ("values", 1, 1e-13), ("grad", 1, 1e-12)):
+                joined = np.concatenate([getattr(b, name) for b in blocks], axis=axis)
+                ref = np.take(getattr(whole, name), np.arange(count * m**n), axis=axis)
+                if tol == 0 or count == m**n // k:
+                    assert np.array_equal(joined, ref)
+                else:
+                    assert np.abs(joined - ref).max() <= tol * np.abs(ref).max()
+    for count in (0, m**n + 1, 2.5, True):
+        with pytest.raises(ConfigError, match="x_nodes"):
+            next(grid_gauge_blocks(basis, m, x_nodes=count))
 
 
 def closed_form_im(t, k):
