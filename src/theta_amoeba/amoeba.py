@@ -31,11 +31,9 @@ class AmoebaSample:
 
     nodes[p] is the grid node sample point p was taken from, and
     node_sample[g] the sample point grid node g merged into, so
-    node_sample[nodes] is arange(size). grid_shape is the shape of the
-    sampled nodes in their x-major order, which the graph's grid-adjacent
-    pairs are read from, each axis wrapping around: (m,) * 2n for a whole
-    grid, and (m / k,) + (m,) * (2n - 1) for the one 1/k strip in x_1 that
-    _grid_amoeba_sample takes.
+    node_sample[nodes] is arange(size). grid_shape, each axis wrapping
+    around, is the shape of the x-major nodes the graph's grid-adjacent
+    pairs are read from: (m,) * 2n, or (m / k, m) on a 1/k strip.
     """
 
     k: int

@@ -457,18 +457,13 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, x_nodes: in
     only the copy its block returns.
     Steps are counted from each lattice chunk's start, and a node's
     values have the same bits as in one whole-grid array. Fewer x_nodes
-    can narrow a step's BLAS product and change its order of adds: values
-    and gradients moved by up to 2.7e-15 and 5.7e-14 at 1, 2 and m^n - 1
-    x-nodes (n = 1, k <= 11), while the 1/k strip, m^n / k x-nodes, kept
-    every bit there and on the coupled n = 2 Omega at k = 2 and 3.
+    can narrow a step's BLAS product and its order of adds (up to 2.7e-15
+    at one x-node, n = 1); the 1/k strip, m^n / k x-nodes, kept every bit.
     """
     k, n = basis.k, basis.om.n
     nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
     x = nodes / m
-    count = m**n if x_nodes is None else x_nodes
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or not 0 < count <= m**n:
-        raise ConfigError(f"x_nodes must be an integer in [1, {m**n}], got {x_nodes!r}")
-    z, log_scale, base_ph = _gauge(basis, x[:count], np.zeros_like(x[:count]))
+    z, log_scale, base_ph = _gauge(basis, x[:x_nodes], np.zeros_like(x[:x_nodes]))
     off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     off_int = off.astype(int)
     unit_k = np.exp(-2j * np.pi * np.arange(k) / k)

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -179,18 +180,25 @@ def test_suite_rejects_higher_dimension():
 
 def test_suite_small_sweep(monkeypatch):
     levels = []
-    evaluate = gh.omega_k_field
+    scattered, grid = gh.omega_k_field, gh.grid_gauge_blocks
 
-    def counted(basis, x, y):
-        levels.append((basis.k, len(x)))
-        return evaluate(basis, x, y)
+    def counted_scattered(basis, x, y):
+        levels.append((basis.k, "residues", len(x)))
+        return scattered(basis, x, y)
 
-    monkeypatch.setattr(gh, "omega_k_field", counted)
+    def counted_grid(basis, m, grad=False):
+        levels.append((basis.k, "grid", m))
+        return grid(basis, m, grad=grad)
+
+    monkeypatch.setattr(gh, "omega_k_field", counted_scattered)
+    monkeypatch.setattr(gh, "grid_gauge_blocks", counted_grid)
     rm = validate_riemann_matrix([[1j]])
     rep = convergence_suite(rm, [2, 3, 4], grid_resolution=32, seed=0)
-    # one metric evaluation per level, at the 32-grid's residues mod 1/k:
-    # (32 / gcd(32, k))^2 points, read once for the C0 deviation and the GH bound
-    assert levels == [(2, 16**2), (3, 32**2), (4, 8**2)]
+    # one metric evaluation per level, read once for the C0 deviation and
+    # the GH bound: at the 32-grid's (32 / gcd(32, k))^2 residues mod 1/k,
+    # one slice each, or on the grid route where gcd(32, 3) = 1 makes them
+    # all 32^2 nodes
+    assert levels == [(2, "residues", 16**2), (3, "grid", 32), (4, "residues", 8**2)]
     assert np.all(rep.rows["c0_deviation"] > 0.0)
     assert np.all(np.diff(rep.rows["c0_deviation"]) < 0.0)
     assert np.allclose(rep.rows["base_diameter"], rep.rows["base_diameter"][0])
@@ -206,11 +214,35 @@ def test_suite_small_sweep(monkeypatch):
 def test_suite_eps_at_residues_is_the_whole_grid_eps(rm):
     # the suite takes eps at the grid nodes' residues mod 1/k; over every
     # node of the m0-grid it is the same up to roundoff, whether k divides
-    # m0 or not (m0 = 80: k = 6, 7, 9; m0 = 90: k = 4, 6, 9)
+    # m0 or not (m0 = 80: k = 6, 7, 9; m0 = 90: k = 4, 6, 9). Where
+    # gcd(m0, k) = 1 (80 with 7 and 9) it runs on the grid route, bit for bit
     for m0, ks in ((80, [6, 7, 9]), (90, [4, 6, 9])):
         rows = convergence_suite(rm, ks, grid_resolution=m0, seed=0).rows
         for k, eps in zip(ks, rows["c0_deviation"]):
-            assert abs(eps - grid_deviation(theta_basis(rm, k), m0)) <= 1e-13
+            whole = grid_deviation(theta_basis(rm, k), m0)
+            assert abs(eps - whole) <= 1e-13
+            if math.gcd(m0, k) == 1:
+                assert eps == whole
+
+
+def test_suite_eps_residues_run_in_bounded_slices(monkeypatch):
+    # the residues are evaluated in slices of at most _CHUNK_TERMS
+    # (section, point) pairs, and eps is the largest of the slices' eps
+    sizes = []
+    scattered = gh.omega_k_field
+
+    def counted(basis, x, y):
+        sizes.append(len(x))
+        return scattered(basis, x, y)
+
+    monkeypatch.setattr(gh, "omega_k_field", counted)
+    monkeypatch.setattr(gh, "_CHUNK_TERMS", 6 * 150)
+    ks = [4, 6, 8]
+    rows = convergence_suite(GENERIC, ks, grid_resolution=80, seed=0).rows
+    # (80 / gcd(80, k))^2 = 400, 1600, 100 residues
+    assert sizes == [225, 175] + [150] * 10 + [100] + [100]
+    for k, eps in zip(ks, rows["c0_deviation"]):
+        assert abs(eps - grid_deviation(theta_basis(GENERIC, k), 80)) <= 1e-13
 
 
 def test_suite_runs_dijkstra_only_from_the_sources_it_reads(monkeypatch):
