@@ -9,6 +9,7 @@ graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,22 +119,22 @@ def _moment_blocks(basis: ThetaBasis, x, y):
     return m, _softmax(blocks)
 
 
-def _grid_moment_blocks(basis: ThetaBasis, m: int, x_nodes: int | None = None):
+def _grid_moment_blocks(basis: ThetaBasis, m: int, box: tuple | None = None):
     """Moment coordinates on the nodes of quadrature_grid(n, m), or of its
-    leading x_nodes x-nodes, by the grid route: (nodes, blocks), where
+    leading box of nodes, by the grid route: (nodes, blocks), where
     blocks yields (nodes, w) for each block of theta.grid_gauge_blocks,
-    nodes the slice of its node indices in the grid's x-major order and w
+    nodes the slice of its node indices in the box's x-major order and w
     the _softmax of its log_mag, shape (k^n, nodes). The images agree with
     the per-section route's to roundoff, not to the bit."""
 
     def log_mags():
         start = 0
-        for gv in grid_gauge_blocks(basis, m, x_nodes=x_nodes):
+        for gv in grid_gauge_blocks(basis, m, box=box):
             w = gv.log_mag
             yield slice(start, start + w.shape[1]), w
             start += w.shape[1]
 
-    return (x_nodes or m**basis.om.n) * m**basis.om.n, _softmax(log_mags())
+    return math.prod(box or (m,) * (2 * basis.om.n)), _softmax(log_mags())
 
 
 def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
@@ -279,7 +280,7 @@ def _grid_amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample
     if m % k:
         raise ConfigError(f"the 1/k strip needs k | m, got m = {m} at level {k}")
     shape = (m // k,) + (m,) * (2 * n - 1)
-    return _sample(basis, shape, *_grid_moment_blocks(basis, m, m**n // k))
+    return _sample(basis, shape, *_grid_moment_blocks(basis, m, shape))
 
 
 def _sample(basis: ThetaBasis, grid_shape: tuple, m: int, blocks) -> AmoebaSample:

@@ -9,7 +9,7 @@ carry the content. Each column of the sweep names the spaces it measures:
   the Lipschitz bound on the C0 deviation (Burago, Burago and Ivanov, A
   Course in Metric Geometry, AMS GSM 33, 2001, section 7.3); the deviation
   is a supremum over the metric grid's nodes, taken at their residues mod
-  1/k, see convergence_suite.
+  1/k, one (1/k)-cell of a finer grid, see convergence_suite.
 - phi_distortion and phi_covering_radius are the distortion and covering
   radius of phi_k from the eight base points j/8, with exact base
   distances, into the chord graph of the 8k-grid amoeba sample B_k; they
@@ -37,8 +37,8 @@ import numpy as np
 from .abelian import RiemannMatrix, base_distance, flat_diameter
 from .amoeba import _grid_amoeba_sample, bk_distances
 from .errors import ConfigError, NonPositive
-from .metrics import _metric_blocks, c0_metric_deviation, omega_k_field, quadrature_grid
-from .theta import _CHUNK_TERMS, _level, _seed, grid_gauge_blocks, theta_basis
+from .metrics import _metric_blocks, c0_metric_deviation, quadrature_grid
+from .theta import _level, _seed, grid_gauge_blocks, theta_basis
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,20 @@ def convergence_suite(
     for the covering radius, and the distinct images the 50 points need.
 
     eps is the supremum over the nodes of the m0-grid, not over X. g_k is
-    1/k-periodic in x and in y, so with g = gcd(m0, k) > 1 it is taken at
-    the nodes' (m0 / g)^2 residues mod 1/k, the multiples of 1/lcm(m0, k)
-    in [0, 1/k)^2, by the scattered route: 2164 points over k = 4, 6, 8, 10
-    at m0 = 80 against 4 x 6400 nodes. At g = 1 the residues are all m0^2
-    nodes, which the grid route takes 2 to 2.8 times faster. The residues
-    moved eps from the supremum over every node by at most 3.2e-15
-    absolute, 1.5e-11 relative at Omega = 0.3+1.2i, 1.5e-10 at Omega = i
-    and 2.0e-10 at -0.45+0.8i (m0 = 80 and 160 with k | m0, 80 with k = 6,
-    90 with k = 4, 6, 9). The gap between nodes was bounded by refinement
-    and sampling, measured again on these routes: eps is bit-identical on
-    80^2 and 160^2 grids at Omega = i (k = 2..10) and 0.3+1.2i (k = 4, 6,
-    8, 10), and 200 000 random off-node points never exceed it there, nor
-    do 100 000 at tau = 1/2+0.866i, 0.1+2i, -0.4+0.7i and 0.45+0.95i
-    (k = 3, 5, 6, 9).
+    1/k-periodic in x and in y, so it is taken at the nodes' residues mod
+    1/k: the nodes of one (1/k)-cell of the lcm(m0, k)-grid, lcm(m0, k)/k
+    per axis, on the grid route with gradients. That is 2164 nodes over
+    k = 4, 6, 8, 10 at m0 = 80, against 4 x 6400, and all m0^2 where
+    gcd(m0, k) = 1. The cell moved eps from the supremum over every node
+    by at most 3.1e-15 absolute, 1.8e-11 relative at Omega = 0.3+1.2i,
+    1.4e-10 at Omega = i and 2.0e-10 at -0.45+0.8i (m0 = 80 and 160 with
+    k = 4, 8, 10, 80 with k = 6, 7, 9, 90 with k = 4, 6, 9). The gap
+    between nodes was bounded by refinement and sampling, measured again
+    on this route: eps is bit-identical on 80^2 and 160^2 grids at Omega =
+    i (k = 2..10 but 9, which moves by 2.2e-16) and 0.3+1.2i (k = 4, 6, 8,
+    10), and 200 000 random off-node points never exceed it there, nor do
+    100 000 at tau = 1/2+0.866i, 0.1+2i, -0.4+0.7i and 0.45+0.95i (k = 3,
+    5, 6, 9).
     """
     if om.n != 1:
         raise ConfigError("convergence suite is implemented for n = 1")
@@ -149,18 +149,11 @@ def convergence_suite(
     }
     for k in k_list:
         basis = theta_basis(om, k)
-        # eps at the nodes' residues mod 1/k in slices of _CHUNK_TERMS
-        # (section, point) pairs, or on the grid route if those are all nodes
-        res = np.arange(m0 // math.gcd(m0, k)) / math.lcm(m0, k)
-        x, y = (a.reshape(-1, 1) for a in np.meshgrid(res, res, indexing="ij"))
-        step = max(1, _CHUNK_TERMS // basis.n_sections)
-        hs = (
-            omega_k_field(basis, x[i : i + step], y[i : i + step])
-            for i in range(0, len(x), step)
-        )
-        if len(res) == m0:
-            hs = (h for _, h in _metric_blocks(basis, grid_gauge_blocks(basis, m0, grad=True)))
-        eps = max(c0_metric_deviation(om, h) for h in hs)
+        # eps on one (1/k)-cell of the lcm(m0, k)-grid, whose nodes are the
+        # m0-grid nodes' residues mod 1/k
+        lcm = math.lcm(m0, k)
+        cell = grid_gauge_blocks(basis, lcm, grad=True, box=(lcm // k,) * 2)
+        eps = max(c0_metric_deviation(om, h) for _, h in _metric_blocks(basis, cell))
         rows["c0_deviation"].append(eps)
         stretch = max(1.0 - np.sqrt(max(1.0 - eps, 0.0)), np.sqrt(1.0 + eps) - 1.0)
         rows["gh_ub_metric"].append(0.5 * stretch * diameter)

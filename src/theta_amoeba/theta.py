@@ -425,30 +425,31 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
     return GaugeValue(log_scale=log_scale, base_phase=base_ph, values=values, grad=grads)
 
 
-def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, x_nodes: int | None = None):
+def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, box: tuple | None = None):
     """Every basis section on the nodes of quadrature_grid(n, m), in blocks;
-    with x_nodes, on the nodes of the grid's leading x_nodes x-nodes only.
+    with box, a tuple of 2n counts, on the nodes whose index on axis a is
+    below box[a] only (x-axes first, then y-axes).
 
     The grid route: section_gauge_values at the grid's nodes, with the
     same values and accuracy contract. Yields one GaugeValue per block of
-    whole x-nodes, each with the m^n y-nodes of its x-nodes, in the grid's
-    x-major node order, so the blocks' nodes run over the grid once.
+    whole x-nodes, each with the box's y-nodes, in the grid's x-major node
+    order, so the blocks' nodes run over the box once.
     At z = Omega x + y with real y the centre l* and the row shift depend
     on x alone, and y enters term l only as the phase e(tl y). So one
-    lattice sum per x-node, at z = Omega x, serves its m^n nodes y = q / m:
+    lattice sum per x-node, at z = Omega x, serves its y-nodes y = q / m:
     their sums are
       sum_j w(x, j) e(-t(off_j) s / k) e(t(off_j) q / m),
     times the point phases e(-t(l*) s / k) e(t(l*) q / m), all read from
     roots of unity by integer indices mod k and mod m. A step of x-nodes
-    then costs one (m^n x J)(J x rows k^n) product, the multiply-adds of
+    then costs one (y-nodes x J)(J x rows k^n) product, the multiply-adds of
     section_gauge_values' contraction without its per-node exponentials;
     grad widens it by n more tables of the offset-weighted terms. Each
     node still gets its own sum: every term is factored exactly, and no
     node's values are copied from another by a Heisenberg translation.
 
     Memory contract: a block is one step, the longest run of whole x-nodes
-    whose (J, tables, S) operands and (m^n, tables, S) sums fill at most
-    _CHUNK_TERMS entries, and at least one x-node. Beyond the blocks a
+    whose (J, tables, S) operands and (y-nodes, tables, S) sums fill at
+    most _CHUNK_TERMS entries, and at least one x-node. Beyond the blocks a
     caller keeps, the route holds the block it builds, four buffers of one
     step's arrays, one lattice chunk, and tables over the offsets times
     the y-nodes, the x-nodes and the sections: none over the whole grid.
@@ -456,26 +457,28 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, x_nodes: in
     terms are spent once summed, so the gradient half of a step allocates
     only the copy its block returns.
     Steps are counted from each lattice chunk's start, and a node's
-    values have the same bits as in one whole-grid array. Fewer x_nodes
+    values have the same bits as in one whole-grid array. A smaller box
     can narrow a step's BLAS product and its order of adds (up to 2.7e-15
-    at one x-node, n = 1); the 1/k strip, m^n / k x-nodes, kept every bit.
+    at one x-node, n = 1); the 1/k strip (m/k,) + (m,) * (2n - 1) kept
+    every bit.
     """
     k, n = basis.k, basis.om.n
-    nodes = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
-    x = nodes / m
-    z, log_scale, base_ph = _gauge(basis, x[:x_nodes], np.zeros_like(x[:x_nodes]))
+    box = (m,) * (2 * n) if box is None else box
+    x_nodes, y_nodes = (np.indices(sides).reshape(n, -1).T for sides in (box[:n], box[n:]))
+    x, y = x_nodes / m, y_nodes / m
+    z, log_scale, base_ph = _gauge(basis, x, np.zeros_like(x))
     off, chunks = _lattice_terms(basis.om.omega / k, z, np.zeros(n))
     off_int = off.astype(int)
     unit_k = np.exp(-2j * np.pi * np.arange(k) / k)
     unit_m = np.exp(2j * np.pi * np.arange(m) / m)
     idx = basis.indices.T
-    y_table = unit_m[(nodes @ off_int.T) % m]
+    y_table = unit_m[(y_nodes @ off_int.T) % m]
     # the section table, then with grad each offset coordinate times it:
     # (J, tables, S)
     tables = unit_k[(off_int @ idx) % k][:, None, :]
     if grad:
         tables = np.concatenate([tables, off[:, :, None] * tables], axis=1)
-    n_s, n_y, n_t = basis.n_sections, len(nodes), tables.shape[1]
+    n_s, n_y, n_t = basis.n_sections, len(y_nodes), tables.shape[1]
     step = max(1, _CHUNK_TERMS // (n_t * n_s * (n_y + len(off))))
     # flat buffers for a whole step's terms (then, with grad, its
     # gradients), sums, values and phases, which every step rewrites:
@@ -502,7 +505,7 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, x_nodes: in
         vals = into(2, r, n_y, n_s)
         vals[...] = sums[:, 0].transpose(1, 0, 2)
         phase = into(3, r, n_y, n_s)
-        s_phase, y_phase = unit_k[(lx @ idx) % k], unit_m[(lx @ nodes.T) % m]
+        s_phase, y_phase = unit_k[(lx @ idx) % k], unit_m[(lx @ y_nodes.T) % m]
         np.multiply(s_phase[:, None, :], y_phase[:, :, None], out=phase)
         grads = None
         if grad:
@@ -513,10 +516,10 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, x_nodes: in
             grads = g.transpose(3, 0, 1, 2).copy().reshape(n_s, r * n_y, n)
         vals = vals.reshape(r * n_y, n_s)
         vals *= phase.reshape(r * n_y, n_s)
-        # the gauge phase pi k (tx S x + tx y) at the block's nodes; y runs
-        # over the same points nodes / m as x. Elementwise, not BLAS: a
-        # node's bits must not depend on its block's shape
-        xy = sum(x[xs, d, None] * x[:, d] for d in range(n))
+        # the gauge phase pi k (tx S x + tx y) at the block's nodes.
+        # Elementwise, not BLAS: a node's bits must not depend on its
+        # block's shape
+        xy = sum(x[xs, d, None] * y[:, d] for d in range(n))
         base_phase = base_ph[xs, None] + np.pi * k * xy
         return GaugeValue(np.repeat(log_scale[xs], n_y), base_phase.ravel(), vals.T.copy(), grads)
 
@@ -799,7 +802,8 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):
     exp(-TAIL_LOG) ~ 1e-16 e^-5, and a box past MAX_RADIUS raises
     TruncationOverflow. The terms fall as k grows: at Omega = 0.3 + 1.2i
     the series keeps 83 terms at k = 1 and nu = 0 alone at k = 32. The
-    phase is periodic in (x, y), so points need no reduction.
+    phase is periodic in (x, y), so points need no reduction. Any other
+    mode raises ConfigError.
 
     Accuracy contract: f_k is accurate to roundoff relative to k^n, its
     mean over X. The dropped terms of a box twice as wide weigh at most
@@ -813,7 +817,7 @@ def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):
     if mode == "direct":
         return section_gauge_values(basis, x, y).norm_sq().sum(axis=0)
     if mode != "closed":
-        raise ValueError(f"unknown distortion mode {mode!r}")
+        raise ConfigError(f"unknown distortion mode {mode!r}")
     s, t, t_inv = om.re, om.im, om.im_inv
     q = 0.5 * np.pi * k * np.block([[t_inv, -t_inv @ s], [-s @ t_inv, s @ t_inv @ s + t]])
     radius = np.sqrt(TAIL_LOG)

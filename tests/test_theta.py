@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_amoeba import (
+    ConfigError,
     InvalidPoints,
     NonPositive,
     NotSymmetric,
@@ -630,21 +631,34 @@ def test_grid_blocks_are_whole_x_nodes_that_join_to_the_grid(monkeypatch, rm, k,
 
 @pytest.mark.parametrize("rm", [SQUARE, GENERIC, COUPLED], ids=["square", "generic", "coupled"])
 def test_grid_blocks_of_leading_x_nodes_are_the_grid_prefix(rm):
-    # the leading x-nodes alone are the whole grid's first nodes: scales
-    # and gauge phases bit for bit, values and gradients to the accuracy
-    # contract, since a narrower step's BLAS product may add in another
-    # order (up to 2.7e-15 at one x-node); the 1/k strip, m^n / k x-nodes,
-    # keeps every bit here
+    # a box of leading nodes per axis holds the whole grid's same nodes, in
+    # the same order: scales and gauge phases bit for bit, values and
+    # gradients to the accuracy contract, since a narrower step's BLAS
+    # product may add in another order. The boxes keep leading x-nodes
+    # only (one x-node, the 1/k strip (m/k,) + (m,) * (2n - 1), all but
+    # the last x-row) or restrict y too (the (1/k)-cell (m/k,) * 2n, and
+    # every x-node with a 1/k strip of y); the strip keeps every bit here
     n = rm.n
     for k in ((2, 3) if n == 2 else (4, 7, 10)):
         basis, m = theta_basis(rm, k), (8 * k if n == 1 else 12)
         whole = grid_gauge_values(basis, m, grad=True)
-        for count in (1, m**n // k, m**n - 1):
-            blocks = list(grid_gauge_blocks(basis, m, grad=True, x_nodes=count))
+        strip = (m // k,) + (m,) * (2 * n - 1)
+        boxes = [
+            (1,) * n + (m,) * n,
+            strip,
+            (m - 1,) + (m,) * (2 * n - 1),
+            (m // k,) * (2 * n),
+            (m,) * n + (m // k,) + (m,) * (n - 1),
+        ]
+        for box in boxes:
+            # the box's nodes in the whole grid's x-major order
+            index = np.indices((m,) * (2 * n)).reshape(2 * n, -1).T
+            inside = np.flatnonzero(np.all(index < box, axis=1))
+            blocks = list(grid_gauge_blocks(basis, m, grad=True, box=box))
             for name, axis, tol in (("log_scale", 0, 0), ("base_phase", 0, 0), ("values", 1, 1e-13), ("grad", 1, 1e-12)):
                 joined = np.concatenate([getattr(b, name) for b in blocks], axis=axis)
-                ref = np.take(getattr(whole, name), np.arange(count * m**n), axis=axis)
-                if tol == 0 or count == m**n // k:
+                ref = np.take(getattr(whole, name), inside, axis=axis)
+                if tol == 0 or box == strip:
                     assert np.array_equal(joined, ref)
                 else:
                     assert np.abs(joined - ref).max() <= tol * np.abs(ref).max()
@@ -847,6 +861,15 @@ def test_distortion_closed_matches_direct():
         direct = distortion_fk(basis, x, y, mode="direct")
         closed = distortion_fk(basis, x, y, mode="closed")
         assert np.allclose(closed, direct, rtol=1e-10), k
+
+
+@pytest.mark.parametrize("mode", ["Closed", "series", "", None], ids=["case", "other", "empty", "none"])
+def test_distortion_refuses_an_unknown_mode(mode):
+    # an unknown mode raised a bare ValueError, outside the package's
+    # error types
+    basis = theta_basis(GENERIC, 2)
+    with pytest.raises(ConfigError, match="distortion mode"):
+        distortion_fk(basis, [[0.1]], [[0.2]], mode=mode)
 
 
 def test_distortion_closed_matches_direct_n2():
