@@ -20,7 +20,13 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DisconnectedSample, InvalidPoints
 from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
-from .theta import ThetaBasis, _level, _stacked_log_mag_blocks, grid_gauge_blocks
+from .theta import (
+    ThetaBasis,
+    _level,
+    _stacked_log_mag_blocks,
+    grid_gauge_blocks,
+    section_gauge_values,
+)
 
 SIMPLEX_CONSTANT = 1.0 / np.sqrt(np.pi)
 
@@ -104,21 +110,6 @@ def _softmax(blocks):
         yield pts, w
 
 
-def _moment_blocks(basis: ThetaBasis, x, y):
-    """Moment coordinates in blocks of points, by the per-section route:
-    (m, blocks), where blocks yields (points, w) over theta._point_blocks'
-    slices, in order, and w is the C-ordered (k^n, points) array of xi for
-    those points, the _softmax of one block of
-    theta._stacked_log_mag_blocks.
-
-    A block holds every section of at least two points (or the one point),
-    and numpy reduces its sections in the order it reduces the whole
-    (k^n, m) array's, so each xi has the same bits on any block split.
-    """
-    m, blocks = _stacked_log_mag_blocks(basis, x, y)
-    return m, _softmax(blocks)
-
-
 def _grid_moment_blocks(basis: ThetaBasis, m: int, box: tuple | None = None):
     """Moment coordinates on the nodes of quadrature_grid(n, m), or of its
     leading box of nodes, by the grid route: (nodes, blocks), where
@@ -138,45 +129,19 @@ def _grid_moment_blocks(basis: ThetaBasis, m: int, box: tuple | None = None):
 
 
 def moment_points(basis: ThetaBasis, x, y) -> np.ndarray:
-    """Moment coordinates for a batch of points, shape (m, k^n).
-
-    The blocks of _moment_blocks joined, as a softmax of 2 log|s_i|_h.
-    Evaluated one lattice sum per section (see theta._stacked_log_mag_blocks),
-    whose roundoff the amoeba subcommand's point count depends on, so the
-    route stays until the benchmark's pinned counts are restated (ROADMAP
-    items 1 and 2 retire it). Each distinct shifted point z - b_i is
-    summed once: the repeats are found by integer keys built from
-    per-coordinate tables of Im z and of the differences Re z - j / k, in
-    blocks of at most theta._CHUNK_TERMS (section, point) pairs, never
-    from the k^n m shifted rows themselves.
-    Equal keys mean bit-equal points, and the distinct points are rebuilt
-    with the bits of the subtraction, so every xi is bit for bit that of
-    summing every shifted point. theta._theta_sums sums them in slices of
-    at most theta._CHUNK_TERMS points, each in runs on theta.THREADS
-    threads over its own rows; a row's sum does not depend on which slice,
-    run or chunk takes it, and its Gaussian's centre is computed once per
-    distinct Im z row, so xi is the same bits on any thread count and
-    budget.
-
-    Memory: the (k^n, m) result, returned transposed, plus one block and
-    what the lattice-sum route holds besides its blocks: the lookup table
-    of the distinct shifted points' sums, one slice of those points, and
-    the m points' coordinate tables.
-    Nothing in the package calls this (amoeba_sample streams the blocks
-    and holds no (k^n, m) array); it stays public for callers that want
-    the whole image.
-    """
-    m, blocks = _moment_blocks(basis, x, y)
-    out = np.empty((basis.n_sections, m))
-    for pts, w in blocks:
-        out[:, pts] = w
-    return out.T
+    """Moment coordinates for a batch of points, shape (m, k^n): the
+    _softmax of section_gauge_values' log|s_i|_h, one lattice sum per point.
+    Each xi_i is accurate to roundoff of max_j xi_j, that route's contract:
+    within 1e-13 of the per-section route's image (amoeba_sample's) for
+    k <= 32 and coordinates in [-0.5, 1.5]. Nothing in the package calls it."""
+    _, xi = next(_softmax([(None, section_gauge_values(basis, x, y).log_mag)]))
+    return xi.T
 
 
 def _merged_image(n_sections: int, m: int, blocks):
     """(xi, nodes, node_sample): the images of m points, streamed in
-    (points, w) blocks of xi as _moment_blocks and _grid_moment_blocks
-    yield them, merged where np.round(xi, 12) is bit-equal, groups
+    (points, w) blocks of xi as amoeba_sample and _grid_moment_blocks
+    stream them, merged where np.round(xi, 12) is bit-equal, groups
     numbered by first appearance.
 
     Each point's rounded image is looked up by its raw bytes in a dict of
@@ -232,25 +197,25 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     simplex-distance edge lengths. The grid must match the basis dimension
     and have at least 8k nodes per axis.
 
-    The images come from the per-section route (_moment_blocks). Because
-    the merge compares rounded bits, the point count depends on that
-    route's last-bit roundoff: at Omega = i, k = 32 on 256^2 it gives 292
-    points where the grid route gives the 256 of the 1e-12 clusters. The
-    amoeba subcommand writes this sample, and the benchmark pins its
-    counts, so it keeps the route until those pins are restated (ROADMAP
-    items 1 and 2 retire it). The convergence suite samples by the grid
-    route instead (_grid_amoeba_sample).
+    The images are the _softmax of the blocks of the per-section route,
+    theta._stacked_log_mag_blocks. Because the merge compares rounded
+    bits, the point count depends on that route's last-bit roundoff: at
+    Omega = i, k = 32 on 256^2 it gives 292 points where the grid route
+    gives the 256 of the 1e-12 clusters. The amoeba subcommand writes this
+    sample, and the benchmark pins its counts, so it keeps the route until
+    those pins are restated (ROADMAP items 1 and 2 retire it).
 
     The merge rule is the one over the whole image, but the image streams
     block by block (_merged_image). Memory: the sample (its images, node
-    maps and one bytes key per point), one block of _moment_blocks, and
-    what the lattice-sum route holds besides its blocks (its lookup table
-    of the distinct shifted points' sums, one slice of those points and
-    the grid's coordinate tables); never a (grid.size, k^n) image. The
-    graph, once read, adds its edges and the k-d tree it was built from.
+    maps and one bytes key per point), one block, and what the route holds
+    besides its blocks (its lookup table of the distinct shifted points'
+    sums, one slice of those points and the grid's coordinate tables);
+    never a (grid.size, k^n) image. The graph, once read, adds its edges
+    and the k-d tree it was built from.
     """
     check_grid_resolution(basis, grid)
-    return _sample(basis, (grid.m,) * (2 * grid.n), *_moment_blocks(basis, grid.x, grid.y))
+    m, blocks = _stacked_log_mag_blocks(basis, grid.x, grid.y)
+    return _sample(basis, (grid.m,) * (2 * grid.n), m, _softmax(blocks))
 
 
 def _grid_amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
@@ -268,10 +233,10 @@ def _grid_amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample
     holds 581 points against the strip's 576 at Omega = 0.3+1.2i, k = 9,
     and 261 against 256 at Omega = -0.45+0.8i, k = 4.
 
-    Each node's image agrees with moment_points' to roundoff (<= 3.4e-15
-    at Omega = 0.3+1.2i, k = 4, 6, 8, 10), and the point counts are those
-    of the 1e-12 clusters: 256/384/512/640 at that Omega on the 8k grids,
-    where the per-section route's rounded bits give 256/386/528/640.
+    Each node's image agrees with amoeba_sample's to roundoff, <= 3.4e-15
+    at Omega = 0.3+1.2i, k = 4, 6, 8, 10 (moment_points': <= 1.7e-15), and
+    the point counts are the 1e-12 clusters': 256/384/512/640 at that Omega
+    on the 8k grids, where amoeba_sample's rounded bits give 256/386/528/640.
     Memory: the sample, one block of grid_gauge_blocks and its step
     buffers and tables; never a (grid.size, k^n) image.
     """

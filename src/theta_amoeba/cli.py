@@ -40,7 +40,7 @@ from .quantization import (
     bsz_comparison,
     peak_section_suite,
 )
-from .theta import _seed, grid_gauge_values, theta_basis
+from .theta import _seed, grid_gauge_blocks, theta_basis
 
 
 def _integer(name: str, value) -> int:
@@ -201,12 +201,14 @@ def run_theta_eval(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for k in cfg.k_list:
         basis = theta_basis(om, k)
         grid = quadrature_grid(om.n, 8)
-        gv = grid_gauge_values(basis, grid.m)
-        i, m = np.divmod(np.arange(gv.log_mag.size), grid.size)
+        parts = list(grid_gauge_blocks(basis, grid.m))
+        log_mag = np.hstack([gv.log_mag for gv in parts])
+        phase = np.hstack([gv.phase for gv in parts])
+        i, m = np.divmod(np.arange(log_mag.size), grid.size)
         blocks.append(
             np.column_stack(
                 [np.full(i.size, k), i, grid.x[m], grid.y[m]]
-                + [gv.log_mag.ravel(), gv.phase.ravel()]
+                + [log_mag.ravel(), phase.ravel()]
             )
         )
     header = (

@@ -32,9 +32,10 @@ class NonPositive(ThetaAmoebaError):
 
 class NotIntegral(ThetaAmoebaError, ValueError):
     """A value that must be an integer is not: a Heisenberg group label
-    (c, alpha, beta) or the slope of a line on the two-torus. A bool is
-    refused too, though Python counts it as an int. Also a ValueError,
-    which a bad slope raised before this type existed."""
+    (c, alpha, beta) or the slope of a line on the two-torus, which must
+    also be nonnegative. A bool is refused too, though Python counts it as
+    an int. Also a ValueError, which a bad slope raised before this type
+    existed."""
 
 
 class DisconnectedSample(ThetaAmoebaError):

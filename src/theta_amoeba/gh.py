@@ -22,8 +22,8 @@ carry the content. Each column of the sweep names the spaces it measures:
 
 B_k is sampled by the grid route on one 1/k strip of the 8k grid
 (amoeba._grid_amoeba_sample), whose point counts are the 1e-12 cluster
-counts; the amoeba subcommand's sample keeps the per-section route, see
-amoeba.amoeba_sample.
+counts; only the amoeba subcommand's sample (amoeba.amoeba_sample) still
+takes the per-section route.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidPoints,
     NonPositive,
     NotIntegral,
@@ -38,10 +39,8 @@ class AffineLagrangian:
     offset: Fraction
 
     def __post_init__(self):
-        if isinstance(self.slope, bool) or not isinstance(self.slope, int):
+        if isinstance(self.slope, bool) or not isinstance(self.slope, int) or self.slope < 0:
             raise NotIntegral(f"slope must be a nonnegative integer, got {self.slope!r}")
-        if self.slope < 0:
-            raise ValueError("slope must be a nonnegative integer")
         object.__setattr__(self, "offset", Fraction(self.offset) % 1)
 
 
@@ -77,7 +76,7 @@ def triangle_coefficient(tau: complex, target: str) -> complex:
     elif target == "b1":
         delta = 0.5
     else:
-        raise ValueError(f"unknown target {target!r}")
+        raise ConfigError(f"unknown target {target!r}")
     return complex(theta_char([[2.0 * tau]], [[0.0]], a=[delta])[0])
 
 

@@ -29,7 +29,7 @@ MAX_RADIUS = 200
 ZERO_FLOOR_LOG = np.log(1e-12)
 # complex terms per lattice chunk (512 KB): in cache and at the memory floor,
 # yet amortising each chunk's Python work (swept from 8192 to 4 000 000);
-# also the (section, point) pairs per block of the moment map's passes,
+# also the (section, point) pairs per block of the per-section route's passes,
 # whose int64 keys and gathers then take 256 KB each
 _CHUNK_TERMS = 32_768
 # tables over the key span hold at most this many entries per distinct
@@ -392,7 +392,7 @@ def section_gauge_values(basis: ThetaBasis, x, y, grad: bool = False) -> GaugeVa
     grad, the same contraction of (l* + off) times the terms gives the
     gradient d_z Theta_k(z; b_i), scaled like the values.
 
-    Accuracy contract, shared with _stacked_log_mag and grid_gauge_blocks:
+    Accuracy contract, shared with _stacked_log_mag_blocks and grid_gauge_blocks:
     |s_i|_h is accurate to roundoff times max_j |s_j|_h at each point, not
     relative to |s_i|_h: every section sums the same terms up to phase.
     The roundoff grows with k and |x|; for k <= 32 and coordinates in
@@ -529,19 +529,6 @@ def grid_gauge_blocks(basis: ThetaBasis, m: int, grad: bool = False, box: tuple 
         for start in range(0, len(w), step):
             wx, lx = w[start : start + step], l_star[start : start + step]
             yield block(wx, lx, slice(rows.start + start, rows.start + start + len(wx)))
-
-
-def grid_gauge_values(basis: ThetaBasis, m: int, grad: bool = False) -> GaugeValue:
-    """Every basis section on every node of quadrature_grid(n, m), x-major:
-    the blocks of grid_gauge_blocks joined, for callers that want the
-    whole grid at once. The grid's reductions go through the blocks."""
-    parts = list(grid_gauge_blocks(basis, m, grad=grad))
-    return GaugeValue(
-        log_scale=np.concatenate([p.log_scale for p in parts]),
-        base_phase=np.concatenate([p.base_phase for p in parts]),
-        values=np.concatenate([p.values for p in parts], axis=1),
-        grad=np.concatenate([p.grad for p in parts], axis=1) if grad else None,
-    )
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -683,10 +670,8 @@ def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
     blocks of points.
 
     The route section_gauge_values replaced, with the same values and
-    accuracy contract. amoeba's moment map keeps it, because
-    amoeba_sample merges images that agree to 12 digits, so its point
-    count depends on last-bit roundoff; the tests use it, joined by
-    _stacked_log_mag, as oracle.
+    accuracy contract, kept for its one caller, amoeba_sample, whose 12-digit
+    merge makes its point count depend on last-bit roundoff (ROADMAP item 2).
 
     Returns (m, blocks): the point count, and a generator of (points,
     block) over the slices of _point_blocks, in order, where block is the
@@ -772,19 +757,6 @@ def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
             yield pts, block
 
     return m, blocks()
-
-
-def _stacked_log_mag(basis: ThetaBasis, x, y) -> np.ndarray:
-    """The blocks of _stacked_log_mag_blocks joined into one (k^n, m) array.
-
-    Memory contract: the (k^n, m) result plus what _stacked_log_mag_blocks
-    holds besides its blocks, and one block.
-    """
-    m, blocks = _stacked_log_mag_blocks(basis, x, y)
-    out = np.empty((basis.n_sections, m))
-    for pts, block in blocks:
-        out[:, pts] = block
-    return out
 
 
 def distortion_fk(basis: ThetaBasis, x, y, mode: str = "closed"):

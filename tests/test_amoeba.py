@@ -18,6 +18,8 @@ from theta_amoeba.amoeba import (
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import _unique_rows, theta_basis
 
+from oracles import joined, per_section_image
+
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
 COUPLED = validate_riemann_matrix([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
@@ -39,6 +41,24 @@ def test_moment_coordinates_normalized():
     xi = moment_points(basis, RNG.uniform(size=(10, 1)), RNG.uniform(size=(10, 1)))
     assert np.allclose(xi.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(xi >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "om, ks",
+    [(SQUARE, (1, 2, 3, 5, 8, 16, 32)), (GENERIC, (1, 2, 3, 5, 8, 16, 32)), (COUPLED, (1, 2, 3, 4))],
+    ids=["square", "generic", "coupled"],
+)
+def test_moment_points_match_the_per_section_image(om, ks):
+    # one lattice sum per point against one per section, at unreduced
+    # points: section_gauge_values' contract, 1e-13 (1.04e-14 measured);
+    # no points give an empty (0, k^n) image
+    for k in ks:
+        basis = theta_basis(om, k)
+        x, y = np.random.default_rng(k).uniform(-0.5, 1.5, size=(2, 500, om.n))
+        xi = moment_points(basis, x, y)
+        assert xi.shape == (500, basis.n_sections)
+        assert np.max(np.abs(xi - per_section_image(basis, x, y))) <= 1e-13
+        assert moment_points(basis, x[:0], y[:0]).shape == (0, basis.n_sections)
 
 
 def test_moment_invariant_under_fiber_torsion():
@@ -334,10 +354,7 @@ def rounded_groups(xi):
 def whole_image_groups(n_sections, m, blocks):
     """Oracle of amoeba._merged_image: the streamed blocks joined into the
     whole (m, k^n) image, then grouped at once."""
-    xi = np.empty((m, n_sections))
-    for pts, w in blocks:
-        xi[pts] = w.T
-    return rounded_groups(xi)
+    return rounded_groups(joined(n_sections, m, blocks).T)
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["built", "empty"])
@@ -404,20 +421,16 @@ def test_streamed_merge_of_coupled_points_at_any_pair_budget(monkeypatch, pairs)
     # the coupled Omega's n = 2 image on a 6^4 grid, below the sample's
     # resolution floor, merged block by block and as a whole
     basis, grid = theta_basis(COUPLED, 2), quadrature_grid(2, 6)
-    want = rounded_groups(moment_points(basis, grid.x, grid.y))
+    want = rounded_groups(per_section_image(basis, grid.x, grid.y))
     monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
-    blocks = amoeba._moment_blocks(basis, grid.x, grid.y)
-    for got, ref in zip(amoeba._merged_image(basis.n_sections, *blocks), want):
+    m, blocks = theta._stacked_log_mag_blocks(basis, grid.x, grid.y)
+    for got, ref in zip(amoeba._merged_image(basis.n_sections, m, amoeba._softmax(blocks)), want):
         assert np.array_equal(got, ref)
 
 
 def grid_image(basis, m):
     """The grid route's moment map joined into one (m^2n, k^n) image."""
-    size, blocks = amoeba._grid_moment_blocks(basis, m)
-    xi = np.empty((size, basis.n_sections))
-    for pts, w in blocks:
-        xi[pts] = w.T
-    return xi
+    return joined(basis.n_sections, *amoeba._grid_moment_blocks(basis, m)).T
 
 
 @pytest.mark.parametrize(

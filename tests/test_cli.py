@@ -13,7 +13,9 @@ from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import amoeba_sample
 from theta_amoeba.cli import ExperimentConfig, main, run_amoeba, run_theta_eval, write_csv
 from theta_amoeba.metrics import quadrature_grid
-from theta_amoeba.theta import grid_gauge_values, theta_basis
+from theta_amoeba.theta import theta_basis
+
+from oracles import grid_gauge_values
 
 
 def run(capsys, *argv):

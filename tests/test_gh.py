@@ -15,7 +15,7 @@ from theta_amoeba.amoeba import bk_distances
 from theta_amoeba.gh import convergence_suite, fit_loglog_slope
 from theta_amoeba.theta import theta_basis
 
-from test_metrics import grid_deviation
+from oracles import grid_deviation
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])

@@ -9,11 +9,9 @@ from theta_amoeba import ConfigError, DegenerateSample, InvalidPoints, NonPositi
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.metrics import (
     MetricField,
-    _metric_blocks,
     _metric_field,
     balanced_matrix,
     c0_metric_deviation,
-    check_grid_resolution,
     geodesic_distances,
     gram_matrix,
     omega_k_field,
@@ -24,10 +22,11 @@ from theta_amoeba.theta import (
     ThetaBasis,
     distortion_fk,
     grid_gauge_blocks,
-    grid_gauge_values,
     section_gauge_values,
     theta_basis,
 )
+
+from oracles import grid_deviation, grid_gauge_values, omega_k_metric_field
 
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
@@ -38,26 +37,6 @@ COUPLED = validate_riemann_matrix(
 
 def grid_for(k, n=1):
     return quadrature_grid(n, max(8 * k, 16))
-
-
-def omega_k_metric_field(basis, grid):
-    """Oracle of the convergence suite's eps: the pulled-back metric g_k at
-    every node of the grid, built block by block (grid_gauge_blocks) into
-    the (nodes, n, n) field, so beyond it the extra memory is a few blocks
-    with their gradients and forms, and the route's tables."""
-    check_grid_resolution(basis, grid)
-    n = basis.om.n
-    h = np.empty((grid.size, n, n), dtype=complex)
-    start = 0
-    for _, part in _metric_blocks(basis, grid_gauge_blocks(basis, grid.m, grad=True)):
-        h[start : start + len(part)] = part
-        start += len(part)
-    return MetricField(grid=grid, om=basis.om, h=h)
-
-
-def grid_deviation(basis, m):
-    """The C0 deviation eps over every node of the m-grid."""
-    return c0_metric_deviation(basis.om, omega_k_metric_field(basis, quadrature_grid(1, m)).h)
 
 
 def flat_metric_field(om, grid):

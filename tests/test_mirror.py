@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from theta_amoeba import (
+    ConfigError,
     InvalidPoints,
     NonPositive,
     NotIntegral,
@@ -40,7 +41,8 @@ def test_lagrangian_offset_reduced():
 
 
 def test_lagrangian_rejects_negative_slope():
-    with pytest.raises(ValueError):
+    # NotIntegral is a ValueError too, which callers caught before
+    with pytest.raises(NotIntegral, match="nonnegative integer, got -1"):
         AffineLagrangian(-1, Fraction(0))
 
 
@@ -113,7 +115,7 @@ def test_triangle_coefficient_against_nome_series():
 def test_triangle_coefficient_rejects_bad_tau():
     with pytest.raises(NonPositive):
         triangle_coefficient(0.5 - 1j, "b0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown target 'b2'"):
         triangle_coefficient(1j, "b2")
 
 

@@ -410,8 +410,7 @@ def test_peak_suite_evaluates_grid_once(monkeypatch):
         sizes.append(m ** (2 * basis.om.n))
         return grid_gauge_blocks(basis, m, grad=grad)
 
-    # every module binding, so a second route through metrics or through
-    # grid_gauge_values counts too
+    # every module binding, so a second route through metrics counts too
     for module in (theta, metrics, quantization):
         monkeypatch.setattr(module, "grid_gauge_blocks", counted)
     for k in (2, 4):

@@ -21,7 +21,6 @@ from theta_amoeba import (
     theta,
 )
 from theta_amoeba.abelian import validate_riemann_matrix, xy_to_z
-from theta_amoeba.amoeba import moment_points
 from theta_amoeba.metrics import quadrature_grid
 from theta_amoeba.theta import (
     _CHUNK_TERMS,
@@ -31,16 +30,16 @@ from theta_amoeba.theta import (
     _half_widths,
     _lattice_terms,
     _offsets,
-    _stacked_log_mag,
     _unique_rows,
     distortion_fk,
     grid_gauge_blocks,
-    grid_gauge_values,
     section_gauge_values,
     theta_basis,
     theta_char,
     theta_char_log,
 )
+
+from oracles import grid_gauge_values, per_section_image, stacked_log_mag
 
 RNG = np.random.default_rng(7)
 SQUARE = validate_riemann_matrix([[1j]])
@@ -246,8 +245,8 @@ def test_ellipsoid_offsets_match_wide_brute_sum(om):
 )
 def test_row_terms_are_the_same_bits_in_any_chunk(rm, k):
     # each point's terms and shift, computed in a batch of 40, alone, and in
-    # slices of 3 and 17, agree bit for bit: _stacked_log_mag's dedup relies
-    # on a row's sum not depending on the rows that share its chunk
+    # slices of 3 and 17, agree bit for bit: the per-section route's dedup
+    # relies on a row's sum not depending on the rows that share its chunk
     x, y = np.random.default_rng(k).uniform(-0.5, 1.5, size=(2, 40, rm.n))
     z = xy_to_z(x, y, rm)
 
@@ -368,7 +367,7 @@ def test_moment_map_is_the_same_bits_at_any_chunk_size(monkeypatch, rm, k, m):
     runs = []
     for terms in CHUNK_SIZES:
         monkeypatch.setattr(theta, "_CHUNK_TERMS", terms)
-        runs.append((_stacked_log_mag(basis, x, y), moment_points(basis, x, y)))
+        runs.append((stacked_log_mag(basis, x, y), per_section_image(basis, x, y)))
     for lm, xi in runs[1:]:
         assert np.array_equal(lm, runs[0][0]) and np.array_equal(xi, runs[0][1])
 
@@ -516,7 +515,7 @@ def test_moment_map_is_the_same_bits_on_any_thread_count(monkeypatch, rm, k, m):
     runs = []
     for threads in THREAD_COUNTS:
         monkeypatch.setattr(theta, "THREADS", threads)
-        runs.append(moment_points(basis, grid.x, grid.y))
+        runs.append(per_section_image(basis, grid.x, grid.y))
     for xi in runs[1:]:
         assert np.array_equal(xi, runs[0])
 
@@ -1032,7 +1031,7 @@ def test_one_sum_route_matches_per_section_route(rm, k):
     x = rng.uniform(-0.5, 1.5, size=(30, rm.n))
     y = rng.uniform(-0.5, 1.5, size=(30, rm.n))
     gv = section_gauge_values(basis, x, y, grad=True)
-    ref = np.exp(_stacked_log_mag(basis, x, y))
+    ref = np.exp(stacked_log_mag(basis, x, y))
     peak = ref.max(axis=0)
     assert np.all(np.abs(np.exp(gv.log_mag) - ref) <= 1e-12 * peak)
     d_ref, v_ref = stacked_dlog(basis, x, y)
@@ -1172,7 +1171,7 @@ def test_section_accuracy_contract_at_level_32(rm):
     x, y = np.random.default_rng(32).uniform(-0.5, 1.5, size=(2, 24, 1))
     exact = mp_section_log_mag(basis, x, y)
     top = exact.max(axis=0)
-    for lm in (section_gauge_values(basis, x, y).log_mag, _stacked_log_mag(basis, x, y)):
+    for lm in (section_gauge_values(basis, x, y).log_mag, stacked_log_mag(basis, x, y)):
         assert np.abs(np.exp(lm - top) - np.exp(exact - top)).max() <= 1e-13
 
 
@@ -1265,7 +1264,7 @@ def assert_sums_unique_rows(basis, z, sent):
     """The stacked log-magnitudes are the every-row oracle's bits, and the
     points summed for them are the distinct rows of the stack, each once
     over all the lattice-sum calls; returns how many were sent."""
-    lm = _stacked_log_mag(basis, None, None)
+    lm = stacked_log_mag(basis, None, None)
     stack = stacked_rows(basis, z)
     # before the oracle, whose lattice sums are recorded too
     count = assert_each_sent_once(sent, stack[_unique_rows(stack)[0]])
@@ -1326,7 +1325,7 @@ def test_stacked_log_mag_sums_distinct_points_bitwise(rm, k, grid_m):
         grid = quadrature_grid(rm.n, grid_m)
         x, y = grid.x, grid.y
     basis = theta_basis(rm, k)
-    assert np.array_equal(_stacked_log_mag(basis, x, y), stacked_log_mag_every_row(basis, x, y))
+    assert np.array_equal(stacked_log_mag(basis, x, y), stacked_log_mag_every_row(basis, x, y))
 
 
 @pytest.mark.parametrize(
@@ -1343,13 +1342,14 @@ def test_moment_map_is_the_same_bits_at_any_pair_budget(monkeypatch, rm, k, m):
     # distinct keys many times over; square takes the table over the key
     # span, generic and coupled the binary search
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    x, y = grid.x, grid.y
     runs = []
     for pairs in (1, 3, 7, theta._CHUNK_TERMS):
         monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
-        runs.append((_stacked_log_mag(basis, grid.x, grid.y), moment_points(basis, grid.x, grid.y)))
+        runs.append((stacked_log_mag(basis, x, y), per_section_image(basis, x, y)))
     for lm, xi in runs[:-1]:
         assert np.array_equal(lm, runs[-1][0]) and np.array_equal(xi, runs[-1][1])
-    assert np.array_equal(runs[-1][0], stacked_log_mag_every_row(basis, grid.x, grid.y))
+    assert np.array_equal(runs[-1][0], stacked_log_mag_every_row(basis, x, y))
 
 
 def test_stacked_log_mag_memory_is_the_result_and_a_margin():
@@ -1359,7 +1359,7 @@ def test_stacked_log_mag_memory_is_the_result_and_a_margin():
     basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
     tracemalloc.start()
     try:
-        lm = _stacked_log_mag(basis, grid.x, grid.y)
+        lm = stacked_log_mag(basis, grid.x, grid.y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1400,7 +1400,7 @@ def test_point_blocks_tile_the_points_with_two_or_more_each(monkeypatch, k, m):
 def test_stacked_log_mag_of_no_points(rm):
     basis = theta_basis(rm, 3)
     empty = np.zeros((0, rm.n))
-    assert _stacked_log_mag(basis, empty, empty).shape == (basis.n_sections, 0)
+    assert stacked_log_mag(basis, empty, empty).shape == (basis.n_sections, 0)
 
 
 @pytest.mark.parametrize("k, m, rows", [(16, 128, 31_744), (32, 256, 129_024)])
@@ -1409,7 +1409,7 @@ def test_stacked_log_mag_sums_each_distinct_point_once(monkeypatch, k, m, rows):
     # the calls together take each once, in slices of _CHUNK_TERMS points
     sent = recorded_sums(monkeypatch)
     grid = quadrature_grid(1, m)
-    _stacked_log_mag(theta_basis(SQUARE, k), grid.x, grid.y)
+    stacked_log_mag(theta_basis(SQUARE, k), grid.x, grid.y)
     got = np.concatenate(sent)
     assert len(got) == len(_unique_rows(got)[0]) == rows
     assert max(map(len, sent)) <= theta._CHUNK_TERMS
@@ -1433,7 +1433,7 @@ def test_distinct_points_are_summed_once_in_slices_at_any_pair_budget(monkeypatc
     z = _gauge(basis, grid.x, grid.y)[0]
     monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
     sent = recorded_sums(monkeypatch)
-    lm = _stacked_log_mag(basis, grid.x, grid.y)
+    lm = stacked_log_mag(basis, grid.x, grid.y)
     stack = stacked_rows(basis, z)
     assert_each_sent_once(sent, stack[_unique_rows(stack)[0]])
     assert np.array_equal(lm, stacked_log_mag_every_row(basis, grid.x, grid.y))
