@@ -10,6 +10,7 @@ graph.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +41,8 @@ class AmoebaSample:
     node_sample[g] the sample point grid node g merged into, so
     node_sample[nodes] is arange(size). grid_shape, each axis wrapping
     around, is the shape of the x-major nodes the graph's grid-adjacent
-    pairs are read from: (m,) * 2n, or (m / k, m) on a 1/k strip.
+    pairs are read from: (m,) * 2n, or (m / k,) + (m,) * (2n - 1) on a
+    1/k strip.
     """
 
     k: int
@@ -254,10 +256,18 @@ def _sample(basis: ThetaBasis, grid_shape: tuple, m: int, blocks) -> AmoebaSampl
     return AmoebaSample(basis.k, xi, nodes, node_sample, grid_shape)
 
 
-def bk_distances(sample: AmoebaSample, sources, min_only: bool = False) -> np.ndarray:
+def bk_distances(sample: AmoebaSample, sources, min_only: bool = False, limit=np.inf) -> np.ndarray:
     """Intrinsic shortest-path distances from sample indices to all
     samples, along sample.graph, which this builds on first use: shape
     (sources, size), or with min_only the distance from the nearest
-    source, shape (size,), in one multi-source search."""
+    source, shape (size,), in one multi-source search. The search stops
+    at limit: a sample farther than limit reads inf, one at most limit
+    away its unbounded distance. A min_only that is not a bool, or a
+    limit that is not a nonnegative number (NaN included), raises
+    ConfigError."""
     indices = _source_indices(sources, sample.size)
-    return dijkstra(sample.graph, directed=False, indices=indices, min_only=min_only)
+    if not isinstance(min_only, (bool, np.bool_)):
+        raise ConfigError(f"min_only must be a bool, got {min_only!r}")
+    if isinstance(limit, bool) or not (isinstance(limit, numbers.Real) and limit >= 0):
+        raise ConfigError(f"limit must be a nonnegative number, got {limit!r}")
+    return dijkstra(sample.graph, directed=False, indices=indices, min_only=min_only, limit=limit)

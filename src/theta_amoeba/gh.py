@@ -18,7 +18,10 @@ carry the content. Each column of the sweep names the spaces it measures:
   7.14e-5 at k = 10, so more than half of the k = 10 value is graph error;
   phi_covering_radius moves by at most 0.5 %.
 - coupled_defect adds to phi_distortion the largest B_k graph distance from
-  50 sampled points p to phi_k of their base projections.
+  50 sampled points p to phi_k of their base projections. Its Dijkstra
+  search stops at the longest chord path along a drawn point's fiber, a
+  path of the graph, so every distance it reads is exact; see
+  convergence_suite.
 
 B_k is sampled by the grid route on one 1/k strip of the 8k grid
 (amoeba._grid_amoeba_sample), whose point counts are the 1e-12 cluster
@@ -100,6 +103,13 @@ def convergence_suite(
     Each level runs Dijkstra only from the sources it reads: the 8 base
     points' images, one multi-source search from all 8k images of phi_k
     for the covering radius, and the distinct images the 50 points need.
+    That last search stops at L, the longest chord path along a drawn
+    point's fiber: from the strip's x index 0 (the node whose image is the
+    source) to p's node through x-adjacent nodes at p's y index, the
+    graph's own edge lengths summed in path order. It is a path of the
+    graph and floating-point addition is monotone, so every distance read
+    is at most L, and SciPy's limit is inclusive; the rows keep their bits
+    at every read entry.
 
     eps is the supremum over the nodes of the m0-grid, not over X. g_k is
     1/k-periodic in x and in y, so it is taken at the nodes' residues mod
@@ -174,8 +184,15 @@ def convergence_suite(
         # as the gluing padding
         p_idx = rng.choice(sample.size, size=min(50, sample.size), replace=False)
         # the base point nearest p's preimage is its own y node
-        sources, row = np.unique(phi_idx[sample.nodes[p_idx] % (8 * k)], return_inverse=True)
-        defect = bk_distances(sample, sources)[row, p_idx]
+        x_node, y_node = np.divmod(sample.nodes[p_idx], 8 * k)
+        sources, row = np.unique(phi_idx[y_node], return_inverse=True)
+        # the graph holds each edge once, at (lo, hi); a pair merged into
+        # one point reads 0
+        node = sample.node_sample.reshape(sample.grid_shape)
+        lo, hi = np.minimum(node[:-1], node[1:]), np.maximum(node[:-1], node[1:])
+        steps = np.asarray(sample.graph[lo.ravel(), hi.ravel()]).reshape(lo.shape)
+        chord = np.cumsum(np.vstack([np.zeros(8 * k), steps]), axis=0)
+        defect = bk_distances(sample, sources, limit=chord[x_node, y_node].max())[row, p_idx]
         rows["coupled_defect"].append(float(defect.max()) + distortion)
 
         rows["base_diameter"].append(float(d_base.max()))

@@ -215,6 +215,42 @@ def test_bk_distances_refuse_bad_sources(sources):
     assert bk_distances(sample, np.array([sample.size - 1]))[0, sample.size - 1] == 0.0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"limit": np.nan},
+        {"limit": -1e-300},
+        {"limit": -np.inf},
+        {"limit": "1"},
+        {"limit": True},
+        {"min_only": "yes"},
+        {"min_only": 1},
+        {"min_only": None},
+    ],
+    ids=["nan", "negative", "minus-inf", "string", "bool", "yes", "one", "none"],
+)
+def test_bk_distances_refuse_bad_flags(flags):
+    sample = amoeba_sample(theta_basis(SQUARE, 4), quadrature_grid(1, 32))
+    with pytest.raises(ConfigError):
+        bk_distances(sample, [0], **flags)
+
+
+def test_bk_distances_stop_at_the_limit():
+    # a sample at most limit away keeps its unbounded distance, to the
+    # bit; SciPy's limit is inclusive, so one exactly at limit is kept;
+    # every sample farther away reads inf
+    sample = amoeba_sample(theta_basis(SQUARE, 4), quadrature_grid(1, 32))
+    full = bk_distances(sample, [0, 5])
+    limit = np.sort(full, axis=None)[full.size // 2]
+    bounded = bk_distances(sample, [0, 5], limit=limit)
+    near = full <= limit
+    assert np.any(full == limit) and 0 < np.count_nonzero(near) < full.size
+    assert np.array_equal(bounded[near], full[near]) and np.all(np.isinf(bounded[~near]))
+    assert np.array_equal(bk_distances(sample, [0, 5], limit=0.0), np.where(full == 0.0, 0.0, np.inf))
+    nearest = bk_distances(sample, [0, 5], min_only=np.True_, limit=np.float64(limit))
+    assert np.array_equal(nearest, np.where(full.min(axis=0) <= limit, full.min(axis=0), np.inf))
+
+
 def test_graph_connects_whole_sample():
     basis = theta_basis(SQUARE, 8)
     sample = amoeba_sample(basis, quadrature_grid(1, 64))

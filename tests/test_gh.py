@@ -219,21 +219,62 @@ def test_suite_eps_at_residues_is_the_whole_grid_eps(rm):
 
 def test_suite_runs_dijkstra_only_from_the_sources_it_reads(monkeypatch):
     # per level: the 8 base points' images, one multi-source search from
-    # all 8k images of phi_k, and the distinct images the defect reads
+    # all 8k images of phi_k, and the distinct images the defect reads;
+    # only the defect search stops at a finite limit, since the other two
+    # read distances across the whole image
     calls = []
 
-    def counted(sample, sources, min_only=False):
-        calls.append((sample.k, np.asarray(sources), min_only))
-        return bk_distances(sample, sources, min_only=min_only)
+    def counted(sample, sources, min_only=False, limit=np.inf):
+        calls.append((sample.k, np.asarray(sources), min_only, limit))
+        return bk_distances(sample, sources, min_only=min_only, limit=limit)
 
     monkeypatch.setattr(gh, "bk_distances", counted)
     convergence_suite(GENERIC, [4, 6, 8], seed=0)
-    searches = [(k, min_only) for k, _, min_only in calls]
-    assert searches == [(k, m) for k in (4, 6, 8) for m in (False, True, False)]
+    # (level, min_only, finite limit) of each search
+    searches = [(k, min_only, bool(np.isfinite(limit))) for k, _, min_only, limit in calls]
+    kinds = [(False, False), (True, False), (False, True)]
+    assert searches == [(k, *kind) for k in (4, 6, 8) for kind in kinds]
     for level, k in enumerate([4, 6, 8]):
-        (_, base, _), (_, cover, _), (_, defect, _) = calls[3 * level : 3 * level + 3]
+        (_, base, _, _), (_, cover, _, _), (_, defect, _, limit) = calls[3 * level : 3 * level + 3]
         assert base.size == 8 and cover.size == 8 * k
         assert 1 <= defect.size <= 50 and np.array_equal(defect, np.unique(defect))
+        assert limit > 0.0
+
+
+@pytest.mark.parametrize(
+    "rm",
+    [GENERIC, SQUARE, validate_riemann_matrix([[-0.45 + 0.8j]])],
+    ids=["generic", "square", "skew"],
+)
+def test_defect_search_limit_bounds_every_distance_it_reads(monkeypatch, rm):
+    # the limit is a path length of the graph, so every distance the defect
+    # reads is within it, and the bounded rows are the unbounded rows at
+    # every read entry, to the bit; some nodes stay unreached (inf)
+    searches = []
+
+    def recorded(sample, sources, min_only=False, limit=np.inf):
+        d = bk_distances(sample, sources, min_only=min_only, limit=limit)
+        if np.isfinite(limit):
+            searches.append((sample, np.asarray(sources), limit, d))
+        return d
+
+    monkeypatch.setattr(gh, "bk_distances", recorded)
+    ks = [4, 6, 8]
+    for seed in range(4):
+        searches.clear()
+        convergence_suite(rm, ks, seed=seed)
+        rng = np.random.default_rng(seed)
+        pruned = 0
+        for k, (sample, sources, limit, d) in zip(ks, searches):
+            p_idx = rng.choice(sample.size, size=min(50, sample.size), replace=False)
+            phi = sample.node_sample[sample.nodes[p_idx] % (8 * k)]
+            row = np.searchsorted(sources, phi)
+            assert np.array_equal(sources[row], phi)
+            full = bk_distances(sample, sources)
+            assert np.all(full[row, p_idx] <= limit)
+            assert np.array_equal(d[row, p_idx], full[row, p_idx])
+            pruned += np.count_nonzero(np.isinf(d))
+        assert len(searches) == len(ks) and pruned > 0
 
 
 def test_suite_phi_columns_match_plain_loops():
