@@ -178,30 +178,34 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     fiber over b = 0 is integrated. Shifting y by beta/k (the finite
     Heisenberg group) sends s_j(x, y) to e^{i pi x.beta} s_{j-beta}(x, y),
     and sigma_i = e^{i pi x.i} sigma_0 on the fiber y = i/k; the phase
-    cancels in conj(s_j) sigma_i, so c_ij = c_{0, j-i}. The grid Gram and
-    band are still summed node by node: they do not follow from the symmetry.
+    cancels in conj(s_j) sigma_i, so c_ij = c_{0, j-i}. For that circulant
+    the shift sends s~_i to e^{i pi x.beta} s~_{i-beta}, so the band sum
+    |s~_i|^2 is the same on every y-strip of side 1/k, and the Gram over a
+    shifted strip is the strip's with its indices permuted.
     """
     basis = theta_basis(om, k)
-    # shift[i, j] numbers the section whose index is idx_j - idx_i mod k
-    idx = basis.indices
-    diff = np.moveaxis((idx[None] - idx[:, None]) % k, -1, 0)
-    shift = np.ravel_multi_index(tuple(diff), (k,) * om.n)
     c0 = np.sqrt(fiber_volume(om)) * fiber_coefficients(basis, 0)
-    return _peak_diagnostics(basis, c0[shift])
+    return _peak_diagnostics(basis, c0)
 
 
-def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostics:
-    """The suite's measurements of the peak sections kappa c s.
+def _peak_diagnostics(basis: ThetaBasis, c0: np.ndarray) -> PeakSectionDiagnostics:
+    """The suite's measurements of the peak sections kappa c s, c the
+    circulant with first row c0.
 
-    Memory contract: the grid's Gram and band are reduced block by block
-    (grid_gauge_blocks), so beyond c and the (k^n, k^n) Gram the extra
-    memory is a few blocks of sections and peak sections, and the route's
-    tables, never the whole grid.
+    Memory contract: the Gram and band are reduced block by block over one
+    y-strip, so beyond c, the (k^n, k^n) Gram and its k^n permuted copies
+    the extra memory is a few blocks of sections and peak sections, and
+    the route's tables, never the whole grid.
     """
     om, k, n = basis.om, basis.k, basis.om.n
     # the analogue of (k/2pi)^{-n/4} in this curvature normalization: the
     # reciprocal of the limiting fiber-projection coefficient |c_ii| = (2k)^{n/4}
     kappa = (2.0 * k) ** (-0.25 * n)
+    # shift[i, j] numbers the section whose index is idx_j - idx_i mod k
+    idx = basis.indices
+    diff = np.moveaxis((idx[None] - idx[:, None]) % k, -1, 0)
+    shift = np.ravel_multi_index(tuple(diff), (k,) * n)
+    c = c0[shift]
 
     # (a) proportionality: mass of row i away from entry i, summed directly
     # (1 - |c_ii|^2/|c_i|^2 cannot read below sqrt(eps) ~ 1.5e-8)
@@ -212,21 +216,8 @@ def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostic
     sv = np.linalg.svd(c, compute_uv=False)
     cond = float(sv[0] / sv[-1])
 
-    # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n, from one
-    # evaluation of the sections on the max(8k, 16)^{2n} quadrature grid,
-    # reduced block by block
-    m = max(8 * k, 16)
-    gram_peak, band_min, band_max = None, np.inf, -np.inf
-    for gv in grid_gauge_blocks(basis, m):
-        tilde = c @ gv.complex_values()
-        tilde *= kappa
-        tilde_bar = tilde.conj()
-        part = tilde @ tilde_bar.T
-        # the first block starts the sum, so a one-block grid keeps its bits
-        gram_peak = part if gram_peak is None else gram_peak + part
-        band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
-        band_min, band_max = np.minimum(band_min, band.min()), np.maximum(band_max, band.max())
-    gram_peak /= m ** (2 * n)
+    # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n
+    gram_peak, band_min, band_max = _peak_gram_band(basis, c, shift, kappa)
     dg = np.sqrt(np.abs(np.diag(gram_peak)))
     normalized = gram_peak / np.outer(dg, dg)
     off = np.abs(normalized - np.diag(np.diag(normalized)))
@@ -256,6 +247,28 @@ def _peak_diagnostics(basis: ThetaBasis, c: np.ndarray) -> PeakSectionDiagnostic
         decay_slope_model=-2.0 * np.pi * k,
         change_of_basis_cond=cond,
     )
+
+
+def _peak_gram_band(basis: ThetaBasis, c: np.ndarray, shift: np.ndarray, kappa: float):
+    """The Gram of the peak sections kappa c s over the max(8k, 16)^{2n}
+    grid, over its node count, and the min and max of their band
+    sum |s~_i|^2 / k^n, from the y-strip [0, 1/k)^n alone: for c = c0[shift]
+    the shift of y by idx_b / k permutes the peak sections by shift[b], up
+    to a phase common to all."""
+    k, n = basis.k, basis.om.n
+    m = max(8 * k, 16)
+    gram_strip, band_min, band_max = None, np.inf, -np.inf
+    for gv in grid_gauge_blocks(basis, m, box=(m,) * n + (m // k,) * n):
+        tilde = c @ gv.complex_values()
+        tilde *= kappa
+        tilde_bar = tilde.conj()
+        part = tilde @ tilde_bar.T
+        # the first block starts the sum, so a one-block strip keeps its bits
+        gram_strip = part if gram_strip is None else gram_strip + part
+        band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
+        band_min, band_max = np.minimum(band_min, band.min()), np.maximum(band_max, band.max())
+    gram = gram_strip[shift[:, :, None], shift[:, None, :]].sum(axis=0)
+    return gram / m ** (2 * n), band_min, band_max
 
 
 def bsz_model_kernel(g: np.ndarray, k: int, u, v):

@@ -1,6 +1,7 @@
 """Oracles shared by the test modules: the joins of the program's block
-routes into whole arrays, which the program itself never builds, and the
-convergence suite's eps over every node of a grid."""
+routes into whole arrays, which the program itself never builds, the
+convergence suite's eps over every node of a grid, and the peak suite's
+Gram and band over every node of its grid."""
 
 import numpy as np
 
@@ -12,7 +13,9 @@ from theta_amoeba.metrics import (
     check_grid_resolution,
     quadrature_grid,
 )
-from theta_amoeba.theta import GaugeValue, _stacked_log_mag_blocks, grid_gauge_blocks
+from theta_amoeba.abelian import base_distance
+from theta_amoeba.quantization import PeakSectionDiagnostics
+from theta_amoeba.theta import GaugeValue, _stacked_log_mag_blocks, grid_gauge_blocks, section_gauge_values
 
 
 def joined(rows, m, blocks):
@@ -67,3 +70,65 @@ def omega_k_metric_field(basis, grid):
 def grid_deviation(basis, m):
     """The C0 deviation eps over every node of the m-grid."""
     return c0_metric_deviation(basis.om, omega_k_metric_field(basis, quadrature_grid(1, m)).h)
+
+
+def peak_gram_band(basis, c):
+    """The Gram of the peak sections kappa c s over every node of the
+    max(8k, 16)^{2n} grid, over the node count, and the min and max of
+    their band sum |s~_i|^2 / k^n, for any matrix c: the peak suite's
+    reduction before it read one y-strip, node by node and block by block."""
+    k, n = basis.k, basis.om.n
+    kappa = (2.0 * k) ** (-0.25 * n)
+    m = max(8 * k, 16)
+    gram_peak, band_min, band_max = None, np.inf, -np.inf
+    for gv in grid_gauge_blocks(basis, m):
+        tilde = c @ gv.complex_values()
+        tilde *= kappa
+        tilde_bar = tilde.conj()
+        part = tilde @ tilde_bar.T
+        # the first block starts the sum, so a one-block grid keeps its bits
+        gram_peak = part if gram_peak is None else gram_peak + part
+        band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
+        band_min, band_max = np.minimum(band_min, band.min()), np.maximum(band_max, band.max())
+    return gram_peak / m ** (2 * n), band_min, band_max
+
+
+def peak_diagnostics(basis, c):
+    """The peak suite's measurements of the peak sections kappa c s for any
+    matrix c, with the Gram and band of peak_gram_band: the suite as it
+    was before it took c's first row and read one y-strip."""
+    om, k, n = basis.om, basis.k, basis.om.n
+    kappa = (2.0 * k) ** (-0.25 * n)
+    mass = np.abs(c) ** 2
+    off = mass - np.diag(np.diag(mass))
+    prop_res = float(np.sqrt(np.max(off.sum(axis=1) / mass.sum(axis=1))))
+    sv = np.linalg.svd(c, compute_uv=False)
+    cond = float(sv[0] / sv[-1])
+
+    gram_peak, band_min, band_max = peak_gram_band(basis, c)
+    dg = np.sqrt(np.abs(np.diag(gram_peak)))
+    normalized = gram_peak / np.outer(dg, dg)
+    off = np.abs(normalized - np.diag(np.diag(normalized)))
+    gram_off = float(off.max())
+
+    ys = np.linspace(-0.35, 0.35, 57)
+    pts_y = np.tile(ys[:, None], (1, n))
+    gv = section_gauge_values(basis, np.zeros_like(pts_y), pts_y)
+    tilde0 = kappa * (c[0] @ gv.complex_values())
+    log_sq = 2.0 * np.log(np.abs(tilde0))
+    dists = base_distance(pts_y, np.zeros(n), om)
+    a = np.polyfit(dists**2, log_sq, 1)
+    fitted = np.polyval(a, dists**2)
+    ss_res = float(np.sum((log_sq - fitted) ** 2))
+    ss_tot = float(np.sum((log_sq - log_sq.mean()) ** 2))
+    return PeakSectionDiagnostics(
+        k=k,
+        proportionality_residual=prop_res,
+        gram_offdiag_max=gram_off,
+        band_min=float(band_min),
+        band_max=float(band_max),
+        decay_slope=float(a[0]),
+        decay_r2=float(1.0 - ss_res / ss_tot),
+        decay_slope_model=-2.0 * np.pi * k,
+        change_of_basis_cond=cond,
+    )

@@ -36,6 +36,8 @@ from theta_amoeba.theta import (
     theta_basis,
 )
 
+from oracles import peak_diagnostics, peak_gram_band
+
 SQUARE = validate_riemann_matrix([[1j]])
 GENERIC = validate_riemann_matrix([[0.3 + 1.4j]])
 RNG = np.random.default_rng(41)
@@ -310,27 +312,29 @@ PEAK_CASES = [
 ]
 
 
-def suite_and_matrix(monkeypatch, om, k):
-    """peak_section_suite's diagnostics and the matrix c it measured."""
+def suite_and_reduction(monkeypatch, om, k):
+    """peak_section_suite's diagnostics, the arguments of its one Gram and
+    band reduction, (basis, c, shift, kappa) with c the matrix it measured,
+    and that reduction's result."""
     seen = []
 
-    def recorded(basis, c):
-        seen.append(c)
-        return measure(basis, c)
+    def recorded(*args):
+        seen.append((args, measure(*args)))
+        return seen[-1][1]
 
-    measure = quantization._peak_diagnostics
-    monkeypatch.setattr(quantization, "_peak_diagnostics", recorded)
+    measure = quantization._peak_gram_band
+    monkeypatch.setattr(quantization, "_peak_gram_band", recorded)
     d = peak_section_suite(om, k)
     monkeypatch.undo()
-    (c,) = seen
-    return d, c
+    ((args, out),) = seen
+    return d, args, out
 
 
 @pytest.mark.parametrize("om, k", PEAK_CASES)
 def test_peak_matrix_is_the_per_fiber_circulant(monkeypatch, om, k):
     # c_ij = c_{0, j-i}: one fiber integral gives every row through the
     # Heisenberg shift of y by b_i
-    _, c = suite_and_matrix(monkeypatch, om, k)
+    _, (_, c, _, _), _ = suite_and_reduction(monkeypatch, om, k)
     oracle = per_fiber_coefficients(theta_basis(om, k))
     assert c.shape == oracle.shape == (k**om.n, k**om.n)
     assert np.max(np.abs(c - oracle)) <= 1e-14 * np.max(np.abs(oracle))
@@ -339,17 +343,56 @@ def test_peak_matrix_is_the_per_fiber_circulant(monkeypatch, om, k):
 
 @pytest.mark.parametrize("om, k", PEAK_CASES)
 def test_peak_diagnostics_match_the_per_fiber_suite(monkeypatch, om, k):
-    # every field against the suite built from the per-fiber matrix; the
-    # proportionality residual and Gram off-diagonal sit at roundoff, so
-    # they are held to 1e-14 absolute
-    d, _ = suite_and_matrix(monkeypatch, om, k)
+    # every field against the whole-grid suite (tests/oracles.py) built
+    # from the per-fiber matrix; the proportionality residual and Gram
+    # off-diagonal sit at roundoff, so they are held to 1e-14 absolute
+    d, _, _ = suite_and_reduction(monkeypatch, om, k)
     basis = theta_basis(om, k)
-    oracle = quantization._peak_diagnostics(basis, per_fiber_coefficients(basis))
+    oracle = peak_diagnostics(basis, per_fiber_coefficients(basis))
     assert d.k == oracle.k == k
     for field in dataclasses.fields(d)[1:]:
         ours, ref = getattr(d, field.name), getattr(oracle, field.name)
         assert np.isclose(ours, ref, rtol=1e-13, atol=1e-14), (field.name, ours, ref)
     assert d.decay_slope == oracle.decay_slope and d.decay_r2 == oracle.decay_r2
+
+
+@pytest.mark.parametrize("om, k", PEAK_CASES)
+def test_peak_strip_gram_and_band_match_the_whole_grid(monkeypatch, om, k):
+    # the Gram summed over the y-strip's k^n permuted copies, and the
+    # strip's band, against every node of the grid; at k = 1 the strip is
+    # the whole grid and the one permutation is the identity
+    _, (basis, c, _, _), (gram, band_min, band_max) = suite_and_reduction(monkeypatch, om, k)
+    ref_gram, ref_min, ref_max = peak_gram_band(basis, c)
+    assert gram.shape == ref_gram.shape == (k**om.n, k**om.n)
+    assert np.max(np.abs(gram - ref_gram)) <= 1e-14 * np.max(np.abs(ref_gram))
+    assert abs(band_min - ref_min) <= 1e-14 and abs(band_max - ref_max) <= 1e-14
+    if k == 1:
+        assert np.array_equal(gram, ref_gram) and (band_min, band_max) == (ref_min, ref_max)
+
+
+@pytest.mark.parametrize("om, k", [(GENERIC, 5), (COUPLED, 3)], ids=["n1", "n2"])
+def test_peak_sections_shift_along_y_by_the_heisenberg_group(monkeypatch, om, k):
+    # the premise of the strip: for the circulant c, y -> y + beta/k sends
+    # s~_i(x, y) to e^{i pi x.beta} s~_{i-beta}(x, y), indices mod k
+    _, (basis, c, _, _), _ = suite_and_reduction(monkeypatch, om, k)
+    idx = basis.indices
+    x, y = RNG.uniform(-0.5, 1.5, size=(2, 40, om.n))
+    here = c @ section_gauge_values(basis, x, y).complex_values()
+    for beta in idx:
+        moved = c @ section_gauge_values(basis, x, y + beta / k).complex_values()
+        back = [np.ravel_multi_index(tuple((i - beta) % k), (k,) * om.n) for i in idx]
+        expected = np.exp(1j * np.pi * (x @ beta)) * here[back]
+        assert np.all(np.abs(moved - expected) <= 1e-12 * np.abs(here).max(axis=0))
+
+
+@pytest.mark.parametrize("k", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_peak_suite_reads_an_integral_level(k):
+    # an integral float or numpy integer is the level 2, not a bare
+    # TypeError from the index arithmetic mod k
+    d = peak_section_suite(GENERIC, k)
+    assert d == peak_section_suite(GENERIC, 2) and type(d.k) is int
+    with pytest.raises(NonPositive):
+        peak_section_suite(GENERIC, 2.5)
 
 
 def test_peak_suite_integrates_one_fiber(monkeypatch):
@@ -403,12 +446,13 @@ def test_peak_band_tends_to_one_off_unit_determinant(tau):
 
 def test_peak_suite_evaluates_grid_once(monkeypatch):
     # the Gram and the band of the peak sections come from one pass over
-    # the blocks of the sections on the max(8k, 16)^{2n} quadrature grid
+    # the blocks of the sections on the y-strip [0, 1/k) of the
+    # max(8k, 16)^{2n} quadrature grid, m^n (m/k)^n nodes
     sizes = []
 
-    def counted(basis, m, grad=False):
-        sizes.append(m ** (2 * basis.om.n))
-        return grid_gauge_blocks(basis, m, grad=grad)
+    def counted(basis, m, grad=False, box=None):
+        sizes.append(np.prod(box) if box is not None else m ** (2 * basis.om.n))
+        return grid_gauge_blocks(basis, m, grad=grad, box=box)
 
     # every module binding, so a second route through metrics counts too
     for module in (theta, metrics, quantization):
@@ -416,7 +460,8 @@ def test_peak_suite_evaluates_grid_once(monkeypatch):
     for k in (2, 4):
         sizes.clear()
         peak_section_suite(SQUARE, k)
-        assert sizes.count(max(8 * k, 16) ** 2) == 1
+        m = max(8 * k, 16)
+        assert sizes == [m * (m // k)]
 
 
 @pytest.mark.parametrize(
