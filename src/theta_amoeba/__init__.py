@@ -11,6 +11,7 @@ from .errors import (
     DegenerateSample,
     DisconnectedSample,
     InvalidPoints,
+    MixedDimensions,
     MixedLevels,
     NonPositive,
     NotIntegral,

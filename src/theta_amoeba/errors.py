@@ -21,6 +21,12 @@ class MixedLevels(ThetaAmoebaError):
     """Group elements of different levels combined."""
 
 
+class MixedDimensions(ThetaAmoebaError):
+    """Heisenberg labels alpha and beta that are not 1-D vectors of one
+    length n >= 1, or elements, monomial matrices or a basis of different
+    dimensions n combined."""
+
+
 class NonPositive(ThetaAmoebaError):
     """A quantity that must be positive is not.
 

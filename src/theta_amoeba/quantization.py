@@ -17,6 +17,7 @@ import numpy as np
 
 from .abelian import RiemannMatrix, base_distance, fiber_volume, z_to_xy
 from .errors import ConfigError, DegenerateSample, InvalidPoints, NonPositive
+from .heisenberg import conjugation_sum, shift_table
 from .theta import (
     ZERO_FLOOR_LOG,
     GaugeValue,
@@ -182,30 +183,20 @@ def peak_section_suite(om: RiemannMatrix, k: int) -> PeakSectionDiagnostics:
     the shift sends s~_i to e^{i pi x.beta} s~_{i-beta}, so the band sum
     |s~_i|^2 is the same on every y-strip of side 1/k, and the Gram over a
     shifted strip is the strip's with its indices permuted.
-    """
-    basis = theta_basis(om, k)
-    c0 = np.sqrt(fiber_volume(om)) * fiber_coefficients(basis, 0)
-    return _peak_diagnostics(basis, c0)
-
-
-def _peak_diagnostics(basis: ThetaBasis, c0: np.ndarray) -> PeakSectionDiagnostics:
-    """The suite's measurements of the peak sections kappa c s, c the
-    circulant with first row c0.
 
     Memory contract: the Gram and band are reduced block by block over one
     y-strip, so beyond c, the (k^n, k^n) Gram and its k^n permuted copies
     the extra memory is a few blocks of sections and peak sections, and
     the route's tables, never the whole grid.
     """
-    om, k, n = basis.om, basis.k, basis.om.n
+    basis = theta_basis(om, k)
+    k, n = basis.k, om.n
     # the analogue of (k/2pi)^{-n/4} in this curvature normalization: the
     # reciprocal of the limiting fiber-projection coefficient |c_ii| = (2k)^{n/4}
     kappa = (2.0 * k) ** (-0.25 * n)
-    # shift[i, j] numbers the section whose index is idx_j - idx_i mod k
-    idx = basis.indices
-    diff = np.moveaxis((idx[None] - idx[:, None]) % k, -1, 0)
-    shift = np.ravel_multi_index(tuple(diff), (k,) * n)
-    c = c0[shift]
+    # the y-shifts by idx_b / k are heisenberg.shift_table's rows at alpha = 0
+    table = shift_table(k, np.zeros_like(basis.indices), basis.indices)
+    c = (np.sqrt(fiber_volume(om)) * fiber_coefficients(basis, 0))[table[0]]
 
     # (a) proportionality: mass of row i away from entry i, summed directly
     # (1 - |c_ii|^2/|c_i|^2 cannot read below sqrt(eps) ~ 1.5e-8)
@@ -217,7 +208,7 @@ def _peak_diagnostics(basis: ThetaBasis, c0: np.ndarray) -> PeakSectionDiagnosti
     cond = float(sv[0] / sv[-1])
 
     # (b) Gram and (d) pointwise band of sum |s~|^2 / k^n
-    gram_peak, band_min, band_max = _peak_gram_band(basis, c, shift, kappa)
+    gram_peak, band_min, band_max = _peak_gram_band(basis, c, table, kappa)
     dg = np.sqrt(np.abs(np.diag(gram_peak)))
     normalized = gram_peak / np.outer(dg, dg)
     off = np.abs(normalized - np.diag(np.diag(normalized)))
@@ -249,12 +240,12 @@ def _peak_diagnostics(basis: ThetaBasis, c0: np.ndarray) -> PeakSectionDiagnosti
     )
 
 
-def _peak_gram_band(basis: ThetaBasis, c: np.ndarray, shift: np.ndarray, kappa: float):
+def _peak_gram_band(basis: ThetaBasis, c: np.ndarray, table, kappa: float):
     """The Gram of the peak sections kappa c s over the max(8k, 16)^{2n}
     grid, over its node count, and the min and max of their band
-    sum |s~_i|^2 / k^n, from the y-strip [0, 1/k)^n alone: for c = c0[shift]
-    the shift of y by idx_b / k permutes the peak sections by shift[b], up
-    to a phase common to all."""
+    sum |s~_i|^2 / k^n, from the y-strip [0, 1/k)^n alone: the y-shifts
+    permute the peak sections by table's rows, up to a common phase, so the
+    grid's Gram is heisenberg.conjugation_sum of the strip's over them."""
     k, n = basis.k, basis.om.n
     m = max(8 * k, 16)
     gram_strip, band_min, band_max = None, np.inf, -np.inf
@@ -267,7 +258,7 @@ def _peak_gram_band(basis: ThetaBasis, c: np.ndarray, shift: np.ndarray, kappa: 
         gram_strip = part if gram_strip is None else gram_strip + part
         band = np.einsum("im,im->m", tilde, tilde_bar).real / k**n
         band_min, band_max = np.minimum(band_min, band.min()), np.maximum(band_max, band.max())
-    gram = gram_strip[shift[:, :, None], shift[:, None, :]].sum(axis=0)
+    gram = conjugation_sum(gram_strip, *table, k)
     return gram / m ** (2 * n), band_min, band_max
 
 

@@ -309,10 +309,14 @@ def _seed(seed) -> int:
     return int(seed)
 
 
+def _section_indices(k: int, n: int) -> np.ndarray:
+    """(Z/k)^n in lexicographic order: theta_basis's indices, and heisenberg's."""
+    return np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
+
+
 def theta_basis(om: RiemannMatrix, k: int) -> ThetaBasis:
     k = _level(k)
-    idx = np.array(list(itertools.product(range(k), repeat=om.n)), dtype=int)
-    return ThetaBasis(om=om, k=k, indices=idx)
+    return ThetaBasis(om=om, k=k, indices=_section_indices(k, om.n))
 
 
 def _as_points(x, y, n):

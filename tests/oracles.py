@@ -1,7 +1,10 @@
 """Oracles shared by the test modules: the joins of the program's block
 routes into whole arrays, which the program itself never builds, the
-convergence suite's eps over every node of a grid, and the peak suite's
-Gram and band over every node of its grid."""
+convergence suite's eps over every node of a grid, the peak suite's
+Gram and band over every node of its grid, and the Heisenberg
+representation by its index formula."""
+
+import itertools
 
 import numpy as np
 
@@ -132,3 +135,14 @@ def peak_diagnostics(basis, c):
         decay_slope_model=-2.0 * np.pi * k,
         change_of_basis_cond=cond,
     )
+
+
+def rho_monomial(g):
+    """rho(g)'s monomial rows (dest, exps) by the index formula rho_matrix
+    used before it read heisenberg.shift_table: its own lexicographic
+    (Z/k)^n table, the target idx_i - beta mod k, and its mixed-radix index."""
+    k, n = g.k, g.alpha.size
+    idx = np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
+    strides = k ** np.arange(n - 1, -1, -1)
+    target = np.mod(idx - g.beta[None, :], k)
+    return target @ strides, np.mod(g.c + target @ g.alpha, k)

@@ -88,15 +88,15 @@ def test_accept_04_heisenberg():
         ]
         # group law and representation property, exact integer arithmetic
         for g, h in itertools.product(els[: k * k], els[: k * k]):
-            lhs = rho_matrix(group_mul(g, h), 1)
-            rhs = rho_matrix(g, 1).compose(rho_matrix(h, 1))
+            lhs = rho_matrix(group_mul(g, h))
+            rhs = rho_matrix(g).compose(rho_matrix(h))
             assert lhs.same_as(rhs)
         rng = np.random.default_rng(4)
         basis = theta_basis(SQUARE, k)
         xs = rng.uniform(size=(5, 1))
         ys = rng.uniform(size=(5, 1))
         for g in els:
-            m = rho_matrix(g, 1).to_dense()
+            m = rho_matrix(g).to_dense()
             assert np.allclose(m @ m.conj().T, np.eye(k), atol=1e-14)
             assert verify_equivariance(basis, g, xs, ys) < 1e-8
         assert commutant_dimension(k, 1) == 1

@@ -314,7 +314,7 @@ PEAK_CASES = [
 
 def suite_and_reduction(monkeypatch, om, k):
     """peak_section_suite's diagnostics, the arguments of its one Gram and
-    band reduction, (basis, c, shift, kappa) with c the matrix it measured,
+    band reduction, (basis, c, table, kappa) with c the matrix it measured,
     and that reduction's result."""
     seen = []
 
