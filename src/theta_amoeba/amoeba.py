@@ -24,6 +24,7 @@ from .metrics import QuadratureGrid, _source_indices, check_grid_resolution
 from .theta import (
     ThetaBasis,
     _level,
+    _sorted_distinct,
     _stacked_log_mag_blocks,
     grid_gauge_blocks,
     section_gauge_values,
@@ -88,7 +89,7 @@ class AmoebaSample:
         cols = np.concatenate(cols)
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
         # lo * m + hi sorts as the pair (lo, hi) does, since hi < m
-        rows, cols = np.divmod(np.unique(lo * m + hi), m)
+        rows, cols = np.divmod(_sorted_distinct(lo * m + hi), m)
         vals = simplex_distances(self.k, xi[rows], xi[cols])
         graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
         n_comp, _ = connected_components(graph, directed=False)
@@ -210,10 +211,11 @@ def amoeba_sample(basis: ThetaBasis, grid: QuadratureGrid) -> AmoebaSample:
     The merge rule is the one over the whole image, but the image streams
     block by block (_merged_image). Memory: the sample (its images, node
     maps and one bytes key per point), one block, and what the route holds
-    besides its blocks (its lookup table of the distinct shifted points'
-    sums, one slice of those points and the grid's coordinate tables);
-    never a (grid.size, k^n) image. The graph, once read, adds its edges
-    and the k-d tree it was built from.
+    besides its blocks (its lookup table of sums, over the key span of a
+    square or rectangular grid or else the distinct shifted points, what
+    builds it, and the grid's coordinate tables); never a (grid.size, k^n)
+    image. The graph, once read, adds its edges and the k-d tree it was
+    built from.
     """
     check_grid_resolution(basis, grid)
     m, blocks = _stacked_log_mag_blocks(basis, grid.x, grid.y)

@@ -258,9 +258,9 @@ def run_bs_count(cfg: ExperimentConfig, cp1: bool) -> tuple[dict, dict]:
 def run_amoeba(cfg: ExperimentConfig) -> tuple[dict, dict]:
     om = cfg.riemann_matrix
     blocks, summary = [], {}
+    grid = quadrature_grid(om.n, cfg.grid_per_dim)
     for k in cfg.k_list:
         basis = theta_basis(om, k)
-        grid = quadrature_grid(om.n, cfg.grid_per_dim)
         xi = amoeba_sample(basis, grid).xi
         summary[str(k)] = {"points": xi.shape[0]}
         m, comp = np.divmod(np.arange(xi.size), xi.shape[1])

@@ -43,6 +43,8 @@ class GroupElement:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _level(self.k))
+        if np.ndim(self.c):
+            raise NotIntegral(f"group label c must be one integer, got {self.c!r}")
         object.__setattr__(self, "c", int(_labels("c", self.c)) % self.k)
         alpha, beta = _labels("alpha", self.alpha), _labels("beta", self.beta)
         if alpha.ndim != 1 or alpha.shape != beta.shape or not alpha.size:

@@ -29,11 +29,11 @@ MAX_RADIUS = 200
 ZERO_FLOOR_LOG = np.log(1e-12)
 # complex terms per lattice chunk (512 KB): in cache and at the memory floor,
 # yet amortising each chunk's Python work (swept from 8192 to 4 000 000);
-# also the (section, point) pairs per block of the per-section route's passes,
-# whose int64 keys and gathers then take 256 KB each
+# also the (section, point) pairs per block of the per-section route (int64
+# keys and gathers of 256 KB each), and the terms per product of its span table
 _CHUNK_TERMS = 32_768
-# tables over the key span hold at most this many entries per distinct
-# shifted point
+# the per-section route sums every key of its span, as a product table, where
+# the span holds at most this many keys per distinct shifted point
 _DENSE_SPAN = 4
 
 
@@ -100,6 +100,23 @@ def _centres(t_eff: np.ndarray, im: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.round(-a - im @ np.linalg.inv(t_eff).T)
 
 
+def _exponents(om_eff, off, z, l_star, a):
+    """The (rows, J) exponents 2 pi i (1/2 tl om l + tl z_p) of the terms
+    l = c_p + off_j, c_p = l*_p + a, of points z, factored (Deconinck et
+    al. 2004) as P_p + Q_j + t(om c_p + z_p) off_j with P_p = 1/2 t(c_p) om
+    c_p + t(c_p) z_p, Q_j = 1/2 t(off_j) om off_j; elementwise, not BLAS,
+    so a row's bits do not depend on the other rows."""
+    c = l_star + a
+    zeta = z + sum(c[:, d, None] * om_eff[d] for d in range(z.shape[1]))
+    w = zeta[:, :1] * off[:, 0]
+    for d in range(1, z.shape[1]):
+        w += zeta[:, d, None] * off[:, d]
+    w += 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
+    w += 0.5 * (c * (zeta + z)).sum(axis=1)[:, None]
+    w *= 2j * np.pi  # in place: a second name would keep the terms alive
+    return w
+
+
 def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int | None = None,
                    l_star: np.ndarray | None = None):
     """Truncated terms of theta[a; 0](om_eff, z), built once per point.
@@ -109,38 +126,25 @@ def _lattice_terms(om_eff: np.ndarray, z: np.ndarray, a: np.ndarray, depth: int 
     budget=_CHUNK_TERMS) over the points start to stop in whole chunks,
     yielding (rows, l_star, w, shift). Point p's terms run over l = c_p +
     off_j, c_p = l*_p + a, with l*_p the rounded centre of its Gaussian:
-    w[p, j] = exp(2 pi i (1/2 tl om l + tl z_p) - shift_p), where shift_p
-    is the row's largest real exponent, so |w| <= 1. The exponent is factored
-    (Deconinck et al. 2004) as P_p + Q_j + t(om c_p + z_p) off_j, with
-    P_p = 1/2 t(c_p) om c_p + t(c_p) z_p and Q_j = 1/2 t(off_j) om off_j.
-    Every step is elementwise, so a row's terms are the same bits in any
-    chunk. A chunk holds `budget` of the caller's terms: `depth` per
+    w[p, j] = exp(x_pj - shift_p), x the exponents of _exponents and
+    shift_p the row's largest real exponent, so |w| <= 1, the same bits in
+    any chunk. A chunk holds `budget` of the caller's terms: `depth` per
     lattice term, n by default for the gradient contraction's (rows, n, J)
-    terms, 1 for a plain sum. The centres l*, if not given, are _centres of
-    the batch.
+    terms, 1 for a plain sum. The centres l*, if not given, are _centres
+    of the batch.
     """
     t_eff = om_eff.imag
     off = _offsets(t_eff)
     if l_star is None:
         l_star = _centres(t_eff, z.imag, a)
     m, n = z.shape
-    q = 0.5 * np.einsum("jn,np,jp->j", off, om_eff, off)
     row = len(off) * (n if depth is None else depth)
 
     def chunks(start=0, stop=m, budget=_CHUNK_TERMS):
         chunk = max(1, budget // row)
         for s in range(start, stop, chunk):
             rows = slice(s, min(stop, s + chunk))
-            c = l_star[rows] + a
-            # elementwise, not BLAS: a row's bits must not depend on its chunk's shape
-            zeta = z[rows] + sum(c[:, d, None] * om_eff[d] for d in range(n))
-            w = zeta[:, :1] * off[:, 0]
-            for d in range(1, n):
-                w += zeta[:, d, None] * off[:, d]
-            w += q
-            w += 0.5 * (c * (zeta + z[rows])).sum(axis=1)[:, None]
-            # in place: a second name would keep the terms alive into the next chunk
-            w *= 2j * np.pi
+            w = _exponents(om_eff, off, z[rows], l_star[rows], a)
             shift = w.real.max(axis=1)
             w -= shift[:, None]
             np.exp(w, out=w)
@@ -612,12 +616,14 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
     the next radix would pass 2^63, the partial keys are first renumbered
     by their sorted distinct values.
 
-    Returns (keys, span, points): keys(sections, points) gives a block's
-    C-ordered (sections, points) keys, and points(keys) the pair (zs,
-    l_star) of the shifted points of keys, with the bits z_p - b_i has, and
-    their centres for the lattice sum over Omega / k. A centre depends on
-    Im z alone, so it is read from _centres of the distinct Im z rows,
-    computed once: a point's centre is the same in any slice of keys.
+    Returns (keys, span, points, centres): keys(sections, points) gives a
+    block's C-ordered (sections, points) keys, and points(keys) the pair
+    (zs, l_star) of the shifted points of keys, with the bits z_p - b_i
+    has, and their centres for the lattice sum over Omega / k. A centre
+    depends on Im z alone, so it is read from centres, _centres of the
+    distinct Im z rows, computed once: a point's centre is the same in any
+    slice of keys. Unless an axis was renumbered (then centres is None),
+    key r span / len(centres) + u is Im row r and Re values u.
     Each axis's codes are kept flat, u-major, and a block gathers only its
     own (section, point) codes, so one section's keys over every point
     take no (points x k) table. Of z, only the distinct Im rows are kept.
@@ -666,7 +672,33 @@ def _shifted_keys(basis: ThetaBasis, z: np.ndarray):
         zs.imag = im_rows[keys]
         return zs, centres[keys]
 
-    return partial_keys(axes), span, points
+    return partial_keys(axes), span, points, centres if all(ax[0] is None for ax in axes) else None
+
+
+def _span_table(om_eff, span, points, centres):
+    """shift + log|vals| of the lattice sums over om_eff at every key of a
+    product span of _shifted_keys, flat: the bits _theta_sums (a = 0)
+    gives each key's point, as _stacked_log_mag_blocks states."""
+    off = _offsets(om_eff.imag)
+    first, group = _unique_rows(centres)
+    lm = np.empty((len(centres), span // max(1, len(centres))))
+    width = lm.shape[1]
+    e = _exponents(om_eff, off, *points(np.arange(len(lm)) * width), 0.0).real
+    shift = e.max(axis=1)
+    e = np.exp(e - shift[:, None] + 0j)
+    per_u = max(1, _CHUNK_TERMS // e.shape[1])
+    for g, row in enumerate(first):
+        rows = np.flatnonzero(group == g)
+        for us in np.split(np.arange(width), range(per_u, width, per_u)):
+            cs = _exponents(om_eff, off, *points(row * width + us), 0.0)
+            cs.real = 0.0
+            np.exp(cs, out=cs)
+            step = max(1, _CHUNK_TERMS // cs.size)
+            for part in np.split(rows, range(step, len(rows), step)):
+                vals = (e[part, None] * cs).sum(axis=2)
+                with np.errstate(divide="ignore"):  # -inf at an exact zero
+                    lm[part[:, None], us] = np.log(np.abs(vals)) + shift[part, None]
+    return lm.ravel()
 
 
 def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
@@ -687,36 +719,45 @@ def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
     blocks find them by integer keys (_shifted_keys). The first, before
     this returns, builds a lookup table of their sums. Where the key span
     is at most _DENSE_SPAN times the distinct points of one section, a
-    lower bound on the distinct count, it marks a table over the span
-    (square grids) and walks it in spans of _CHUNK_TERMS keys; else it
-    sorts each block's keys and merges them (skewed grids, n = 2) and
-    walks the sorted keys in slices of _CHUNK_TERMS. Each span's or
-    slice's points, rebuilt with the bits z - b_i has and centred by their
-    distinct Im z rows, go to one lattice-sum call, whose shift +
-    log|vals| is written straight into the table over the span, or joined
-    with the other slices' into the array beside the sorted keys once all
-    are summed. The second pass, as the generator runs, recomputes each
-    block's keys and gathers the sums, through the span table or by binary
-    search in the sorted keys. A row's sum does not depend on the other
-    rows, their order, the slice or the chunk size, and its centre is the
-    same in any slice, so the values are those of summing every shifted
-    point, bit for bit.
+    lower bound on the distinct count (square and rectangular grids), the
+    table (_span_table, on this thread) covers the span: each distinct Im
+    z row with each combination of distinct Re z - b values. A term's
+    exponent (_exponents) has a real part r that depends on its point's
+    Im z and centre alone and an imaginary part t that depends on its Re z
+    and centre alone: each real-times-complex step is promoted with a zero
+    imaginary part, whose products, +-0, change only signs of zero. So
+    does the row's shift, its largest r. glibc's cexp and numpy's npy_cexp
+    return exp(r + it) as (e^r cos t, e^r sin t), each part one IEEE
+    product, so a term is E[row, j] CS[u, j] bit for bit, E = exp((r -
+    shift) + 0i) per Im row and CS = exp(0 + it) per centre and Re value,
+    both numpy's complex exp (its real exp, cos and sin differ in the last
+    bit). The products are summed over j in the pairwise order of
+    _theta_sums' w.sum(axis=1); log|.| ignores the signs of zeros. Else
+    (skewed grids, most n = 2 grids) it sorts and merges each block's
+    keys, and the points of each slice of _CHUNK_TERMS of them, rebuilt
+    with the bits z - b_i has and centred by their distinct Im z rows, go
+    to one _theta_sums call. The second pass, as the generator runs, recomputes
+    each block's keys and gathers the sums, through the span table or by
+    binary search in the sorted keys. Either way a point's value has the
+    bits of its own lattice sum, so the values are those of summing every
+    shifted point, bit for bit.
 
     Memory contract: the extra memory is bounded by one block (its keys,
-    gathers and values, at most _CHUNK_TERMS pairs or two points), one
-    slice of at most _CHUNK_TERMS distinct points (their points, centres
-    and sums), the lookup table (when dense, one mark and one sum for each
-    of at most _DENSE_SPAN keys per distinct point; else a sorted key and
-    a sum per distinct point, the sums twice while their slices are
-    joined), and the coordinate tables: the m points' codes and gauge
-    magnitudes, their distinct Im z rows with their centres and, per
-    coordinate, their distinct Re z values times k. No array over the
-    k^n m pairs is built, nor any other over every distinct point; a
-    caller that keeps no block holds no (k^n, m) array either.
+    gathers and values, at most _CHUNK_TERMS pairs or two points), the
+    lookup table and what builds it (when dense, a sum for each of at most
+    _DENSE_SPAN keys per distinct point, E and at most _CHUNK_TERMS terms
+    each of CS and of one product, or one Re value's; else a sorted key
+    and a sum per distinct point, the sums twice while their slices are
+    joined, and one slice with its points, centres and sums), and the
+    coordinate tables: the m points' codes and gauge magnitudes, their
+    distinct Im z rows with their centres and, per coordinate, their
+    distinct Re z values times k. No array over the k^n m pairs is built,
+    nor any other over every distinct point; a caller that keeps no block
+    holds no (k^n, m) array either.
     """
     z, base_lm, _ = _gauge(basis, x, y, phase=False)
     m, n_s = z.shape[0], basis.n_sections
-    keys, span, points = _shifted_keys(basis, z)
+    keys, span, points, centres = _shifted_keys(basis, z)
     # points() keeps the distinct Im z rows, so z itself can go
     del z
     om_eff = basis.om.omega / basis.k
@@ -734,15 +775,10 @@ def _stacked_log_mag_blocks(basis: ThetaBasis, x, y):
         return lm
 
     # one section's distinct points are a lower bound on all of them
-    if span <= _DENSE_SPAN * _sorted_distinct(keys(slice(1), slice(None))).size:
-        seen = np.zeros(span, dtype=bool)
-        for pts in _point_blocks(n_s, m):
-            seen[keys(slice(None), pts)] = True
+    dense = span <= _DENSE_SPAN * _sorted_distinct(keys(slice(1), slice(None))).size
+    if centres is not None and dense:
         # a table over the key span: a block costs one gather
-        lm, distinct = np.empty(span), None
-        for start in range(0, span, _CHUNK_TERMS):
-            marked = start + np.flatnonzero(seen[start : start + _CHUNK_TERMS])
-            lm[marked] = log_mags(marked)
+        lm, distinct = _span_table(om_eff, span, points, centres), None
     else:
         distinct = _distinct_keys(keys, n_s, m)
         # joined once summed: a table made first would sit beside the first

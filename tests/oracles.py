@@ -17,6 +17,7 @@ from theta_amoeba.metrics import (
     quadrature_grid,
 )
 from theta_amoeba.abelian import base_distance
+from theta_amoeba import theta
 from theta_amoeba.quantization import PeakSectionDiagnostics
 from theta_amoeba.theta import GaugeValue, _stacked_log_mag_blocks, grid_gauge_blocks, section_gauge_values
 
@@ -46,6 +47,29 @@ def stacked_log_mag(basis, x, y):
     """log|s_i|_h by the per-section route, the blocks of
     _stacked_log_mag_blocks joined into one (k^n, m) array."""
     return joined(basis.n_sections, *_stacked_log_mag_blocks(basis, x, y))
+
+
+def dense_walk_log_mag(basis, x, y):
+    """log|s_i|_h by the per-section route's dense branch before its table
+    was a product, joined into one (k^n, m) array: every key of the span
+    that a (section, point) pair takes is marked, and the marked keys'
+    points are summed by one theta._theta_sums call per _CHUNK_TERMS keys
+    of the span."""
+    z, base_lm, _ = theta._gauge(basis, x, y, phase=False)
+    m, n_s = len(z), basis.n_sections
+    keys, span, points, _ = theta._shifted_keys(basis, z)
+    seen = np.zeros(span, dtype=bool)
+    for pts in theta._point_blocks(n_s, m):
+        seen[keys(slice(None), pts)] = True
+    lm = np.empty(span)
+    for start in range(0, span, theta._CHUNK_TERMS):
+        marked = start + np.flatnonzero(seen[start : start + theta._CHUNK_TERMS])
+        zs, l_star = points(marked)
+        shift, vals = theta._theta_sums(basis.om.omega / basis.k, zs, None, None, l_star)
+        with np.errstate(divide="ignore"):
+            lm[marked] = np.log(np.abs(vals)) + shift
+    blocks = ((pts, lm[keys(slice(None), pts)] + base_lm[pts]) for pts in theta._point_blocks(n_s, m))
+    return joined(n_s, m, blocks)
 
 
 def per_section_image(basis, x, y):

@@ -68,6 +68,13 @@ def test_rejects_labels_that_are_not_integers(c, alpha, beta):
         GroupElement(k=3, c=c, alpha=alpha, beta=beta)
 
 
+@pytest.mark.parametrize("c", [[1], [1, 2]], ids=["one-entry", "two-entries"])
+def test_rejects_a_central_label_that_is_not_one_integer(c):
+    # int() of the label array raised numpy's bare TypeError
+    with pytest.raises(NotIntegral, match="group label c must be one integer"):
+        GroupElement(3, c, [0], [0])
+
+
 def test_commutant_rejects_nonpositive_dimension():
     # n = 0 returned 1
     with pytest.raises(NonPositive):

@@ -39,7 +39,7 @@ from theta_amoeba.theta import (
     theta_char_log,
 )
 
-from oracles import grid_gauge_values, per_section_image, stacked_log_mag
+from oracles import dense_walk_log_mag, grid_gauge_values, per_section_image, stacked_log_mag
 
 RNG = np.random.default_rng(7)
 SQUARE = validate_riemann_matrix([[1j]])
@@ -47,6 +47,10 @@ GENERIC = validate_riemann_matrix([[0.3 + 1.2j]])
 COUPLED = validate_riemann_matrix(
     np.array([[0.1 + 1.0j, 0.25 + 0.2j], [0.25 + 0.2j, -0.2 + 1.3j]])
 )
+# Re Omega = 0: the grids the per-section route sums by its span table
+RECTANGULAR = validate_riemann_matrix([[1.7j]])
+DIAGONAL_N2 = validate_riemann_matrix(1j * np.eye(2))
+IMAGINARY_N2 = validate_riemann_matrix(1j * np.array([[1.0, 0.2], [0.2, 1.3]]))
 
 
 def mp_theta(tau, z):
@@ -1250,6 +1254,27 @@ def recorded_sums(monkeypatch):
     return sent
 
 
+def recorded_tables(monkeypatch):
+    """The list the span of each later _span_table call is appended to."""
+    spans = []
+    original = theta._span_table
+
+    def recording(om_eff, span, points, centres):
+        spans.append(span)
+        return original(om_eff, span, points, centres)
+
+    monkeypatch.setattr(theta, "_span_table", recording)
+    return spans
+
+
+def distinct_to_send(basis, z, tables):
+    """The shifted points the lattice-sum calls must take, each once: the
+    distinct rows of the stack on the sorted branch, and none where the
+    span table summed every key."""
+    stack = stacked_rows(basis, z)
+    return stack[:0] if tables else stack[_unique_rows(stack)[0]]
+
+
 def assert_each_sent_once(sent, want):
     """The calls together sent the rows of want, each exactly once, and
     none sent more than a slice of _CHUNK_TERMS points; returns how many."""
@@ -1260,14 +1285,14 @@ def assert_each_sent_once(sent, want):
     return len(got)
 
 
-def assert_sums_unique_rows(basis, z, sent):
+def assert_sums_unique_rows(monkeypatch, basis, z, sent):
     """The stacked log-magnitudes are the every-row oracle's bits, and the
-    points summed for them are the distinct rows of the stack, each once
-    over all the lattice-sum calls; returns how many were sent."""
+    lattice-sum calls took the points of distinct_to_send, each once;
+    returns how many were sent."""
+    tables = recorded_tables(monkeypatch)
     lm = stacked_log_mag(basis, None, None)
-    stack = stacked_rows(basis, z)
     # before the oracle, whose lattice sums are recorded too
-    count = assert_each_sent_once(sent, stack[_unique_rows(stack)[0]])
+    count = assert_each_sent_once(sent, distinct_to_send(basis, z, tables))
     assert np.array_equal(lm, stacked_log_mag_every_row(basis, None, None))
     return count
 
@@ -1288,7 +1313,7 @@ def assert_sums_unique_rows(basis, z, sent):
 def test_shifted_groups_are_unique_rows_of_the_stack(monkeypatch, rm, k, z):
     basis = theta_basis(rm, k)
     sent = summed_at(monkeypatch, z)
-    assert_sums_unique_rows(basis, z, sent)
+    assert_sums_unique_rows(monkeypatch, basis, z, sent)
 
 
 def test_shifted_keys_renumber_past_2_63(monkeypatch):
@@ -1303,10 +1328,11 @@ def test_shifted_keys_renumber_past_2_63(monkeypatch):
     z.imag = np.tile([[0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.4, 0.3, 0.2, 0.1],
                       [0.1, 0.2, 0.3, 0.4, 0.5]], (2**12, 1))
     codes = [np.unique(stacked_rows(basis, z).real[:, d]).size for d in range(5)]
-    _, span, _ = theta._shifted_keys(basis, z)
-    assert codes == [2**13] * 5 and span < 2**63
+    _, span, _, centres = theta._shifted_keys(basis, z)
+    # a renumbered span is no product of Im rows and Re values
+    assert codes == [2**13] * 5 and span < 2**63 and centres is None
     sent = summed_at(monkeypatch, z)
-    assert assert_sums_unique_rows(basis, z, sent) == 2 * len(z) * basis.n_sections // 3
+    assert assert_sums_unique_rows(monkeypatch, basis, z, sent) == 2 * len(z) * basis.n_sections // 3
 
 
 @pytest.mark.parametrize(
@@ -1371,7 +1397,7 @@ def test_one_section_keys_take_no_table_of_every_section():
     # k = 32 on 256^2: a few (1, m) rows, not the 16 MiB (m, k) table of
     # every point's codes that gathering points before sections builds
     basis, grid = theta_basis(SQUARE, 32), quadrature_grid(1, 256)
-    keys, _, _ = theta._shifted_keys(basis, _gauge(basis, grid.x, grid.y)[0])
+    keys, *_ = theta._shifted_keys(basis, _gauge(basis, grid.x, grid.y)[0])
     tracemalloc.start()
     try:
         key = keys(slice(1), slice(None))
@@ -1403,18 +1429,6 @@ def test_stacked_log_mag_of_no_points(rm):
     assert stacked_log_mag(basis, empty, empty).shape == (basis.n_sections, 0)
 
 
-@pytest.mark.parametrize("k, m, rows", [(16, 128, 31_744), (32, 256, 129_024)])
-def test_stacked_log_mag_sums_each_distinct_point_once(monkeypatch, k, m, rows):
-    # of the k * m^2 shifted points of a grid with k | m, only these differ;
-    # the calls together take each once, in slices of _CHUNK_TERMS points
-    sent = recorded_sums(monkeypatch)
-    grid = quadrature_grid(1, m)
-    stacked_log_mag(theta_basis(SQUARE, k), grid.x, grid.y)
-    got = np.concatenate(sent)
-    assert len(got) == len(_unique_rows(got)[0]) == rows
-    assert max(map(len, sent)) <= theta._CHUNK_TERMS
-
-
 @pytest.mark.parametrize("pairs", [1, 5, _CHUNK_TERMS])
 @pytest.mark.parametrize(
     "rm, k, m",
@@ -1425,17 +1439,18 @@ def test_stacked_log_mag_sums_each_distinct_point_once(monkeypatch, k, m, rows):
     ],
 )
 def test_distinct_points_are_summed_once_in_slices_at_any_pair_budget(monkeypatch, rm, k, m, pairs):
-    # slices of 1 and 5 points and the shipped size, walked over the span
-    # table (square) or the sorted keys (generic, coupled): every distinct
-    # shifted point goes to exactly one call, and the values keep the
-    # every-row oracle's bits
+    # slices of 1 and 5 points and the shipped size over the sorted keys
+    # (generic, coupled): every distinct shifted point goes to exactly one
+    # call. Square takes the span table, whose products then hold 1 and 5
+    # terms, or one Re value's: it sends no point to a lattice-sum call.
+    # Either way the values keep the every-row oracle's bits
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
     z = _gauge(basis, grid.x, grid.y)[0]
     monkeypatch.setattr(theta, "_CHUNK_TERMS", pairs)
-    sent = recorded_sums(monkeypatch)
+    sent, tables = recorded_sums(monkeypatch), recorded_tables(monkeypatch)
     lm = stacked_log_mag(basis, grid.x, grid.y)
-    stack = stacked_rows(basis, z)
-    assert_each_sent_once(sent, stack[_unique_rows(stack)[0]])
+    assert bool(tables) == (rm is SQUARE)
+    assert_each_sent_once(sent, distinct_to_send(basis, z, tables))
     assert np.array_equal(lm, stacked_log_mag_every_row(basis, grid.x, grid.y))
 
 
@@ -1448,9 +1463,68 @@ def test_centres_are_the_whole_batch_centres_in_any_slice(rm, k, m):
     # its row count, and a centre moved at a rounding tie changes the sum
     basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
     z = _gauge(basis, grid.x, grid.y)[0]
-    keys, _, points = theta._shifted_keys(basis, z)
+    keys, _, points, _ = theta._shifted_keys(basis, z)
     distinct = theta._distinct_keys(keys, basis.n_sections, len(z))
     zs, l_star = points(distinct)
     assert np.array_equal(l_star, theta._centres((rm.omega / k).imag, zs.imag, np.zeros(rm.n)))
     singles = [points(distinct[i : i + 1])[1] for i in range(0, len(distinct), 97)]
     assert np.array_equal(np.concatenate(singles), l_star[::97])
+
+
+@pytest.mark.parametrize(
+    "rm, k, m",
+    [pytest.param(SQUARE, k, 8 * k, id=f"square-{k}") for k in (2, 3, 5, 7, 16, 32)]
+    + [pytest.param(RECTANGULAR, k, 8 * k, id=f"rectangular-{k}") for k in (3, 5, 7)]
+    + [
+        pytest.param(DIAGONAL_N2, 2, 16, id="n2-diagonal"),
+        pytest.param(IMAGINARY_N2, 2, 16, id="n2-coupled-im"),
+    ],
+)
+def test_span_table_is_the_dense_walk_bit_for_bit(monkeypatch, rm, k, m):
+    # every grid with Re Omega = 0 takes the span table, which sums no
+    # point by _theta_sums; its values are the bits of the walk that did,
+    # one call per span of marked keys (square k = 32 on 256^2 is
+    # amoeba-n1's second level; n = 2 holds exact zeros, -inf in both)
+    basis, grid = theta_basis(rm, k), quadrature_grid(rm.n, m)
+    sent, tables = recorded_sums(monkeypatch), recorded_tables(monkeypatch)
+    lm = stacked_log_mag(basis, grid.x, grid.y)
+    assert len(tables) == 1 and not sent
+    assert np.array_equal(lm, dense_walk_log_mag(basis, grid.x, grid.y))
+
+
+@pytest.mark.parametrize("k, m, distinct", [(16, 128, 31_744), (32, 256, 129_024)])
+def test_span_table_takes_exponents_per_im_row_and_per_centre_and_re_value(monkeypatch, k, m, distinct):
+    # of the k m^2 shifted points of the grid, `distinct` differ; the table
+    # builds one exponent row per distinct Im z row, and one per centre
+    # group and distinct Re z - b value: 17 * 248 + 128 rows at k = 16 on
+    # 128^2, 33 * 504 + 256 at k = 32 on 256^2
+    basis, grid = theta_basis(SQUARE, k), quadrature_grid(1, m)
+    z = _gauge(basis, grid.x, grid.y)[0]
+    im_rows = z.imag[_unique_rows(z.imag)[0]]
+    groups = _unique_rows(theta._centres((SQUARE.omega / k).imag, im_rows, np.zeros(1)))[0]
+    diffs = z.real - basis.b_points.T
+    re_values = np.unique(diffs.view(np.int64)).size
+    rows = []
+    exponents = theta._exponents
+
+    def recording(om_eff, off, zs, l_star, a):
+        rows.append(len(zs))
+        return exponents(om_eff, off, zs, l_star, a)
+
+    monkeypatch.setattr(theta, "_exponents", recording)
+    stacked_log_mag(basis, grid.x, grid.y)
+    assert sum(rows) == len(groups) * re_values + len(im_rows) < distinct
+    assert max(rows) <= max(len(im_rows), theta._CHUNK_TERMS // len(_offsets((SQUARE.omega / k).imag)))
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_generic_omega_takes_the_sorted_branch(monkeypatch, k):
+    # Re Omega != 0 shears the grid's shifted points off a product of Im
+    # rows and Re values: the span holds more than _DENSE_SPAN keys per
+    # distinct point, so the distinct points go to _theta_sums, each once
+    basis, grid = theta_basis(GENERIC, k), quadrature_grid(1, 8 * k)
+    z = _gauge(basis, grid.x, grid.y)[0]
+    sent, tables = recorded_sums(monkeypatch), recorded_tables(monkeypatch)
+    stacked_log_mag(basis, grid.x, grid.y)
+    assert not tables
+    assert assert_each_sent_once(sent, distinct_to_send(basis, z, tables)) > 0
