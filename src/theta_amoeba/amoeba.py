@@ -72,24 +72,18 @@ class AmoebaSample:
             return coo_matrix((1, 1)).tocsr()
         dim = len(self.grid_shape)
         r = min(2 * dim + 1, m - 1)
-        tree = cKDTree(np.sqrt(xi))
-        _, nbr = tree.query(np.sqrt(xi), k=r + 1)
-        rows = [np.repeat(np.arange(m), r)]
-        cols = [nbr[:, 1:].ravel()]
-        # add images of grid-adjacent preimage pairs: chords of curves inside
-        # the image, guaranteeing connectivity for grid-sourced samples
-        node = self.node_sample.reshape(self.grid_shape)
-        for ax in range(dim):
-            a = node.ravel()
-            b = np.roll(node, -1, axis=ax).ravel()
-            mask = a != b
-            rows.append(a[mask])
-            cols.append(b[mask])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        # lo * m + hi sorts as the pair (lo, hi) does, since hi < m
-        rows, cols = np.divmod(_sorted_distinct(lo * m + hi), m)
+        root = np.sqrt(xi)
+        _, nbr = cKDTree(root).query(root, k=r + 1)
+        # edges: r nearest neighbors, and the images of grid-adjacent nodes of
+        # two samples (chords of curves inside the image, so grid-sourced
+        # samples are connected); pair (lo, hi) keyed lo * m + hi, which sorts
+        # as the pair does, in the narrowest type that holds m * m
+        node = self.node_sample.reshape(self.grid_shape).astype(np.min_scalar_type(m * m))
+        rolled = [np.roll(node, -1, ax).ravel() for ax in range(dim)]
+        a = np.concatenate([np.arange(m, dtype=node.dtype).repeat(r), *[node.ravel()] * dim])
+        b = np.concatenate([nbr[:, 1:].astype(node.dtype).ravel(), *rolled])
+        keys = np.minimum(a, b) * m + np.maximum(a, b)
+        rows, cols = np.divmod(_sorted_distinct(keys[a != b]), m)
         vals = simplex_distances(self.k, xi[rows], xi[cols])
         graph = coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
         n_comp, _ = connected_components(graph, directed=False)

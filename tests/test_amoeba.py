@@ -278,13 +278,14 @@ def eager_graph(basis, grid, sample):
 
 @pytest.mark.parametrize(
     "om, k, m",
-    [(SQUARE, 4, 32), (GENERIC, 5, 40), (COUPLED, 2, 16)],
-    ids=["square-4", "generic-5", "coupled-2"],
+    [(SQUARE, 4, 32), (SQUARE, 16, 128), (GENERIC, 5, 40), (COUPLED, 2, 16)],
+    ids=["square-4", "square-16", "generic-5", "coupled-2"],
 )
 def test_graph_is_built_once_on_first_read(monkeypatch, om, k, m):
     # amoeba_sample builds no k-d tree; the first read of .graph builds
     # one, and later reads return the same graph, whose CSR parts are those
-    # of the graph amoeba_sample used to build up front
+    # of the graph amoeba_sample used to build up front, dtypes included,
+    # whatever integer type the build keys its pairs in
     basis, grid = theta_basis(om, k), quadrature_grid(om.n, m)
     trees = []
 
@@ -300,6 +301,16 @@ def test_graph_is_built_once_on_first_read(monkeypatch, om, k, m):
     want = eager_graph(basis, grid, sample)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(graph, part), getattr(want, part))
+        assert getattr(graph, part).dtype == getattr(want, part).dtype
+
+
+def test_grid_pair_inside_one_sample_is_no_edge():
+    # nodes 0 and 1 of a four-node ring merged into sample 0: their pair
+    # adds no loop, and every other grid pair and nearest neighbor an edge
+    xi = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+    sample = amoeba.AmoebaSample(2, xi, np.array([0, 2, 3]), np.array([0, 0, 1, 2]), (4,))
+    graph = sample.graph.tocoo()
+    assert sorted(zip(graph.row.tolist(), graph.col.tolist())) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_disconnected_graph_raises_where_it_is_read(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from theta_amoeba import amoeba, theta
+from theta_amoeba import amoeba, cli, theta
 from theta_amoeba.abelian import validate_riemann_matrix
 from theta_amoeba.amoeba import amoeba_sample
 from theta_amoeba.cli import ExperimentConfig, main, run_amoeba, run_theta_eval, write_csv
@@ -363,6 +364,33 @@ def test_thread_cap_lasts_one_run(capsys, tmp_path, monkeypatch):
     assert manifest["thread_cap_applied_to"] == []
     assert manifest["lattice_threads"] == threads
     assert limits == [1]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["theta-eval", "--k", "2"], 0), (["gram", "--k", "1"], 1)],
+    ids=["done", "typed-error"],
+)
+def test_collector_freeze_lasts_one_run(capsys, tmp_path, monkeypatch, argv, code):
+    # the run starts with every object then alive frozen out of the garbage
+    # collector, and main hands them back however the run ends
+    load, frozen = cli.load_config, []
+
+    def recording(*args):
+        frozen.append(gc.get_freeze_count())
+        return load(*args)
+
+    monkeypatch.setattr(cli, "load_config", recording)
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, *argv, "--out", str(tmp_path))[0] == code
+    assert gc.get_freeze_count() == 0
+    assert len(frozen) == 1 and frozen[0] > 1000
+
+
+def test_collector_freeze_ends_on_a_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit):
+        main(["theta-eval", "--k", "2", "--cp1", "--out", str(tmp_path)])
+    assert gc.get_freeze_count() == 0
 
 
 def test_runner_tables_match_row_loops():
